@@ -8,7 +8,6 @@ operator norm of the mixing matrix and the final tail-bound evaluation.
 """
 
 from .lipschitz_lp import (
-    LpCertificate,
     LpProblem,
     PhiPsiReport,
     build_polytope_lp,
@@ -19,6 +18,7 @@ from .lipschitz_lp import (
     verify_phi_psi,
 )
 from .martingale import (
+    ConcentrationReport,
     MartingaleProfile,
     SumViReport,
     azuma_bound,
@@ -45,7 +45,7 @@ from .mixing import (
 from .montecarlo import SampleStream, SimulationConfig, TailReport, empirical_tail, sample_word
 from .psi import psi, psi_decomposition_rhs, psi_norm, ramp
 from .rational import rat, rat_str
-from .simplex import CertificateError, SimplexError
+from .simplex import CertificateError, SimplexError, SimplexResult
 from .words import (
     Alphabet,
     TableFunction,
@@ -64,8 +64,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "CertificateError",
+    "ConcentrationReport",
     "DeltaMatrix",
-    "LpCertificate",
     "LpProblem",
     "MarkovSpec",
     "MartingaleProfile",
@@ -73,6 +73,7 @@ __all__ = [
     "PhiPsiReport",
     "SampleStream",
     "SimplexError",
+    "SimplexResult",
     "SimulationConfig",
     "SumViReport",
     "TableFunction",

@@ -7,7 +7,7 @@ phi         phi-norm with both signed LP certificates
 verify-lp   exact supremum-vs-psi comparison (exit 3 on violation)
 decompose   both sides of the psi section decomposition
 eta         eta_bar / Delta matrix of the measure and its operator norm
-martingale  martingale profile and the exact mixing-bound report
+martingale  martingale profile and mixing-bound check (exit 3 on violation)
 bound       concentration tail bound per threshold
 simulate    seeded Monte Carlo tail estimate vs the proved bounds
 selftest    the full random-instance verification suite
@@ -29,7 +29,7 @@ from dataclasses import asdict
 from typing import Any
 
 from . import __version__
-from .lipschitz_lp import build_polytope_lp, lipschitz_constant, solve_lp, verify_phi_psi
+from .lipschitz_lp import build_polytope_lp, solve_lp, verify_phi_psi
 from .martingale import concentration_bound, verify_sumvi
 from .mixing import MAX_DENSE_TABLE, delta_matrix, operator_norm_2
 from .montecarlo import SimulationConfig, empirical_tail
@@ -41,7 +41,7 @@ from .problemfile import (
     resolve_measure,
 )
 from .psi import psi, psi_decomposition_rhs, psi_norm
-from .rational import rat, rat_str
+from .rational import rat_str
 from .selftest import run_selftest
 from .simplex import SimplexError
 
@@ -76,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
     add("verify-lp", "check the supremum against its psi bound (exit 3 on violation)")
     add("decompose", "evaluate both sides of the psi section decomposition")
     add("eta", "mixing matrix of the measure and its operator norm")
-    add("martingale", "martingale profile and the mixing-bound report")
+    add("martingale", "martingale profile and the mixing-bound report (exit 3 on violation)")
     add("bound", "concentration tail bound per threshold")
     sim = add("simulate", "seeded Monte Carlo tail estimate")
     sim.add_argument("--seed", type=int, default=None, help="override the file's seed")
@@ -194,8 +194,10 @@ def _cmd_martingale(problem: ProblemFile, args) -> tuple[dict, int, str]:
         "per_coordinate_holds": list(report.per_i_holds),
         "holds": report.holds,
     }
-    summary = f"martingale: d^2 {rat_str(report.lhs)} <= {rat_str(report.rhs)}: {'holds' if report.holds else 'VIOLATED'}"
-    return payload, _EXIT_OK, summary
+    ok = report.holds and all(report.per_i_holds)
+    code = _EXIT_OK if ok else _EXIT_VIOLATION
+    summary = f"martingale: d^2 {rat_str(report.lhs)} <= {rat_str(report.rhs)}: {'holds' if ok else 'VIOLATED'}"
+    return payload, code, summary
 
 
 def _cmd_bound(problem: ProblemFile, args) -> tuple[dict, int, str]:
@@ -204,16 +206,13 @@ def _cmd_bound(problem: ProblemFile, args) -> tuple[dict, int, str]:
     w = _weights(problem)
     if not problem.thresholds:
         raise ProblemFileError("thresholds", "bound needs a 'thresholds' section")
-    lip = lipschitz_constant(f, w)
-    w_norm_sq = sum((x * x for x in w), rat(0))
-    delta = delta_matrix(P)
+    report = concentration_bound(f, P, w, problem.thresholds)
     payload = {
-        "lipschitz": rat_str(lip),
-        "w_norm_sq": rat_str(w_norm_sq),
-        "delta_operator_norm": operator_norm_2(delta),
+        "lipschitz": rat_str(report.lipschitz),
+        "w_norm_sq": rat_str(report.w_norm_sq),
+        "delta_operator_norm": report.delta_operator_norm,
         "per_t": [
-            {"t": t, "bound": concentration_bound(f, P, w, t, delta=delta)}
-            for t in problem.thresholds
+            {"t": t, "bound": bound} for t, bound in zip(problem.thresholds, report.bounds)
         ],
     }
     return payload, _EXIT_OK, f"bound: {len(problem.thresholds)} thresholds"

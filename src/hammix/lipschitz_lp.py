@@ -22,8 +22,9 @@ The central quantities:
 * ``verify_phi_psi``    -- exact comparison of phi_sup against the psi
   functional, which dominates it:  phi_sup <= psi + v * ramp(total(k)).
 
-Every solve goes through the exact simplex and carries a strong-duality
-certificate; see :mod:`hammix.simplex`.
+Every solve returns the :class:`~hammix.simplex.SimplexResult` whose
+strong-duality certificate ``simplex_max`` has verified; see
+:mod:`hammix.simplex`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator, Literal
 
 from .psi import psi, psi_norm, ramp
 from .rational import RationalLike, rat
-from .simplex import SimplexResult, simplex_max, verify_certificate
+from .simplex import SimplexResult, simplex_max
 from .words import TableFunction, WeightVector, word_unindex
 
 
@@ -65,19 +66,6 @@ class LpProblem:
                 raise ValueError(f"bad difference constraint pair ({x}, {y})")
             if rhs <= 0:
                 raise ValueError(f"difference constraint rhs must be positive, got {rhs}")
-
-
-@dataclass(frozen=True)
-class LpCertificate:
-    """Optimal vertex with an exactly verified strong-duality certificate.
-
-    The dual vector is indexed by constraint rows in build order: first the
-    num_vars box rows, then the difference rows.
-    """
-
-    primal: tuple[Rational, ...]
-    dual: tuple[Rational, ...]
-    objective_value: Rational
 
 
 def _adjacent_pairs(m: int, n: int, ordered: bool = True) -> Iterator[tuple[int, int, int]]:
@@ -148,22 +136,14 @@ def _standard_form(p: LpProblem):
     return rows, rhs
 
 
-def solve_lp(p: LpProblem) -> LpCertificate:
-    """Exact simplex solve; the returned certificate has already been verified."""
-    rows, rhs = _standard_form(p)
-    result = simplex_max(p.objective, rows, rhs)
-    return LpCertificate(result.primal, result.dual, result.objective_value)
+def solve_lp(p: LpProblem) -> SimplexResult:
+    """Exact simplex solve; simplex_max has already verified the certificate.
 
-
-def check_certificate(p: LpProblem, cert: LpCertificate) -> None:
-    """Re-verify a certificate against the problem; raises CertificateError."""
+    The dual vector is indexed by constraint rows in build order: first the
+    num_vars box rows, then the difference rows.
+    """
     rows, rhs = _standard_form(p)
-    verify_certificate(
-        p.objective,
-        rows,
-        rhs,
-        SimplexResult(cert.primal, cert.dual, cert.objective_value, 0),
-    )
+    return simplex_max(p.objective, rows, rhs)
 
 
 def phi_sup(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Rational:
@@ -198,20 +178,19 @@ def verify_phi_psi(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Ph
     v = rat(v)
     lhs = phi_sup(k, w, v)
     rhs = psi(w, k) + v * ramp(k.total())
-    report = PhiPsiReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
-    if v == 0:
-        # phi_sup at v = 0 is already one side of the norm.
-        norm_lhs = max(lhs, phi_sup(-k, w, 0))
-        norm_rhs = psi_norm(w, k)
-        report = PhiPsiReport(
-            lhs=lhs,
-            rhs=rhs,
-            holds=lhs <= rhs,
-            norm_lhs=norm_lhs,
-            norm_rhs=norm_rhs,
-            norm_holds=norm_lhs <= norm_rhs,
-        )
-    return report
+    if v != 0:
+        return PhiPsiReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    # phi_sup at v = 0 is already one side of the norm.
+    norm_lhs = max(lhs, phi_sup(-k, w, 0))
+    norm_rhs = psi_norm(w, k)
+    return PhiPsiReport(
+        lhs=lhs,
+        rhs=rhs,
+        holds=lhs <= rhs,
+        norm_lhs=norm_lhs,
+        norm_rhs=norm_rhs,
+        norm_holds=norm_lhs <= norm_rhs,
+    )
 
 
 def lipschitz_constant(f: TableFunction, w: WeightVector) -> Rational:

@@ -18,8 +18,9 @@ martingale spread is controlled by smoothness times mixing:
 
 with Delta_n the mixing matrix of P.  :func:`concentration_bound` then
 evaluates the resulting closed-form tail bound
-2 exp(-t^2 / (2 ||f||^2 ||w||^2 ||Delta_n||_2^2)), the only place floats
-enter (inside exp and the operator norm).
+2 exp(-t^2 / (2 ||f||^2 ||w||^2 ||Delta_n||_2^2)) -- Azuma's bound with that
+d_squared -- for a list of thresholds, the only place floats enter (inside
+exp and the operator norm).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from numbers import Rational
 from typing import Sequence
 
 from .lipschitz_lp import lipschitz_constant
-from .mixing import DeltaMatrix, Measure, ZeroPrefixProbability, delta_matrix, operator_norm_2
+from .mixing import Measure, ZeroPrefixProbability, delta_matrix, operator_norm_2
 from .rational import rat
 from .words import TableFunction, WeightVector
 
@@ -178,29 +179,44 @@ def verify_sumvi(f: TableFunction, P: Measure, w: WeightVector) -> SumViReport:
     )
 
 
+@dataclass(frozen=True)
+class ConcentrationReport:
+    """Tail bounds of the concentration corollary, one per threshold.
+
+    bounds[i] = 2 exp(-t_i^2 / (2 lipschitz^2 w_norm_sq
+    delta_operator_norm^2)); lipschitz and w_norm_sq are exact, the
+    operator norm and the bounds are floats.
+    """
+
+    lipschitz: Rational
+    w_norm_sq: Rational
+    delta_operator_norm: float
+    bounds: tuple[float, ...]
+
+
 def concentration_bound(
     f: TableFunction,
     P: Measure,
     w: WeightVector,
-    t: float,
-    delta: DeltaMatrix | None = None,
-) -> float:
-    """Tail bound 2 exp(-t^2 / (2 ||f||^2_Lip,w ||w||_2^2 ||Delta_n||_2^2)).
+    thresholds: Sequence[float],
+) -> ConcentrationReport:
+    """Tail bound 2 exp(-t^2 / (2 ||f||^2_Lip,w ||w||_2^2 ||Delta_n||_2^2)) per t.
 
-    The Lipschitz constant and ||w||_2^2 stay exact; only the operator norm
-    and the exponential are floating point.  Constant f (Lipschitz constant
-    0) returns 0.0: its deviation probability is 0 and the formula's limit
-    as the denominator vanishes is the correct bound.
+    The Lipschitz constant, ||w||_2^2 and ||Delta_n||_2 are computed once
+    for all thresholds; each bound is Azuma's bound with that product as
+    d_squared.  Constant f (Lipschitz constant 0) gets 0.0 for every t: its
+    deviation probability is 0 and the formula's limit as the denominator
+    vanishes is the correct bound.
     """
-    if t <= 0:
-        raise ValueError(f"threshold t must be positive, got {t}")
+    if any(t <= 0 for t in thresholds):
+        raise ValueError(f"thresholds must be positive, got {tuple(thresholds)}")
     _check_compatible(f, P)
     lip = lipschitz_constant(f, w)
-    if lip == 0:
-        return 0.0
-    if delta is None:
-        delta = delta_matrix(P)
     w_norm_sq = sum((x * x for x in w), rat(0))
-    op = operator_norm_2(delta)
-    denom = 2.0 * float(lip * lip * w_norm_sq) * op * op
-    return 2.0 * math.exp(-(t * t) / denom)
+    op = operator_norm_2(delta_matrix(P))
+    if lip == 0:
+        bounds = tuple(0.0 for _ in thresholds)
+    else:
+        d_squared = float(lip * lip * w_norm_sq) * op * op
+        bounds = tuple(azuma_bound(t, d_squared) for t in thresholds)
+    return ConcentrationReport(lip, w_norm_sq, op, bounds)

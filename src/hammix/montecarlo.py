@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Rational
 from .martingale import azuma_bound, concentration_bound, martingale_profile
-from .mixing import Measure, delta_matrix
+from .mixing import Measure
 from .rational import rat, rat_from_float
 from .words import TableFunction, WeightVector, Word
 
@@ -149,11 +149,10 @@ def empirical_tail(
                 counts[idx] += 1
 
     d2 = float(profile.d_squared)
-    delta = delta_matrix(P)
+    corollary_bounds = concentration_bound(f, P, w, cfg.thresholds).bounds
     rows = []
-    for t, count in zip(cfg.thresholds, counts):
+    for t, count, corollary in zip(cfg.thresholds, counts, corollary_bounds):
         azuma = azuma_bound(t, d2) if d2 > 0 else 0.0
-        corollary = concentration_bound(f, P, w, t, delta=delta)
         rows.append(
             ThresholdReport(
                 threshold=t,

@@ -26,6 +26,7 @@ downstream computation is O(m^n) anyway.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from numbers import Rational
 from typing import Any
@@ -246,8 +247,10 @@ def _parse_thresholds(value: Any, path: str) -> tuple[float, ...]:
     for i, t in enumerate(value):
         if isinstance(t, bool) or not isinstance(t, (int, float)):
             raise ProblemFileError(f"{path}[{i}]", f"expected a number, got {t!r}")
-        if t <= 0:
-            raise ProblemFileError(f"{path}[{i}]", f"thresholds must be > 0, got {t}")
+        # The upper end also rejects NaN, the infinities and ints too large
+        # for a float.
+        if not 0 < t <= sys.float_info.max:
+            raise ProblemFileError(f"{path}[{i}]", f"expected a finite number > 0, got {t!r}")
         out.append(float(t))
     return tuple(out)
 
@@ -258,8 +261,8 @@ def parse_problem(doc: Any) -> ProblemFile:
         raise ProblemFileError("$", "problem file must be a JSON object")
     alphabet = _parse_alphabet(_require(doc, "alphabet", ""))
     n = _require(doc, "n", "")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ProblemFileError("n", f"expected an integer >= 0, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ProblemFileError("n", f"expected an integer >= 1, got {n!r}")
     m = alphabet.size
 
     weights = None

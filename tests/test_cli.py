@@ -4,6 +4,7 @@ import pytest
 
 import hammix.cli as cli
 from hammix.lipschitz_lp import PhiPsiReport
+from hammix.martingale import SumViReport
 from hammix.rational import rat
 from hammix.simplex import CertificateError
 
@@ -175,6 +176,38 @@ def test_missing_weights_exits_1(capsys, tmp_path):
     assert "weights" in err
 
 
+@pytest.mark.parametrize("command", ["psi", "phi", "verify-lp", "decompose", "eta", "bound"])
+def test_empty_word_length_exits_1(capsys, tmp_path, command):
+    path = _write(
+        tmp_path,
+        {
+            "alphabet": 2,
+            "n": 0,
+            "weights": [],
+            "function": {"table": ["1"]},
+            "measure": {"dense": ["1"]},
+            "thresholds": [1.0],
+        },
+    )
+    code, payload, err = _run(capsys, [command, path])
+    assert code == 1
+    assert payload is None
+    assert "n: expected an integer >= 1" in err
+
+
+def test_non_finite_threshold_exits_1(capsys, tmp_path):
+    # NaN and Infinity are what Python's json module decodes, not strict JSON.
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"alphabet": 2, "n": 1, "weights": ["1"], "function": {"table": ["0", "1"]},'
+        ' "measure": {"dense": ["1/2", "1/2"]}, "thresholds": [NaN, Infinity]}'
+    )
+    code, payload, err = _run(capsys, ["bound", str(path)])
+    assert code == 1
+    assert payload is None
+    assert "thresholds[0]" in err and "finite" in err
+
+
 def test_max_table_flag(capsys, psi_file):
     code, _, err = _run(capsys, ["psi", psi_file, "--max-table", "2"])
     assert code == 1
@@ -189,6 +222,27 @@ def test_violation_exits_3(capsys, psi_file, monkeypatch):
     code, payload, _ = _run(capsys, ["verify-lp", psi_file])
     assert code == 3
     assert payload["holds"] is False
+
+
+@pytest.mark.parametrize("holds,per_i_holds", [(False, (True, True)), (True, (True, False))])
+def test_martingale_violation_exits_3(capsys, chain_file, monkeypatch, holds, per_i_holds):
+    # As for verify-lp, the exact check cannot fail on real input, so a
+    # violating report is faked: either the summed or one per-coordinate
+    # comparison fails.
+    fake = SumViReport(
+        v_bars=(rat(1), rat(1)),
+        lhs=rat(2),
+        rhs=rat(1),
+        lipschitz=rat(1),
+        delta_w=(rat(1), rat(1)),
+        per_i_holds=per_i_holds,
+        holds=holds,
+    )
+    monkeypatch.setattr(cli, "verify_sumvi", lambda *a, **k: fake)
+    code, payload, err = _run(capsys, ["martingale", chain_file])
+    assert code == 3
+    assert payload["holds"] is holds
+    assert "VIOLATED" in err
 
 
 def test_certificate_failure_exits_2(capsys, psi_file, monkeypatch):

@@ -1,0 +1,37 @@
+"""Byte-for-byte CLI reports on fixed inputs.
+
+Each ``tests/golden/<stem>.<command>.stdout`` file is the complete stdout
+of ``hammix <command> <stem>.json``, so a refactor that changes any
+rational, any bound's float bits or the JSON layout fails here.  The
+inputs are the ``sample_problems/`` files plus two small documents in
+``tests/golden/`` that exercise ``simulate`` and the constant-function
+(Lipschitz constant 0) path of the tail bounds.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import hammix.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+CASES = [
+    (ROOT / "sample_problems" / "lp_small.json", ("psi", "phi", "verify-lp", "decompose")),
+    (ROOT / "sample_problems" / "chain_martingale.json", ("eta", "martingale", "bound")),
+    (GOLDEN / "simulate_small.json", ("bound", "simulate")),
+    (GOLDEN / "constant_function.json", ("bound", "simulate")),
+]
+
+
+@pytest.mark.parametrize(
+    "problem,command",
+    [(problem, command) for problem, commands in CASES for command in commands],
+    ids=lambda value: value.stem if isinstance(value, Path) else value,
+)
+def test_cli_stdout_matches_golden(capsys, problem, command):
+    code = cli.main([command, str(problem)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{problem.stem}.{command}.stdout").read_text()

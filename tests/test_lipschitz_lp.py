@@ -7,7 +7,6 @@ from hammix.instances import random_table, random_weights
 from hammix.lipschitz_lp import (
     LpProblem,
     build_polytope_lp,
-    check_certificate,
     lipschitz_constant,
     phi_norm,
     phi_sup,
@@ -16,6 +15,7 @@ from hammix.lipschitz_lp import (
 )
 from hammix.psi import psi, psi_norm, ramp
 from hammix.rational import rat
+from hammix.simplex import verify_certificate
 from hammix.words import (
     TableFunction,
     WeightVector,
@@ -210,10 +210,17 @@ def test_certificates_survive_reverification():
         k = random_table(rng, 2, 2)
         w = random_weights(rng, 2)
         problem = build_polytope_lp(k, w, "1/2")
-        cert = solve_lp(problem)
-        check_certificate(problem, cert)
-        assert all(y >= 0 for y in cert.dual)
-        assert all(0 <= x <= problem.upper_bound for x in cert.primal)
+        result = solve_lp(problem)
+        # Standard-form rows rebuilt from the public LpProblem fields: the
+        # box rows first, then one row per difference constraint.
+        rows = [{j: rat(1)} for j in range(problem.num_vars)]
+        rhs = [problem.upper_bound] * problem.num_vars
+        for x, y, bound in problem.difference_constraints:
+            rows.append({x: rat(1), y: rat(-1)})
+            rhs.append(bound)
+        verify_certificate(problem.objective, rows, rhs, result)
+        assert all(y >= 0 for y in result.dual)
+        assert all(0 <= x <= problem.upper_bound for x in result.primal)
 
 
 def test_lp_problem_validation():

@@ -268,16 +268,16 @@ def test_concentration_bound_values():
     f = TableFunction(2, 1, (0, 1))
     P = Measure.uniform(2, 1)
     w = WeightVector((1,))
-    assert concentration_bound(f, P, w, 2.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
+    (b,) = concentration_bound(f, P, w, [2.0]).bounds
+    assert b == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
 
     # Doubling t multiplies the exponent by 4.
-    b1 = concentration_bound(f, P, w, 1.25)
-    b2 = concentration_bound(f, P, w, 2.5)
+    b1, b2 = concentration_bound(f, P, w, [1.25, 2.5]).bounds
     assert math.log(b2 / 2.0) == pytest.approx(4.0 * math.log(b1 / 2.0), rel=1e-9)
 
-    assert concentration_bound(TableFunction.constant(2, 1, 4), P, w, 1.0) == 0.0
+    assert concentration_bound(TableFunction.constant(2, 1, 4), P, w, [1.0]).bounds == (0.0,)
     with pytest.raises(ValueError):
-        concentration_bound(f, P, w, 0.0)
+        concentration_bound(f, P, w, [1.0, 0.0])
 
 
 def test_dimension_mismatches_rejected():

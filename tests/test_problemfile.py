@@ -136,6 +136,19 @@ def test_missing_sections_reported_with_path():
         ({"simulation": {"sample_count": 0, "seed": 1}}, "simulation.sample_count"),
         ({"n": -1}, "n"),
         ({"alphabet": 0}, "alphabet"),
+        # Appended rather than grouped so the ids of the rows above stay put.
+        ({"n": 0}, "n"),
+        ({"thresholds": [1.0, float("nan")]}, "thresholds[1]"),
+        ({"thresholds": [float("inf")]}, "thresholds[0]"),
+        (
+            {"simulation": {"sample_count": 10, "seed": 1, "thresholds": [float("nan")]}},
+            "simulation.thresholds[0]",
+        ),
+        (
+            {"simulation": {"sample_count": 10, "seed": 1, "thresholds": [1.0, float("inf")]}},
+            "simulation.thresholds[1]",
+        ),
+        ({"thresholds": [10**400]}, "thresholds[0]"),
     ],
 )
 def test_invalid_documents(overrides, fragment):
