@@ -34,7 +34,7 @@ from numbers import Rational
 from typing import Iterator, Literal
 
 from .psi import psi, psi_norm, ramp
-from .rational import RationalLike, rat
+from .rational import RationalLike, over_common_denominator, rat
 from .simplex import SimplexResult, simplex_max
 from .words import TableFunction, WeightVector, word_unindex
 
@@ -197,15 +197,17 @@ def lipschitz_constant(f: TableFunction, w: WeightVector) -> Rational:
     """Smallest c with |f(x) - f(y)| <= c * d_w(x, y) for all word pairs.
 
     It suffices to scan pairs at Hamming distance 1 (path metric), taking
-    max |f(x) - f(y)| / w_i over the coordinate i they differ in.  Constant
-    functions give 0.
+    max |f(x) - f(y)| / w_i over the coordinate i they differ in.  Since
+    every w_i > 0, the largest difference per coordinate is divided once;
+    the differences are taken between integer numerators over the table's
+    common denominator.  Constant functions give 0.
     """
     if len(w) != f.arity:
         raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
-    best = rat(0)
-    vals = f.values
+    nums, den = over_common_denominator(f.values)
+    spread = [0] * f.arity
     for x, y, pos in _adjacent_pairs(f.alphabet_size, f.arity, ordered=False):
-        c = abs(vals[x] - vals[y]) / w[pos]
-        if c > best:
-            best = c
-    return best
+        d = abs(nums[x] - nums[y])
+        if d > spread[pos]:
+            spread[pos] = d
+    return max((rat(d, den) / w[pos] for pos, d in enumerate(spread)), default=rat(0))

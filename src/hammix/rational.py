@@ -2,11 +2,13 @@
 
 Every inequality this package verifies is checked with exact rational
 comparisons, so no module is allowed to round.  The working type is
-``gmpy2.mpq`` when gmpy2 is importable (its pivot arithmetic is an order of
-magnitude faster than ``fractions.Fraction``, which matters inside the
-simplex) and ``fractions.Fraction`` otherwise.  The two types interoperate:
-``==``, ``hash`` and mixed arithmetic agree, so callers may hand any of
-int / Fraction / mpq / string to the functions in this package.
+``gmpy2.mpq`` when gmpy2 is importable (its arithmetic is an order of
+magnitude faster than ``fractions.Fraction``) and ``fractions.Fraction``
+otherwise.  The simplex pivots on Python integers (fraction-free rows), so
+there the backend only carries the inputs and the final vertex and duals.
+The two types interoperate: ``==``, ``hash`` and mixed arithmetic agree,
+so callers may hand any of int / Fraction / mpq / string to the functions
+in this package.
 
 Floats are deliberately rejected by :func:`rat`: a float argument is almost
 always a bug (silent precision loss).  Parse decimal *strings* instead,
@@ -16,8 +18,9 @@ which convert exactly ("0.125" -> 1/8).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
-from typing import Union
+from typing import Sequence, Union
 
 try:
     from gmpy2 import mpq as _mpq
@@ -45,6 +48,8 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
             "pass a decimal string such as '0.125' instead"
         )
     if den is not None:
+        if type(value) is int and type(den) is int:
+            return _mpq(value, den)
         return _mpq(rat(value), rat(den))
     if isinstance(value, str):
         # Fraction's parser accepts both "p/q" and decimal notation and is
@@ -56,6 +61,15 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
     if isinstance(value, Rational):
         return _mpq(value)
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
+
+
+def over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator.
+
+    Returns the numerators and that denominator.
+    """
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def rat_str(value: Rational) -> str:

@@ -3,9 +3,10 @@
 Each ``tests/golden/<stem>.<command>.stdout`` file is the complete stdout
 of ``hammix <command> <stem>.json``, so a refactor that changes any
 rational, any bound's float bits or the JSON layout fails here.  The
-inputs are the ``sample_problems/`` files plus two small documents in
-``tests/golden/`` that exercise ``simulate`` and the constant-function
-(Lipschitz constant 0) path of the tail bounds.
+inputs are the ``sample_problems/`` files plus small documents in
+``tests/golden/`` that exercise ``simulate``, the constant-function
+(Lipschitz constant 0) path of the tail bounds, and a multi-pivot LP
+(m = 3, n = 2, non-integer weights, v = 1/2).
 """
 
 from pathlib import Path
@@ -22,6 +23,7 @@ CASES = [
     (ROOT / "sample_problems" / "chain_martingale.json", ("eta", "martingale", "bound")),
     (GOLDEN / "simulate_small.json", ("bound", "simulate")),
     (GOLDEN / "constant_function.json", ("bound", "simulate")),
+    (GOLDEN / "lp_mid.json", ("phi", "verify-lp")),
 ]
 
 

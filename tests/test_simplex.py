@@ -2,7 +2,11 @@ import random
 
 import pytest
 from scipy.optimize import linprog
+from simplex_oracle import dense_simplex_max
 
+import hammix.simplex
+from hammix import instances
+from hammix.lipschitz_lp import build_polytope_lp, solve_lp
 from hammix.rational import rat
 from hammix.simplex import (
     CertificateError,
@@ -51,6 +55,33 @@ def test_negative_rhs_rejected():
         simplex_max([rat(1)], [{0: rat(1)}], [rat(-1)])
 
 
+def test_out_of_range_variable_index_rejected():
+    with pytest.raises(ValueError):
+        simplex_max([rat(1)], [{0: rat(1)}, {1: rat(1)}], [rat(1), rat(1)])
+    with pytest.raises(ValueError):
+        simplex_max([rat(1)], [{-1: rat(1)}], [rat(1)])
+
+
+def test_pivot_cap_raises(monkeypatch):
+    objective = [rat(1), rat(1)]
+    rows = [{0: rat(1)}, {1: rat(1)}]
+    rhs = [rat(1), rat(2)]
+    assert simplex_max(objective, rows, rhs).pivots == 2
+    monkeypatch.setattr(hammix.simplex, "_MAX_PIVOTS", 1)
+    with pytest.raises(SimplexError, match="pivot cap"):
+        simplex_max(objective, rows, rhs)
+
+
+def test_entries_have_backend_type():
+    # Integer and Fraction inputs alike come back as the backend type
+    # (gmpy2.mpq when it is installed).
+    backend = type(rat(0))
+    rows = [{0: 2, 1: rat(1, 3)}, {0: rat(1), 1: 3}, {1: rat(5, 2)}]
+    result = simplex_max([rat(3, 2), 1], rows, [rat(7, 2), 4, 0])
+    entries = result.primal + result.dual + (result.objective_value,)
+    assert all(type(value) is backend for value in entries)
+
+
 def test_exact_fractional_solution():
     # max 3x + 2y  s.t.  2x + y <= 7/2, x + 3y <= 4  ->  crosses at the
     # vertex x = 13/10, y = 9/10 (solved by hand from the two equalities).
@@ -95,6 +126,15 @@ def test_certificate_rejects_tampering():
     with pytest.raises(CertificateError):
         verify_certificate(objective, rows, rhs, low_dual)
 
+    # Objectives still agree (c.x == b.y == 3); only one inequality fails.
+    infeasible_primal = _tampered(good, primal=(rat(2), rat(1)))
+    with pytest.raises(CertificateError, match="primal row 0 violated"):
+        verify_certificate(objective, rows, rhs, infeasible_primal)
+
+    infeasible_dual = _tampered(good, dual=(rat(0), rat(3, 2)))
+    with pytest.raises(CertificateError, match="dual row for variable 0 violated"):
+        verify_certificate(objective, rows, rhs, infeasible_dual)
+
 
 def test_matches_scipy_on_random_bounded_problems():
     rng = random.Random(5)
@@ -122,3 +162,55 @@ def test_matches_scipy_on_random_bounded_problems():
         )
         assert res.status == 0
         assert abs(float(result.objective_value) - (-res.fun)) < 1e-7
+
+
+def _general_lp(rng):
+    """A bounded LP with rational and negative coefficients and some zero rhs."""
+    nv = rng.randint(1, 6)
+    objective = [rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nv)]
+    rows = []
+    rhs = []
+    for _ in range(rng.randint(1, 7)):
+        rows.append(
+            {
+                j: rat(rng.randint(-5, 5), rng.randint(1, 3))
+                for j in range(nv)
+                if rng.random() < 0.7
+            }
+        )
+        b = rat(rng.randint(1, 9), rng.randint(1, 3))
+        rhs.append(rat(0) if rng.random() < 0.4 else b)
+    for j in range(nv):  # box rows keep the region bounded
+        rows.append({j: rat(rng.randint(1, 5), rng.randint(1, 3))})
+        b = rat(rng.randint(1, 9), rng.randint(1, 2))
+        rhs.append(rat(0) if rng.random() < 0.2 else b)
+    return objective, rows, rhs
+
+
+def test_matches_dense_oracle_on_general_lps():
+    rng = random.Random(17)
+    degenerate = 0
+    for _ in range(200):
+        objective, rows, rhs = _general_lp(rng)
+        expected = dense_simplex_max(objective, rows, rhs)
+        assert simplex_max(objective, rows, rhs) == expected
+        degenerate += any(b == 0 for b in rhs) and expected.pivots > 0
+    assert degenerate > 50
+
+
+@pytest.mark.parametrize(
+    "m,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (2, 4)]
+)
+@pytest.mark.parametrize("v", ["0", "1/2", "1"])
+def test_matches_dense_oracle_on_polytope_lps(m, n, v):
+    rng = random.Random(f"oracle:{m}:{n}:{v}")
+    for _ in range(2):
+        k = instances.random_table(rng, m, n)
+        w = instances.random_weights(rng, n)
+        problem = build_polytope_lp(k, w, v)
+        rows = [{j: rat(1)} for j in range(problem.num_vars)]
+        rhs = [problem.upper_bound] * problem.num_vars
+        for x, y, bound in problem.difference_constraints:
+            rows.append({x: rat(1), y: rat(-1)})
+            rhs.append(bound)
+        assert solve_lp(problem) == dense_simplex_max(problem.objective, rows, rhs)
