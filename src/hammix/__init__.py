@@ -34,13 +34,10 @@ from .mixing import (
     MarkovSpec,
     Measure,
     ZeroPrefixProbability,
-    conditional_law,
     delta_matrix,
-    eta,
     eta_bar,
     expand_markov,
     operator_norm_2,
-    tv_distance,
 )
 from .montecarlo import SampleStream, SimulationConfig, TailReport, empirical_tail, sample_word
 from .psi import psi, psi_decomposition_rhs, psi_norm, ramp
@@ -84,10 +81,8 @@ __all__ = [
     "build_polytope_lp",
     "concentration_bound",
     "conditional_expectation",
-    "conditional_law",
     "delta_matrix",
     "empirical_tail",
-    "eta",
     "eta_bar",
     "expand_markov",
     "hamming_distance",
@@ -106,7 +101,6 @@ __all__ = [
     "rat_str",
     "sample_word",
     "solve_lp",
-    "tv_distance",
     "v_bar",
     "v_i",
     "verify_phi_psi",

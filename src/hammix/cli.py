@@ -40,7 +40,7 @@ from .problemfile import (
     resolve_function,
     resolve_measure,
 )
-from .psi import psi, psi_decomposition_rhs, psi_norm
+from .psi import psi, psi_decomposition_rhs
 from .rational import rat_str
 from .selftest import run_selftest
 from .simplex import SimplexError
@@ -116,7 +116,7 @@ def _cmd_psi(problem: ProblemFile, args) -> tuple[dict, int, str]:
     f = resolve_function(problem, args.max_table)
     w = _weights(problem)
     value = psi(w, f)
-    norm = psi_norm(w, f)
+    norm = max(value, psi(w, -f))  # psi_norm, reusing psi(w, f)
     payload = {"psi": rat_str(value), "psi_norm": rat_str(norm)}
     return payload, _EXIT_OK, f"psi = {rat_str(value)}, psi_norm = {rat_str(norm)}"
 

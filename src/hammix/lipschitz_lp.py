@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Iterator, Literal
 
-from .psi import psi, psi_norm, ramp
+from .psi import psi, ramp
 from .rational import RationalLike, over_common_denominator, rat
 from .simplex import SimplexResult, simplex_max
 from .words import TableFunction, WeightVector, word_unindex
@@ -177,12 +177,13 @@ def verify_phi_psi(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Ph
     """Check phi_sup <= psi + v * ramp(total), exactly; norms too when v = 0."""
     v = rat(v)
     lhs = phi_sup(k, w, v)
-    rhs = psi(w, k) + v * ramp(k.total())
+    psi_value = psi(w, k)
+    rhs = psi_value + v * ramp(k.total())
     if v != 0:
         return PhiPsiReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
-    # phi_sup at v = 0 is already one side of the norm.
+    # phi_sup and psi at v = 0 are already one side of each norm.
     norm_lhs = max(lhs, phi_sup(-k, w, 0))
-    norm_rhs = psi_norm(w, k)
+    norm_rhs = max(psi_value, psi(w, -k))
     return PhiPsiReport(
         lhs=lhs,
         rhs=rhs,

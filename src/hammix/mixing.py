@@ -4,7 +4,7 @@ A :class:`Measure` is a dense exact-rational probability table over words,
 indexed like :class:`~hammix.words.TableFunction`.  Because the first
 symbol is most significant, the words sharing a prefix form one contiguous
 index block, so prefix masses and conditional laws are block sums over a
-precomputed cumulative array.
+precomputed cumulative array of integer numerators.
 
 The eta coefficient for positions i < j measures how much the conditional
 law of the tail X_j..n moves when the i-th symbol is swapped under a common
@@ -21,6 +21,15 @@ Conditioning on a zero-probability prefix is undefined; eta_bar therefore
 maximizes only over triples whose two conditioning prefixes both have
 positive mass (and is 0 when no admissible triple exists).  Product
 measures have eta_bar = 0 everywhere and an identity DeltaMatrix.
+
+eta_bar is computed fraction-free, a whole row i (every j > i) at a time.
+A Measure keeps its probabilities' integer numerators over their common
+denominator; the block of each admissible prefix y z holds the
+unnormalized tail law for j = i+1, and summing its m equal chunks gives the
+law for the next j.  TV distances are then integer sums scaled by the two
+block masses, compared by cross-products, and only the n - i maxima are
+converted to rationals.  A row costs O(m^(n+1)) integer operations, so
+delta_matrix costs O(n m^(n+1)).
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ from dataclasses import dataclass, field
 from numbers import Rational
 from typing import Sequence
 
-from .rational import rat
-from .words import WeightVector, Word, word_index, words
+from .rational import over_common_denominator, rat
+from .words import WeightVector, Word, word_index
 
 # Dense tables beyond this size are refused at the CLI boundary; library
 # callers constructing larger Measures directly are on their own.
@@ -49,7 +58,12 @@ class Measure:
     alphabet_size: int
     arity: int
     probabilities: tuple[Rational, ...]
-    _cum: tuple[Rational, ...] = field(init=False, repr=False, compare=False)
+    # The probabilities' integer numerators over their common denominator
+    # _den, and their prefix sums: block masses, the eta_bar kernel and the
+    # sampler all read these.
+    _numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cum: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 1:
@@ -64,16 +78,19 @@ class Measure:
                 f"measure on {self.alphabet_size}^{self.arity} words needs "
                 f"{expected} entries, got {len(probs)}"
             )
-        total = rat(0)
+        numerators, den = over_common_denominator(probs)
+        total = 0
         cum = [total]
-        for i, p in enumerate(probs):
-            if p < 0:
-                raise ValueError(f"negative probability {p} at index {i}")
-            total += p
+        for i, c in enumerate(numerators):
+            if c < 0:
+                raise ValueError(f"negative probability {probs[i]} at index {i}")
+            total += c
             cum.append(total)
-        if total != 1:
-            raise ValueError(f"probabilities must sum to exactly 1, got {total}")
+        if total != den:
+            raise ValueError(f"probabilities must sum to exactly 1, got {rat(total, den)}")
+        object.__setattr__(self, "_numerators", tuple(numerators))
         object.__setattr__(self, "_cum", tuple(cum))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def uniform(cls, alphabet_size: int, arity: int) -> "Measure":
@@ -89,7 +106,7 @@ class Measure:
 
     def block_mass(self, lo: int, hi: int) -> Rational:
         """Total probability of the index range [lo, hi)."""
-        return self._cum[hi] - self._cum[lo]
+        return rat(self._cum[hi] - self._cum[lo], self._den)
 
     def prefix_block(self, prefix: Sequence[int]) -> tuple[int, int]:
         """Index range [lo, hi) of all words starting with the prefix."""
@@ -165,50 +182,48 @@ def expand_markov(spec: MarkovSpec) -> Measure:
     return Measure(m, spec.arity, tuple(vals))
 
 
-def conditional_law(P: Measure, prefix: Sequence[int], j: int) -> tuple[Rational, ...]:
-    """Law of the tail X_j..n (1-based j) given X_1..i = prefix, i < j <= n.
+def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
+    """eta_bar(i, j) for j = i+1..n, from one integer pass over row i.
 
-    Returns a dense table over S^(n-j+1) summing to exactly 1; raises
-    ZeroPrefixProbability when the conditioning event is null.
+    For each past y, the block of y z holds the unnormalized law of
+    X_i+1..n after y z in integer numerators; summing its m equal chunks
+    marginalizes out the next symbol, which gives the tail law for the next
+    j.  The TV distance between the tails after y z and y z' is
+    sum |a_t M_z' - b_t M_z| / (2 M_z M_z') with M the block masses, and the
+    largest one per j is kept as an integer pair compared by cross-products.
     """
-    i = len(prefix)
-    n = P.arity
-    if not i < j <= n:
-        raise ValueError(f"need len(prefix) < j <= arity, got i={i}, j={j}, n={n}")
-    lo, hi = P.prefix_block(prefix)
-    mass = P.block_mass(lo, hi)
-    if mass == 0:
-        raise ZeroPrefixProbability(f"prefix {tuple(prefix)} has probability zero")
-    m = P.alphabet_size
-    tail = m ** (n - j + 1)
-    law = [rat(0)] * tail
-    for offset in range(hi - lo):
-        p = P.probabilities[lo + offset]
-        if p:
-            law[offset % tail] += p
-    return tuple(v / mass for v in law)
-
-
-def tv_distance(t1: Sequence[Rational], t2: Sequence[Rational]) -> Rational:
-    """Total variation distance: half the l1 distance between the tables."""
-    if len(t1) != len(t2):
-        raise ValueError(f"length mismatch: {len(t1)} vs {len(t2)}")
-    return sum((abs(rat(a) - rat(b)) for a, b in zip(t1, t2)), rat(0)) / 2
-
-
-def eta(P: Measure, i: int, j: int, y: Sequence[int], z: int, z_prime: int) -> Rational:
-    """Mixing coefficient for a single (past, swap) choice.
-
-    Total variation between the tail laws after pasts y z and y z', where y
-    has length i-1.  Both conditioning prefixes must have positive mass.
-    """
-    if not 1 <= i < j <= P.arity:
-        raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
-    if len(y) != i - 1:
-        raise ValueError(f"past y must have length {i - 1}, got {len(y)}")
-    law_z = conditional_law(P, tuple(y) + (z,), j)
-    law_zp = conditional_law(P, tuple(y) + (z_prime,), j)
-    return tv_distance(law_z, law_zp)
+    m, n = P.alphabet_size, P.arity
+    if i == n:
+        return []
+    cells, cum = P._numerators, P._cum
+    block = m ** (n - i)
+    best = [(0, 1)] * (n - i)
+    for lo in range(0, len(cells), m * block):
+        admissible = []
+        for z_lo in range(lo, lo + m * block, block):
+            mass = cum[z_lo + block] - cum[z_lo]
+            if mass:
+                admissible.append((mass, z_lo))
+        if len(admissible) < 2:
+            continue
+        tails = []
+        for mass, z_lo in admissible:
+            law = cells[z_lo : z_lo + block]
+            laws = [law]
+            for _ in range(n - i - 1):
+                size = len(law) // m
+                law = [sum(law[t::size]) for t in range(size)]
+                laws.append(law)
+            tails.append((mass, laws))
+        for a, (mass_a, laws_a) in enumerate(tails):
+            for mass_b, laws_b in tails[a + 1 :]:
+                den = 2 * mass_a * mass_b
+                for k, (law_a, law_b) in enumerate(zip(laws_a, laws_b)):
+                    num = sum(abs(p * mass_b - q * mass_a) for p, q in zip(law_a, law_b))
+                    best_num, best_den = best[k]
+                    if num * best_den > best_num * den:
+                        best[k] = (num, den)
+    return [rat(num, den) for num, den in best]
 
 
 def eta_bar(P: Measure, i: int, j: int) -> Rational:
@@ -219,21 +234,7 @@ def eta_bar(P: Measure, i: int, j: int) -> Rational:
     """
     if not 1 <= i < j <= P.arity:
         raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
-    m = P.alphabet_size
-    best = rat(0)
-    for y in words(m, i - 1):
-        laws = []
-        for z in range(m):
-            prefix = y + (z,)
-            if P.prefix_mass(prefix) == 0:
-                continue
-            laws.append(conditional_law(P, prefix, j))
-        for a in range(len(laws)):
-            for b in range(a + 1, len(laws)):
-                d = tv_distance(laws[a], laws[b])
-                if d > best:
-                    best = d
-    return best
+    return _eta_bar_row(P, i)[j - i - 1]
 
 
 @dataclass(frozen=True)
@@ -286,12 +287,11 @@ class DeltaMatrix:
 
 
 def delta_matrix(P: Measure) -> DeltaMatrix:
-    """Assemble the mixing matrix of a measure from its eta_bar coefficients."""
+    """Assemble the mixing matrix of a measure, one kernel pass per row."""
     n = P.arity
     rows = []
     for i in range(1, n + 1):
-        row = [rat(0)] * (i - 1) + [rat(1)]
-        row += [eta_bar(P, i, j) for j in range(i + 1, n + 1)]
+        row = [rat(0)] * (i - 1) + [rat(1)] + _eta_bar_row(P, i)
         rows.append(tuple(row))
     return DeltaMatrix(tuple(rows))
 

@@ -2,8 +2,9 @@
 
 Sampling is exact: a word is drawn symbol by symbol from its conditional
 distribution given the sampled prefix, and every comparison against the
-uniform variate happens in rational arithmetic (the variate is the exact
-rational r / 2^64 of a 64-bit draw), so a run is a pure function of
+uniform variate is exact (the variate is the rational r / 2^64 of a 64-bit
+draw, compared in integers against the measure's integer prefix sums over
+their common denominator), so a run is a pure function of
 (measure, seed, sample count) -- bit-identical across platforms and
 schedules.
 
@@ -28,7 +29,6 @@ from .words import TableFunction, WeightVector, Word
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_TWO64 = 1 << 64
 
 
 def _mix64(z: int) -> int:
@@ -77,28 +77,29 @@ def sample_word(P: Measure, stream: SampleStream) -> Word:
     """Draw one word with probability exactly P(x).
 
     Symbol i is drawn from P(x_i | x_1..i-1) by comparing u = r / 2^64
-    against the cumulative sub-block masses of the current prefix block;
-    all comparisons are exact, and zero-probability branches can never be
-    selected.
+    against the cumulative sub-block masses of the current prefix block,
+    divided by the block's mass.  With M the block's mass and A a running
+    sub-block sum, both integer numerators over the measure's common
+    denominator, u * M < A is r * M < A * 2^64: all comparisons are exact
+    integer ones, and zero-probability branches can never be selected.
     """
     m = P.alphabet_size
+    cum = P._cum
     block = m**P.arity
     lo = 0
     symbols = []
     for _ in range(P.arity):
         block //= m
-        mass = P.block_mass(lo, lo + block * m)
-        # target = u * mass with u in [0, 1); strictly below the block mass,
-        # so the scan always terminates at some positive sub-block.
-        target = rat(stream.next_u64(), _TWO64) * mass
-        acc = rat(0)
+        base = cum[lo]
+        # target = r * M with r < 2^64; strictly below the block mass times
+        # 2^64, so the scan always terminates at some positive sub-block.
+        target = stream.next_u64() * (cum[lo + block * m] - base)
         for a in range(m):
-            acc += P.block_mass(lo + a * block, lo + (a + 1) * block)
-            if target < acc:
+            if target < (cum[lo + (a + 1) * block] - base) << 64:
                 symbols.append(a)
                 lo += a * block
                 break
-        else:  # pragma: no cover - unreachable: target < mass == final acc
+        else:  # pragma: no cover - unreachable: target < mass * 2^64 == final acc
             raise AssertionError("cumulative scan failed to select a symbol")
     return tuple(symbols)
 

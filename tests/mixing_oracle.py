@@ -1,0 +1,131 @@
+"""Per-entry rational mixing coefficients and sampler, kept only as test oracles.
+
+This is the straightforward textbook form of :mod:`hammix.mixing`'s
+``eta_bar``/``delta_matrix`` and of :func:`hammix.montecarlo.sample_word`:
+every conditional law is rebuilt from its prefix block in backend
+rationals and divided by its mass, every total-variation distance is taken
+in rationals, and every ``(i, j)`` entry is a separate pass.  The
+library's fraction-free kernel must return the same rationals (and its
+integer sampler the same words) on every input.
+"""
+
+from __future__ import annotations
+
+from numbers import Rational
+from typing import Sequence
+
+from hammix.mixing import DeltaMatrix, Measure, ZeroPrefixProbability
+from hammix.montecarlo import SampleStream
+from hammix.rational import rat
+from hammix.words import Word, words
+
+_TWO64 = 1 << 64
+
+
+def conditional_law(P: Measure, prefix: Sequence[int], j: int) -> tuple[Rational, ...]:
+    """Law of the tail X_j..n (1-based j) given X_1..i = prefix, i < j <= n.
+
+    Returns a dense table over S^(n-j+1) summing to exactly 1; raises
+    ZeroPrefixProbability when the conditioning event is null.
+    """
+    i = len(prefix)
+    n = P.arity
+    if not i < j <= n:
+        raise ValueError(f"need len(prefix) < j <= arity, got i={i}, j={j}, n={n}")
+    lo, hi = P.prefix_block(prefix)
+    mass = P.block_mass(lo, hi)
+    if mass == 0:
+        raise ZeroPrefixProbability(f"prefix {tuple(prefix)} has probability zero")
+    m = P.alphabet_size
+    tail = m ** (n - j + 1)
+    law = [rat(0)] * tail
+    for offset in range(hi - lo):
+        p = P.probabilities[lo + offset]
+        if p:
+            law[offset % tail] += p
+    return tuple(v / mass for v in law)
+
+
+def tv_distance(t1: Sequence[Rational], t2: Sequence[Rational]) -> Rational:
+    """Total variation distance: half the l1 distance between the tables."""
+    if len(t1) != len(t2):
+        raise ValueError(f"length mismatch: {len(t1)} vs {len(t2)}")
+    return sum((abs(rat(a) - rat(b)) for a, b in zip(t1, t2)), rat(0)) / 2
+
+
+def eta(P: Measure, i: int, j: int, y: Sequence[int], z: int, z_prime: int) -> Rational:
+    """Mixing coefficient for a single (past, swap) choice.
+
+    Total variation between the tail laws after pasts y z and y z', where y
+    has length i-1.  Both conditioning prefixes must have positive mass.
+    """
+    if not 1 <= i < j <= P.arity:
+        raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
+    if len(y) != i - 1:
+        raise ValueError(f"past y must have length {i - 1}, got {len(y)}")
+    law_z = conditional_law(P, tuple(y) + (z,), j)
+    law_zp = conditional_law(P, tuple(y) + (z_prime,), j)
+    return tv_distance(law_z, law_zp)
+
+
+def eta_bar(P: Measure, i: int, j: int) -> Rational:
+    """Worst-case eta over all pasts y and symbol pairs z, z'.
+
+    Triples whose conditioning prefix is null are excluded; returns 0 when
+    no admissible pair of pasts exists.
+    """
+    if not 1 <= i < j <= P.arity:
+        raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
+    m = P.alphabet_size
+    best = rat(0)
+    for y in words(m, i - 1):
+        laws = []
+        for z in range(m):
+            prefix = y + (z,)
+            if P.prefix_mass(prefix) == 0:
+                continue
+            laws.append(conditional_law(P, prefix, j))
+        for a in range(len(laws)):
+            for b in range(a + 1, len(laws)):
+                d = tv_distance(laws[a], laws[b])
+                if d > best:
+                    best = d
+    return best
+
+
+def delta_matrix(P: Measure) -> DeltaMatrix:
+    """The mixing matrix assembled from one eta_bar call per entry."""
+    n = P.arity
+    rows = []
+    for i in range(1, n + 1):
+        row = [rat(0)] * (i - 1) + [rat(1)]
+        row += [eta_bar(P, i, j) for j in range(i + 1, n + 1)]
+        rows.append(tuple(row))
+    return DeltaMatrix(tuple(rows))
+
+
+def sample_word(P: Measure, stream: SampleStream) -> Word:
+    """Draw one word by scanning rational sub-block masses.
+
+    Symbol i is drawn by comparing (r / 2^64) * mass, with mass the
+    probability of the current prefix block, against the running sums of
+    its sub-block masses.
+    """
+    m = P.alphabet_size
+    block = m**P.arity
+    lo = 0
+    symbols = []
+    for _ in range(P.arity):
+        block //= m
+        mass = P.block_mass(lo, lo + block * m)
+        target = rat(stream.next_u64(), _TWO64) * mass
+        acc = rat(0)
+        for a in range(m):
+            acc += P.block_mass(lo + a * block, lo + (a + 1) * block)
+            if target < acc:
+                symbols.append(a)
+                lo += a * block
+                break
+        else:
+            raise AssertionError("cumulative scan failed to select a symbol")
+    return tuple(symbols)

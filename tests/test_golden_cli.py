@@ -5,8 +5,10 @@ of ``hammix <command> <stem>.json``, so a refactor that changes any
 rational, any bound's float bits or the JSON layout fails here.  The
 inputs are the ``sample_problems/`` files plus small documents in
 ``tests/golden/`` that exercise ``simulate``, the constant-function
-(Lipschitz constant 0) path of the tail bounds, and a multi-pivot LP
-(m = 3, n = 2, non-integer weights, v = 1/2).
+(Lipschitz constant 0) path of the tail bounds, a multi-pivot LP
+(m = 3, n = 2, non-integer weights, v = 1/2), and a dense measure with
+exact-zero cells, null prefix blocks and a prefix after which the second
+symbol is forced (m = 3, n = 3).
 """
 
 from pathlib import Path
@@ -24,6 +26,7 @@ CASES = [
     (GOLDEN / "simulate_small.json", ("bound", "simulate")),
     (GOLDEN / "constant_function.json", ("bound", "simulate")),
     (GOLDEN / "lp_mid.json", ("phi", "verify-lp")),
+    (GOLDEN / "dense_zeros.json", ("eta", "martingale", "bound", "simulate")),
 ]
 
 

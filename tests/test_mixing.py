@@ -3,20 +3,23 @@ import random
 
 import pytest
 
-from hammix.instances import random_dense_measure, random_product_measure
+import mixing_oracle
+from hammix.instances import (
+    random_dense_measure,
+    random_markov_measure,
+    random_product_measure,
+)
 from hammix.mixing import (
     DeltaMatrix,
     MarkovSpec,
     Measure,
     ZeroPrefixProbability,
-    conditional_law,
     delta_matrix,
-    eta,
     eta_bar,
     expand_markov,
     operator_norm_2,
-    tv_distance,
 )
+from mixing_oracle import conditional_law, eta, tv_distance
 from hammix.rational import rat
 from hammix.words import WeightVector, words
 
@@ -254,3 +257,85 @@ def test_conditional_laws_sum_to_one():
                     continue
                 law = conditional_law(P, prefix, i + 1)
                 assert sum(law, rat(0)) == 1
+
+
+def _sparse_measure(rng, m, n):
+    """Dense measure with about half its cells exactly null."""
+    while True:
+        weights = [rng.choice((0, 0, 0, rng.randint(1, 9))) for _ in range(m**n)]
+        if sum(weights):
+            return Measure(m, n, tuple(rat(c, sum(weights)) for c in weights))
+
+
+def _markov_with_zeros(rng, m, n):
+    """Expanded chain whose initial law and transition rows have null entries."""
+
+    def distribution():
+        while True:
+            weights = [rng.choice((0, rng.randint(1, 5))) for _ in range(m)]
+            if sum(weights):
+                return tuple(rat(c, sum(weights)) for c in weights)
+
+    spec = MarkovSpec(
+        distribution(), tuple(tuple(distribution() for _ in range(m)) for _ in range(n - 1))
+    )
+    return expand_markov(spec)
+
+
+def _forced_second_symbol(rng, m, n):
+    """Dense measure on which X_2 = 0 almost surely, given any past."""
+    weights = [rng.randint(1, 9) if (k // m ** (n - 2)) % m == 0 else 0 for k in range(m**n)]
+    return Measure(m, n, tuple(rat(c, sum(weights)) for c in weights))
+
+
+def _oracle_cases():
+    rng = random.Random(20)
+    shapes = [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 6)] + [(4, n) for n in range(1, 4)]
+    for m, n in shapes:
+        for _ in range(2):
+            yield f"dense0-m{m}n{n}", random_dense_measure(rng, m, n)
+            yield f"sparse-m{m}n{n}", _sparse_measure(rng, m, n)
+    for m, n in ((2, 6), (3, 4), (4, 3)):
+        for _ in range(3):
+            yield f"markov0-m{m}n{n}", _markov_with_zeros(rng, m, n)
+        yield f"markov-m{m}n{n}", random_markov_measure(rng, m, n)
+        yield f"product-m{m}n{n}", random_product_measure(rng, m, n)
+        word = tuple(rng.randrange(m) for _ in range(n))
+        yield f"point-m{m}n{n}", Measure.point_mass(m, n, word)
+    for m, n in ((2, 4), (3, 3)):
+        yield f"forced-m{m}n{n}", _forced_second_symbol(rng, m, n)
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("P", [P for _, P in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES])
+def test_delta_matrix_matches_rational_oracle(P):
+    assert delta_matrix(P) == mixing_oracle.delta_matrix(P)
+    for i in range(1, P.arity + 1):
+        for j in range(i + 1, P.arity + 1):
+            assert eta_bar(P, i, j) == mixing_oracle.eta_bar(P, i, j)
+
+
+def test_oracle_cases_cover_null_prefixes_and_forced_positions():
+    # The comparison above is only as strong as its inputs: some must have
+    # null prefix blocks, and on the forced measures row 2 must be all 0
+    # while row 1 is not.
+    assert any(
+        P.prefix_mass(prefix) == 0
+        for name, P in ORACLE_CASES
+        if name.startswith("markov0")
+        for prefix in words(P.alphabet_size, 2)
+    )
+    for name, P in ORACLE_CASES:
+        if name.startswith("forced"):
+            entries = delta_matrix(P).entries
+            assert all(v == 0 for v in entries[1][2:])
+            assert any(v > 0 for v in entries[0][1:])
+
+
+def test_eta_bar_rejects_out_of_range_pairs():
+    P = expand_markov(_chain(3))
+    for i, j in ((0, 1), (2, 2), (3, 2), (1, 4)):
+        with pytest.raises(ValueError):
+            eta_bar(P, i, j)

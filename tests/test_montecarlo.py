@@ -1,7 +1,11 @@
 import math
 
+import random
+
 import pytest
 
+import mixing_oracle
+from hammix.instances import random_dense_measure, random_markov_measure
 from hammix.martingale import martingale_profile
 from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.montecarlo import (
@@ -50,6 +54,52 @@ def test_zero_probability_cells_never_sampled():
     for k in range(200):
         word = sample_word(P, SampleStream(21, k))
         assert word in ((0, 0), (1, 1))
+
+
+SAMPLER_CASES = {
+    "dense0-m3n4": random_dense_measure(random.Random(31), 3, 4, allow_zeros=True),
+    "markov-m2n8": random_markov_measure(random.Random(32), 2, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
+def test_sample_word_matches_rational_scan(name):
+    P = SAMPLER_CASES[name]
+    for k in range(2000):
+        stream, oracle_stream = SampleStream(2024, k), SampleStream(2024, k)
+        assert sample_word(P, stream) == mixing_oracle.sample_word(P, oracle_stream)
+        # Both consumed one draw per symbol: the streams stay in step.
+        assert stream.next_u64() == oracle_stream.next_u64()
+
+
+def test_sampler_cases_include_null_cells():
+    assert 0 in SAMPLER_CASES["dense0-m3n4"].probabilities
+
+
+class _FixedStream:
+    """Stream stub that returns one fixed 64-bit value on every draw."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def next_u64(self):
+        return self.value
+
+
+def test_sample_word_at_exact_cut_points():
+    # When r * mass lands exactly on a cumulative sub-block sum, u is not
+    # below it, so the draw goes to the next symbol; r = 0 never picks a
+    # null symbol.
+    skewed = Measure(3, 1, (0, rat(1, 4), rat(3, 4)))
+    fair = Measure(2, 1, (rat(1, 2), rat(1, 2)))
+    assert sample_word(skewed, _FixedStream(0)) == (1,)
+    assert sample_word(skewed, _FixedStream(2**62)) == (2,)
+    assert sample_word(fair, _FixedStream(2**63 - 1)) == (0,)
+    assert sample_word(fair, _FixedStream(2**63)) == (1,)
+    values = (0, 1, 2**62 - 1, 2**62, 2**63, 3 * 2**62, 2**64 - 1)
+    for P in (skewed, fair, SAMPLER_CASES["dense0-m3n4"]):
+        for r in values:
+            assert sample_word(P, _FixedStream(r)) == mixing_oracle.sample_word(P, _FixedStream(r))
 
 
 def test_uniform_cell_frequencies():
