@@ -40,9 +40,9 @@ from .problemfile import (
     resolve_function,
     resolve_measure,
 )
-from .psi import psi, psi_decomposition_rhs
+from .psi import norm_shift, psi, psi_decomposition_rhs
 from .rational import rat_str
-from .selftest import run_selftest
+from .selftest import DEFAULT_SEED, run_selftest
 from .simplex import SimplexError
 
 _EXIT_OK = 0
@@ -83,7 +83,7 @@ def _parser() -> argparse.ArgumentParser:
 
     self_test = add("selftest", "run the random-instance verification suite", needs_file=False)
     self_test.add_argument("--instances", type=int, default=500, help="random instances per LP criterion")
-    self_test.add_argument("--seed", type=int, default=None, help="seed for instance generation")
+    self_test.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for instance generation")
     self_test.add_argument(
         "--mc-samples", type=int, default=100_000, help="Monte Carlo sample count"
     )
@@ -116,7 +116,7 @@ def _cmd_psi(problem: ProblemFile, args) -> tuple[dict, int, str]:
     f = resolve_function(problem, args.max_table)
     w = _weights(problem)
     value = psi(w, f)
-    norm = max(value, psi(w, -f))  # psi_norm, reusing psi(w, f)
+    norm = value + norm_shift(w, f)  # psi_norm, reusing psi(w, f)
     payload = {"psi": rat_str(value), "psi_norm": rat_str(norm)}
     return payload, _EXIT_OK, f"psi = {rat_str(value)}, psi_norm = {rat_str(norm)}"
 
@@ -270,11 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     envelope: dict[str, Any] = {"tool": "hammix", "version": __version__, "command": args.command}
     try:
         if args.command == "selftest":
-            seed = args.seed if args.seed is not None else None
-            kwargs = {"instance_count": args.instances, "mc_samples": args.mc_samples}
-            if seed is not None:
-                kwargs["seed"] = seed
-            report = run_selftest(progress=lambda line: print(line, file=sys.stderr), **kwargs)
+            report = run_selftest(
+                args.instances, args.seed, args.mc_samples, lambda line: print(line, file=sys.stderr)
+            )
             envelope.update(
                 {
                     "seed": report.seed,

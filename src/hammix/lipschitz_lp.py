@@ -16,9 +16,9 @@ formulation in the test suite.
 The central quantities:
 
 * ``phi_sup(k, w, v)``  -- sup of <k, phi> over the polytope (one LP);
-* ``phi_norm(k, w)``    -- sup of |<k, phi>| at v = 0, i.e. the max of the
-  two signed LPs (the absolute value of a linear functional over a set is
-  the max of the two signed suprema);
+* ``phi_norm(k, w)``    -- sup of |<k, phi>| at v = 0, the max of the two
+  signed suprema; phi -> sum(w) - phi maps the v = 0 polytope onto itself,
+  so that max is one LP plus :func:`~hammix.psi.norm_shift`;
 * ``verify_phi_psi``    -- exact comparison of phi_sup against the psi
   functional, which dominates it:  phi_sup <= psi + v * ramp(total(k)).
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Iterator, Literal
 
-from .psi import psi, ramp
+from .psi import norm_shift, psi, ramp
 from .rational import RationalLike, over_common_denominator, rat
 from .simplex import SimplexResult, simplex_max
 from .words import TableFunction, WeightVector, word_unindex
@@ -152,8 +152,8 @@ def phi_sup(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Rational:
 
 
 def phi_norm(k: TableFunction, w: WeightVector) -> Rational:
-    """sup of |<k, phi>| over the v = 0 polytope: max of the two signed LPs."""
-    return max(phi_sup(k, w, 0), phi_sup(-k, w, 0))
+    """sup of |<k, phi>| over the v = 0 polytope: phi_sup(k, w, 0) + norm_shift."""
+    return phi_sup(k, w, 0) + norm_shift(w, k)
 
 
 @dataclass(frozen=True)
@@ -174,24 +174,15 @@ class PhiPsiReport:
 
 
 def verify_phi_psi(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> PhiPsiReport:
-    """Check phi_sup <= psi + v * ramp(total), exactly; norms too when v = 0."""
+    """Check phi_sup <= psi + v * ramp(total), exactly; at v = 0 the norms too, via norm_shift."""
     v = rat(v)
     lhs = phi_sup(k, w, v)
-    psi_value = psi(w, k)
-    rhs = psi_value + v * ramp(k.total())
+    rhs = psi(w, k) + v * ramp(k.total())
     if v != 0:
         return PhiPsiReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
-    # phi_sup and psi at v = 0 are already one side of each norm.
-    norm_lhs = max(lhs, phi_sup(-k, w, 0))
-    norm_rhs = max(psi_value, psi(w, -k))
-    return PhiPsiReport(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        norm_lhs=norm_lhs,
-        norm_rhs=norm_rhs,
-        norm_holds=norm_lhs <= norm_rhs,
-    )
+    shift = norm_shift(w, k)
+    norm_lhs, norm_rhs = lhs + shift, rhs + shift
+    return PhiPsiReport(lhs, rhs, lhs <= rhs, norm_lhs, norm_rhs, norm_lhs <= norm_rhs)
 
 
 def lipschitz_constant(f: TableFunction, w: WeightVector) -> Rational:

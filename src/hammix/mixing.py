@@ -296,15 +296,17 @@ def delta_matrix(P: Measure) -> DeltaMatrix:
     return DeltaMatrix(tuple(rows))
 
 
-def operator_norm_2(
-    D: DeltaMatrix, rel_tol: float = 1e-12, max_iterations: int = 100_000
-) -> float:
+_OPNORM_REL_TOL = 1e-12
+_OPNORM_MAX_ITERATIONS = 100_000
+
+
+def operator_norm_2(D: DeltaMatrix) -> float:
     """l2 operator norm (largest singular value), upper-biased.
 
     Power iteration on A = D^T D from the all-ones vector (never orthogonal
     to the dominant eigenvector: A is entrywise nonnegative).  Iterates
-    until the residual ||A x - rho x|| drops below rel_tol * rho, where rho
-    is the Rayleigh quotient of the unit iterate, then returns
+    until the residual ||A x - rho x|| drops below _OPNORM_REL_TOL * rho,
+    where rho is the Rayleigh quotient of the unit iterate, then returns
     sqrt(rho + residual).  Since rho <= lambda_max for symmetric PSD A, the
     returned value brackets the norm from above at convergence, which keeps
     tail bounds computed from it valid.  This is the package's only
@@ -318,11 +320,11 @@ def operator_norm_2(
     x = [1.0 / math.sqrt(n)] * n
     rho = 0.0
     resid = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_OPNORM_MAX_ITERATIONS):
         ax = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
         rho = sum(ax[i] * x[i] for i in range(n))
         resid = math.sqrt(sum((ax[i] - rho * x[i]) ** 2 for i in range(n)))
-        if resid <= rel_tol * rho:
+        if resid <= _OPNORM_REL_TOL * rho:
             break
         norm = math.sqrt(sum(v * v for v in ax))
         x = [v / norm for v in ax]

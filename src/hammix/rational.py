@@ -41,7 +41,10 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
     ("0.125") form.  A second argument gives a numerator/denominator pair.
     Floats raise TypeError; convert them deliberately via ``str`` or
     ``Fraction(f)`` at the call site if the binary value is truly intended.
+    A value already of the backend type is immutable and returned as is.
     """
+    if den is None and type(value) is _mpq:
+        return value
     if isinstance(value, float) or isinstance(den, float):
         raise TypeError(
             "refusing to convert float to exact rational; "

@@ -6,10 +6,10 @@ bundles them into the report served by the ``selftest`` CLI subcommand.
 Inequality checks are exact rational comparisons throughout -- a single
 violation fails the criterion and is recorded in the result detail.
 
-The LP-based criteria share instance loops so each random (k, w, v) is
-solved once for the supremum check and once per sign for the norm check.
-Every certificate is verified once, inside ``simplex_max``, against the
-original constraint data.
+The LP-based criteria read ``verify_phi_psi`` reports: one per random
+(k, w, v), plus one at v = 0 for the norms when v != 0.  Every certificate
+is verified once, inside ``simplex_max``, against the original constraint
+data.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .instances import (
     random_table,
     random_weights,
 )
-from .lipschitz_lp import build_polytope_lp, solve_lp
+from .lipschitz_lp import build_polytope_lp, solve_lp, verify_phi_psi
 from .mixing import (
     DeltaMatrix,
     MarkovSpec,
@@ -40,7 +40,7 @@ from .mixing import (
     operator_norm_2,
 )
 from .montecarlo import SimulationConfig, empirical_tail
-from .psi import psi, psi_decomposition_rhs, psi_norm, ramp
+from .psi import psi, psi_decomposition_rhs
 from .rational import rat, rat_str
 from .words import (
     TableFunction,
@@ -100,42 +100,32 @@ def lp_criteria(
 ) -> tuple[CriterionResult, CriterionResult, CriterionResult]:
     """Criteria 1, 2 and 5: supremum bound, norm bound, certificates.
 
-    Returns (lp_inequality, norm_inequality, certificates) results.  Every
-    solve's certificate is verified from the raw constraint rows inside
-    ``simplex_max`` (a failure raises CertificateError) and counted once;
-    the adjacent-pair constraint reduction is cross-checked against the
-    all-pairs build on m=2, n=2 instances.
+    Returns (lp_inequality, norm_inequality, certificates) results.  Each
+    solve's certificate is verified inside ``simplex_max`` (a failure raises
+    CertificateError) and counted once; the adjacent-pair constraint
+    reduction is cross-checked against the all-pairs build on m=2, n=2.
     """
     rng = random.Random(seed)
     sup_failures = 0
     norm_failures = 0
     n1_equality_failures = 0
     cert_checks = 0
-    gap_min = None
-    gap_max = None
+    gaps = []
     started = time.monotonic()
 
     for _ in range(instance_count):
         _, n, k, w, v = _draw_lp_instance(rng)
-
-        lhs = solve_lp(build_polytope_lp(k, w, v)).objective_value
+        report = verify_phi_psi(k, w, v)
         cert_checks += 1
-        rhs = psi(w, k) + v * ramp(k.total())
-        if not lhs <= rhs:
+        if not report.holds:
             sup_failures += 1
-        gap = rhs - lhs
-        gap_min = gap if gap_min is None else min(gap_min, gap)
-        gap_max = gap if gap_max is None else max(gap_max, gap)
-
-        norm_sides = []
-        for signed in (k, -k):
-            norm_sides.append(solve_lp(build_polytope_lp(signed, w, 0)).objective_value)
+        gaps.append(report.rhs - report.lhs)
+        if v != 0:
+            report = verify_phi_psi(k, w, 0)
             cert_checks += 1
-        phi_norm_value = max(norm_sides)
-        psi_norm_value = psi_norm(w, k)
-        if not phi_norm_value <= psi_norm_value:
+        if not report.norm_holds:
             norm_failures += 1
-        if n == 1 and phi_norm_value != psi_norm_value:
+        if n == 1 and report.norm_lhs != report.norm_rhs:
             n1_equality_failures += 1
 
     reduction_count = max(1, instance_count // 10) if reduction_count is None else reduction_count
@@ -158,8 +148,8 @@ def lp_criteria(
         instance_count,
         sup_failures,
         {
-            "gap_min": rat_str(gap_min) if gap_min is not None else None,
-            "gap_max": rat_str(gap_max) if gap_max is not None else None,
+            "gap_min": rat_str(min(gaps)) if gaps else None,
+            "gap_max": rat_str(max(gaps)) if gaps else None,
             "elapsed_seconds": round(elapsed, 3),
         },
     )

@@ -8,7 +8,8 @@ inputs are the ``sample_problems/`` files plus small documents in
 (Lipschitz constant 0) path of the tail bounds, a multi-pivot LP
 (m = 3, n = 2, non-integer weights, v = 1/2), and a dense measure with
 exact-zero cells, null prefix blocks and a prefix after which the second
-symbol is forced (m = 3, n = 3).
+symbol is forced (m = 3, n = 3), and a v = 0 LP whose table sums below 0,
+so the norms carry a nonzero sign shift (m = 3, n = 2).
 """
 
 from pathlib import Path
@@ -27,6 +28,7 @@ CASES = [
     (GOLDEN / "constant_function.json", ("bound", "simulate")),
     (GOLDEN / "lp_mid.json", ("phi", "verify-lp")),
     (GOLDEN / "dense_zeros.json", ("eta", "martingale", "bound", "simulate")),
+    (GOLDEN / "lp_negative.json", ("psi", "phi", "verify-lp")),
 ]
 
 

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+import hammix.lipschitz_lp as lipschitz_lp
+import hammix.selftest as selftest
 from hammix.instances import random_table, random_weights
 from hammix.lipschitz_lp import (
     LpProblem,
@@ -123,6 +125,69 @@ def test_phi_norm_absolute_homogeneity():
         w = random_weights(rng, 2)
         a = rat(rng.randint(-3, 3), rng.randint(1, 3))
         assert phi_norm(k.scale(a), w) == abs(a) * phi_norm(k, w)
+
+
+def _sign_symmetry_cases():
+    """Seeded tables with both signs of total(k), m=3 n=2 among them, plus
+    degenerate ones: zero, constants of both signs, a point mass and a
+    nonzero table summing to exactly 0."""
+    rng = random.Random(61)
+    cases = [
+        (random_table(rng, m, n), random_weights(rng, n))
+        for m, n in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))
+        for _ in range(8)
+    ]
+    w = WeightVector(("2/3", "5/4"))
+    cases += [(TableFunction.constant(3, 2, c), w) for c in (0, "-3/2", 2)]
+    cases.append((TableFunction(3, 2, (0, 0, 0, 0, -5, 0, 0, 0, 0)), w))
+    cases.append((TableFunction(3, 2, (1, -1, 0, 0, 2, -2, 0, 0, 0)), w))
+    return cases
+
+
+def test_phi_sup_sign_symmetry_gives_phi_norm():
+    cases = _sign_symmetry_cases()
+    assert any(k.total() > 0 for k, _ in cases) and any(k.total() < 0 for k, _ in cases)
+    for k, w in cases:
+        pos, neg = phi_sup(k, w, 0), phi_sup(-k, w, 0)
+        assert neg == pos - w.total() * k.total()
+        assert phi_norm(k, w) == max(pos, neg)
+        report = verify_phi_psi(k, w, 0)
+        assert report.norm_lhs == max(pos, neg)
+        assert report.norm_rhs == max(psi(w, k), psi(w, -k))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_norms_solve_one_lp_and_evaluate_psi_once(monkeypatch):
+    solves = _count_calls(monkeypatch, lipschitz_lp, "solve_lp")
+    psi_calls = _count_calls(monkeypatch, lipschitz_lp, "psi")
+    k = TableFunction(3, 2, ("-2", "1/2", "-3/4", "1", "-5/2", "0", "3/5", "-1", "-1/3"))
+    w = WeightVector(("2/3", "5/4"))
+    report = verify_phi_psi(k, w, 0)
+    assert (len(solves), len(psi_calls)) == (1, 1)
+    assert phi_norm(k, w) == report.norm_lhs
+    assert len(solves) == 2
+
+
+def test_lp_criteria_counts_the_solves_it_runs(monkeypatch):
+    solves = _count_calls(monkeypatch, lipschitz_lp, "solve_lp")
+    solves_reduction = _count_calls(monkeypatch, selftest, "solve_lp")
+    instances, reductions = 20, 3
+    _, _, c5 = selftest.lp_criteria(instances, 5, reduction_count=reductions)
+    rng = random.Random(5)
+    nonzero_v = sum(selftest._draw_lp_instance(rng)[4] != 0 for _ in range(instances))
+    expected = instances + nonzero_v + 2 * reductions
+    assert len(solves) + len(solves_reduction) == c5.checked == expected
 
 
 def test_verify_phi_psi_example():

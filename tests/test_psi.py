@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -133,3 +134,25 @@ def test_psi_monotone_in_weights(tw):
     k, w = tw
     bigger = WeightVector([e + rat(1, 3) for e in w])
     assert psi(w, k) <= psi(bigger, k)
+
+
+@given(_table_and_weights())
+@settings(max_examples=150, deadline=None)
+def test_psi_sign_symmetry_gives_psi_norm(tw):
+    k, w = tw
+    assert psi(w, -k) == psi(w, k) - w.total() * k.total()
+    assert psi_norm(w, k) == max(psi(w, k), psi(w, -k))
+
+
+def test_psi_norm_evaluates_psi_once(monkeypatch):
+    calls = []
+
+    def counted(w, k):
+        calls.append(k)
+        return psi(w, k)
+
+    # The package namespace re-exports psi, so reach the module itself.
+    monkeypatch.setattr(sys.modules["hammix.psi"], "psi", counted)
+    k = TableFunction(3, 2, ("-2", "1/2", "-3/4", "1", "-5/2", "0", "3/5", "-1", "-1/3"))
+    assert psi_norm(WeightVector(("2/3", "5/4")), k) == rat(1439, 144)
+    assert calls == [k]
