@@ -99,8 +99,10 @@ def _load(args: argparse.Namespace) -> tuple[ProblemFile, str]:
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError("$", f"not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, undecodable bytes and integer
+        # literals past Python's digit limit; RecursionError, deep nesting.
+        raise ProblemFileError("$", f"not valid JSON: {type(exc).__name__}: {exc}") from None
     return parse_problem(doc), digest
 
 
@@ -270,6 +272,10 @@ def main(argv: list[str] | None = None) -> int:
     envelope: dict[str, Any] = {"tool": "hammix", "version": __version__, "command": args.command}
     try:
         if args.command == "selftest":
+            for flag, value in (("--instances", args.instances), ("--mc-samples", args.mc_samples)):
+                if value < 1:
+                    print(f"invalid argument: {flag} must be >= 1, got {value}", file=sys.stderr)
+                    return _EXIT_INVALID_INPUT
             report = run_selftest(
                 args.instances, args.seed, args.mc_samples, lambda line: print(line, file=sys.stderr)
             )

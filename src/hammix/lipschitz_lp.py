@@ -30,11 +30,13 @@ strong-duality certificate ``simplex_max`` has verified; see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Rational
+from operator import sub
 from typing import Iterator, Literal
 
 from .psi import norm_shift, psi, ramp
-from .rational import RationalLike, over_common_denominator, rat
+from .rational import RationalLike, rat
 from .simplex import SimplexResult, simplex_max
 from .words import TableFunction, WeightVector, word_unindex
 
@@ -68,12 +70,11 @@ class LpProblem:
                 raise ValueError(f"difference constraint rhs must be positive, got {rhs}")
 
 
-def _adjacent_pairs(m: int, n: int, ordered: bool = True) -> Iterator[tuple[int, int, int]]:
-    """Index pairs of words differing in exactly one coordinate.
+def _adjacent_pairs(m: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """Ordered index pairs of words differing in exactly one coordinate.
 
     Yields (x_index, y_index, coordinate); coordinate 0 is the first (most
-    significant) symbol.  With ordered=False each unordered pair appears
-    once.
+    significant) symbol.
     """
     size = m**n
     for idx in range(size):
@@ -82,7 +83,7 @@ def _adjacent_pairs(m: int, n: int, ordered: bool = True) -> Iterator[tuple[int,
             stride //= m
             digit = (idx // stride) % m
             for other in range(m):
-                if other == digit or (not ordered and other < digit):
+                if other == digit:
                     continue
                 yield idx, idx + (other - digit) * stride, pos
 
@@ -108,7 +109,7 @@ def build_polytope_lp(
     upper = v + w.total()
     constraints: list[tuple[int, int, Rational]] = []
     if pairs == "adjacent":
-        for x, y, pos in _adjacent_pairs(m, n, ordered=True):
+        for x, y, pos in _adjacent_pairs(m, n):
             constraints.append((x, y, w[pos]))
     elif pairs == "all":
         size = m**n
@@ -191,15 +192,19 @@ def lipschitz_constant(f: TableFunction, w: WeightVector) -> Rational:
     It suffices to scan pairs at Hamming distance 1 (path metric), taking
     max |f(x) - f(y)| / w_i over the coordinate i they differ in.  Since
     every w_i > 0, the largest difference per coordinate is divided once;
-    the differences are taken between integer numerators over the table's
-    common denominator.  Constant functions give 0.
+    the differences are taken between the table's integer numerators.
+    Each step rotates the first coordinate of the numerator table to the
+    last place, where the words differing only there are the slices
+    nums[a::m] and nums[b::m].  Constant functions give 0.
     """
     if len(w) != f.arity:
         raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
-    nums, den = over_common_denominator(f.values)
-    spread = [0] * f.arity
-    for x, y, pos in _adjacent_pairs(f.alphabet_size, f.arity, ordered=False):
-        d = abs(nums[x] - nums[y])
-        if d > spread[pos]:
-            spread[pos] = d
-    return max((rat(d, den) / w[pos] for pos, d in enumerate(spread)), default=rat(0))
+    m, nums = f.alphabet_size, f.nums
+    block = len(nums) // m
+    best = rat(0)
+    for wi in w:
+        nums = list(chain.from_iterable(zip(*(nums[a * block : (a + 1) * block] for a in range(m)))))
+        pairs = ((nums[a::m], nums[b::m]) for a in range(m) for b in range(a))
+        spread = max((max(map(abs, map(sub, x, y))) for x, y in pairs), default=0)
+        best = max(best, rat(spread, f.den) / wi)
+    return best

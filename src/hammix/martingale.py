@@ -10,6 +10,12 @@ into a Doob martingale; the increment after the i-th reveal is
 in :mod:`hammix.mixing`), and d_squared = sum_i v_bar_i^2 feeds Azuma's
 tail bound  P(|f - Ef| > t) <= 2 exp(-t^2 / (2 d_squared)).
 
+Every conditional mean comes from :func:`conditional_sums`, which reads the
+integer numerators of f and P (one table format, see :mod:`hammix.words`):
+E[f | y] is an integer sum of f_num * p_num over y's block, divided by
+f.den times y's integer mass.  Differences of means are compared by integer
+cross-products, and only the n maxima v_bar_i become rationals.
+
 :func:`verify_sumvi` checks, entirely in exact arithmetic, that the
 martingale spread is controlled by smoothness times mixing:
 
@@ -27,11 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from numbers import Rational
+from operator import mul, sub
 from typing import Sequence
 
 from .lipschitz_lp import lipschitz_constant
-from .mixing import Measure, ZeroPrefixProbability, delta_matrix, operator_norm_2
+from .mixing import Measure, delta_matrix, operator_norm_2
 from .rational import rat
 from .words import TableFunction, WeightVector
 
@@ -44,25 +52,34 @@ def _check_compatible(f: TableFunction, P: Measure) -> None:
         )
 
 
-def conditional_expectation(f: TableFunction, P: Measure, prefix: Sequence[int]) -> Rational:
-    """E[f(X) | X_1..i = prefix], exact; the empty prefix gives E f."""
+def conditional_sums(f: TableFunction, P: Measure) -> list[tuple[list[int], list[int]]]:
+    """Entry i: (S, M) per prefix y of length i, E[f | y] = S[y] / (f.den M[y]).
+
+    M[y] is y's integer mass over P's denominator (0 if y is null); each
+    level is read off the prefix sums of f_num * p_num and p_num on its own.
+    """
     _check_compatible(f, P)
-    lo, hi = P.prefix_block(prefix)
-    mass = P.block_mass(lo, hi)
-    if mass == 0:
-        raise ZeroPrefixProbability(f"prefix {tuple(prefix)} has probability zero")
-    weighted = sum(
-        (f.values[t] * P.probabilities[t] for t in range(lo, hi) if P.probabilities[t]),
-        rat(0),
-    )
-    return weighted / mass
+    fp_cum = (0, *accumulate(map(mul, f.nums, P.nums)))
+    levels = []
+    block = len(f.nums)
+    for _ in range(f.arity + 1):
+        levels.append(tuple(list(map(sub, c[block::block], c[:-1:block])) for c in (fp_cum, P._cum)))
+        block //= f.alphabet_size
+    return levels
 
 
-def v_i(f: TableFunction, P: Measure, y: Sequence[int]) -> Rational:
-    """Martingale difference after revealing the len(y)-th coordinate."""
-    if not 1 <= len(y) <= f.arity:
-        raise ValueError(f"prefix length must be in [1, {f.arity}], got {len(y)}")
-    return conditional_expectation(f, P, y) - conditional_expectation(f, P, y[:-1])
+def _profile_level(f: TableFunction, parents: tuple, children: tuple) -> Rational:
+    """max over y of |v_i(y)| = |S_y M_p - S_p M_y| / (f.den M_y M_p), p = parent(y)."""
+    m = f.alphabet_size
+    parent_sums, parent_masses = parents
+    best_num, best_den = 0, 1
+    for y, (s, mass) in enumerate(zip(*children)):
+        if mass:
+            p_sum, p_mass = parent_sums[y // m], parent_masses[y // m]
+            num, den = abs(s * p_mass - p_sum * mass), mass * p_mass
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    return rat(best_num, f.den * best_den)
 
 
 def v_bar(f: TableFunction, P: Measure, i: int) -> Rational:
@@ -70,39 +87,8 @@ def v_bar(f: TableFunction, P: Measure, i: int) -> Rational:
     _check_compatible(f, P)
     if not 1 <= i <= f.arity:
         raise ValueError(f"coordinate index must be in [1, {f.arity}], got {i}")
-    return _profile_level(f, P, _weighted_cum(f, P), i)
-
-
-def _weighted_cum(f: TableFunction, P: Measure) -> tuple[Rational, ...]:
-    total = rat(0)
-    cum = [total]
-    for fv, pv in zip(f.values, P.probabilities):
-        total += fv * pv
-        cum.append(total)
-    return tuple(cum)
-
-
-def _profile_level(
-    f: TableFunction, P: Measure, fp_cum: Sequence[Rational], i: int
-) -> Rational:
-    """One v_bar level via cumulative sums (O(m^i) block lookups)."""
-    m = f.alphabet_size
-    block = m ** (f.arity - i)
-    parent_block = block * m
-    best = rat(0)
-    for p in range(m**i):
-        lo = p * block
-        mass = P.block_mass(lo, lo + block)
-        if mass == 0:
-            continue
-        plo = (p // m) * parent_block
-        parent_mass = P.block_mass(plo, plo + parent_block)
-        child = (fp_cum[lo + block] - fp_cum[lo]) / mass
-        parent = (fp_cum[plo + parent_block] - fp_cum[plo]) / parent_mass
-        diff = abs(child - parent)
-        if diff > best:
-            best = diff
-    return best
+    levels = conditional_sums(f, P)
+    return _profile_level(f, levels[i - 1], levels[i])
 
 
 @dataclass(frozen=True)
@@ -120,10 +106,9 @@ class MartingaleProfile:
 
 
 def martingale_profile(f: TableFunction, P: Measure) -> MartingaleProfile:
-    """All v_bar levels plus d_squared in one pass of cumulative sums."""
-    _check_compatible(f, P)
-    fp_cum = _weighted_cum(f, P)
-    bars = tuple(_profile_level(f, P, fp_cum, i) for i in range(1, f.arity + 1))
+    """All v_bar levels plus d_squared from one set of conditional sums."""
+    levels = conditional_sums(f, P)
+    bars = tuple(_profile_level(f, levels[i - 1], levels[i]) for i in range(1, f.arity + 1))
     return MartingaleProfile(bars, sum((v * v for v in bars), rat(0)))
 
 

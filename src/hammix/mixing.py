@@ -1,10 +1,11 @@
 """Probability measures on S^n and their mixing structure.
 
-A :class:`Measure` is a dense exact-rational probability table over words,
-indexed like :class:`~hammix.words.TableFunction`.  Because the first
-symbol is most significant, the words sharing a prefix form one contiguous
-index block, so prefix masses and conditional laws are block sums over a
-precomputed cumulative array of integer numerators.
+A :class:`Measure` is a :class:`~hammix.words.TableFunction` whose entries
+are nonnegative and sum to 1, so it shares the one exact table format: the
+table's integer numerators over its denominator.  Because the first symbol
+is most significant, the words sharing a prefix form one contiguous index
+block, so prefix masses and conditional laws are block sums over the
+measure's prefix sums of those numerators.
 
 The eta coefficient for positions i < j measures how much the conditional
 law of the tail X_j..n moves when the i-th symbol is swapped under a common
@@ -23,8 +24,8 @@ positive mass (and is 0 when no admissible triple exists).  Product
 measures have eta_bar = 0 everywhere and an identity DeltaMatrix.
 
 eta_bar is computed fraction-free, a whole row i (every j > i) at a time.
-A Measure keeps its probabilities' integer numerators over their common
-denominator; the block of each admissible prefix y z holds the
+In the measure's integer numerators, the block of each admissible prefix
+y z holds the
 unnormalized tail law for j = i+1, and summing its m equal chunks gives the
 law for the next j.  TV distances are then integer sums scaled by the two
 block masses, compared by cross-products, and only the n - i maxima are
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from numbers import Rational
 from typing import Sequence
 
-from .rational import over_common_denominator, rat
-from .words import WeightVector, Word, word_index
+from .rational import rat
+from .words import TableFunction, WeightVector, Word, word_index
 
 # Dense tables beyond this size are refused at the CLI boundary; library
 # callers constructing larger Measures directly are on their own.
@@ -52,61 +54,44 @@ class ZeroPrefixProbability(ValueError):
 
 
 @dataclass(frozen=True)
-class Measure:
-    """Dense exact-rational probability measure on S^n."""
+class Measure(TableFunction):
+    """Dense exact-rational probability measure on S^n.
 
-    alphabet_size: int
-    arity: int
-    probabilities: tuple[Rational, ...]
-    # The probabilities' integer numerators over their common denominator
-    # _den, and their prefix sums: block masses, the eta_bar kernel and the
-    # sampler all read these.
-    _numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    A table (:class:`~hammix.words.TableFunction`) whose entries are
+    nonnegative and sum to 1; ``_cum`` holds the prefix sums of its integer
+    numerators, which block masses, the eta_bar kernel and the sampler read.
+    """
+
     _cum: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.alphabet_size}")
-        if self.arity < 0:
-            raise ValueError(f"arity must be >= 0, got {self.arity}")
-        probs = tuple(rat(p) for p in self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
-        expected = self.alphabet_size**self.arity
-        if len(probs) != expected:
-            raise ValueError(
-                f"measure on {self.alphabet_size}^{self.arity} words needs "
-                f"{expected} entries, got {len(probs)}"
-            )
-        numerators, den = over_common_denominator(probs)
-        total = 0
-        cum = [total]
-        for i, c in enumerate(numerators):
+        super().__post_init__()
+        for i, c in enumerate(self.nums):
             if c < 0:
-                raise ValueError(f"negative probability {probs[i]} at index {i}")
-            total += c
-            cum.append(total)
-        if total != den:
-            raise ValueError(f"probabilities must sum to exactly 1, got {rat(total, den)}")
-        object.__setattr__(self, "_numerators", tuple(numerators))
-        object.__setattr__(self, "_cum", tuple(cum))
-        object.__setattr__(self, "_den", den)
+                raise ValueError(f"negative probability {self.values[i]} at index {i}")
+        cum = (0, *accumulate(self.nums))
+        if cum[-1] != self.den:
+            raise ValueError(f"probabilities must sum to exactly 1, got {self.total()}")
+        object.__setattr__(self, "_cum", cum)
+
+    @property
+    def probabilities(self) -> tuple[Rational, ...]:
+        return self.values
 
     @classmethod
     def uniform(cls, alphabet_size: int, arity: int) -> "Measure":
         count = alphabet_size**arity
-        return cls(alphabet_size, arity, (rat(1, count),) * count)
+        return cls.from_numerators(alphabet_size, arity, (1,) * count, count)
 
     @classmethod
     def point_mass(cls, alphabet_size: int, arity: int, word: Word) -> "Measure":
-        idx = word_index(word, alphabet_size, arity)
-        probs = [rat(0)] * alphabet_size**arity
-        probs[idx] = rat(1)
-        return cls(alphabet_size, arity, tuple(probs))
+        nums = [0] * alphabet_size**arity
+        nums[word_index(word, alphabet_size, arity)] = 1
+        return cls.from_numerators(alphabet_size, arity, nums)
 
     def block_mass(self, lo: int, hi: int) -> Rational:
         """Total probability of the index range [lo, hi)."""
-        return rat(self._cum[hi] - self._cum[lo], self._den)
+        return rat(self._cum[hi] - self._cum[lo], self.den)
 
     def prefix_block(self, prefix: Sequence[int]) -> tuple[int, int]:
         """Index range [lo, hi) of all words starting with the prefix."""
@@ -195,7 +180,7 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
     m, n = P.alphabet_size, P.arity
     if i == n:
         return []
-    cells, cum = P._numerators, P._cum
+    cells, cum = P.nums, P._cum
     block = m ** (n - i)
     best = [(0, 1)] * (n - i)
     for lo in range(0, len(cells), m * block):

@@ -13,19 +13,23 @@ initial state is seed + (k+1) * GAMMA mod 2^64, advanced by the standard
 splitmix64 output function.  Streams depend only on (seed, k), so samples
 may be generated in any order or in parallel without changing the result.
 
-:func:`empirical_tail` estimates P(|f - E f| > t) by simulation (E f is
-computed exactly, removing one noise source) and reports the Azuma and
-mixing-matrix bounds next to each estimated frequency.
+:func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
+reports the Azuma and mixing-matrix bounds next to each estimated
+frequency.  E f is exact (removing one noise source): it is the level-0
+entry of :func:`~hammix.martingale.conditional_sums`, and each sample's
+test |f(x) - E f| > t runs on f's integer numerators against the exact
+value of the float t, scaled to integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Rational
-from .martingale import azuma_bound, concentration_bound, martingale_profile
+
+from .martingale import azuma_bound, concentration_bound, conditional_sums, martingale_profile
 from .mixing import Measure
 from .rational import rat, rat_from_float
-from .words import TableFunction, WeightVector, Word
+from .words import TableFunction, WeightVector, Word, word_index
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -134,19 +138,21 @@ def empirical_tail(
     bounds are floating point.  Identical (f, P, w, cfg) give bit-identical
     reports.
     """
-    if f.alphabet_size != P.alphabet_size or f.arity != P.arity:
-        raise ValueError("function and measure shapes do not match")
-    mean = sum(
-        (fv * pv for fv, pv in zip(f.values, P.probabilities) if pv), rat(0)
-    )
-    profile = martingale_profile(f, P)
+    ((weighted,), (mass,)) = conditional_sums(f, P)[0]
+    # E f = weighted / (f.den * mass); |f(x) - E f| > t, with t = t_num / t_den
+    # the exact value of the float, is |f_num(x) * mass - weighted| * t_den >
+    # t_num * f.den * mass.
+    scale = f.den * mass
     exact_thresholds = [rat_from_float(t) for t in cfg.thresholds]
-    counts = [0] * len(exact_thresholds)
+    limits = [(t.denominator, t.numerator * scale) for t in exact_thresholds]
+    profile = martingale_profile(f, P)
+    counts = [0] * len(limits)
+    m = f.alphabet_size
     for k in range(cfg.sample_count):
         word = sample_word(P, SampleStream(cfg.seed, k))
-        deviation = abs(f(word) - mean)
-        for idx, t_exact in enumerate(exact_thresholds):
-            if deviation > t_exact:
+        deviation = abs(f.nums[word_index(word, m)] * mass - weighted)
+        for idx, (t_den, limit) in enumerate(limits):
+            if deviation * t_den > limit:
                 counts[idx] += 1
 
     d2 = float(profile.d_squared)
@@ -166,7 +172,7 @@ def empirical_tail(
     return TailReport(
         sample_count=cfg.sample_count,
         seed=cfg.seed,
-        mean=mean,
+        mean=rat(weighted, scale),
         d_squared=profile.d_squared,
         rows=tuple(rows),
     )

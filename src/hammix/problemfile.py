@@ -1,14 +1,17 @@
-"""JSON problem files: parsing, validation, serialization.
+"""JSON problem files: parsing and validation.
 
 One JSON document describes one problem instance: alphabet, word length,
 weights, a function (dense table or named builtin), a measure (dense table
 or Markov chain spec), the box slack v, tail thresholds and a simulation
 config.  Subcommands require different subsets; parsing validates the
 whole document structurally and records the JSON path of the first
-offending field in :class:`ProblemFileError`.
+offending field in :class:`ProblemFileError`.  Alphabet labels are
+validated (one distinct string per symbol) but not kept: a problem's
+alphabet is its size.
 
 All rationals are parsed exactly: "3/2", "0.125" (decimal strings convert
-without rounding) and plain integers are accepted; JSON floats are not,
+without rounding; exponents are held to ``sys.get_int_max_str_digits()``)
+and plain integers are accepted; JSON floats are not,
 except in ``thresholds`` / ``simulation.thresholds``, which are genuinely
 floating-point quantities.
 
@@ -34,7 +37,7 @@ from typing import Any
 from .mixing import MAX_DENSE_TABLE, MarkovSpec, Measure
 from .montecarlo import SimulationConfig
 from .rational import rat, rat_str
-from .words import Alphabet, TableFunction, WeightVector, Word, hamming_distance, words
+from .words import TableFunction, WeightVector, Word, hamming_table, words
 
 _BUILTIN_NAMES = ("sum_of_symbols", "indicator", "hamming_to")
 
@@ -71,7 +74,7 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class ProblemFile:
-    alphabet: Alphabet
+    alphabet: int
     n: int
     weights: WeightVector | None
     function: FunctionSpec | None
@@ -126,39 +129,39 @@ def _parse_word(text: str, m: int, n: int, path: str) -> Word:
     return symbols
 
 
-def _parse_alphabet(value: Any) -> Alphabet:
-    if isinstance(value, bool):
-        raise ProblemFileError("alphabet", f"expected size or object, got {value!r}")
-    if isinstance(value, int):
-        try:
-            return Alphabet(value)
-        except ValueError as exc:
-            raise ProblemFileError("alphabet", str(exc)) from None
-    if isinstance(value, dict):
-        size = _require(value, "size", "alphabet.")
-        labels = value.get("labels")
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise ProblemFileError("alphabet.size", f"expected an integer, got {size!r}")
-        try:
-            return Alphabet(size, tuple(labels) if labels is not None else None)
-        except (ValueError, TypeError) as exc:
-            raise ProblemFileError("alphabet", str(exc)) from None
-    raise ProblemFileError("alphabet", f"expected size or object, got {value!r}")
+def _parse_alphabet(value: Any) -> int:
+    """The alphabet size; optional labels are validated, then dropped."""
+    is_object = isinstance(value, dict)
+    size = _require(value, "size", "alphabet.") if is_object else value
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        path = "alphabet.size" if is_object else "alphabet"
+        raise ProblemFileError(path, f"expected an integer >= 1, got {size!r}")
+    labels = value.get("labels") if is_object else None
+    if labels is not None:
+        if not isinstance(labels, list) or len(labels) != size:
+            raise ProblemFileError("alphabet.labels", f"expected a list of {size} labels")
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise ProblemFileError(f"alphabet.labels[{i}]", f"expected a string, got {label!r}")
+        if len(set(labels)) != size:
+            raise ProblemFileError("alphabet.labels", "labels must be distinct")
+    return size
+
+
+def _parse_table(table: Any, m: int, n: int, path: str, nonnegative: bool = False):
+    if not isinstance(table, list):
+        raise ProblemFileError(path, "expected a list of rationals")
+    if len(table) != _word_count(m, n, len(table)):
+        raise ProblemFileError(path, f"expected {m}^{n} entries, got {len(table)}")
+    return tuple(
+        _parse_rational(entry, f"{path}[{i}]", nonnegative=nonnegative)
+        for i, entry in enumerate(table)
+    )
 
 
 def _parse_function(value: Any, m: int, n: int) -> FunctionSpec:
     if isinstance(value, dict) and "table" in value:
-        table = value["table"]
-        if not isinstance(table, list):
-            raise ProblemFileError("function.table", "expected a list of rationals")
-        if len(table) != m**n:
-            raise ProblemFileError(
-                "function.table", f"expected {m**n} entries for {m}^{n} words, got {len(table)}"
-            )
-        vals = tuple(
-            _parse_rational(entry, f"function.table[{i}]") for i, entry in enumerate(table)
-        )
-        return FunctionSpec(table=vals)
+        return FunctionSpec(table=_parse_table(value["table"], m, n, "function.table"))
     if isinstance(value, dict) and "builtin" in value:
         value = value["builtin"]
     if isinstance(value, str):
@@ -179,17 +182,7 @@ def _parse_measure(value: Any, m: int, n: int) -> MeasureSpec:
     if not isinstance(value, dict):
         raise ProblemFileError("measure", f"expected an object, got {value!r}")
     if "dense" in value:
-        table = value["dense"]
-        if not isinstance(table, list):
-            raise ProblemFileError("measure.dense", "expected a list of rationals")
-        if len(table) != m**n:
-            raise ProblemFileError(
-                "measure.dense", f"expected {m**n} entries for {m}^{n} words, got {len(table)}"
-            )
-        vals = tuple(
-            _parse_rational(entry, f"measure.dense[{i}]", nonnegative=True)
-            for i, entry in enumerate(table)
-        )
+        vals = _parse_table(value["dense"], m, n, "measure.dense", nonnegative=True)
         if sum(vals, rat(0)) != 1:
             raise ProblemFileError("measure.dense", "entries must sum to exactly 1")
         return MeasureSpec(dense=vals)
@@ -259,11 +252,10 @@ def parse_problem(doc: Any) -> ProblemFile:
     """Validate a decoded JSON document into a :class:`ProblemFile`."""
     if not isinstance(doc, dict):
         raise ProblemFileError("$", "problem file must be a JSON object")
-    alphabet = _parse_alphabet(_require(doc, "alphabet", ""))
+    m = _parse_alphabet(_require(doc, "alphabet", ""))
     n = _require(doc, "n", "")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ProblemFileError("n", f"expected an integer >= 1, got {n!r}")
-    m = alphabet.size
 
     weights = None
     if "weights" in doc:
@@ -299,7 +291,7 @@ def parse_problem(doc: Any) -> ProblemFile:
         simulation = SimulationConfig(count, seed, sim_thresholds)
 
     return ProblemFile(
-        alphabet=alphabet,
+        alphabet=m,
         n=n,
         weights=weights,
         function=function,
@@ -316,7 +308,7 @@ def resolve_function(
     """Dense table for the file's function; builtins are expanded here."""
     if problem.function is None:
         raise ProblemFileError("function", "this subcommand needs a 'function' section")
-    m, n = problem.alphabet.size, problem.n
+    m, n = problem.alphabet, problem.n
     _check_table_size(m, n, max_table)
     spec = problem.function
     if spec.table is not None:
@@ -324,28 +316,23 @@ def resolve_function(
     builtin = spec.builtin
     name, _, arg = builtin.partition(":")
     if name == "sum_of_symbols":
-        return TableFunction(m, n, tuple(rat(sum(x)) for x in words(m, n)))
+        return TableFunction.from_numerators(m, n, map(sum, words(m, n)))
     target = _parse_word(arg, m, n, "function.builtin")
     if name == "indicator":
-        return TableFunction(
-            m, n, tuple(rat(1) if x == target else rat(0) for x in words(m, n))
-        )
+        return TableFunction.from_numerators(m, n, (int(x == target) for x in words(m, n)))
     # hamming_to: the distance uses the file's weights.
     if problem.weights is None:
         raise ProblemFileError(
             "function.builtin", "hamming_to requires a 'weights' section"
         )
-    w = problem.weights
-    return TableFunction(
-        m, n, tuple(hamming_distance(x, target, w) for x in words(m, n))
-    )
+    return hamming_table(m, target, problem.weights)
 
 
 def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> Measure:
     """Dense measure for the file's measure section."""
     if problem.measure is None:
         raise ProblemFileError("measure", "this subcommand needs a 'measure' section")
-    m, n = problem.alphabet.size, problem.n
+    m, n = problem.alphabet, problem.n
     _check_table_size(m, n, max_table)
     if problem.measure.dense is not None:
         return Measure(m, n, problem.measure.dense)
@@ -354,53 +341,15 @@ def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> M
     return expand_markov(problem.measure.markov)
 
 
+def _word_count(m: int, n: int, cap: int) -> int:
+    """m**n, or cap + 1 when m**n exceeds cap, without building a huge power."""
+    if m > 1 and n > cap.bit_length():
+        return cap + 1
+    return min(m**n, cap + 1)
+
+
 def _check_table_size(m: int, n: int, max_table: int) -> None:
-    size = m**n
-    if size > max_table:
+    if _word_count(m, n, max_table) > max_table:
         raise ProblemFileError(
-            "n", f"dense table of {m}^{n} = {size} entries exceeds the cap of {max_table}"
+            "n", f"dense table of {m}^{n} entries exceeds the cap of {max_table}"
         )
-
-
-def problem_to_jsonable(problem: ProblemFile) -> dict:
-    """Canonical JSON form; parsing it back reproduces the ProblemFile."""
-    doc: dict[str, Any] = {}
-    if problem.alphabet.labels is None:
-        doc["alphabet"] = problem.alphabet.size
-    else:
-        doc["alphabet"] = {
-            "size": problem.alphabet.size,
-            "labels": list(problem.alphabet.labels),
-        }
-    doc["n"] = problem.n
-    if problem.weights is not None:
-        doc["weights"] = [rat_str(e) for e in problem.weights]
-    if problem.function is not None:
-        if problem.function.table is not None:
-            doc["function"] = {"table": [rat_str(x) for x in problem.function.table]}
-        else:
-            doc["function"] = {"builtin": problem.function.builtin}
-    if problem.measure is not None:
-        if problem.measure.dense is not None:
-            doc["measure"] = {"dense": [rat_str(p) for p in problem.measure.dense]}
-        else:
-            markov = problem.measure.markov
-            doc["measure"] = {
-                "markov": {
-                    "init": [rat_str(p) for p in markov.initial],
-                    "transitions": [
-                        [[rat_str(p) for p in row] for row in matrix]
-                        for matrix in markov.transitions
-                    ],
-                }
-            }
-    doc["v"] = rat_str(problem.v)
-    if problem.thresholds:
-        doc["thresholds"] = list(problem.thresholds)
-    if problem.simulation is not None:
-        doc["simulation"] = {
-            "sample_count": problem.simulation.sample_count,
-            "seed": problem.simulation.seed,
-            "thresholds": list(problem.simulation.thresholds),
-        }
-    return doc

@@ -22,9 +22,10 @@ so the identity can be checked term by term.
 from __future__ import annotations
 
 from numbers import Rational
+from typing import Sequence
 
 from .rational import RationalLike, rat
-from .words import TableFunction, WeightVector, marginal_projection, y_section
+from .words import TableFunction, WeightVector, project_numerators
 
 
 def ramp(z: RationalLike) -> Rational:
@@ -33,25 +34,29 @@ def ramp(z: RationalLike) -> Rational:
     return z if z > 0 else rat(0)
 
 
-def _sum_ramp(values) -> Rational:
-    return sum((v for v in values if v > 0), rat(0))
+def _check_arity(w: WeightVector, k: TableFunction) -> None:
+    if len(w) != k.arity:
+        raise ValueError(f"weight length {len(w)} != table arity {k.arity}")
+
+
+def _psi_scaled(w: Sequence[Rational], nums: Sequence[int], m: int) -> Rational:
+    """psi times the table's denominator, from its numerators.
+
+    One loop level per weight (the recursion is linear: each level adds one
+    ramped sum and projects once), so arity is not limited by the
+    interpreter stack; ramp is a sign test on the numerators.
+    """
+    total = rat(0)
+    for wi in w:
+        total += wi * sum(x for x in nums if x > 0)
+        nums = project_numerators(nums, m)
+    return total
 
 
 def psi(w: WeightVector, k: TableFunction) -> Rational:
-    """Evaluate psi(w, k).
-
-    Implemented as a loop over recursion depth (the recursion is linear:
-    each level contributes one ramped sum and projects the table once), so
-    arity is not limited by the interpreter stack.
-    """
-    if len(w) != k.arity:
-        raise ValueError(f"weight length {len(w)} != table arity {k.arity}")
-    total = rat(0)
-    current = k
-    for wi in w:
-        total += wi * _sum_ramp(current.values)
-        current = marginal_projection(current)
-    return total
+    """Evaluate psi(w, k)."""
+    _check_arity(w, k)
+    return _psi_scaled(w.entries, k.nums, k.alphabet_size) / k.den
 
 
 def norm_shift(w: WeightVector, k: TableFunction) -> Rational:
@@ -72,17 +77,17 @@ def psi_norm(w: WeightVector, k: TableFunction) -> Rational:
 def psi_decomposition_rhs(w: WeightVector, k: TableFunction) -> Rational:
     """Section-wise decomposition of psi, evaluated independently.
 
-    Returns sum over y of psi(w_1..n-1, k_y) + w_n * ramp(total(k_y)).
-    Equals psi(w, k) exactly for every w, k with arity >= 1.
+    Returns sum over y of psi(w_1..n-1, k_y) + w_n * ramp(total(k_y)), each
+    section k_y being the strided slice of k's numerators.  Equals
+    psi(w, k) exactly for every w, k with arity >= 1.
     """
     if k.arity < 1:
         raise ValueError("decomposition requires arity >= 1")
-    if len(w) != k.arity:
-        raise ValueError(f"weight length {len(w)} != table arity {k.arity}")
-    head = WeightVector(w.entries[:-1]) if k.arity > 1 else WeightVector(())
-    w_last = w[len(w) - 1]
+    _check_arity(w, k)
+    m = k.alphabet_size
+    *head, w_last = w.entries
     total = rat(0)
-    for y in range(k.alphabet_size):
-        section = y_section(k, y)
-        total += psi(head, section) + w_last * ramp(section.total())
-    return total
+    for y in range(m):
+        section = k.nums[y::m]
+        total += _psi_scaled(head, section, m) + w_last * max(sum(section), 0)
+    return total / k.den

@@ -17,6 +17,7 @@ which convert exactly ("0.125" -> 1/8).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -56,8 +57,14 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
         return _mpq(rat(value), rat(den))
     if isinstance(value, str):
         # Fraction's parser accepts both "p/q" and decimal notation and is
-        # exact in both cases; normalize through it for uniform errors.
+        # exact in both cases; normalize through it for uniform errors.  It
+        # builds 10**exponent outright, so exponents are held to the digit
+        # limit Python already puts on int strings.
         try:
+            _, _, exponent = value.upper().partition("E")
+            limit = sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent)) > limit:
+                raise ValueError(f"decimal exponent exceeds {limit} digits")
             return _mpq(Fraction(value.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}: {exc}") from None

@@ -46,7 +46,6 @@ from .words import (
     TableFunction,
     WeightVector,
     marginal_projection,
-    words,
     y_section,
 )
 
@@ -287,25 +286,29 @@ def martingale_criteria(instance_count: int, seed: int) -> tuple[CriterionResult
 
 
 def _martingale_structure_ok(rng: random.Random, f: TableFunction, P: Measure) -> bool:
-    """Exact conditional-mean-zero and translation-invariance checks."""
-    m, n = f.alphabet_size, f.arity
-    shift = random_rational(rng, -3, 3)
-    shifted = f.shift(shift)
-    for i in range(1, n + 1):
-        for parent in words(m, i - 1):
-            parent_mass = P.prefix_mass(parent)
-            if parent_mass == 0:
+    """Exact conditional-mean-zero and translation-invariance checks.
+
+    v_i(y) = (S_y M_p - S_p M_y) / (f.den M_y M_p) for parent p (see
+    conditional_sums), so its mean given p is sum_y (S_y M_p - S_p M_y) / (f.den M_p^2).
+    """
+    m = f.alphabet_size
+    shifted = f.shift(random_rational(rng, -3, 3))
+    levels, shifted_levels = mg.conditional_sums(f, P), mg.conditional_sums(shifted, P)
+    for i in range(1, f.arity + 1):
+        (p_sums, p_masses), (sums, masses) = levels[i - 1], levels[i]
+        s_sums, s_p_sums = shifted_levels[i][0], shifted_levels[i - 1][0]
+        for p, p_mass in enumerate(p_masses):
+            if p_mass == 0:
                 continue
-            total = rat(0)
-            for z in range(m):
-                y = parent + (z,)
-                child_mass = P.prefix_mass(y)
-                if child_mass == 0:
+            total = 0
+            for y in range(p * m, p * m + m):
+                if masses[y] == 0:
                     continue
-                value = mg.v_i(f, P, y)
-                if value != mg.v_i(shifted, P, y):
+                value = sums[y] * p_mass - p_sums[p] * masses[y]
+                shifted_value = s_sums[y] * p_mass - s_p_sums[p] * masses[y]
+                if value * shifted.den != shifted_value * f.den:
                     return False
-                total += (child_mass / parent_mass) * value
+                total += value
             if total != 0:
                 return False
     return True

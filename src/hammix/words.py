@@ -1,13 +1,18 @@
-"""Finite-alphabet words and dense tables over them.
+"""Finite-alphabet words and the one exact table format over them.
 
 A word of length n over an alphabet of size m is a tuple of ints in
-[0, m).  Dense tables (:class:`TableFunction`) hold one exact rational per
-word of S^n, in lexicographic order with the *first* symbol most
-significant: ``index((x1,...,xn)) = sum_i xi * m**(n-i)``.  That order makes
-the two structural operators cheap:
+[0, m).  A dense table (:class:`TableFunction`) holds one exact rational
+per word of S^n, in lexicographic order with the *first* symbol most
+significant: ``index((x1,...,xn)) = sum_i xi * m**(n-i)``.  Alongside its
+rationals a table keeps their integer numerators ``nums`` over one common
+denominator ``den``; this module is the only place that converts values to
+that form, and every table layer (psi, the Lipschitz constant, the measures
+of :mod:`hammix.mixing`, the martingale and Monte Carlo layers) computes on
+the integers.  The index order makes the two structural operators strided
+integer sums:
 
-* marginal projection  k'(y) = sum_{a in S} k(a y)   -- a strided sum over
-  the most significant digit;
+* marginal projection  k'(y) = sum_{a in S} k(a y)   -- sums the m blocks
+  of the most significant digit;
 * y-section            k_y(x) = k(x y)               -- fixes the least
   significant digit.
 
@@ -17,38 +22,16 @@ word), so recursions over arity bottom out without a special scalar case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from math import lcm
 from numbers import Rational
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rational import RationalLike, rat
+from .rational import RationalLike, _mpq, over_common_denominator, rat
 
 Word = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite symbol set {0, ..., size-1}, optionally labelled."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ValueError(f"alphabet size must be an integer >= 1, got {self.size!r}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise ValueError(
-                    f"expected {self.size} labels, got {len(labels)}"
-                )
-            if len(set(labels)) != len(labels):
-                raise ValueError("alphabet labels must be distinct")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.size))
 
 
 @dataclass(frozen=True)
@@ -85,27 +68,46 @@ class WeightVector:
 class TableFunction:
     """A dense real-valued (exact rational) function on S^n.
 
-    ``values[i]`` is the value on the word with lexicographic index ``i``;
-    ``len(values) == alphabet_size ** arity`` always holds.
+    ``values[i]`` is the value on the word with lexicographic index ``i``
+    and equals ``nums[i] / den``; ``len(values) == alphabet_size ** arity``
+    always holds.  :meth:`from_numerators` builds a table from integers
+    without converting rationals.
     """
 
     alphabet_size: int
     arity: int
     values: tuple[Rational, ...]
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.alphabet_size}")
         if self.arity < 0:
             raise ValueError(f"arity must be >= 0, got {self.arity}")
-        values = tuple(rat(v) for v in self.values)
-        object.__setattr__(self, "values", values)
+        if "nums" not in self.__dict__:  # from_numerators sets nums and den itself
+            values = tuple(rat(v) for v in self.values)
+            nums, den = over_common_denominator(values)
+            object.__setattr__(self, "values", values)
+            object.__setattr__(self, "nums", tuple(nums))
+            object.__setattr__(self, "den", den)
         expected = self.alphabet_size**self.arity
-        if len(values) != expected:
+        if len(self.nums) != expected:
             raise ValueError(
                 f"table for arity {self.arity} over {self.alphabet_size} symbols "
-                f"needs {expected} values, got {len(values)}"
+                f"needs {expected} values, got {len(self.nums)}"
             )
+
+    @classmethod
+    def from_numerators(
+        cls, alphabet_size: int, arity: int, nums: Iterable[int], den: int = 1
+    ) -> "TableFunction":
+        """The table with values nums[i] / den (den > 0), built from the integers."""
+        table, nums = cls.__new__(cls), tuple(nums)
+        values = tuple(map(_mpq, nums)) if den == 1 else tuple(_mpq(x, den) for x in nums)
+        table.__dict__.update(alphabet_size=alphabet_size, arity=arity, values=values, nums=nums, den=den)
+        table.__post_init__()
+        return table
 
     @classmethod
     def from_callable(
@@ -122,18 +124,21 @@ class TableFunction:
         return self.values[word_index(x, self.alphabet_size, self.arity)]
 
     def __neg__(self) -> "TableFunction":
-        return TableFunction(self.alphabet_size, self.arity, tuple(-v for v in self.values))
+        return TableFunction.from_numerators(self.alphabet_size, self.arity, (-x for x in self.nums), self.den)
 
     def scale(self, a: RationalLike) -> "TableFunction":
         a = rat(a)
-        return TableFunction(self.alphabet_size, self.arity, tuple(a * v for v in self.values))
+        nums = (a.numerator * x for x in self.nums)
+        return TableFunction.from_numerators(self.alphabet_size, self.arity, nums, a.denominator * self.den)
 
     def shift(self, a: RationalLike) -> "TableFunction":
         a = rat(a)
-        return TableFunction(self.alphabet_size, self.arity, tuple(v + a for v in self.values))
+        den = lcm(self.den, a.denominator)
+        nums = (x * (den // self.den) + a.numerator * (den // a.denominator) for x in self.nums)
+        return TableFunction.from_numerators(self.alphabet_size, self.arity, nums, den)
 
     def total(self) -> Rational:
-        return sum(self.values, rat(0))
+        return rat(sum(self.nums), self.den)
 
 
 def words(m: int, n: int) -> Iterator[Word]:
@@ -172,6 +177,25 @@ def hamming_distance(x: Sequence[int], y: Sequence[int], w: WeightVector) -> Rat
     return sum((w[i] for i in range(len(w)) if x[i] != y[i]), rat(0))
 
 
+def hamming_table(m: int, target: Word, w: WeightVector) -> TableFunction:
+    """x |-> d_w(x, target) on S^len(w), summed in the weights' numerators."""
+    costs, den = over_common_denominator(w.entries)
+    return TableFunction.from_numerators(
+        m, len(w),
+        (sum(c for c, a, b in zip(costs, x, target) if a != b) for x in words(m, len(w))),
+        den,
+    )
+
+
+def project_numerators(nums: Sequence[int], m: int) -> list[int]:
+    """k'(y) = sum_a k(a y) on numerators: the sum of the m equal blocks."""
+    block = len(nums) // m
+    projected = nums[:block]
+    for lo in range(block, len(nums), block):
+        projected = list(map(add, projected, nums[lo : lo + block]))
+    return list(projected)
+
+
 def marginal_projection(k: TableFunction) -> TableFunction:
     """Sum out the first coordinate: k'(y) = sum_{a in S} k(a y).
 
@@ -181,12 +205,7 @@ def marginal_projection(k: TableFunction) -> TableFunction:
     if k.arity < 1:
         raise ValueError("cannot project an arity-0 table")
     m = k.alphabet_size
-    block = m ** (k.arity - 1)
-    vals = k.values
-    projected = [
-        sum((vals[a * block + j] for a in range(m)), rat(0)) for j in range(block)
-    ]
-    return TableFunction(m, k.arity - 1, tuple(projected))
+    return TableFunction.from_numerators(m, k.arity - 1, project_numerators(k.nums, m), k.den)
 
 
 def y_section(k: TableFunction, y: int) -> TableFunction:
@@ -196,16 +215,4 @@ def y_section(k: TableFunction, y: int) -> TableFunction:
     m = k.alphabet_size
     if not 0 <= y < m:
         raise ValueError(f"section symbol {y} out of range for alphabet of size {m}")
-    vals = k.values[y :: m]
-    return TableFunction(m, k.arity - 1, tuple(vals))
-
-
-def prefix_restrict(f: TableFunction, prefix: Sequence[int]) -> TableFunction:
-    """Fix the first len(prefix) coordinates: returns x |-> f(prefix x)."""
-    i = len(prefix)
-    if i > f.arity:
-        raise ValueError(f"prefix of length {i} too long for arity {f.arity}")
-    m = f.alphabet_size
-    block = m ** (f.arity - i)
-    base = word_index(prefix, m) * block
-    return TableFunction(m, f.arity - i, f.values[base : base + block])
+    return TableFunction.from_numerators(m, k.arity - 1, k.nums[y::m], k.den)

@@ -254,3 +254,38 @@ def test_certificate_failure_exits_2(capsys, psi_file, monkeypatch):
     assert code == 2
     assert payload is None
     assert "certificate" in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"[" * 200000, b"\xff\xfe{", b'{"alphabet": ' + b"1" * 5000 + b"}"],
+    ids=["deep-nesting", "undecodable-bytes", "huge-int-literal"],
+)
+def test_undecodable_documents_exit_1(capsys, tmp_path, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    code, payload, err = _run(capsys, ["psi", str(path)])
+    assert code == 1
+    assert payload is None
+    assert "$: not valid JSON" in err
+
+
+def test_huge_decimal_exponent_exits_1_naming_the_field(capsys, tmp_path):
+    path = _write(
+        tmp_path,
+        {"alphabet": 2, "n": 1, "weights": ["1"], "function": {"table": ["0", "1e5000"]}},
+    )
+    code, payload, err = _run(capsys, ["psi", path])
+    assert code == 1
+    assert payload is None
+    assert "function.table[1]" in err and "exponent" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--instances", "0"), ("--instances", "-3"), ("--mc-samples", "0")]
+)
+def test_selftest_rejects_nonpositive_counts(capsys, flag, value):
+    code, payload, err = _run(capsys, ["selftest", "--instances", "2", "--mc-samples", "10", flag, value])
+    assert code == 1
+    assert payload is None
+    assert flag in err

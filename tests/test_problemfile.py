@@ -1,14 +1,52 @@
+from typing import Any
+
 import pytest
 
 from hammix.mixing import expand_markov
 from hammix.problemfile import (
+    ProblemFile,
     ProblemFileError,
     parse_problem,
-    problem_to_jsonable,
     resolve_function,
     resolve_measure,
 )
-from hammix.rational import rat
+from hammix.rational import rat, rat_str
+
+
+def problem_to_jsonable(problem: ProblemFile) -> dict:
+    """Canonical JSON form; parsing it back reproduces the ProblemFile."""
+    doc: dict[str, Any] = {"alphabet": problem.alphabet, "n": problem.n}
+    if problem.weights is not None:
+        doc["weights"] = [rat_str(e) for e in problem.weights]
+    if problem.function is not None:
+        if problem.function.table is not None:
+            doc["function"] = {"table": [rat_str(x) for x in problem.function.table]}
+        else:
+            doc["function"] = {"builtin": problem.function.builtin}
+    if problem.measure is not None:
+        if problem.measure.dense is not None:
+            doc["measure"] = {"dense": [rat_str(p) for p in problem.measure.dense]}
+        else:
+            markov = problem.measure.markov
+            doc["measure"] = {
+                "markov": {
+                    "init": [rat_str(p) for p in markov.initial],
+                    "transitions": [
+                        [[rat_str(p) for p in row] for row in matrix]
+                        for matrix in markov.transitions
+                    ],
+                }
+            }
+    doc["v"] = rat_str(problem.v)
+    if problem.thresholds:
+        doc["thresholds"] = list(problem.thresholds)
+    if problem.simulation is not None:
+        doc["simulation"] = {
+            "sample_count": problem.simulation.sample_count,
+            "seed": problem.simulation.seed,
+            "thresholds": list(problem.simulation.thresholds),
+        }
+    return doc
 
 
 def _doc(**overrides):
@@ -28,7 +66,7 @@ def _doc(**overrides):
 
 def test_parse_full_document():
     problem = parse_problem(_doc())
-    assert problem.alphabet.size == 2
+    assert problem.alphabet == 2
     assert problem.n == 2
     assert problem.weights.entries == (rat(1), rat(1))
     assert problem.function.table == (rat(1), 0, 0, rat(-1))
@@ -149,6 +187,13 @@ def test_missing_sections_reported_with_path():
             "simulation.thresholds[1]",
         ),
         ({"thresholds": [10**400]}, "thresholds[0]"),
+        ({"alphabet": {"size": 2, "labels": ["a"]}}, "alphabet.labels"),
+        ({"alphabet": {"size": 2, "labels": ["a", "a"]}}, "alphabet.labels"),
+        ({"alphabet": {"size": 2, "labels": ["a", 1]}}, "alphabet.labels[1]"),
+        ({"alphabet": {"size": True}}, "alphabet.size"),
+        ({"alphabet": "2"}, "alphabet"),
+        ({"weights": ["1e5000", "1"]}, "weights[0]"),
+        ({"v": "1e-5000"}, "v"),
     ],
 )
 def test_invalid_documents(overrides, fragment):

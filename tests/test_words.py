@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from hammix.rational import rat
 from hammix.words import (
-    Alphabet,
     TableFunction,
     WeightVector,
     hamming_distance,
     marginal_projection,
-    prefix_restrict,
     word_index,
     word_unindex,
     words,
     y_section,
 )
+from table_oracle import prefix_restrict
 
 
 def test_word_index_trivial():
@@ -185,14 +184,3 @@ def test_weight_vector_validation():
     w = WeightVector(("3/2", 1))
     assert w.total() == rat(5, 2)
     assert w.suffix(1).entries == (rat(1),)
-
-
-def test_alphabet_validation():
-    assert list(Alphabet(3)) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        Alphabet(0)
-    with pytest.raises(ValueError):
-        Alphabet(2, ("a",))
-    with pytest.raises(ValueError):
-        Alphabet(2, ("a", "a"))
-    assert Alphabet(2, ("a", "b")).labels == ("a", "b")
