@@ -15,8 +15,8 @@ selftest    the full random-instance verification suite
 The report goes to stdout as a single JSON document (rationals as "p/q"
 strings, floats in shortest round-trip decimal); a short human summary
 goes to stderr.  Exit codes: 0 success, 1 invalid input (the message names
-the offending field), 2 internal certificate failure, 3 a verify-style
-subcommand found a violation.
+the offending field) or a report value too long to print, 2 internal
+certificate failure, 3 a verify-style subcommand found a violation.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .problemfile import (
     resolve_measure,
 )
 from .psi import norm_shift, psi, psi_decomposition_rhs
-from .rational import rat_str
+from .rational import DigitLimitError, rat_str
 from .selftest import DEFAULT_SEED, run_selftest
 from .simplex import SimplexError
 
@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except SimplexError as exc:
         print(f"internal certificate failure: {exc}", file=sys.stderr)
         return _EXIT_CERTIFICATE
+    except DigitLimitError as exc:
+        print(f"cannot write the report: {exc}", file=sys.stderr)
+        return _EXIT_INVALID_INPUT
 
     print(json.dumps(envelope, indent=2))
     print(summary, file=sys.stderr)

@@ -5,7 +5,9 @@ are nonnegative and sum to 1, so it shares the one exact table format: the
 table's integer numerators over its denominator.  Because the first symbol
 is most significant, the words sharing a prefix form one contiguous index
 block, so prefix masses and conditional laws are block sums over the
-measure's prefix sums of those numerators.
+measure's prefix sums of those numerators.  A Markov chain
+(:class:`MarkovSpec`) expands to its dense measure in integers too: each
+level multiplies numerators by a transition matrix's numerators.
 
 The eta coefficient for positions i < j measures how much the conditional
 law of the tail X_j..n moves when the i-th symbol is swapped under a common
@@ -36,12 +38,12 @@ delta_matrix costs O(n m^(n+1)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, cycle
 from numbers import Rational
 from typing import Sequence
 
-from .rational import rat
+from .rational import over_common_denominator, rat
 from .words import TableFunction, WeightVector, Word, word_index
 
 # Dense tables beyond this size are refused at the CLI boundary; library
@@ -53,7 +55,6 @@ class ZeroPrefixProbability(ValueError):
     """Conditioning event has probability zero."""
 
 
-@dataclass(frozen=True)
 class Measure(TableFunction):
     """Dense exact-rational probability measure on S^n.
 
@@ -62,13 +63,13 @@ class Measure(TableFunction):
     numerators, which block masses, the eta_bar kernel and the sampler read.
     """
 
-    _cum: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cum: tuple[int, ...]
 
     def __post_init__(self) -> None:
         super().__post_init__()
         for i, c in enumerate(self.nums):
             if c < 0:
-                raise ValueError(f"negative probability {self.values[i]} at index {i}")
+                raise ValueError(f"negative probability {rat(c, self.den)} at index {i}")
         cum = (0, *accumulate(self.nums))
         if cum[-1] != self.den:
             raise ValueError(f"probabilities must sum to exactly 1, got {self.total()}")
@@ -152,19 +153,21 @@ class MarkovSpec:
 
 
 def expand_markov(spec: MarkovSpec) -> Measure:
-    """Dense measure of the chain: P(x) = init(x1) * prod_t T_t(x_t, x_{t+1})."""
+    """Dense measure of the chain: P(x) = init(x1) * prod_t T_t(x_t, x_{t+1}).
+
+    In integers: ``initial`` and each transition matrix are put over their
+    own common denominators, each level multiplies the numerators of the
+    previous one by the rows of the next matrix (the word with last symbol
+    a continues with row a), and the table reduces the product by one gcd.
+    """
     m = spec.alphabet_size
-    vals = list(spec.initial)
+    nums, den = over_common_denominator(spec.initial)
     for matrix in spec.transitions:
-        nxt = [rat(0)] * (len(vals) * m)
-        for p, mass in enumerate(vals):
-            if mass:
-                row = matrix[p % m]
-                base = p * m
-                for b in range(m):
-                    nxt[base + b] = mass * row[b]
-        vals = nxt
-    return Measure(m, spec.arity, tuple(vals))
+        cells, matrix_den = over_common_denominator([p for row in matrix for p in row])
+        rows = [cells[a * m : (a + 1) * m] for a in range(m)]
+        nums = [mass * x for mass, row in zip(nums, cycle(rows)) for x in row]
+        den *= matrix_den
+    return Measure.from_numerators(m, spec.arity, nums, den)
 
 
 def _eta_bar_row(P: Measure, i: int) -> list[Rational]:

@@ -10,10 +10,18 @@ validated (one distinct string per symbol) but not kept: a problem's
 alphabet is its size.
 
 All rationals are parsed exactly: "3/2", "0.125" (decimal strings convert
-without rounding; exponents are held to ``sys.get_int_max_str_digits()``)
-and plain integers are accepted; JSON floats are not,
-except in ``thresholds`` / ``simulation.thresholds``, which are genuinely
-floating-point quantities.
+without rounding; exponents, numerators and denominators are held to
+``sys.get_int_max_str_digits()``) and plain integers are accepted; JSON
+floats are not, except in ``thresholds`` / ``simulation.thresholds``,
+which are genuinely floating-point quantities.
+
+A dense ``function.table`` or ``measure.dense`` is built into its table
+once, here: entries that are JSON ints or ASCII "p" / "p/q" strings split
+straight into integer pairs, every other spelling goes through
+:func:`~hammix.rational.rat`, and the table is put over one denominator
+from those pairs, so no rational is built per entry.  The accepted
+spellings, the values and every error are those of parsing each entry
+with ``rat``.
 
 Builtins avoid shipping m^n-entry tables for the canonical test functions:
 
@@ -29,6 +37,7 @@ downstream computation is O(m^n) anyway.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from numbers import Rational
@@ -41,6 +50,10 @@ from .words import TableFunction, WeightVector, Word, hamming_table, words
 
 _BUILTIN_NAMES = ("sum_of_symbols", "indicator", "hamming_to")
 
+# Table entries spelled this way split straight into an integer pair; every
+# other spelling is parsed by rat().
+_INTEGER_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
 
 class ProblemFileError(ValueError):
     """Invalid problem file; ``path`` points at the offending field."""
@@ -52,9 +65,9 @@ class ProblemFileError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """Either a dense table or a builtin string, as written in the file."""
+    """Either the file's dense table, built at parse time, or a builtin string."""
 
-    table: tuple[Rational, ...] | None = None
+    table: TableFunction | None = None
     builtin: str | None = None
 
     def __post_init__(self) -> None:
@@ -64,7 +77,7 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    dense: tuple[Rational, ...] | None = None
+    dense: Measure | None = None
     markov: MarkovSpec | None = None
 
     def __post_init__(self) -> None:
@@ -148,20 +161,46 @@ def _parse_alphabet(value: Any) -> int:
     return size
 
 
-def _parse_table(table: Any, m: int, n: int, path: str, nonnegative: bool = False):
+def _split_ratio(entry: Any) -> tuple[int, int] | None:
+    """(p, q) for a JSON int or an ASCII "p" / "p/q" string with q > 0, else None."""
+    if type(entry) is int:
+        return entry, 1
+    if type(entry) is str and _INTEGER_RATIO.fullmatch(entry):
+        p, _, q = entry.partition("/")
+        try:
+            pair = int(p), int(q) if q else 1
+        except ValueError:  # past the int digit limit
+            return None
+        if pair[1]:
+            return pair
+    return None
+
+
+def _parse_ratios(table: Any, m: int, n: int, path: str, nonnegative: bool = False):
+    """The table's entries as integer pairs (p, q), q > 0, with value p / q.
+
+    Entries that :func:`_split_ratio` cannot take, or that break the sign
+    rule, go through :func:`_parse_rational`, which either returns the
+    value or raises the field's error.
+    """
     if not isinstance(table, list):
         raise ProblemFileError(path, "expected a list of rationals")
     if len(table) != _word_count(m, n, len(table)):
         raise ProblemFileError(path, f"expected {m}^{n} entries, got {len(table)}")
-    return tuple(
-        _parse_rational(entry, f"{path}[{i}]", nonnegative=nonnegative)
-        for i, entry in enumerate(table)
-    )
+    ratios = []
+    for i, entry in enumerate(table):
+        pair = _split_ratio(entry)
+        if pair is None or (nonnegative and pair[0] < 0):
+            value = _parse_rational(entry, f"{path}[{i}]", nonnegative=nonnegative)
+            pair = value.numerator, value.denominator
+        ratios.append(pair)
+    return ratios
 
 
 def _parse_function(value: Any, m: int, n: int) -> FunctionSpec:
     if isinstance(value, dict) and "table" in value:
-        return FunctionSpec(table=_parse_table(value["table"], m, n, "function.table"))
+        ratios = _parse_ratios(value["table"], m, n, "function.table")
+        return FunctionSpec(table=TableFunction.from_ratios(m, n, ratios))
     if isinstance(value, dict) and "builtin" in value:
         value = value["builtin"]
     if isinstance(value, str):
@@ -182,10 +221,11 @@ def _parse_measure(value: Any, m: int, n: int) -> MeasureSpec:
     if not isinstance(value, dict):
         raise ProblemFileError("measure", f"expected an object, got {value!r}")
     if "dense" in value:
-        vals = _parse_table(value["dense"], m, n, "measure.dense", nonnegative=True)
-        if sum(vals, rat(0)) != 1:
-            raise ProblemFileError("measure.dense", "entries must sum to exactly 1")
-        return MeasureSpec(dense=vals)
+        ratios = _parse_ratios(value["dense"], m, n, "measure.dense", nonnegative=True)
+        try:
+            return MeasureSpec(dense=Measure.from_ratios(m, n, ratios))
+        except ValueError:  # the entries are nonnegative, so only sum(nums) == den can fail
+            raise ProblemFileError("measure.dense", "entries must sum to exactly 1") from None
     if "markov" in value:
         spec = value["markov"]
         if not isinstance(spec, dict):
@@ -312,7 +352,7 @@ def resolve_function(
     _check_table_size(m, n, max_table)
     spec = problem.function
     if spec.table is not None:
-        return TableFunction(m, n, spec.table)
+        return spec.table
     builtin = spec.builtin
     name, _, arg = builtin.partition(":")
     if name == "sum_of_symbols":
@@ -335,7 +375,7 @@ def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> M
     m, n = problem.alphabet, problem.n
     _check_table_size(m, n, max_table)
     if problem.measure.dense is not None:
-        return Measure(m, n, problem.measure.dense)
+        return problem.measure.dense
     from .mixing import expand_markov
 
     return expand_markov(problem.measure.markov)

@@ -12,7 +12,10 @@ in this package.
 
 Floats are deliberately rejected by :func:`rat`: a float argument is almost
 always a bug (silent precision loss).  Parse decimal *strings* instead,
-which convert exactly ("0.125" -> 1/8).
+which convert exactly ("0.125" -> 1/8).  Python limits int-to-string
+conversion to ``sys.get_int_max_str_digits()`` digits, so :func:`rat`
+refuses strings whose value would pass that limit, and :func:`rat_str`
+raises :class:`DigitLimitError` for a value that does.
 """
 
 from __future__ import annotations
@@ -59,15 +62,19 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
         # Fraction's parser accepts both "p/q" and decimal notation and is
         # exact in both cases; normalize through it for uniform errors.  It
         # builds 10**exponent outright, so exponents are held to the digit
-        # limit Python already puts on int strings.
+        # limit Python already puts on int strings, and so is the value: a
+        # numerator or denominator past the limit could never be printed.
         try:
             _, _, exponent = value.upper().partition("E")
             limit = sys.get_int_max_str_digits()
             if exponent and limit and abs(int(exponent)) > limit:
                 raise ValueError(f"decimal exponent exceeds {limit} digits")
-            return _mpq(Fraction(value.strip()))
+            parsed = Fraction(value.strip())
+            if limit and _too_long(parsed, limit):
+                raise ValueError(f"value has more than {limit} digits")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}: {exc}") from None
+        return parsed if _mpq is Fraction else _mpq(parsed)
     if isinstance(value, Rational):
         return _mpq(value)
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
@@ -82,8 +89,32 @@ def over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _too_long(value: Rational, limit: int) -> bool:
+    """Whether the numerator or denominator has more than ``limit`` digits.
+
+    10**limit has more than 3 * limit bits, so shorter ints are decided
+    without building it.
+    """
+    return any(
+        abs(x).bit_length() > 3 * limit and abs(x) >= 10**limit
+        for x in (value.numerator, value.denominator)
+    )
+
+
+class DigitLimitError(ValueError):
+    """A rational too long for Python's int-to-string digit limit."""
+
+
 def rat_str(value: Rational) -> str:
-    """Serialize a rational as "p/q" with the denominator always present."""
+    """Serialize a rational as "p/q" with the denominator always present.
+
+    Raises :class:`DigitLimitError` when the numerator or denominator has
+    more digits than ``sys.get_int_max_str_digits()`` allows, on either
+    backend.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and _too_long(value, limit):
+        raise DigitLimitError(f"an exact value has more than {limit} digits, which cannot be printed")
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -3,13 +3,14 @@
 A word of length n over an alphabet of size m is a tuple of ints in
 [0, m).  A dense table (:class:`TableFunction`) holds one exact rational
 per word of S^n, in lexicographic order with the *first* symbol most
-significant: ``index((x1,...,xn)) = sum_i xi * m**(n-i)``.  Alongside its
-rationals a table keeps their integer numerators ``nums`` over one common
-denominator ``den``; this module is the only place that converts values to
-that form, and every table layer (psi, the Lipschitz constant, the measures
-of :mod:`hammix.mixing`, the martingale and Monte Carlo layers) computes on
-the integers.  The index order makes the two structural operators strided
-integer sums:
+significant: ``index((x1,...,xn)) = sum_i xi * m**(n-i)``.  A table is its
+integer numerators ``nums`` over one denominator ``den`` in lowest terms;
+its rationals are built only when ``values`` is read.  This module is the
+only place that puts table values (rationals or integer pairs p/q) over a
+common denominator, and every table layer (psi, the Lipschitz constant,
+the measures of :mod:`hammix.mixing`, the martingale and Monte Carlo
+layers) computes on the integers.  The index order makes the two
+structural operators strided integer sums:
 
 * marginal projection  k'(y) = sum_{a in S} k(a y)   -- sums the m blocks
   of the most significant digit;
@@ -22,9 +23,10 @@ word), so recursions over arity bottom out without a special scalar case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -64,33 +66,37 @@ class WeightVector:
         return WeightVector(self.entries[start:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TableFunction:
     """A dense real-valued (exact rational) function on S^n.
 
-    ``values[i]`` is the value on the word with lexicographic index ``i``
-    and equals ``nums[i] / den``; ``len(values) == alphabet_size ** arity``
-    always holds.  :meth:`from_numerators` builds a table from integers
-    without converting rationals.
+    The table is its integer numerators ``nums`` over one denominator
+    ``den > 0``, reduced so that ``gcd(den, *nums) == 1``; that form is
+    unique, so equal tables have equal integers, and equality and hashing
+    compare them.  ``nums[i] / den`` is the value on the word with
+    lexicographic index ``i``, and ``len(nums) == alphabet_size ** arity``
+    always holds.  ``values``, the same numbers as backend rationals, is
+    built on first read and then kept.  ``TableFunction(m, n, values)``
+    takes rationals; :meth:`from_numerators` and :meth:`from_ratios` build
+    a table from integers without converting any.
     """
 
     alphabet_size: int
     arity: int
-    values: tuple[Rational, ...]
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, alphabet_size: int, arity: int, values: Iterable[RationalLike]) -> None:
+        values = tuple(rat(v) for v in values)
+        nums, den = over_common_denominator(values)  # reduced values give a reduced form
+        self.__dict__.update(alphabet_size=alphabet_size, arity=arity, nums=tuple(nums), den=den, values=values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.alphabet_size}")
         if self.arity < 0:
             raise ValueError(f"arity must be >= 0, got {self.arity}")
-        if "nums" not in self.__dict__:  # from_numerators sets nums and den itself
-            values = tuple(rat(v) for v in self.values)
-            nums, den = over_common_denominator(values)
-            object.__setattr__(self, "values", values)
-            object.__setattr__(self, "nums", tuple(nums))
-            object.__setattr__(self, "den", den)
         expected = self.alphabet_size**self.arity
         if len(self.nums) != expected:
             raise ValueError(
@@ -102,12 +108,25 @@ class TableFunction:
     def from_numerators(
         cls, alphabet_size: int, arity: int, nums: Iterable[int], den: int = 1
     ) -> "TableFunction":
-        """The table with values nums[i] / den (den > 0), built from the integers."""
-        table, nums = cls.__new__(cls), tuple(nums)
-        values = tuple(map(_mpq, nums)) if den == 1 else tuple(_mpq(x, den) for x in nums)
-        table.__dict__.update(alphabet_size=alphabet_size, arity=arity, values=values, nums=nums, den=den)
+        """The table with values nums[i] / den (den > 0), reduced by their gcd."""
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        nums = tuple(nums)
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(x // g for x in nums), den // g
+        table = cls.__new__(cls)
+        table.__dict__.update(alphabet_size=alphabet_size, arity=arity, nums=nums, den=den)
         table.__post_init__()
         return table
+
+    @classmethod
+    def from_ratios(
+        cls, alphabet_size: int, arity: int, ratios: Sequence[tuple[int, int]]
+    ) -> "TableFunction":
+        """The table with values p / q for the integer pairs (p, q), q > 0."""
+        den = lcm(*(q for _, q in ratios))
+        return cls.from_numerators(alphabet_size, arity, (p * (den // q) for p, q in ratios), den)
 
     @classmethod
     def from_callable(
@@ -118,10 +137,28 @@ class TableFunction:
 
     @classmethod
     def constant(cls, alphabet_size: int, arity: int, value: RationalLike) -> "TableFunction":
-        return cls(alphabet_size, arity, (rat(value),) * alphabet_size**arity)
+        value = rat(value)
+        nums = (value.numerator,) * alphabet_size**arity
+        return cls.from_numerators(alphabet_size, arity, nums, value.denominator)
+
+    @cached_property
+    def values(self) -> tuple[Rational, ...]:
+        """The values nums[i] / den as backend rationals."""
+        den = self.den
+        return tuple(map(_mpq, self.nums)) if den == 1 else tuple(_mpq(x, den) for x in self.nums)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet_size, self.arity, self.den, self.nums) == (
+            other.alphabet_size, other.arity, other.den, other.nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet_size, self.arity, self.den, self.nums))
 
     def __call__(self, x: Word) -> Rational:
-        return self.values[word_index(x, self.alphabet_size, self.arity)]
+        return rat(self.nums[word_index(x, self.alphabet_size, self.arity)], self.den)
 
     def __neg__(self) -> "TableFunction":
         return TableFunction.from_numerators(self.alphabet_size, self.arity, (-x for x in self.nums), self.den)
@@ -178,13 +215,17 @@ def hamming_distance(x: Sequence[int], y: Sequence[int], w: WeightVector) -> Rat
 
 
 def hamming_table(m: int, target: Word, w: WeightVector) -> TableFunction:
-    """x |-> d_w(x, target) on S^len(w), summed in the weights' numerators."""
+    """x |-> d_w(x, target) on S^len(w), summed in the weights' numerators.
+
+    Built one coordinate at a time: appending symbol a at coordinate i adds
+    the cost w_i unless a is the target's symbol there.
+    """
     costs, den = over_common_denominator(w.entries)
-    return TableFunction.from_numerators(
-        m, len(w),
-        (sum(c for c, a, b in zip(costs, x, target) if a != b) for x in words(m, len(w))),
-        den,
-    )
+    nums = [0]
+    for cost, t in zip(costs, target):
+        step = [0 if a == t else cost for a in range(m)]
+        nums = [x + c for x in nums for c in step]
+    return TableFunction.from_numerators(m, len(w), nums, den)
 
 
 def project_numerators(nums: Sequence[int], m: int) -> list[int]:

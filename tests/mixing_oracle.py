@@ -1,12 +1,13 @@
 """Per-entry rational mixing coefficients and sampler, kept only as test oracles.
 
 This is the straightforward textbook form of :mod:`hammix.mixing`'s
-``eta_bar``/``delta_matrix`` and of :func:`hammix.montecarlo.sample_word`:
-every conditional law is rebuilt from its prefix block in backend
-rationals and divided by its mass, every total-variation distance is taken
-in rationals, and every ``(i, j)`` entry is a separate pass.  The
-library's fraction-free kernel must return the same rationals (and its
-integer sampler the same words) on every input.
+``expand_markov`` and ``eta_bar``/``delta_matrix`` and of
+:func:`hammix.montecarlo.sample_word`: a chain is expanded with one
+rational product per cell and level, every conditional law is rebuilt
+from its prefix block in backend rationals and divided by its mass, every
+total-variation distance is taken in rationals, and every ``(i, j)`` entry
+is a separate pass.  The library's fraction-free code must return the same
+rationals (and its integer sampler the same words) on every input.
 """
 
 from __future__ import annotations
@@ -14,12 +15,28 @@ from __future__ import annotations
 from numbers import Rational
 from typing import Sequence
 
-from hammix.mixing import DeltaMatrix, Measure, ZeroPrefixProbability
+from hammix.mixing import DeltaMatrix, MarkovSpec, Measure, ZeroPrefixProbability
 from hammix.montecarlo import SampleStream
 from hammix.rational import rat
 from hammix.words import Word, words
 
 _TWO64 = 1 << 64
+
+
+def expand_markov(spec: MarkovSpec) -> Measure:
+    """Dense measure of the chain, one rational product per cell and level."""
+    m = spec.alphabet_size
+    vals = list(spec.initial)
+    for matrix in spec.transitions:
+        nxt = [rat(0)] * (len(vals) * m)
+        for p, mass in enumerate(vals):
+            if mass:
+                row = matrix[p % m]
+                base = p * m
+                for b in range(m):
+                    nxt[base + b] = mass * row[b]
+        vals = nxt
+    return Measure(m, spec.arity, tuple(vals))
 
 
 def conditional_law(P: Measure, prefix: Sequence[int], j: int) -> tuple[Rational, ...]:

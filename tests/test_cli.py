@@ -282,6 +282,33 @@ def test_huge_decimal_exponent_exits_1_naming_the_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command,doc,field",
+    [
+        ("verify-lp", {"function": {"table": ["0", "1"]}, "v": "1e4300"}, "v"),
+        ("psi", {"function": {"table": ["0", "1e4300"]}}, "function.table[1]"),
+        ("psi", {"weights": ["1e-4300"], "function": {"table": ["0", "1"]}}, "weights[0]"),
+    ],
+    ids=["v", "table-entry", "weight"],
+)
+def test_decimal_past_the_digit_limit_exits_1_naming_the_field(capsys, tmp_path, command, doc, field):
+    # Each exponent is accepted, but the value it spells has 4301 digits.
+    path = _write(tmp_path, {"alphabet": 2, "n": 1, "weights": ["1"], **doc})
+    code, payload, err = _run(capsys, [command, path])
+    assert code == 1
+    assert payload is None
+    assert f"{field}: cannot parse rational" in err and "4300 digits" in err
+
+
+def test_report_past_the_digit_limit_exits_1(capsys, tmp_path):
+    # Every input has 2201 digits; psi = w_1 * 10**2200 has 4401.
+    doc = {"alphabet": 2, "n": 1, "weights": ["1e2200"], "function": {"table": ["1e2200", "0"]}}
+    code, payload, err = _run(capsys, ["psi", _write(tmp_path, doc)])
+    assert code == 1
+    assert payload is None
+    assert "cannot write the report" in err and "4300 digits" in err
+
+
+@pytest.mark.parametrize(
     "flag,value", [("--instances", "0"), ("--instances", "-3"), ("--mc-samples", "0")]
 )
 def test_selftest_rejects_nonpositive_counts(capsys, flag, value):

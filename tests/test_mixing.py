@@ -7,6 +7,7 @@ import mixing_oracle
 from hammix.instances import (
     random_dense_measure,
     random_markov_measure,
+    random_markov_spec,
     random_product_measure,
 )
 from hammix.mixing import (
@@ -63,6 +64,35 @@ def test_expand_markov_uniform():
     uniform_t = ((rat(1, 2), rat(1, 2)), (rat(1, 2), rat(1, 2)))
     spec = MarkovSpec((rat(1, 2), rat(1, 2)), (uniform_t, uniform_t))
     assert expand_markov(spec) == Measure.uniform(2, 3)
+
+
+def _oracle_chains(rng):
+    """Chains with zero entries and with rows over unequal denominators.
+
+    Entries are written unreduced ("2/4", "6/10"); rows of one matrix use
+    different denominators, so its common denominator carries factors that
+    the final gcd must take out again.
+    """
+    rows = [("1", "0"), ("0", "1"), ("2/4", "2/4"), ("1/3", "2/3"), ("6/10", "4/10"),
+            ("1/6", "5/6"), ("3/12", "9/12")]
+    for n in (1, 2, 3, 5):
+        for _ in range(6):
+            init = rng.choice(rows)
+            transitions = tuple(tuple(rng.choice(rows) for _ in range(2)) for _ in range(n - 1))
+            yield MarkovSpec(init, transitions)
+    for m, n in ((1, 3), (3, 4), (4, 3)):
+        for _ in range(4):
+            yield random_markov_spec(rng, m, n)
+    three = (("0", "1/2", "1/2"), ("1/3", "0", "2/3"), ("0", "0", "1"))
+    yield MarkovSpec(("1/5", "0", "4/5"), (three, three, three))
+
+
+def test_expand_markov_matches_rational_oracle():
+    for spec in _oracle_chains(random.Random(17)):
+        P, expected = expand_markov(spec), mixing_oracle.expand_markov(spec)
+        assert (P.nums, P.den) == (expected.nums, expected.den)
+        assert P.probabilities == expected.probabilities
+        assert P._cum == expected._cum
 
 
 def test_conditional_law_product_measure_is_marginal():

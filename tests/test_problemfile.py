@@ -1,16 +1,20 @@
 from typing import Any
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hammix.mixing import expand_markov
+from hammix.mixing import Measure, expand_markov
 from hammix.problemfile import (
     ProblemFile,
     ProblemFileError,
+    _parse_rational,
     parse_problem,
     resolve_function,
     resolve_measure,
 )
-from hammix.rational import rat, rat_str
+from hammix.rational import DigitLimitError, rat, rat_str
+from hammix.words import TableFunction
 
 
 def problem_to_jsonable(problem: ProblemFile) -> dict:
@@ -20,12 +24,12 @@ def problem_to_jsonable(problem: ProblemFile) -> dict:
         doc["weights"] = [rat_str(e) for e in problem.weights]
     if problem.function is not None:
         if problem.function.table is not None:
-            doc["function"] = {"table": [rat_str(x) for x in problem.function.table]}
+            doc["function"] = {"table": [rat_str(x) for x in problem.function.table.values]}
         else:
             doc["function"] = {"builtin": problem.function.builtin}
     if problem.measure is not None:
         if problem.measure.dense is not None:
-            doc["measure"] = {"dense": [rat_str(p) for p in problem.measure.dense]}
+            doc["measure"] = {"dense": [rat_str(p) for p in problem.measure.dense.values]}
         else:
             markov = problem.measure.markov
             doc["measure"] = {
@@ -69,8 +73,8 @@ def test_parse_full_document():
     assert problem.alphabet == 2
     assert problem.n == 2
     assert problem.weights.entries == (rat(1), rat(1))
-    assert problem.function.table == (rat(1), 0, 0, rat(-1))
-    assert problem.measure.dense[0] == rat(9, 20)
+    assert problem.function.table.values == (rat(1), 0, 0, rat(-1))
+    assert problem.measure.dense.values[0] == rat(9, 20)
     assert problem.v == rat(1, 2)
     assert problem.thresholds == (1.0, 2.0)
     assert problem.simulation.sample_count == 100
@@ -219,3 +223,125 @@ def test_table_size_cap():
 def test_non_object_document():
     with pytest.raises(ProblemFileError):
         parse_problem([1, 2, 3])
+
+
+# Integer table parse against the per-entry rational parse ---------------
+
+_SPECIAL_SPELLINGS = (
+    "1/0", "0/0", "-0", "-0/5", "007", "2/4", "1" * 5000, "-" + "9" * 5000 + "/3",
+    "1/" + "7" * 5000, "1e4300", "1e-4300", "1e4301", "1.5e4299", "0." + "0" * 4299 + "1",
+    "", "-", "+", "1/", "/2", "1//2", "1/-2", "nan", "inf", "1e", "1.2.3", "0x10", "1_", "_1",
+)
+
+
+@st.composite
+def rational_spellings(draw):
+    """Strings over Fraction's grammar: signs, whitespace, ``_``, decimals,
+    exponents and non-ASCII digits, plus edge cases and malformed text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(_SPECIAL_SPELLINGS))
+    digits = st.text(st.sampled_from("0123456789_٣٧０४"), min_size=1, max_size=4)
+    sign = st.sampled_from(("", "", "-", "+"))
+    space = st.sampled_from(("", "", " ", "\t", "\n"))
+    text = draw(sign) + draw(digits)
+    form = draw(st.sampled_from(("int", "ratio", "decimal")))
+    if form == "ratio":
+        text += "/" + draw(digits)
+    elif form == "decimal":
+        text += draw(st.sampled_from((".", ""))) + draw(digits)
+        exponent = draw(st.sampled_from(("", "e", "E")))
+        if exponent:
+            text += exponent + draw(sign) + draw(digits)
+    return draw(space) + text + draw(space)
+
+
+table_entries = st.one_of(
+    rational_spellings(),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from((True, None, 0.5, [1])),
+)
+
+
+# Small nonnegative values in several spellings, so that measures often parse.
+probability_spellings = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 3), st.integers(4, 12)),
+    st.integers(0, 3).map(lambda p: f"0.0{p} "),
+    st.builds("{}e-{}".format, st.integers(0, 9), st.integers(1, 3)),
+    st.sampled_from((0, "0", "-0", "0/7", "+1/9")),
+)
+
+
+def _outcome(build):
+    """(value, None) or (None, (field, message)) of a parse."""
+    try:
+        return build(), None
+    except ProblemFileError as exc:
+        return None, (exc.path, str(exc))
+
+
+def _per_entry(entries, path, nonnegative=False):
+    """The rational parse of a table: one _parse_rational per entry, in order."""
+    return tuple(_parse_rational(e, f"{path}[{i}]", nonnegative=nonnegative) for i, e in enumerate(entries))
+
+
+def _old_measure(entries):
+    """The rational parse of a dense measure: per entry, then a rational sum."""
+    values = _per_entry(entries, "measure.dense", nonnegative=True)
+    if sum(values, rat(0)) != 1:
+        raise ProblemFileError("measure.dense", "entries must sum to exactly 1")
+    return Measure(2, 2, values)
+
+
+def _completion(entries):
+    """The entry that makes the sum 1 when the others parse and it prints, else "0"."""
+    head = _outcome(lambda: _per_entry(entries, "measure.dense"))[0]
+    try:
+        return rat_str(1 - sum(head, rat(0))) if head is not None else "0"
+    except DigitLimitError:
+        return "0"
+
+
+def _assert_same_table(new, old):
+    assert new[1] == old[1]
+    if old[0] is not None:
+        assert type(new[0]) is type(old[0])
+        assert new[0] == old[0]
+        assert (new[0].nums, new[0].den) == (old[0].nums, old[0].den)
+        assert new[0].values == old[0].values
+
+
+@given(st.lists(table_entries, min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_integer_table_parse_matches_rational_parse(entries):
+    doc = {"alphabet": 2, "n": 2, "function": {"table": entries}}
+    new = _outcome(lambda: parse_problem(doc).function.table)
+    old = _outcome(lambda: TableFunction(2, 2, _per_entry(entries, "function.table")))
+    _assert_same_table(new, old)
+
+
+@given(st.lists(probability_spellings | probability_spellings | table_entries, min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_integer_measure_parse_matches_rational_parse(entries):
+    entries = entries + [_completion(entries)]
+    doc = {"alphabet": 2, "n": 2, "measure": {"dense": entries}}
+    new = _outcome(lambda: parse_problem(doc).measure.dense)
+    old = _outcome(lambda: _old_measure(entries))
+    _assert_same_table(new, old)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["1/8", "0.125", " 1/4 ", "1/2"],
+        ["2/4", "1e-1", "4/10", "0"],
+        [0, "0", "-0", 1],
+        ["1_0/4_0", "٣/12", "+1/4", "0.25e0"],
+        ["1/3", "1/3", "1/6", "1/7"],
+        ["1/2", "-1/4", "1/2", "1/4"],
+    ],
+)
+def test_dense_measure_spellings_match_rational_parse(entries):
+    doc = {"alphabet": 2, "n": 2, "measure": {"dense": entries}}
+    new = _outcome(lambda: parse_problem(doc).measure.dense)
+    old = _outcome(lambda: _old_measure(entries))
+    _assert_same_table(new, old)

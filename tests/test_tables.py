@@ -8,6 +8,7 @@ equality of rationals or of integer counts.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -162,3 +163,27 @@ def test_measure_builds_run_the_table_constructor(monkeypatch):
         Measure(2, 1, ("1/2", "1/3"))
     with pytest.raises(ValueError):
         Measure(2, 1, ("3/2", "-1/2"))
+
+
+def test_table_equality_and_hash_follow_values():
+    for rng, m, n, k in _cases(31):
+        c = rng.randint(2, 9)
+        a = random_rational(rng, -3, 3)
+        same = [
+            TableFunction.from_numerators(m, n, [c * x for x in k.nums], c * k.den),
+            TableFunction(m, n, k.values),
+            -(-k),
+            k.scale(c).scale(rat(1, c)),
+            k.shift(a).shift(-a),
+        ]
+        assert gcd(k.den, *k.nums) == 1
+        for t in same:
+            assert t == k and hash(t) == hash(k)
+            assert (t.nums, t.den) == (k.nums, k.den)
+        pool = [k, -k, k.scale(a), k.shift(a), k.scale(c), TableFunction.constant(m, n, a), *same]
+        for t in pool:
+            assert gcd(t.den, *t.nums) == 1
+            for u in pool:
+                assert (t == u) == (t.values == u.values)
+                if t == u:
+                    assert hash(t) == hash(u)

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hammix.rational import rat
+from hammix.instances import random_weights
 from hammix.words import (
     TableFunction,
     WeightVector,
     hamming_distance,
+    hamming_table,
     marginal_projection,
     word_index,
     word_unindex,
@@ -107,6 +109,18 @@ def test_hamming_is_shortest_path_metric(m, n):
     for x in all_words:
         for y in all_words:
             assert hamming_distance(x, y, w) == _dijkstra_distance(x, y, m, w)
+
+
+def test_hamming_table_matches_per_word_distances():
+    rng = random.Random(23)
+    for m, n in [(1, 3), (2, 0), (2, 1), (2, 5), (3, 3), (4, 2)]:
+        for _ in range(3):
+            w = random_weights(rng, n)
+            target = tuple(rng.randrange(m) for _ in range(n))
+            table = hamming_table(m, target, w)
+            expected = TableFunction.from_callable(m, n, lambda x: hamming_distance(x, target, w))
+            assert table == expected
+            assert table.values == expected.values
 
 
 def test_marginal_projection_examples():
