@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .lipschitz_lp import lipschitz_constant
 from .mixing import Measure, delta_matrix, operator_norm_2
-from .rational import rat
+from .rational import float_from_rat, rat
 from .words import TableFunction, WeightVector
 
 
@@ -116,12 +116,15 @@ def azuma_bound(t: float, d_squared: float) -> float:
     """Sub-Gaussian tail bound 2 exp(-t^2 / (2 d_squared)).
 
     Exceeds 1 for small t; callers may clamp at 1 when reporting since any
-    probability bound above 1 is vacuous.
+    probability bound above 1 is vacuous.  An infinite d_squared (an exact
+    one past the float range) gives the vacuous 2.0 for every t.
     """
     if t <= 0:
         raise ValueError(f"threshold t must be positive, got {t}")
     if d_squared <= 0:
         raise ValueError(f"d_squared must be positive, got {d_squared}")
+    if d_squared == math.inf:
+        return 2.0
     return 2.0 * math.exp(-(t * t) / (2.0 * d_squared))
 
 
@@ -202,6 +205,6 @@ def concentration_bound(
     if lip == 0:
         bounds = tuple(0.0 for _ in thresholds)
     else:
-        d_squared = float(lip * lip * w_norm_sq) * op * op
+        d_squared = float_from_rat(lip * lip * w_norm_sq) * op * op
         bounds = tuple(azuma_bound(t, d_squared) for t in thresholds)
     return ConcentrationReport(lip, w_norm_sq, op, bounds)

@@ -25,23 +25,41 @@ maximizes only over triples whose two conditioning prefixes both have
 positive mass (and is 0 when no admissible triple exists).  Product
 measures have eta_bar = 0 everywhere and an identity DeltaMatrix.
 
-eta_bar is computed fraction-free, a whole row i (every j > i) at a time.
-In the measure's integer numerators, the block of each admissible prefix
-y z holds the
-unnormalized tail law for j = i+1, and summing its m equal chunks gives the
-law for the next j.  TV distances are then integer sums scaled by the two
-block masses, compared by cross-products, and only the n - i maxima are
-converted to rationals.  A row costs O(m^(n+1)) integer operations, so
-delta_matrix costs O(n m^(n+1)).
+eta_bar is computed fraction-free, a whole row i (every j > i) at a time,
+on one of two paths:
+
+* Dense (any measure): in the measure's integer numerators, the block of
+  each admissible prefix y z holds the unnormalized tail law for j = i+1,
+  and summing its m equal chunks gives the law for the next j.  TV
+  distances are then integer sums scaled by the two block masses, compared
+  by cross-products, and only the n - i maxima are converted to rationals.
+  A row costs O(m^(n+1)) integer operations, so delta_matrix costs
+  O(n m^(n+1)).
+* Kernel (a measure from :func:`expand_markov`, which records the chain's
+  integer kernels on it, or :func:`chain_delta_matrix` on the kernels
+  alone): given X_1..i = y z, X_j has law row z of T_i...T_j-1 for every
+  past y, and the rest of the tail follows the same later kernels after
+  either swap, so eta(i, j, y, z, z') is the TV distance between rows z
+  and z' of that product (Kontorovich and Ramanan, Ann. Probab. 36(6),
+  2008, whose Dobrushin product theta_i...theta_j-1 bounds it).  The rows
+  are multiplied in integers over the product of the kernels'
+  denominators.  A pair z < z' is admissible when some state reachable at
+  position i-1 moves to both with positive probability (for i = 1: when
+  the initial law charges both).  A row costs O(n m^3) integer
+  operations, so delta_matrix costs O(n^2 m^3) and reads no table.
+
+Both paths return the same rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, cycle
+from functools import cached_property, partial
+from itertools import accumulate, combinations, cycle
 from numbers import Rational
-from typing import Sequence
+from operator import mul, sub
+from typing import Callable, Sequence
 
 from .rational import over_common_denominator, rat
 from .words import TableFunction, WeightVector, Word, word_index
@@ -60,10 +78,15 @@ class Measure(TableFunction):
 
     A table (:class:`~hammix.words.TableFunction`) whose entries are
     nonnegative and sum to 1; ``_cum`` holds the prefix sums of its integer
-    numerators, which block masses, the eta_bar kernel and the sampler read.
+    numerators, which block masses, the dense eta_bar kernel and the sampler
+    read.  A measure built by :func:`expand_markov` also carries the chain's
+    integer ``kernels``, which delta_matrix, eta_bar and the sampler use
+    instead of the table; they take no part in equality or hashing, and
+    tables derived from the measure do not carry them.
     """
 
     _cum: tuple[int, ...]
+    kernels: MarkovKernels | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -152,22 +175,68 @@ class MarkovSpec:
         return len(self.transitions) + 1
 
 
+@dataclass(frozen=True)
+class MarkovKernels:
+    """A chain's initial law and transition matrices as integer numerators.
+
+    ``initial`` is over ``dens[0]``; row a of ``transitions[t]`` is over
+    ``dens[t + 1]``, so each row sums to its denominator.
+    """
+
+    initial: tuple[int, ...]
+    transitions: tuple[tuple[tuple[int, ...], ...], ...]
+    dens: tuple[int, ...]
+
+    @classmethod
+    def from_spec(cls, spec: MarkovSpec) -> "MarkovKernels":
+        """Each law of the chain over its own common denominator."""
+        m = spec.alphabet_size
+        initial, den = over_common_denominator(spec.initial)
+        mats, dens = [], [den]
+        for matrix in spec.transitions:
+            cells, den = over_common_denominator([p for row in matrix for p in row])
+            mats.append(tuple(tuple(cells[a * m : (a + 1) * m]) for a in range(m)))
+            dens.append(den)
+        return cls(tuple(initial), tuple(mats), tuple(dens))
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self.initial)
+
+    @property
+    def arity(self) -> int:
+        return len(self.transitions) + 1
+
+    @cached_property
+    def sampler_cuts(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per position and current state: (den, cumulative row << 64).
+
+        Position 1 has the single entry for the initial law (its "state" is
+        0); position t+1 has one entry per state a, for row a of
+        ``transitions[t]``.
+        """
+        laws = [(self.initial,)] + list(self.transitions)
+        return tuple(
+            tuple((den, tuple(c << 64 for c in accumulate(row))) for row in rows)
+            for rows, den in zip(laws, self.dens)
+        )
+
+
 def expand_markov(spec: MarkovSpec) -> Measure:
     """Dense measure of the chain: P(x) = init(x1) * prod_t T_t(x_t, x_{t+1}).
 
-    In integers: ``initial`` and each transition matrix are put over their
-    own common denominators, each level multiplies the numerators of the
-    previous one by the rows of the next matrix (the word with last symbol
-    a continues with row a), and the table reduces the product by one gcd.
+    In integers: each level multiplies the numerators of the previous one
+    by the rows of the next kernel (the word with last symbol a continues
+    with row a), and the table reduces the product by one gcd.  The kernels
+    (:class:`MarkovKernels`) are recorded on the measure.
     """
-    m = spec.alphabet_size
-    nums, den = over_common_denominator(spec.initial)
-    for matrix in spec.transitions:
-        cells, matrix_den = over_common_denominator([p for row in matrix for p in row])
-        rows = [cells[a * m : (a + 1) * m] for a in range(m)]
+    kernels = MarkovKernels.from_spec(spec)
+    nums = kernels.initial
+    for rows in kernels.transitions:
         nums = [mass * x for mass, row in zip(nums, cycle(rows)) for x in row]
-        den *= matrix_den
-    return Measure.from_numerators(m, spec.arity, nums, den)
+    measure = Measure.from_numerators(spec.alphabet_size, spec.arity, nums, math.prod(kernels.dens))
+    object.__setattr__(measure, "kernels", kernels)
+    return measure
 
 
 def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
@@ -214,15 +283,59 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
     return [rat(num, den) for num, den in best]
 
 
+def _admissible_pairs(chain: MarkovKernels, i: int) -> list[tuple[int, int]]:
+    """Symbol pairs z < z' for which some past y gives y z and y z' positive mass.
+
+    For i = 1 the past is empty and both symbols need initial mass; for
+    i > 1 some state a reachable at position i-1 must move to both, that
+    is, row a of T_i-1 charges both.
+    """
+    m = chain.alphabet_size
+    laws = [chain.initial]
+    if i > 1:
+        reachable = [a for a in range(m) if chain.initial[a]]
+        for rows in chain.transitions[: i - 2]:
+            reachable = [b for b in range(m) if any(rows[a][b] for a in reachable)]
+        laws = [chain.transitions[i - 2][a] for a in reachable]
+    pairs = set()
+    for law in laws:
+        pairs.update(combinations([z for z, p in enumerate(law) if p], 2))
+    return sorted(pairs)
+
+
+def _chain_eta_row(chain: MarkovKernels, i: int) -> list[Rational]:
+    """eta_bar(i, j) for j = i+1..n from the kernels T_i, ..., T_n-1 alone.
+
+    Row z of T_i...T_j-1 is kept in integers over the product D of those
+    kernels' denominators, for every state z in an admissible pair; a
+    pair's TV distance is the l1 distance of its two rows over 2 D, and
+    one D serves every pair, so the maximum per j is an integer maximum.
+    """
+    m = chain.alphabet_size
+    pairs = _admissible_pairs(chain, i)
+    rows = {z: [int(a == z) for a in range(m)] for pair in pairs for z in pair}
+    den = 1
+    out = []
+    for matrix, matrix_den in zip(chain.transitions[i - 1 :], chain.dens[i:]):
+        cols = list(zip(*matrix))
+        rows = {z: [sum(map(mul, row, col)) for col in cols] for z, row in rows.items()}
+        den *= matrix_den
+        best = max((sum(map(abs, map(sub, rows[a], rows[b]))) for a, b in pairs), default=0)
+        out.append(rat(best, 2 * den))
+    return out
+
+
 def eta_bar(P: Measure, i: int, j: int) -> Rational:
     """Worst-case eta over all pasts y and symbol pairs z, z'.
 
     Triples whose conditioning prefix is null are excluded; returns 0 when
-    no admissible pair of pasts exists.
+    no admissible pair of pasts exists.  Computed from P's chain kernels
+    when it carries them, else from its table.
     """
     if not 1 <= i < j <= P.arity:
         raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
-    return _eta_bar_row(P, i)[j - i - 1]
+    row = _eta_bar_row(P, i) if P.kernels is None else _chain_eta_row(P.kernels, i)
+    return row[j - i - 1]
 
 
 @dataclass(frozen=True)
@@ -274,14 +387,25 @@ class DeltaMatrix:
         return sum((x * x for x in self.apply(w)), rat(0))
 
 
-def delta_matrix(P: Measure) -> DeltaMatrix:
-    """Assemble the mixing matrix of a measure, one kernel pass per row."""
-    n = P.arity
-    rows = []
-    for i in range(1, n + 1):
-        row = [rat(0)] * (i - 1) + [rat(1)] + _eta_bar_row(P, i)
-        rows.append(tuple(row))
+def _assemble(n: int, eta_row: Callable[[int], list[Rational]]) -> DeltaMatrix:
+    rows = [tuple([rat(0)] * (i - 1) + [rat(1)] + eta_row(i)) for i in range(1, n + 1)]
     return DeltaMatrix(tuple(rows))
+
+
+def delta_matrix(P: Measure) -> DeltaMatrix:
+    """Assemble the mixing matrix of a measure, one kernel pass per row.
+
+    Uses P's chain kernels when it carries them (O(n^2 m^3)), else its
+    table (O(n m^(n+1))); both give the same rationals.
+    """
+    if P.kernels is not None:
+        return chain_delta_matrix(P.kernels)
+    return _assemble(P.arity, partial(_eta_bar_row, P))
+
+
+def chain_delta_matrix(chain: MarkovKernels) -> DeltaMatrix:
+    """The mixing matrix of a Markov chain from its kernels, with no table."""
+    return _assemble(chain.arity, partial(_chain_eta_row, chain))
 
 
 _OPNORM_REL_TOL = 1e-12

@@ -6,7 +6,10 @@ uniform variate is exact (the variate is the rational r / 2^64 of a 64-bit
 draw, compared in integers against the measure's integer prefix sums over
 their common denominator), so a run is a pure function of
 (measure, seed, sample count) -- bit-identical across platforms and
-schedules.
+schedules.  A dense table is scanned symbol by symbol, O(n m) a word; a
+measure from :func:`~hammix.mixing.expand_markov` is sampled from its
+chain kernels by one bisection per symbol, O(n log m) a word, with the
+same draws.
 
 Randomness comes from splitmix64 streams: sample k uses the stream whose
 initial state is seed + (k+1) * GAMMA mod 2^64, advanced by the standard
@@ -23,12 +26,13 @@ value of the float t, scaled to integers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Rational
 
 from .martingale import azuma_bound, concentration_bound, conditional_sums, martingale_profile
 from .mixing import Measure
-from .rational import rat, rat_from_float
+from .rational import float_from_rat, rat, rat_from_float
 from .words import TableFunction, WeightVector, Word, word_index
 
 _MASK64 = (1 << 64) - 1
@@ -86,7 +90,23 @@ def sample_word(P: Measure, stream: SampleStream) -> Word:
     sub-block sum, both integer numerators over the measure's common
     denominator, u * M < A is r * M < A * 2^64: all comparisons are exact
     integer ones, and zero-probability branches can never be selected.
+
+    On a measure that carries its chain kernels, A / M is the cumulative
+    row c / d of the current state's kernel row, so the same test is
+    r * d < c * 2^64: one bisection over the row's cut points
+    (:attr:`~hammix.mixing.MarkovKernels.sampler_cuts`) per symbol, O(n log m)
+    a word, with the same draws as the O(n m) scan of the table.
     """
+    if P.kernels is not None:
+        symbols = []
+        state = 0
+        for rows in P.kernels.sampler_cuts:
+            den, cuts = rows[state]
+            # r * d < d * 2^64, the last cut, so a symbol is always found;
+            # a null symbol's cut equals the one before it and is never first.
+            state = bisect_right(cuts, stream.next_u64() * den)
+            symbols.append(state)
+        return tuple(symbols)
     m = P.alphabet_size
     cum = P._cum
     block = m**P.arity
@@ -155,7 +175,7 @@ def empirical_tail(
             if deviation * t_den > limit:
                 counts[idx] += 1
 
-    d2 = float(profile.d_squared)
+    d2 = float_from_rat(profile.d_squared)
     corollary_bounds = concentration_bound(f, P, w, cfg.thresholds).bounds
     rows = []
     for t, count, corollary in zip(cfg.thresholds, counts, corollary_bounds):

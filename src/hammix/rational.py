@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm, ulp
 from numbers import Rational
 from typing import Sequence, Union
 
@@ -116,6 +116,21 @@ def rat_str(value: Rational) -> str:
     if limit and _too_long(value, limit):
         raise DigitLimitError(f"an exact value has more than {limit} digits, which cannot be printed")
     return f"{value.numerator}/{value.denominator}"
+
+
+def float_from_rat(value: Rational) -> float:
+    """float(value) for a nonnegative rational, kept away from the float limits.
+
+    Inside the float range this is float()'s nearest rounding.  Past the
+    largest float it is inf instead of an OverflowError, and a positive
+    value below the smallest positive float becomes that float instead of
+    0.0, so a positive variance never reads as zero.
+    """
+    try:
+        result = float(value)
+    except OverflowError:
+        return inf
+    return result if result or not value else ulp(0.0)
 
 
 def rat_from_float(value: float) -> Rational:

@@ -316,3 +316,64 @@ def test_selftest_rejects_nonpositive_counts(capsys, flag, value):
     assert code == 1
     assert payload is None
     assert flag in err
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _extreme_doc(scale, table_value):
+    return {
+        "alphabet": 2,
+        "n": 2,
+        "weights": [scale, "1"],
+        "function": {"table": [table_value, "0", "0", "1"]},
+        "measure": {"dense": ["1/4", "1/4", "1/4", "1/4"]},
+        "thresholds": [1.0, 1e308],
+        "simulation": {"sample_count": 10, "seed": 1},
+    }
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_variance_past_the_float_range_gives_the_vacuous_bound(capsys, tmp_path, command):
+    # d^2 is about 10^400: past the largest float, within the digit limit.
+    path = _write(tmp_path, _extreme_doc("1e200", "1e200"))
+    code = cli.main([command, path])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    key = "bound" if command == "bound" else "corollary"
+    assert [row[key] for row in payload["per_t"]] == [2.0, 2.0]
+    if command == "simulate":
+        assert [row["azuma"] for row in payload["per_t"]] == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_variance_past_the_digit_limit_exits_1(capsys, tmp_path, command):
+    # Every input has 2201 digits; ||w||^2 and d^2 have about 4400.
+    code, payload, err = _run(capsys, [command, _write(tmp_path, _extreme_doc("1e2200", "1e2200"))])
+    assert code == 1
+    assert payload is None
+    assert "cannot write the report" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_positive_variance_below_the_float_range(capsys, tmp_path, command):
+    # d^2 is about 10^-400, which float() rounds to 0.0.
+    doc = {
+        "alphabet": 2,
+        "n": 1,
+        "weights": ["1"],
+        "function": {"table": ["0", "1e-200"]},
+        "measure": {"dense": ["1/2", "1/2"]},
+        "thresholds": [1e-300, 1.0],
+        "simulation": {"sample_count": 10, "seed": 1},
+    }
+    code = cli.main([command, _write(tmp_path, doc)])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    key = "bound" if command == "bound" else "corollary"
+    # t^2 underflows for t = 1e-300, which leaves the vacuous bound.
+    assert [row[key] for row in payload["per_t"]] == [2.0, 0.0]

@@ -8,10 +8,18 @@ inputs are the ``sample_problems/`` files plus small documents in
 (Lipschitz constant 0) path of the tail bounds, a multi-pivot LP
 (m = 3, n = 2, non-integer weights, v = 1/2), and a dense measure with
 exact-zero cells, null prefix blocks and a prefix after which the second
-symbol is forced (m = 3, n = 3), and a v = 0 LP whose table sums below 0,
-so the norms carry a nonzero sign shift (m = 3, n = 2).
+symbol is forced (m = 3, n = 3), a v = 0 LP whose table sums below 0,
+so the norms carry a nonzero sign shift (m = 3, n = 2), and a Markov chain
+with a null initial state, zero transition entries and a symbol forced
+after one state (m = 3, n = 4), which runs the kernel paths of
+``delta_matrix`` and the sampler.
+
+``selftest.stdout`` is the report of ``hammix selftest --instances 50
+--seed 3 --mc-samples 2000``; only its ``elapsed_seconds`` fields may
+differ.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +37,7 @@ CASES = [
     (GOLDEN / "lp_mid.json", ("phi", "verify-lp")),
     (GOLDEN / "dense_zeros.json", ("eta", "martingale", "bound", "simulate")),
     (GOLDEN / "lp_negative.json", ("psi", "phi", "verify-lp")),
+    (GOLDEN / "markov_zeros.json", ("eta", "martingale", "bound", "simulate")),
 ]
 
 
@@ -42,3 +51,14 @@ def test_cli_stdout_matches_golden(capsys, problem, command):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{problem.stem}.{command}.stdout").read_text()
+
+
+def _without_elapsed(text):
+    return re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": null', text)
+
+
+def test_selftest_report_matches_golden(capsys):
+    code = cli.main(["selftest", "--instances", "50", "--seed", "3", "--mc-samples", "2000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _without_elapsed(out) == _without_elapsed((GOLDEN / "selftest.stdout").read_text())

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -12,9 +13,11 @@ from hammix.instances import (
 )
 from hammix.mixing import (
     DeltaMatrix,
+    MarkovKernels,
     MarkovSpec,
     Measure,
     ZeroPrefixProbability,
+    chain_delta_matrix,
     delta_matrix,
     eta_bar,
     expand_markov,
@@ -22,7 +25,7 @@ from hammix.mixing import (
 )
 from mixing_oracle import conditional_law, eta, tv_distance
 from hammix.rational import rat
-from hammix.words import WeightVector, words
+from hammix.words import TableFunction, WeightVector, marginal_projection, words, y_section
 
 
 def _chain(n):
@@ -297,8 +300,8 @@ def _sparse_measure(rng, m, n):
             return Measure(m, n, tuple(rat(c, sum(weights)) for c in weights))
 
 
-def _markov_with_zeros(rng, m, n):
-    """Expanded chain whose initial law and transition rows have null entries."""
+def _chain_with_zeros(rng, m, n):
+    """Chain whose initial law and transition rows have null entries."""
 
     def distribution():
         while True:
@@ -306,10 +309,9 @@ def _markov_with_zeros(rng, m, n):
             if sum(weights):
                 return tuple(rat(c, sum(weights)) for c in weights)
 
-    spec = MarkovSpec(
+    return MarkovSpec(
         distribution(), tuple(tuple(distribution() for _ in range(m)) for _ in range(n - 1))
     )
-    return expand_markov(spec)
 
 
 def _forced_second_symbol(rng, m, n):
@@ -327,7 +329,7 @@ def _oracle_cases():
             yield f"sparse-m{m}n{n}", _sparse_measure(rng, m, n)
     for m, n in ((2, 6), (3, 4), (4, 3)):
         for _ in range(3):
-            yield f"markov0-m{m}n{n}", _markov_with_zeros(rng, m, n)
+            yield f"markov0-m{m}n{n}", expand_markov(_chain_with_zeros(rng, m, n))
         yield f"markov-m{m}n{n}", random_markov_measure(rng, m, n)
         yield f"product-m{m}n{n}", random_product_measure(rng, m, n)
         word = tuple(rng.randrange(m) for _ in range(n))
@@ -369,3 +371,106 @@ def test_eta_bar_rejects_out_of_range_pairs():
     for i, j in ((0, 1), (2, 2), (3, 2), (1, 4)):
         with pytest.raises(ValueError):
             eta_bar(P, i, j)
+
+
+def _kernel_chains():
+    """(name, spec) for chains that stress the kernel path's admissibility rules."""
+    rng = random.Random(41)
+    for m, n in ((1, 1), (1, 4), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (2, 5), (3, 4), (4, 3)):
+        for k in range(6):
+            yield f"zeros-m{m}n{n}-{k}", _chain_with_zeros(rng, m, n)
+        yield f"full-m{m}n{n}", random_markov_spec(rng, m, n)
+    for k, spec in enumerate(_oracle_chains(random.Random(17))):
+        yield f"unreduced-{k}", spec
+    # State 2 is null at position 1 and unreachable at position 2, but its
+    # row of T_2 charges 1 and 2, whose rows of T_3 are TV distance 1 apart.
+    half = ("1/2", "1/2", "0")
+    split = (("1", "0", "0"), ("1", "0", "0"), ("0", "0", "1"))
+    yield "unreachable", MarkovSpec(
+        half, ((half, half, ("0", "0", "1")), (half, half, ("0", "1/2", "1/2")), split)
+    )
+    # Every state moves to 1 at step 2, so X_3 is forced.
+    spread = (("1/4", "1/4", "1/2"), ("2/3", "1/3", "0"), ("1", "0", "0"))
+    forced = (("0", "1", "0"),) * 3
+    yield "forced", MarkovSpec(("1/3", "1/3", "1/3"), (spread, forced, spread))
+
+
+KERNEL_CHAINS = list(_kernel_chains())
+
+
+def _dense_copy(P):
+    return Measure.from_numerators(P.alphabet_size, P.arity, P.nums, P.den)
+
+
+@pytest.mark.parametrize("spec", [s for _, s in KERNEL_CHAINS], ids=[name for name, _ in KERNEL_CHAINS])
+def test_kernel_delta_matches_dense_kernel_and_oracle(spec):
+    P = expand_markov(spec)
+    dense = _dense_copy(P)
+    assert P.kernels is not None and dense.kernels is None
+    kernel = delta_matrix(P)
+    assert kernel == chain_delta_matrix(MarkovKernels.from_spec(spec))
+    assert kernel == delta_matrix(dense)
+    assert kernel == mixing_oracle.delta_matrix(dense)
+    for i in range(1, P.arity + 1):
+        for j in range(i + 1, P.arity + 1):
+            assert eta_bar(P, i, j) == eta_bar(dense, i, j) == kernel.entries[i - 1][j - 1]
+
+
+def test_kernel_chains_cover_the_admissibility_cases():
+    specs = dict(KERNEL_CHAINS)
+    kernels = [MarkovKernels.from_spec(spec) for spec in specs.values()]
+    assert any(0 in k.initial for k in kernels)
+    assert any(0 in row for k in kernels for rows in k.transitions for row in rows)
+    assert {1, 2} <= {k.arity for k in kernels}
+    assert any(k.alphabet_size == 1 for k in kernels)
+    unreachable = expand_markov(specs["unreachable"])
+    assert unreachable.prefix_mass((0, 2)) == unreachable.prefix_mass((1, 2)) == 0
+    assert eta_bar(unreachable, 3, 4) == 0  # 1 if state 2 were counted
+    forced = delta_matrix(expand_markov(specs["forced"])).entries
+    assert forced[0][1] > 0
+    assert forced[0][2:] == forced[1][2:] == (0, 0) and forced[2][3] == 0
+
+
+def _dobrushin(matrix):
+    """theta(T): the largest TV distance between two rows of T."""
+    return max((tv_distance(a, b) for a in matrix for b in matrix), default=rat(0))
+
+
+def test_eta_bar_within_dobrushin_product():
+    for name, spec in KERNEL_CHAINS:
+        entries = delta_matrix(expand_markov(spec)).entries
+        n = spec.arity
+        for i in range(1, n + 1):
+            theta = rat(1)
+            for j in range(i + 1, n + 1):
+                theta *= _dobrushin(spec.transitions[j - 2])
+                assert entries[i - 1][j - 1] <= theta, (name, i, j)
+
+
+def test_chain_measure_equals_and_hashes_like_its_dense_copy():
+    for _, spec in KERNEL_CHAINS:
+        P = expand_markov(spec)
+        dense = _dense_copy(P)
+        assert P == dense and hash(P) == hash(dense)
+        assert P == mixing_oracle.expand_markov(spec)
+    P = expand_markov(_chain(3))
+    assert P.kernels == MarkovKernels.from_spec(_chain(3))
+    for derived in (marginal_projection(P), y_section(P, 1), _dense_copy(P)):
+        assert getattr(derived, "kernels", None) is None
+
+
+def test_kernel_delta_of_a_long_chain_builds_no_table(monkeypatch):
+    rows = (("1/2", "1/3", "1/6"), ("1/5", "3/5", "1/5"), ("0", "1/4", "3/4"))
+    spec = MarkovSpec(("1/3", "1/3", "1/3"), (rows,) * 99)
+
+    def no_table(self):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(TableFunction, "__post_init__", no_table)
+    start = time.process_time()
+    delta = chain_delta_matrix(MarkovKernels.from_spec(spec))
+    assert time.process_time() - start < 1.0
+    assert delta.size == 100
+    theta = _dobrushin(spec.transitions[0])
+    assert delta.entries[0][1] == theta  # every pair is admissible at i = 1
+    assert 0 < delta.entries[0][99] <= theta**99

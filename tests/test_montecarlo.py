@@ -102,6 +102,60 @@ def test_sample_word_at_exact_cut_points():
             assert sample_word(P, _FixedStream(r)) == mixing_oracle.sample_word(P, _FixedStream(r))
 
 
+class _Draws:
+    """Stream stub that returns the given 64-bit values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def next_u64(self):
+        return self.values.pop(0)
+
+
+def test_chain_sampler_at_exact_cut_points():
+    # Initial law (0, 1/4, 3/4); after 1 the row is (1/2, 0, 1/2), after 2
+    # the chain stays.  A draw exactly on a cut goes past it, and past every
+    # null symbol behind it.
+    rows = (("1/3", "1/3", "1/3"), ("1/2", "0", "1/2"), ("0", "0", "1"))
+    P = expand_markov(MarkovSpec(("0", "1/4", "3/4"), (rows,)))
+    assert P.kernels is not None
+    dense = Measure.from_numerators(3, 2, P.nums, P.den)
+    cases = {
+        (0, 0): (1, 0),
+        (0, 2**63 - 1): (1, 0),
+        (0, 2**63): (1, 2),
+        (2**62 - 1, 2**64 - 1): (1, 2),
+        (2**62, 0): (2, 2),
+        (2**64 - 1, 2**64 - 1): (2, 2),
+    }
+    for draws, word in cases.items():
+        assert sample_word(P, _Draws(*draws)) == word
+        assert sample_word(dense, _Draws(*draws)) == word
+        assert mixing_oracle.sample_word(dense, _Draws(*draws)) == word
+
+
+def test_chain_sampler_matches_dense_copy():
+    rng = random.Random(47)
+
+    def law(m):
+        # About a third of the entries are null.
+        while True:
+            weights = [rng.choice((0, rng.randint(1, 5), rng.randint(1, 5))) for _ in range(m)]
+            if sum(weights):
+                return tuple(rat(c, sum(weights)) for c in weights)
+
+    for m, n in ((1, 3), (2, 1), (2, 6), (3, 4), (4, 3)):
+        for _ in range(3):
+            P = expand_markov(MarkovSpec(law(m), tuple(tuple(law(m) for _ in range(m)) for _ in range(n - 1))))
+            dense = Measure.from_numerators(m, n, P.nums, P.den)
+            for k in range(300):
+                streams = SampleStream(n, k), SampleStream(n, k), SampleStream(n, k)
+                word = sample_word(P, streams[0])
+                assert word == sample_word(dense, streams[1])
+                assert word == mixing_oracle.sample_word(dense, streams[2])
+                assert len({s.next_u64() for s in streams}) == 1
+
+
 def test_uniform_cell_frequencies():
     P = Measure.uniform(2, 2)
     counts = [0] * 4
