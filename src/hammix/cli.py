@@ -26,6 +26,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from typing import Any
 
 from . import __version__
@@ -51,7 +52,9 @@ _EXIT_CERTIFICATE = 2
 _EXIT_VIOLATION = 3
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="hammix",
         description="exact verification of weighted-Hamming Lipschitz and mixing bounds",

@@ -5,9 +5,10 @@ are nonnegative and sum to 1, so it shares the one exact table format: the
 table's integer numerators over its denominator.  Because the first symbol
 is most significant, the words sharing a prefix form one contiguous index
 block, so prefix masses and conditional laws are block sums over the
-measure's prefix sums of those numerators.  A Markov chain
-(:class:`MarkovSpec`) expands to its dense measure in integers too: each
-level multiplies numerators by a transition matrix's numerators.
+measure's prefix sums of those numerators.  A Markov chain has one type,
+:class:`MarkovSpec`, which holds its laws as integer kernels and expands
+to its dense measure in integers too: each level multiplies numerators by
+a transition matrix's numerators.
 
 The eta coefficient for positions i < j measures how much the conditional
 law of the tail X_j..n moves when the i-th symbol is swapped under a common
@@ -35,10 +36,9 @@ on one of two paths:
   by cross-products, and only the n - i maxima are converted to rationals.
   A row costs O(m^(n+1)) integer operations, so delta_matrix costs
   O(n m^(n+1)).
-* Kernel (a measure from :func:`expand_markov`, which records the chain's
-  integer kernels on it, or :func:`chain_delta_matrix` on the kernels
-  alone): given X_1..i = y z, X_j has law row z of T_i...T_j-1 for every
-  past y, and the rest of the tail follows the same later kernels after
+* Kernel (a measure from :func:`expand_markov`, which records its chain,
+  or :func:`chain_delta_matrix` on the chain alone): given X_1..i = y z,
+  X_j has law row z of T_i...T_j-1 for every past y, and the rest of the tail follows the same later kernels after
   either swap, so eta(i, j, y, z, z') is the TV distance between rows z
   and z' of that product (Kontorovich and Ramanan, Ann. Probab. 36(6),
   2008, whose Dobrushin product theta_i...theta_j-1 bounds it).  The rows
@@ -57,20 +57,17 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, combinations, cycle
+from math import gcd, lcm
 from numbers import Rational
 from operator import mul, sub
 from typing import Callable, Sequence
 
-from .rational import over_common_denominator, rat
-from .words import TableFunction, WeightVector, Word, word_index
+from .rational import RationalLike, rat
+from .words import TableFunction, WeightVector, project_numerators
 
 # Dense tables beyond this size are refused at the CLI boundary; library
 # callers constructing larger Measures directly are on their own.
 MAX_DENSE_TABLE = 10**6
-
-
-class ZeroPrefixProbability(ValueError):
-    """Conditioning event has probability zero."""
 
 
 class Measure(TableFunction):
@@ -78,15 +75,15 @@ class Measure(TableFunction):
 
     A table (:class:`~hammix.words.TableFunction`) whose entries are
     nonnegative and sum to 1; ``_cum`` holds the prefix sums of its integer
-    numerators, which block masses, the dense eta_bar kernel and the sampler
-    read.  A measure built by :func:`expand_markov` also carries the chain's
-    integer ``kernels``, which delta_matrix, eta_bar and the sampler use
-    instead of the table; they take no part in equality or hashing, and
-    tables derived from the measure do not carry them.
+    numerators, which the dense eta_bar kernel and the sampler read.  A
+    measure built by :func:`expand_markov` also carries its ``chain``, whose
+    integer laws delta_matrix, eta_bar and the sampler use instead of the
+    table; the chain takes no part in equality or hashing, and tables
+    derived from the measure do not carry it.
     """
 
     _cum: tuple[int, ...]
-    kernels: MarkovKernels | None = None
+    chain: MarkovSpec | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -107,105 +104,89 @@ class Measure(TableFunction):
         count = alphabet_size**arity
         return cls.from_numerators(alphabet_size, arity, (1,) * count, count)
 
-    @classmethod
-    def point_mass(cls, alphabet_size: int, arity: int, word: Word) -> "Measure":
-        nums = [0] * alphabet_size**arity
-        nums[word_index(word, alphabet_size, arity)] = 1
-        return cls.from_numerators(alphabet_size, arity, nums)
 
-    def block_mass(self, lo: int, hi: int) -> Rational:
-        """Total probability of the index range [lo, hi)."""
-        return rat(self._cum[hi] - self._cum[lo], self.den)
-
-    def prefix_block(self, prefix: Sequence[int]) -> tuple[int, int]:
-        """Index range [lo, hi) of all words starting with the prefix."""
-        block = self.alphabet_size ** (self.arity - len(prefix))
-        lo = word_index(prefix, self.alphabet_size) * block
-        return lo, lo + block
-
-    def prefix_mass(self, prefix: Sequence[int]) -> Rational:
-        lo, hi = self.prefix_block(prefix)
-        return self.block_mass(lo, hi)
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    value = rat(value)
+    return value.numerator, value.denominator
 
 
-@dataclass(frozen=True)
+def _distribution(pairs: Sequence[tuple[int, int]], what: str) -> tuple[list[int], int]:
+    """A law given as pairs (p, q), checked, over its least common denominator."""
+    den = lcm(*(q for _, q in pairs))
+    nums = [p * (den // q) for p, q in pairs]
+    if any(x < 0 for x in nums):
+        raise ValueError(f"{what} has a negative entry")
+    if sum(nums) != den:
+        raise ValueError(f"{what} must sum to exactly 1")
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+@dataclass(frozen=True, init=False)
 class MarkovSpec:
     """Time-inhomogeneous Markov chain generator for a Measure.
 
     ``initial`` is a distribution over S; ``transitions`` holds n-1
     row-stochastic m x m matrices (entry [a][b] = P(next=b | current=a)).
+    They are validated once, in integers, and kept as ``laws`` (the one row
+    of the initial law, then each matrix), each law over its own least
+    common denominator ``dens[t]``.  That form is unique, so equality and
+    hashing compare it; ``initial`` and ``transitions`` read it back.
     """
 
-    initial: tuple[Rational, ...]
-    transitions: tuple[tuple[tuple[Rational, ...], ...], ...]
+    laws: tuple[tuple[tuple[int, ...], ...], ...]
+    dens: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        init = tuple(rat(p) for p in self.initial)
-        object.__setattr__(self, "initial", init)
+    def __init__(self, initial: Sequence[RationalLike], transitions: Sequence) -> None:
+        self._set_laws(initial, transitions, _ratio)
+
+    @classmethod
+    def from_ratios(cls, initial: Sequence, transitions: Sequence) -> "MarkovSpec":
+        """The chain whose entries are the integer pairs (p, q), q > 0, with value p / q."""
+        spec = cls.__new__(cls)
+        spec._set_laws(initial, transitions, tuple)
+        return spec
+
+    def _set_laws(self, initial, transitions, ratio: Callable[..., tuple[int, int]]) -> None:
+        """Validate the chain in integers and store its laws; ``ratio`` reads one entry."""
+        init = [ratio(p) for p in initial]
         m = len(init)
         if m < 1:
             raise ValueError("initial distribution must be nonempty")
-        if any(p < 0 for p in init):
-            raise ValueError("initial distribution has a negative entry")
-        if sum(init, rat(0)) != 1:
-            raise ValueError("initial distribution must sum to exactly 1")
-        mats = []
-        for t, matrix in enumerate(self.transitions):
+        nums, den = _distribution(init, "initial distribution")
+        laws, dens = [(tuple(nums),)], [den]
+        for t, matrix in enumerate(transitions):
             if len(matrix) != m:
                 raise ValueError(f"transition matrix {t} must have {m} rows")
             rows = []
             for a, row in enumerate(matrix):
                 if len(row) != m:
                     raise ValueError(f"transition matrix {t} row {a} must have {m} entries")
-                entries = tuple(rat(p) for p in row)
-                if any(p < 0 for p in entries):
-                    raise ValueError(f"transition matrix {t} row {a} has a negative entry")
-                if sum(entries, rat(0)) != 1:
-                    raise ValueError(f"transition matrix {t} row {a} must sum to exactly 1")
-                rows.append(entries)
-            mats.append(tuple(rows))
-        object.__setattr__(self, "transitions", tuple(mats))
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.initial)
-
-    @property
-    def arity(self) -> int:
-        return len(self.transitions) + 1
-
-
-@dataclass(frozen=True)
-class MarkovKernels:
-    """A chain's initial law and transition matrices as integer numerators.
-
-    ``initial`` is over ``dens[0]``; row a of ``transitions[t]`` is over
-    ``dens[t + 1]``, so each row sums to its denominator.
-    """
-
-    initial: tuple[int, ...]
-    transitions: tuple[tuple[tuple[int, ...], ...], ...]
-    dens: tuple[int, ...]
-
-    @classmethod
-    def from_spec(cls, spec: MarkovSpec) -> "MarkovKernels":
-        """Each law of the chain over its own common denominator."""
-        m = spec.alphabet_size
-        initial, den = over_common_denominator(spec.initial)
-        mats, dens = [], [den]
-        for matrix in spec.transitions:
-            cells, den = over_common_denominator([p for row in matrix for p in row])
-            mats.append(tuple(tuple(cells[a * m : (a + 1) * m]) for a in range(m)))
+                rows.append(_distribution([ratio(p) for p in row], f"transition matrix {t} row {a}"))
+            den = lcm(*(d for _, d in rows))
+            laws.append(tuple(tuple(x * (den // d) for x in nums) for nums, d in rows))
             dens.append(den)
-        return cls(tuple(initial), tuple(mats), tuple(dens))
+        object.__setattr__(self, "laws", tuple(laws))
+        object.__setattr__(self, "dens", tuple(dens))
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.initial)
+        return len(self.laws[0][0])
 
     @property
     def arity(self) -> int:
-        return len(self.transitions) + 1
+        return len(self.laws)
+
+    @cached_property
+    def initial(self) -> tuple[Rational, ...]:
+        return tuple(rat(x, self.dens[0]) for x in self.laws[0][0])
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[tuple[Rational, ...], ...], ...]:
+        return tuple(
+            tuple(tuple(rat(x, den) for x in row) for row in rows)
+            for rows, den in zip(self.laws[1:], self.dens[1:])
+        )
 
     @cached_property
     def sampler_cuts(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -213,12 +194,11 @@ class MarkovKernels:
 
         Position 1 has the single entry for the initial law (its "state" is
         0); position t+1 has one entry per state a, for row a of
-        ``transitions[t]``.
+        ``laws[t]``.
         """
-        laws = [(self.initial,)] + list(self.transitions)
         return tuple(
             tuple((den, tuple(c << 64 for c in accumulate(row))) for row in rows)
-            for rows, den in zip(laws, self.dens)
+            for rows, den in zip(self.laws, self.dens)
         )
 
 
@@ -226,16 +206,15 @@ def expand_markov(spec: MarkovSpec) -> Measure:
     """Dense measure of the chain: P(x) = init(x1) * prod_t T_t(x_t, x_{t+1}).
 
     In integers: each level multiplies the numerators of the previous one
-    by the rows of the next kernel (the word with last symbol a continues
-    with row a), and the table reduces the product by one gcd.  The kernels
-    (:class:`MarkovKernels`) are recorded on the measure.
+    by the rows of the next law (the word with last symbol a continues
+    with row a), and the table reduces the product by one gcd.  The chain
+    is recorded on the measure.
     """
-    kernels = MarkovKernels.from_spec(spec)
-    nums = kernels.initial
-    for rows in kernels.transitions:
+    (nums,) = spec.laws[0]
+    for rows in spec.laws[1:]:
         nums = [mass * x for mass, row in zip(nums, cycle(rows)) for x in row]
-    measure = Measure.from_numerators(spec.alphabet_size, spec.arity, nums, math.prod(kernels.dens))
-    object.__setattr__(measure, "kernels", kernels)
+    measure = Measure.from_numerators(spec.alphabet_size, spec.arity, nums, math.prod(spec.dens))
+    object.__setattr__(measure, "chain", spec)
     return measure
 
 
@@ -268,8 +247,7 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
             law = cells[z_lo : z_lo + block]
             laws = [law]
             for _ in range(n - i - 1):
-                size = len(law) // m
-                law = [sum(law[t::size]) for t in range(size)]
+                law = project_numerators(law, m)
                 laws.append(law)
             tails.append((mass, laws))
         for a, (mass_a, laws_a) in enumerate(tails):
@@ -283,27 +261,24 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
     return [rat(num, den) for num, den in best]
 
 
-def _admissible_pairs(chain: MarkovKernels, i: int) -> list[tuple[int, int]]:
+def _admissible_pairs(chain: MarkovSpec, i: int) -> list[tuple[int, int]]:
     """Symbol pairs z < z' for which some past y gives y z and y z' positive mass.
 
-    For i = 1 the past is empty and both symbols need initial mass; for
-    i > 1 some state a reachable at position i-1 must move to both, that
-    is, row a of T_i-1 charges both.
+    Some state a reachable at position i-1 must move to both, that is, row
+    a of ``laws[i-1]`` charges both; position 0 has the single state 0,
+    whose row is the initial law.
     """
     m = chain.alphabet_size
-    laws = [chain.initial]
-    if i > 1:
-        reachable = [a for a in range(m) if chain.initial[a]]
-        for rows in chain.transitions[: i - 2]:
-            reachable = [b for b in range(m) if any(rows[a][b] for a in reachable)]
-        laws = [chain.transitions[i - 2][a] for a in reachable]
+    reachable = [0]
+    for rows in chain.laws[: i - 1]:
+        reachable = [b for b in range(m) if any(rows[a][b] for a in reachable)]
     pairs = set()
-    for law in laws:
-        pairs.update(combinations([z for z, p in enumerate(law) if p], 2))
+    for a in reachable:
+        pairs.update(combinations([z for z, p in enumerate(chain.laws[i - 1][a]) if p], 2))
     return sorted(pairs)
 
 
-def _chain_eta_row(chain: MarkovKernels, i: int) -> list[Rational]:
+def _chain_eta_row(chain: MarkovSpec, i: int) -> list[Rational]:
     """eta_bar(i, j) for j = i+1..n from the kernels T_i, ..., T_n-1 alone.
 
     Row z of T_i...T_j-1 is kept in integers over the product D of those
@@ -316,7 +291,7 @@ def _chain_eta_row(chain: MarkovKernels, i: int) -> list[Rational]:
     rows = {z: [int(a == z) for a in range(m)] for pair in pairs for z in pair}
     den = 1
     out = []
-    for matrix, matrix_den in zip(chain.transitions[i - 1 :], chain.dens[i:]):
+    for matrix, matrix_den in zip(chain.laws[i:], chain.dens[i:]):
         cols = list(zip(*matrix))
         rows = {z: [sum(map(mul, row, col)) for col in cols] for z, row in rows.items()}
         den *= matrix_den
@@ -329,12 +304,12 @@ def eta_bar(P: Measure, i: int, j: int) -> Rational:
     """Worst-case eta over all pasts y and symbol pairs z, z'.
 
     Triples whose conditioning prefix is null are excluded; returns 0 when
-    no admissible pair of pasts exists.  Computed from P's chain kernels
-    when it carries them, else from its table.
+    no admissible pair of pasts exists.  Computed from P's chain when it
+    carries one, else from its table.
     """
     if not 1 <= i < j <= P.arity:
         raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
-    row = _eta_bar_row(P, i) if P.kernels is None else _chain_eta_row(P.kernels, i)
+    row = _eta_bar_row(P, i) if P.chain is None else _chain_eta_row(P.chain, i)
     return row[j - i - 1]
 
 
@@ -382,10 +357,6 @@ class DeltaMatrix:
             for row in self.entries
         )
 
-    def weighted_norm_sq(self, w: WeightVector) -> Rational:
-        """||Delta w||_2^2 as an exact rational."""
-        return sum((x * x for x in self.apply(w)), rat(0))
-
 
 def _assemble(n: int, eta_row: Callable[[int], list[Rational]]) -> DeltaMatrix:
     rows = [tuple([rat(0)] * (i - 1) + [rat(1)] + eta_row(i)) for i in range(1, n + 1)]
@@ -395,15 +366,15 @@ def _assemble(n: int, eta_row: Callable[[int], list[Rational]]) -> DeltaMatrix:
 def delta_matrix(P: Measure) -> DeltaMatrix:
     """Assemble the mixing matrix of a measure, one kernel pass per row.
 
-    Uses P's chain kernels when it carries them (O(n^2 m^3)), else its
-    table (O(n m^(n+1))); both give the same rationals.
+    Uses P's chain when it carries one (O(n^2 m^3)), else its table
+    (O(n m^(n+1))); both give the same rationals.
     """
-    if P.kernels is not None:
-        return chain_delta_matrix(P.kernels)
+    if P.chain is not None:
+        return chain_delta_matrix(P.chain)
     return _assemble(P.arity, partial(_eta_bar_row, P))
 
 
-def chain_delta_matrix(chain: MarkovKernels) -> DeltaMatrix:
+def chain_delta_matrix(chain: MarkovSpec) -> DeltaMatrix:
     """The mixing matrix of a Markov chain from its kernels, with no table."""
     return _assemble(chain.arity, partial(_chain_eta_row, chain))
 

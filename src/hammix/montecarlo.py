@@ -91,16 +91,16 @@ def sample_word(P: Measure, stream: SampleStream) -> Word:
     denominator, u * M < A is r * M < A * 2^64: all comparisons are exact
     integer ones, and zero-probability branches can never be selected.
 
-    On a measure that carries its chain kernels, A / M is the cumulative
-    row c / d of the current state's kernel row, so the same test is
-    r * d < c * 2^64: one bisection over the row's cut points
-    (:attr:`~hammix.mixing.MarkovKernels.sampler_cuts`) per symbol, O(n log m)
+    On a measure that carries its chain, A / M is the cumulative row c / d
+    of the current state's kernel row, so the same test is r * d < c * 2^64:
+    one bisection over the row's cut points
+    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) per symbol, O(n log m)
     a word, with the same draws as the O(n m) scan of the table.
     """
-    if P.kernels is not None:
+    if P.chain is not None:
         symbols = []
         state = 0
-        for rows in P.kernels.sampler_cuts:
+        for rows in P.chain.sampler_cuts:
             den, cuts = rows[state]
             # r * d < d * 2^64, the last cut, so a symbol is always found;
             # a null symbol's cut equals the one before it and is never first.

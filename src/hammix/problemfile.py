@@ -15,13 +15,12 @@ without rounding; exponents, numerators and denominators are held to
 floats are not, except in ``thresholds`` / ``simulation.thresholds``,
 which are genuinely floating-point quantities.
 
-A dense ``function.table`` or ``measure.dense`` is built into its table
-once, here: entries that are JSON ints or ASCII "p" / "p/q" strings split
-straight into integer pairs, every other spelling goes through
-:func:`~hammix.rational.rat`, and the table is put over one denominator
-from those pairs, so no rational is built per entry.  The accepted
-spellings, the values and every error are those of parsing each entry
-with ``rat``.
+Dense tables and Markov chains are built once, here, from one per-entry
+reader: JSON ints and ASCII "p" / "p/q" strings split straight into
+integer pairs, every other spelling goes through
+:func:`~hammix.rational.rat`, and the table or chain is built from those
+pairs, so no rational is built per entry.  The accepted spellings, the
+values and every error are those of parsing each entry with ``rat``.
 
 Builtins avoid shipping m^n-entry tables for the canonical test functions:
 
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Any
 
-from .mixing import MAX_DENSE_TABLE, MarkovSpec, Measure
+from .mixing import MAX_DENSE_TABLE, MarkovSpec, Measure, expand_markov
 from .montecarlo import SimulationConfig
 from .rational import rat, rat_str
 from .words import TableFunction, WeightVector, Word, hamming_table, words
@@ -64,34 +63,12 @@ class ProblemFileError(ValueError):
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
-    """Either the file's dense table, built at parse time, or a builtin string."""
-
-    table: TableFunction | None = None
-    builtin: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.table is None) == (self.builtin is None):
-            raise ValueError("exactly one of table/builtin must be set")
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    dense: Measure | None = None
-    markov: MarkovSpec | None = None
-
-    def __post_init__(self) -> None:
-        if (self.dense is None) == (self.markov is None):
-            raise ValueError("exactly one of dense/markov must be set")
-
-
-@dataclass(frozen=True)
 class ProblemFile:
     alphabet: int
     n: int
     weights: WeightVector | None
-    function: FunctionSpec | None
-    measure: MeasureSpec | None
+    function: TableFunction | str | None  # a builtin is expanded on resolve
+    measure: Measure | MarkovSpec | None  # so is a chain
     v: Rational
     thresholds: tuple[float, ...]
     simulation: SimulationConfig | None
@@ -176,19 +153,15 @@ def _split_ratio(entry: Any) -> tuple[int, int] | None:
     return None
 
 
-def _parse_ratios(table: Any, m: int, n: int, path: str, nonnegative: bool = False):
-    """The table's entries as integer pairs (p, q), q > 0, with value p / q.
+def _parse_ratios(entries: list, path: str, nonnegative: bool = False) -> list[tuple[int, int]]:
+    """The entries as integer pairs (p, q), q > 0, with value p / q.
 
     Entries that :func:`_split_ratio` cannot take, or that break the sign
     rule, go through :func:`_parse_rational`, which either returns the
     value or raises the field's error.
     """
-    if not isinstance(table, list):
-        raise ProblemFileError(path, "expected a list of rationals")
-    if len(table) != _word_count(m, n, len(table)):
-        raise ProblemFileError(path, f"expected {m}^{n} entries, got {len(table)}")
     ratios = []
-    for i, entry in enumerate(table):
+    for i, entry in enumerate(entries):
         pair = _split_ratio(entry)
         if pair is None or (nonnegative and pair[0] < 0):
             value = _parse_rational(entry, f"{path}[{i}]", nonnegative=nonnegative)
@@ -197,10 +170,19 @@ def _parse_ratios(table: Any, m: int, n: int, path: str, nonnegative: bool = Fal
     return ratios
 
 
-def _parse_function(value: Any, m: int, n: int) -> FunctionSpec:
+def _parse_table(table: Any, m: int, n: int, path: str, nonnegative: bool = False):
+    """A dense table's entries as integer pairs, after checking its length."""
+    if not isinstance(table, list):
+        raise ProblemFileError(path, "expected a list of rationals")
+    if len(table) != _word_count(m, n, len(table)):
+        raise ProblemFileError(path, f"expected {m}^{n} entries, got {len(table)}")
+    return _parse_ratios(table, path, nonnegative)
+
+
+def _parse_function(value: Any, m: int, n: int) -> TableFunction | str:
     if isinstance(value, dict) and "table" in value:
-        ratios = _parse_ratios(value["table"], m, n, "function.table")
-        return FunctionSpec(table=TableFunction.from_ratios(m, n, ratios))
+        ratios = _parse_table(value["table"], m, n, "function.table")
+        return TableFunction.from_ratios(m, n, ratios)
     if isinstance(value, dict) and "builtin" in value:
         value = value["builtin"]
     if isinstance(value, str):
@@ -213,17 +195,17 @@ def _parse_function(value: Any, m: int, n: int) -> FunctionSpec:
             if ":" not in value:
                 raise ProblemFileError("function.builtin", f"{name} needs an argument word")
             _parse_word(value.split(":", 1)[1], m, n, "function.builtin")
-        return FunctionSpec(builtin=value)
+        return value
     raise ProblemFileError("function", f"expected a table or builtin, got {value!r}")
 
 
-def _parse_measure(value: Any, m: int, n: int) -> MeasureSpec:
+def _parse_measure(value: Any, m: int, n: int) -> Measure | MarkovSpec:
     if not isinstance(value, dict):
         raise ProblemFileError("measure", f"expected an object, got {value!r}")
     if "dense" in value:
-        ratios = _parse_ratios(value["dense"], m, n, "measure.dense", nonnegative=True)
+        ratios = _parse_table(value["dense"], m, n, "measure.dense", nonnegative=True)
         try:
-            return MeasureSpec(dense=Measure.from_ratios(m, n, ratios))
+            return Measure.from_ratios(m, n, ratios)
         except ValueError:  # the entries are nonnegative, so only sum(nums) == den can fail
             raise ProblemFileError("measure.dense", "entries must sum to exactly 1") from None
     if "markov" in value:
@@ -238,38 +220,22 @@ def _parse_measure(value: Any, m: int, n: int) -> MeasureSpec:
             raise ProblemFileError(
                 "measure.markov.transitions", f"expected {n - 1} transition matrices"
             )
-        init_vals = tuple(
-            _parse_rational(p, f"measure.markov.init[{i}]", nonnegative=True)
-            for i, p in enumerate(init)
-        )
+        init = _parse_ratios(init, "measure.markov.init", nonnegative=True)
         mats = []
         for t, matrix in enumerate(transitions):
+            path = f"measure.markov.transitions[{t}]"
             if not isinstance(matrix, list) or len(matrix) != m:
-                raise ProblemFileError(
-                    f"measure.markov.transitions[{t}]", f"expected {m} rows"
-                )
+                raise ProblemFileError(path, f"expected {m} rows")
             rows = []
             for a, row in enumerate(matrix):
                 if not isinstance(row, list) or len(row) != m:
-                    raise ProblemFileError(
-                        f"measure.markov.transitions[{t}][{a}]", f"expected {m} entries"
-                    )
-                rows.append(
-                    tuple(
-                        _parse_rational(
-                            p,
-                            f"measure.markov.transitions[{t}][{a}][{b}]",
-                            nonnegative=True,
-                        )
-                        for b, p in enumerate(row)
-                    )
-                )
-            mats.append(tuple(rows))
+                    raise ProblemFileError(f"{path}[{a}]", f"expected {m} entries")
+                rows.append(_parse_ratios(row, f"{path}[{a}]", nonnegative=True))
+            mats.append(rows)
         try:
-            markov = MarkovSpec(init_vals, tuple(mats))
-        except ValueError as exc:
+            return MarkovSpec.from_ratios(init, mats)
+        except ValueError as exc:  # the entries are nonnegative: a law does not sum to 1
             raise ProblemFileError("measure.markov", str(exc)) from None
-        return MeasureSpec(markov=markov)
     raise ProblemFileError("measure", "expected a 'dense' or 'markov' key")
 
 
@@ -350,11 +316,9 @@ def resolve_function(
         raise ProblemFileError("function", "this subcommand needs a 'function' section")
     m, n = problem.alphabet, problem.n
     _check_table_size(m, n, max_table)
-    spec = problem.function
-    if spec.table is not None:
-        return spec.table
-    builtin = spec.builtin
-    name, _, arg = builtin.partition(":")
+    if isinstance(problem.function, TableFunction):
+        return problem.function
+    name, _, arg = problem.function.partition(":")
     if name == "sum_of_symbols":
         return TableFunction.from_numerators(m, n, map(sum, words(m, n)))
     target = _parse_word(arg, m, n, "function.builtin")
@@ -372,13 +336,10 @@ def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> M
     """Dense measure for the file's measure section."""
     if problem.measure is None:
         raise ProblemFileError("measure", "this subcommand needs a 'measure' section")
-    m, n = problem.alphabet, problem.n
-    _check_table_size(m, n, max_table)
-    if problem.measure.dense is not None:
-        return problem.measure.dense
-    from .mixing import expand_markov
-
-    return expand_markov(problem.measure.markov)
+    _check_table_size(problem.alphabet, problem.n, max_table)
+    if isinstance(problem.measure, Measure):
+        return problem.measure
+    return expand_markov(problem.measure)
 
 
 def _word_count(m: int, n: int, cap: int) -> int:

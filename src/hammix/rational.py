@@ -137,6 +137,3 @@ def rat_from_float(value: float) -> Rational:
     """Exact rational value of a float (its binary expansion, no rounding)."""
     return _mpq(Fraction(value))
 
-
-ZERO = rat(0)
-ONE = rat(1)

@@ -61,10 +61,6 @@ class WeightVector:
     def total(self) -> Rational:
         return sum(self.entries, rat(0))
 
-    def suffix(self, start: int) -> "WeightVector":
-        """Weights for coordinates start..n (0-based start index)."""
-        return WeightVector(self.entries[start:])
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class TableFunction:

@@ -7,7 +7,9 @@ rational product per cell and level, every conditional law is rebuilt
 from its prefix block in backend rationals and divided by its mass, every
 total-variation distance is taken in rationals, and every ``(i, j)`` entry
 is a separate pass.  The library's fraction-free code must return the same
-rationals (and its integer sampler the same words) on every input.
+rationals (and its integer sampler the same words) on every input.  The
+prefix-mass helpers, point masses and ``||Delta w||^2`` that the tests
+build their cases and checks from live here too.
 """
 
 from __future__ import annotations
@@ -15,12 +17,44 @@ from __future__ import annotations
 from numbers import Rational
 from typing import Sequence
 
-from hammix.mixing import DeltaMatrix, MarkovSpec, Measure, ZeroPrefixProbability
+from hammix.mixing import DeltaMatrix, MarkovSpec, Measure
 from hammix.montecarlo import SampleStream
 from hammix.rational import rat
-from hammix.words import Word, words
+from hammix.words import WeightVector, Word, word_index, words
 
 _TWO64 = 1 << 64
+
+
+class ZeroPrefixProbability(ValueError):
+    """Conditioning event has probability zero."""
+
+
+def point_mass(m: int, n: int, word: Word) -> Measure:
+    """The measure that puts all its mass on one word."""
+    nums = [0] * m**n
+    nums[word_index(word, m, n)] = 1
+    return Measure.from_numerators(m, n, nums)
+
+
+def block_mass(P: Measure, lo: int, hi: int) -> Rational:
+    """Total probability of the index range [lo, hi)."""
+    return rat(P._cum[hi] - P._cum[lo], P.den)
+
+
+def prefix_block(P: Measure, prefix: Sequence[int]) -> tuple[int, int]:
+    """Index range [lo, hi) of all words starting with the prefix."""
+    block = P.alphabet_size ** (P.arity - len(prefix))
+    lo = word_index(prefix, P.alphabet_size) * block
+    return lo, lo + block
+
+
+def prefix_mass(P: Measure, prefix: Sequence[int]) -> Rational:
+    return block_mass(P, *prefix_block(P, prefix))
+
+
+def weighted_norm_sq(D: DeltaMatrix, w: WeightVector) -> Rational:
+    """||Delta w||_2^2 as an exact rational."""
+    return sum((x * x for x in D.apply(w)), rat(0))
 
 
 def expand_markov(spec: MarkovSpec) -> Measure:
@@ -49,8 +83,8 @@ def conditional_law(P: Measure, prefix: Sequence[int], j: int) -> tuple[Rational
     n = P.arity
     if not i < j <= n:
         raise ValueError(f"need len(prefix) < j <= arity, got i={i}, j={j}, n={n}")
-    lo, hi = P.prefix_block(prefix)
-    mass = P.block_mass(lo, hi)
+    lo, hi = prefix_block(P, prefix)
+    mass = block_mass(P, lo, hi)
     if mass == 0:
         raise ZeroPrefixProbability(f"prefix {tuple(prefix)} has probability zero")
     m = P.alphabet_size
@@ -99,7 +133,7 @@ def eta_bar(P: Measure, i: int, j: int) -> Rational:
         laws = []
         for z in range(m):
             prefix = y + (z,)
-            if P.prefix_mass(prefix) == 0:
+            if prefix_mass(P, prefix) == 0:
                 continue
             laws.append(conditional_law(P, prefix, j))
         for a in range(len(laws)):
@@ -134,11 +168,11 @@ def sample_word(P: Measure, stream: SampleStream) -> Word:
     symbols = []
     for _ in range(P.arity):
         block //= m
-        mass = P.block_mass(lo, lo + block * m)
+        mass = block_mass(P, lo, lo + block * m)
         target = rat(stream.next_u64(), _TWO64) * mass
         acc = rat(0)
         for a in range(m):
-            acc += P.block_mass(lo + a * block, lo + (a + 1) * block)
+            acc += block_mass(P, lo + a * block, lo + (a + 1) * block)
             if target < acc:
                 symbols.append(a)
                 lo += a * block

@@ -15,11 +15,12 @@ from numbers import Rational
 from typing import Sequence
 
 from hammix.martingale import MartingaleProfile
-from hammix.mixing import Measure, ZeroPrefixProbability
+from hammix.mixing import Measure
 from hammix.montecarlo import SampleStream, SimulationConfig, sample_word
 from hammix.psi import ramp
 from hammix.rational import rat, rat_from_float
 from hammix.words import TableFunction, WeightVector, word_index, words
+from mixing_oracle import ZeroPrefixProbability, block_mass, prefix_block
 
 
 def marginal_projection(k: TableFunction) -> TableFunction:
@@ -93,8 +94,8 @@ def conditional_expectation(f: TableFunction, P: Measure, prefix: Sequence[int])
     """E[f(X) | X_1..i = prefix], exact; the empty prefix gives E f."""
     if f.alphabet_size != P.alphabet_size or f.arity != P.arity:
         raise ValueError("function and measure shapes do not match")
-    lo, hi = P.prefix_block(prefix)
-    mass = P.block_mass(lo, hi)
+    lo, hi = prefix_block(P, prefix)
+    mass = block_mass(P, lo, hi)
     if mass == 0:
         raise ZeroPrefixProbability(f"prefix {tuple(prefix)} has probability zero")
     weighted = sum(
@@ -127,11 +128,11 @@ def _profile_level(f: TableFunction, P: Measure, fp_cum: Sequence[Rational], i: 
     best = rat(0)
     for p in range(m**i):
         lo = p * block
-        mass = P.block_mass(lo, lo + block)
+        mass = block_mass(P, lo, lo + block)
         if mass == 0:
             continue
         plo = (p // m) * parent_block
-        parent_mass = P.block_mass(plo, plo + parent_block)
+        parent_mass = block_mass(P, plo, plo + parent_block)
         child = (fp_cum[lo + block] - fp_cum[lo]) / mass
         parent = (fp_cum[plo + parent_block] - fp_cum[plo]) / parent_mass
         best = max(best, abs(child - parent))

@@ -133,6 +133,18 @@ def test_simulate_subcommand_and_seed_override(capsys, chain_file):
     assert payload3["seed"] == 99
 
 
+def test_one_parser_per_process_keeps_no_state_between_calls(capsys, chain_file):
+    assert cli._parser() is cli._parser()
+    code, payload, _ = _run(capsys, ["simulate", "--seed", "5", "--max-table", "4", chain_file])
+    assert (code, payload["seed"]) == (0, 5)
+    code, payload, _ = _run(capsys, ["simulate", chain_file])
+    assert (code, payload["seed"]) == (0, 11)  # the file's seed
+    code, _, err = _run(capsys, ["bound", "--max-table", "3", chain_file])
+    assert code == 1 and "exceeds" in err
+    code, payload, _ = _run(capsys, ["bound", chain_file])
+    assert code == 0 and payload["lipschitz"] == "1/1"
+
+
 def test_selftest_subcommand(capsys):
     code, payload, err = _run(
         capsys, ["selftest", "--instances", "8", "--seed", "3", "--mc-samples", "1500"]

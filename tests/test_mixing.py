@@ -13,17 +13,25 @@ from hammix.instances import (
 )
 from hammix.mixing import (
     DeltaMatrix,
-    MarkovKernels,
     MarkovSpec,
     Measure,
-    ZeroPrefixProbability,
     chain_delta_matrix,
     delta_matrix,
     eta_bar,
     expand_markov,
     operator_norm_2,
 )
-from mixing_oracle import conditional_law, eta, tv_distance
+from mixing_oracle import (
+    ZeroPrefixProbability,
+    block_mass,
+    conditional_law,
+    eta,
+    point_mass,
+    prefix_block,
+    prefix_mass,
+    tv_distance,
+    weighted_norm_sq,
+)
 from hammix.rational import rat
 from hammix.words import TableFunction, WeightVector, marginal_projection, words, y_section
 
@@ -40,17 +48,27 @@ def test_measure_validation():
         Measure(2, 1, (rat(3, 2), rat(-1, 2)))
     with pytest.raises(ValueError):
         Measure(2, 2, (rat(1),))
-    assert Measure.uniform(3, 2).prefix_mass((0,)) == rat(1, 3)
-    assert Measure.point_mass(2, 2, (1, 0)).probabilities == (0, 0, 1, 0)
+    assert prefix_mass(Measure.uniform(3, 2), (0,)) == rat(1, 3)
+    assert point_mass(2, 2, (1, 0)).probabilities == (0, 0, 1, 0)
 
 
 def test_markov_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="initial distribution must sum"):
         MarkovSpec((rat(1, 2), rat(1, 3)), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 0 must sum"):
         MarkovSpec((rat(1),), (((rat(1, 2),),),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix 0 must have 2 rows"):
         MarkovSpec((rat(1, 2), rat(1, 2)), (((rat(1), rat(0)),),))
+    half = ("1/2", "1/2")
+    for init, rows, message in [
+        ((), (), "initial distribution must be nonempty"),
+        (("3/2", "-1/2"), (), "initial distribution has a negative entry"),
+        (half, (half, ("3/2", "-1/2")), "transition matrix 0 row 1 has a negative entry"),
+        (half, (half, ("1/2",)), "transition matrix 0 row 1 must have 2 entries"),
+        (half, (("1/2", "1/4"), ("x",)), "transition matrix 0 row 0 must sum"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            MarkovSpec(init, (rows,) if rows else ())
 
 
 def test_expand_markov_n1_is_initial():
@@ -121,15 +139,15 @@ def test_conditional_law_last_symbol_by_direct_normalization():
     P = random_dense_measure(rng, 3, 3, allow_zeros=False)
     for prefix in words(3, 2):
         law = conditional_law(P, prefix, 3)
-        lo, hi = P.prefix_block(prefix)
-        mass = P.block_mass(lo, hi)
+        lo, hi = prefix_block(P, prefix)
+        mass = block_mass(P, lo, hi)
         direct = tuple(P.probabilities[lo + s] / mass for s in range(3))
         assert law == direct
         assert sum(law, rat(0)) == 1
 
 
 def test_conditional_law_null_prefix_raises():
-    P = Measure.point_mass(2, 2, (0, 0))
+    P = point_mass(2, 2, (0, 0))
     with pytest.raises(ZeroPrefixProbability):
         conditional_law(P, (1,), 2)
     with pytest.raises(ValueError):
@@ -174,7 +192,7 @@ def test_eta_symmetric_and_bounded_on_random_measures():
 
 
 def test_eta_null_prefix_raises():
-    P = Measure.point_mass(2, 2, (0, 1))
+    P = point_mass(2, 2, (0, 1))
     with pytest.raises(ZeroPrefixProbability):
         eta(P, 1, 2, (), 0, 1)
 
@@ -202,7 +220,7 @@ def test_eta_bar_product_is_zero():
 def test_eta_bar_skips_null_prefixes():
     # Only one admissible symbol after the forced first coordinate: the max
     # ranges over an empty pair set and must be 0, not an error.
-    P = Measure.point_mass(2, 3, (0, 1, 0))
+    P = point_mass(2, 3, (0, 1, 0))
     assert eta_bar(P, 1, 2) == 0
     assert eta_bar(P, 2, 3) == 0
 
@@ -245,7 +263,7 @@ def test_delta_apply_and_norm_sq():
     d = DeltaMatrix(((1, rat(4, 5)), (0, 1)))
     w = WeightVector((1, 1))
     assert d.apply(w) == (rat(9, 5), rat(1))
-    assert d.weighted_norm_sq(w) == rat(106, 25)
+    assert weighted_norm_sq(d, w) == rat(106, 25)
     # Independent recomputation of ||Delta w||^2 entry by entry.
     manual = sum(
         (sum((d.entries[i][j] * w[j] for j in range(2)), rat(0)) ** 2 for i in range(2)),
@@ -275,7 +293,7 @@ def test_operator_norm_dominates_weighted_action():
         P = random_dense_measure(rng, 2, 3, allow_zeros=False)
         d = delta_matrix(P)
         w = WeightVector([rat(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(3)])
-        lhs = math.sqrt(float(d.weighted_norm_sq(w)))
+        lhs = math.sqrt(float(weighted_norm_sq(d, w)))
         w_norm = math.sqrt(float(sum((x * x for x in w), rat(0))))
         assert lhs <= operator_norm_2(d) * w_norm + 1e-9
 
@@ -286,7 +304,7 @@ def test_conditional_laws_sum_to_one():
         P = random_dense_measure(rng, 2, 3)
         for i in (1, 2):
             for prefix in words(2, i):
-                if P.prefix_mass(prefix) == 0:
+                if prefix_mass(P, prefix) == 0:
                     continue
                 law = conditional_law(P, prefix, i + 1)
                 assert sum(law, rat(0)) == 1
@@ -333,7 +351,7 @@ def _oracle_cases():
         yield f"markov-m{m}n{n}", random_markov_measure(rng, m, n)
         yield f"product-m{m}n{n}", random_product_measure(rng, m, n)
         word = tuple(rng.randrange(m) for _ in range(n))
-        yield f"point-m{m}n{n}", Measure.point_mass(m, n, word)
+        yield f"point-m{m}n{n}", point_mass(m, n, word)
     for m, n in ((2, 4), (3, 3)):
         yield f"forced-m{m}n{n}", _forced_second_symbol(rng, m, n)
 
@@ -354,7 +372,7 @@ def test_oracle_cases_cover_null_prefixes_and_forced_positions():
     # null prefix blocks, and on the forced measures row 2 must be all 0
     # while row 1 is not.
     assert any(
-        P.prefix_mass(prefix) == 0
+        prefix_mass(P, prefix) == 0
         for name, P in ORACLE_CASES
         if name.startswith("markov0")
         for prefix in words(P.alphabet_size, 2)
@@ -406,9 +424,9 @@ def _dense_copy(P):
 def test_kernel_delta_matches_dense_kernel_and_oracle(spec):
     P = expand_markov(spec)
     dense = _dense_copy(P)
-    assert P.kernels is not None and dense.kernels is None
+    assert P.chain == spec and dense.chain is None
     kernel = delta_matrix(P)
-    assert kernel == chain_delta_matrix(MarkovKernels.from_spec(spec))
+    assert kernel == chain_delta_matrix(spec)
     assert kernel == delta_matrix(dense)
     assert kernel == mixing_oracle.delta_matrix(dense)
     for i in range(1, P.arity + 1):
@@ -418,13 +436,12 @@ def test_kernel_delta_matches_dense_kernel_and_oracle(spec):
 
 def test_kernel_chains_cover_the_admissibility_cases():
     specs = dict(KERNEL_CHAINS)
-    kernels = [MarkovKernels.from_spec(spec) for spec in specs.values()]
-    assert any(0 in k.initial for k in kernels)
-    assert any(0 in row for k in kernels for rows in k.transitions for row in rows)
-    assert {1, 2} <= {k.arity for k in kernels}
-    assert any(k.alphabet_size == 1 for k in kernels)
+    assert any(0 in spec.initial for spec in specs.values())
+    assert any(0 in row for spec in specs.values() for rows in spec.transitions for row in rows)
+    assert {1, 2} <= {spec.arity for spec in specs.values()}
+    assert any(spec.alphabet_size == 1 for spec in specs.values())
     unreachable = expand_markov(specs["unreachable"])
-    assert unreachable.prefix_mass((0, 2)) == unreachable.prefix_mass((1, 2)) == 0
+    assert prefix_mass(unreachable, (0, 2)) == prefix_mass(unreachable, (1, 2)) == 0
     assert eta_bar(unreachable, 3, 4) == 0  # 1 if state 2 were counted
     forced = delta_matrix(expand_markov(specs["forced"])).entries
     assert forced[0][1] > 0
@@ -454,9 +471,9 @@ def test_chain_measure_equals_and_hashes_like_its_dense_copy():
         assert P == dense and hash(P) == hash(dense)
         assert P == mixing_oracle.expand_markov(spec)
     P = expand_markov(_chain(3))
-    assert P.kernels == MarkovKernels.from_spec(_chain(3))
+    assert P.chain == _chain(3)
     for derived in (marginal_projection(P), y_section(P, 1), _dense_copy(P)):
-        assert getattr(derived, "kernels", None) is None
+        assert getattr(derived, "chain", None) is None
 
 
 def test_kernel_delta_of_a_long_chain_builds_no_table(monkeypatch):
@@ -468,7 +485,7 @@ def test_kernel_delta_of_a_long_chain_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(TableFunction, "__post_init__", no_table)
     start = time.process_time()
-    delta = chain_delta_matrix(MarkovKernels.from_spec(spec))
+    delta = chain_delta_matrix(spec)
     assert time.process_time() - start < 1.0
     assert delta.size == 100
     theta = _dobrushin(spec.transitions[0])

@@ -44,7 +44,7 @@ def test_simulation_config_validation():
 
 
 def test_point_mass_always_sampled():
-    P = Measure.point_mass(2, 3, (1, 0, 1))
+    P = mixing_oracle.point_mass(2, 3, (1, 0, 1))
     for k in range(50):
         assert sample_word(P, SampleStream(7, k)) == (1, 0, 1)
 
@@ -118,7 +118,7 @@ def test_chain_sampler_at_exact_cut_points():
     # null symbol behind it.
     rows = (("1/3", "1/3", "1/3"), ("1/2", "0", "1/2"), ("0", "0", "1"))
     P = expand_markov(MarkovSpec(("0", "1/4", "3/4"), (rows,)))
-    assert P.kernels is not None
+    assert P.chain is not None
     dense = Measure.from_numerators(3, 2, P.nums, P.den)
     cases = {
         (0, 0): (1, 0),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hammix.mixing import Measure, expand_markov
+from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.problemfile import (
     ProblemFile,
     ProblemFileError,
@@ -13,7 +13,7 @@ from hammix.problemfile import (
     resolve_function,
     resolve_measure,
 )
-from hammix.rational import DigitLimitError, rat, rat_str
+from hammix.rational import DigitLimitError, over_common_denominator, rat, rat_str
 from hammix.words import TableFunction
 
 
@@ -22,25 +22,23 @@ def problem_to_jsonable(problem: ProblemFile) -> dict:
     doc: dict[str, Any] = {"alphabet": problem.alphabet, "n": problem.n}
     if problem.weights is not None:
         doc["weights"] = [rat_str(e) for e in problem.weights]
-    if problem.function is not None:
-        if problem.function.table is not None:
-            doc["function"] = {"table": [rat_str(x) for x in problem.function.table.values]}
-        else:
-            doc["function"] = {"builtin": problem.function.builtin}
-    if problem.measure is not None:
-        if problem.measure.dense is not None:
-            doc["measure"] = {"dense": [rat_str(p) for p in problem.measure.dense.values]}
-        else:
-            markov = problem.measure.markov
-            doc["measure"] = {
-                "markov": {
-                    "init": [rat_str(p) for p in markov.initial],
-                    "transitions": [
-                        [[rat_str(p) for p in row] for row in matrix]
-                        for matrix in markov.transitions
-                    ],
-                }
+    if isinstance(problem.function, TableFunction):
+        doc["function"] = {"table": [rat_str(x) for x in problem.function.values]}
+    elif problem.function is not None:
+        doc["function"] = {"builtin": problem.function}
+    if isinstance(problem.measure, Measure):
+        doc["measure"] = {"dense": [rat_str(p) for p in problem.measure.values]}
+    elif problem.measure is not None:
+        markov = problem.measure
+        doc["measure"] = {
+            "markov": {
+                "init": [rat_str(p) for p in markov.initial],
+                "transitions": [
+                    [[rat_str(p) for p in row] for row in matrix]
+                    for matrix in markov.transitions
+                ],
             }
+        }
     doc["v"] = rat_str(problem.v)
     if problem.thresholds:
         doc["thresholds"] = list(problem.thresholds)
@@ -73,8 +71,8 @@ def test_parse_full_document():
     assert problem.alphabet == 2
     assert problem.n == 2
     assert problem.weights.entries == (rat(1), rat(1))
-    assert problem.function.table.values == (rat(1), 0, 0, rat(-1))
-    assert problem.measure.dense.values[0] == rat(9, 20)
+    assert problem.function.values == (rat(1), 0, 0, rat(-1))
+    assert problem.measure.values[0] == rat(9, 20)
     assert problem.v == rat(1, 2)
     assert problem.thresholds == (1.0, 2.0)
     assert problem.simulation.sample_count == 100
@@ -125,7 +123,7 @@ def test_resolve_markov_measure():
         )
     )
     P = resolve_measure(problem)
-    assert P == expand_markov(problem.measure.markov)
+    assert P == expand_markov(problem.measure)
     assert P.probabilities[0] == rat(9, 20)
 
 
@@ -314,7 +312,7 @@ def _assert_same_table(new, old):
 @settings(max_examples=300, deadline=None)
 def test_integer_table_parse_matches_rational_parse(entries):
     doc = {"alphabet": 2, "n": 2, "function": {"table": entries}}
-    new = _outcome(lambda: parse_problem(doc).function.table)
+    new = _outcome(lambda: parse_problem(doc).function)
     old = _outcome(lambda: TableFunction(2, 2, _per_entry(entries, "function.table")))
     _assert_same_table(new, old)
 
@@ -324,7 +322,7 @@ def test_integer_table_parse_matches_rational_parse(entries):
 def test_integer_measure_parse_matches_rational_parse(entries):
     entries = entries + [_completion(entries)]
     doc = {"alphabet": 2, "n": 2, "measure": {"dense": entries}}
-    new = _outcome(lambda: parse_problem(doc).measure.dense)
+    new = _outcome(lambda: parse_problem(doc).measure)
     old = _outcome(lambda: _old_measure(entries))
     _assert_same_table(new, old)
 
@@ -342,6 +340,135 @@ def test_integer_measure_parse_matches_rational_parse(entries):
 )
 def test_dense_measure_spellings_match_rational_parse(entries):
     doc = {"alphabet": 2, "n": 2, "measure": {"dense": entries}}
-    new = _outcome(lambda: parse_problem(doc).measure.dense)
+    new = _outcome(lambda: parse_problem(doc).measure)
     old = _outcome(lambda: _old_measure(entries))
     _assert_same_table(new, old)
+
+
+# Integer chain parse against the per-entry rational parse ---------------
+
+
+def _old_chain(section, m, n):
+    """The rational parse of a chain: one _parse_rational per entry, in
+    order, with the shape checks between them, then a rational sum per law."""
+    init, transitions = section["init"], section["transitions"]
+    if not isinstance(init, list) or len(init) != m:
+        raise ProblemFileError("measure.markov.init", f"expected {m} entries")
+    if not isinstance(transitions, list) or len(transitions) != n - 1:
+        raise ProblemFileError("measure.markov.transitions", f"expected {n - 1} transition matrices")
+    init = _per_entry(init, "measure.markov.init", nonnegative=True)
+    mats = []
+    for t, matrix in enumerate(transitions):
+        path = f"measure.markov.transitions[{t}]"
+        if not isinstance(matrix, list) or len(matrix) != m:
+            raise ProblemFileError(path, f"expected {m} rows")
+        rows = []
+        for a, row in enumerate(matrix):
+            if not isinstance(row, list) or len(row) != m:
+                raise ProblemFileError(f"{path}[{a}]", f"expected {m} entries")
+            rows.append(_per_entry(row, f"{path}[{a}]", nonnegative=True))
+        mats.append(tuple(rows))
+    laws = [("initial distribution", init)]
+    laws += [(f"transition matrix {t} row {a}", row) for t, rows in enumerate(mats) for a, row in enumerate(rows)]
+    for what, law in laws:
+        if sum(law, rat(0)) != 1:
+            raise ProblemFileError("measure.markov", f"{what} must sum to exactly 1")
+    return init, tuple(mats)
+
+
+def _assert_same_chain(section, m, n):
+    doc = {"alphabet": m, "n": n, "measure": {"markov": section}}
+    new = _outcome(lambda: parse_problem(doc).measure)
+    old = _outcome(lambda: _old_chain(section, m, n))
+    assert new[1] == old[1]
+    if old[0] is not None:
+        init, mats = old[0]
+        spec = new[0]
+        assert type(spec) is MarkovSpec
+        assert (spec.initial, spec.transitions) == (init, mats)
+        # Each law over the least common denominator of its reduced entries.
+        laws = [[init]] + [list(rows) for rows in mats]
+        for law, rows, den in zip(laws, spec.laws, spec.dens, strict=True):
+            cells, expected_den = over_common_denominator([p for row in law for p in row])
+            assert den == expected_den
+            assert [x for row in rows for x in row] == cells
+
+
+@st.composite
+def markov_sections(draw):
+    """(section, m, n): chains whose rows often sum to 1, with occasional
+    wrong row lengths, row counts, matrix counts and non-list rows."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = probability_spellings | probability_spellings | table_entries
+
+    def law():
+        row = draw(st.lists(entries, min_size=m - 1, max_size=m - 1))
+        row.append(_completion(row))
+        # Hypothesis favours the ends of a range, so the flaws sit inside it.
+        flaw = draw(st.integers(0, 59))
+        if flaw == 20:
+            return row[:-1]
+        if flaw == 21:
+            return row + ["0"]
+        if flaw == 22:
+            return draw(st.sampled_from(("1", None, {"row": row})))
+        if flaw in (23, 24):
+            row[-1] = draw(st.sampled_from(("0", "1", "1/7")))
+        return row
+
+    def matrix():
+        rows = [law() for _ in range(m)]
+        return rows[:-1] if draw(st.integers(0, 59)) == 20 else rows
+
+    transitions = [matrix() for _ in range(n - 1)]
+    if draw(st.integers(0, 59)) == 20:
+        transitions.append(matrix())
+    return {"init": law(), "transitions": transitions}, m, n
+
+
+@given(markov_sections())
+@settings(max_examples=300, deadline=None)
+def test_integer_chain_parse_matches_rational_parse(case):
+    _assert_same_chain(*case)
+
+
+_TWO_STATE = ["1/2", "1/2"]
+
+
+@pytest.mark.parametrize(
+    "init,rows",
+    [
+        (["2/4", "1e-1"], [["1e-1", "0.9"], ["٣/12", " 3/4 "]]),
+        ([" 1/4 ", "0.75"], [["2/4", "2/4"], ["1", "0"]]),
+        ([0, 1], [["-0", "+1"], ["1/3", "4/6"]]),
+        (["-1/2", "3/2"], [_TWO_STATE, _TWO_STATE]),
+        (_TWO_STATE, [["1/2", "-1/2"], _TWO_STATE]),
+        (["1/2", "1/3"], [_TWO_STATE, _TWO_STATE]),
+        (_TWO_STATE, [_TWO_STATE, ["1/3", "1/3"]]),
+        (["1/2", "1/3"], [_TWO_STATE, ["x", "1"]]),  # a bad entry is found before a bad sum
+        (_TWO_STATE, [_TWO_STATE, ["1/2"]]),
+        (_TWO_STATE, [_TWO_STATE]),
+        (_TWO_STATE, [_TWO_STATE, _TWO_STATE, _TWO_STATE]),
+        (["1/2"], [_TWO_STATE, _TWO_STATE]),
+        (_TWO_STATE, [["1" * 5000, "0"], _TWO_STATE]),
+        (_TWO_STATE, [["1e-4301", "1"], _TWO_STATE]),
+        (_TWO_STATE, [["1/" + "7" * 4301, "1"], _TWO_STATE]),
+    ],
+)
+def test_chain_spellings_match_rational_parse(init, rows):
+    _assert_same_chain({"init": init, "transitions": [rows]}, 2, 2)
+
+
+def test_chain_from_strings_rationals_and_file_are_equal():
+    rows = (("9/10", "1/10"), ("2/4", "0.5"))
+    from_strings = MarkovSpec(("1/4", "3/4"), (rows,))
+    from_rationals = MarkovSpec(
+        initial=(rat(1, 4), rat(3, 4)),
+        transitions=(((rat(9, 10), rat(1, 10)), (rat(1, 2), rat(1, 2))),),
+    )
+    doc = _doc(measure={"markov": {"init": ["0.25", "3/4"], "transitions": [[list(r) for r in rows]]}})
+    from_file = parse_problem(doc).measure
+    assert from_strings == from_rationals == from_file
+    assert hash(from_strings) == hash(from_rationals) == hash(from_file)
+    assert from_file.initial == (rat(1, 4), rat(3, 4))
+    assert from_file.transitions == (((rat(9, 10), rat(1, 10)), (rat(1, 2), rat(1, 2))),)

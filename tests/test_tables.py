@@ -24,11 +24,12 @@ from hammix.instances import (
     random_weights,
 )
 from hammix.lipschitz_lp import lipschitz_constant
-from hammix.mixing import Measure, ZeroPrefixProbability
+from hammix.mixing import Measure
 from hammix.montecarlo import SimulationConfig, empirical_tail
 from hammix.psi import psi, psi_decomposition_rhs
 from hammix.rational import rat
 from hammix.words import TableFunction, marginal_projection, words, y_section
+from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass
 
 SHAPES = [(1, 0), (1, 3), (2, 0), (2, 1), (2, 4), (3, 0), (3, 3), (4, 2)]
 
@@ -45,7 +46,7 @@ def _tables(rng, m, n):
 
 def _measures(rng, m, n):
     yield Measure.uniform(m, n)
-    yield Measure.point_mass(m, n, tuple(rng.randrange(m) for _ in range(n)))
+    yield point_mass(m, n, tuple(rng.randrange(m) for _ in range(n)))
     if n > 0:
         yield random_dense_measure(rng, m, n, allow_zeros=True)
         yield random_markov_measure(rng, m, n)
@@ -105,7 +106,7 @@ def test_martingale_profile_and_conditional_means_match_oracle():
         assert mg.martingale_profile(f, P) == oracle.martingale_profile(f, P)
         for i, (sums, masses) in enumerate(mg.conditional_sums(f, P)):
             for y, s, mass in zip(words(f.alphabet_size, i), sums, masses):
-                assert mass == P.prefix_mass(y) * P.den
+                assert mass == prefix_mass(P, y) * P.den
                 if mass:
                     assert rat(s, f.den * mass) == oracle.conditional_expectation(f, P, y)
                 else:

@@ -197,4 +197,3 @@ def test_weight_vector_validation():
         WeightVector(("-1/2",))
     w = WeightVector(("3/2", 1))
     assert w.total() == rat(5, 2)
-    assert w.suffix(1).entries == (rat(1),)
