@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from numbers import Rational
 
-from .mixing import MarkovSpec, Measure, expand_markov
+from .mixing import MarkovSpec, Measure
 from .rational import rat
 from .words import TableFunction, WeightVector, hamming_distance, words
 
@@ -78,10 +78,6 @@ def random_markov_spec(rng: random.Random, m: int, n: int) -> MarkovSpec:
             tuple(distribution() for _ in range(m)) for _ in range(n - 1)
         ),
     )
-
-
-def random_markov_measure(rng: random.Random, m: int, n: int) -> Measure:
-    return expand_markov(random_markov_spec(rng, m, n))
 
 
 def random_product_measure(rng: random.Random, m: int, n: int) -> Measure:

@@ -11,7 +11,8 @@ in :mod:`hammix.mixing`), and d_squared = sum_i v_bar_i^2 feeds Azuma's
 tail bound  P(|f - Ef| > t) <= 2 exp(-t^2 / (2 d_squared)).
 
 Every conditional mean comes from :func:`conditional_sums`, which reads the
-integer numerators of f and P (one table format, see :mod:`hammix.words`):
+integer numerators of f and P (one table format, see :mod:`hammix.words`),
+expanding a chain (a :class:`~hammix.mixing.MarkovSpec`) to its table:
 E[f | y] is an integer sum of f_num * p_num over y's block, divided by
 f.den times y's integer mass.  Differences of means are compared by integer
 cross-products, and only the n maxima v_bar_i become rationals.
@@ -26,7 +27,7 @@ with Delta_n the mixing matrix of P.  :func:`concentration_bound` then
 evaluates the resulting closed-form tail bound
 2 exp(-t^2 / (2 ||f||^2 ||w||^2 ||Delta_n||_2^2)) -- Azuma's bound with that
 d_squared -- for a list of thresholds, the only place floats enter (inside
-exp and the operator norm).
+exp and the operator norm); it reads a chain's kernels, not its table.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from operator import mul, sub
 from typing import Sequence
 
 from .lipschitz_lp import lipschitz_constant
-from .mixing import Measure, delta_matrix, operator_norm_2
+from .mixing import MarkovSpec, Measure, delta_matrix, expand_markov, operator_norm_2
 from .rational import float_from_rat, rat
 from .words import TableFunction, WeightVector
 
 
-def _check_compatible(f: TableFunction, P: Measure) -> None:
+def _check_compatible(f: TableFunction, P: Measure | MarkovSpec) -> None:
     if f.alphabet_size != P.alphabet_size or f.arity != P.arity:
         raise ValueError(
             f"function on {f.alphabet_size}^{f.arity} does not match "
@@ -52,13 +53,18 @@ def _check_compatible(f: TableFunction, P: Measure) -> None:
         )
 
 
-def conditional_sums(f: TableFunction, P: Measure) -> list[tuple[list[int], list[int]]]:
+def conditional_sums(
+    f: TableFunction, P: Measure | MarkovSpec
+) -> list[tuple[list[int], list[int]]]:
     """Entry i: (S, M) per prefix y of length i, E[f | y] = S[y] / (f.den M[y]).
 
     M[y] is y's integer mass over P's denominator (0 if y is null); each
     level is read off the prefix sums of f_num * p_num and p_num on its own.
+    A chain is expanded to its table first.
     """
     _check_compatible(f, P)
+    if isinstance(P, MarkovSpec):
+        P = expand_markov(P)
     fp_cum = (0, *accumulate(map(mul, f.nums, P.nums)))
     levels = []
     block = len(f.nums)
@@ -82,7 +88,7 @@ def _profile_level(f: TableFunction, parents: tuple, children: tuple) -> Rationa
     return rat(best_num, f.den * best_den)
 
 
-def v_bar(f: TableFunction, P: Measure, i: int) -> Rational:
+def v_bar(f: TableFunction, P: Measure | MarkovSpec, i: int) -> Rational:
     """max |v_i| over prefixes y in S^i with positive probability."""
     _check_compatible(f, P)
     if not 1 <= i <= f.arity:
@@ -105,9 +111,13 @@ class MartingaleProfile:
             raise ValueError("d_squared must equal the sum of squared v_bars")
 
 
-def martingale_profile(f: TableFunction, P: Measure) -> MartingaleProfile:
+def martingale_profile(f: TableFunction, P: Measure | MarkovSpec) -> MartingaleProfile:
     """All v_bar levels plus d_squared from one set of conditional sums."""
-    levels = conditional_sums(f, P)
+    return profile_from_sums(f, conditional_sums(f, P))
+
+
+def profile_from_sums(f: TableFunction, levels: list) -> MartingaleProfile:
+    """The martingale profile of f from its :func:`conditional_sums` levels."""
     bars = tuple(_profile_level(f, levels[i - 1], levels[i]) for i in range(1, f.arity + 1))
     return MartingaleProfile(bars, sum((v * v for v in bars), rat(0)))
 
@@ -145,7 +155,7 @@ class SumViReport:
     holds: bool
 
 
-def verify_sumvi(f: TableFunction, P: Measure, w: WeightVector) -> SumViReport:
+def verify_sumvi(f: TableFunction, P: Measure | MarkovSpec, w: WeightVector) -> SumViReport:
     """Check sum_i v_bar_i^2 <= ||f||^2_Lip,w ||Delta_n w||_2^2, exactly."""
     _check_compatible(f, P)
     if len(w) != f.arity:
@@ -184,7 +194,7 @@ class ConcentrationReport:
 
 def concentration_bound(
     f: TableFunction,
-    P: Measure,
+    P: Measure | MarkovSpec,
     w: WeightVector,
     thresholds: Sequence[float],
 ) -> ConcentrationReport:

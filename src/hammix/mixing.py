@@ -6,9 +6,11 @@ table's integer numerators over its denominator.  Because the first symbol
 is most significant, the words sharing a prefix form one contiguous index
 block, so prefix masses and conditional laws are block sums over the
 measure's prefix sums of those numerators.  A Markov chain has one type,
-:class:`MarkovSpec`, which holds its laws as integer kernels and expands
-to its dense measure in integers too: each level multiplies numerators by
-a transition matrix's numerators.
+:class:`MarkovSpec`, which holds its laws as integer kernels.  A chain is
+passed to :func:`delta_matrix` and :func:`eta_bar` as its spec, which
+read the kernels alone; :func:`expand_markov` builds its dense measure,
+in integers too (each level multiplies numerators by a transition
+matrix's numerators), only for a layer that reads a table.
 
 The eta coefficient for positions i < j measures how much the conditional
 law of the tail X_j..n moves when the i-th symbol is swapped under a common
@@ -27,26 +29,26 @@ positive mass (and is 0 when no admissible triple exists).  Product
 measures have eta_bar = 0 everywhere and an identity DeltaMatrix.
 
 eta_bar is computed fraction-free, a whole row i (every j > i) at a time,
-on one of two paths:
+on one of two paths, chosen by the argument's type:
 
-* Dense (any measure): in the measure's integer numerators, the block of
-  each admissible prefix y z holds the unnormalized tail law for j = i+1,
-  and summing its m equal chunks gives the law for the next j.  TV
-  distances are then integer sums scaled by the two block masses, compared
-  by cross-products, and only the n - i maxima are converted to rationals.
-  A row costs O(m^(n+1)) integer operations, so delta_matrix costs
-  O(n m^(n+1)).
-* Kernel (a measure from :func:`expand_markov`, which records its chain,
-  or :func:`chain_delta_matrix` on the chain alone): given X_1..i = y z,
-  X_j has law row z of T_i...T_j-1 for every past y, and the rest of the tail follows the same later kernels after
-  either swap, so eta(i, j, y, z, z') is the TV distance between rows z
-  and z' of that product (Kontorovich and Ramanan, Ann. Probab. 36(6),
-  2008, whose Dobrushin product theta_i...theta_j-1 bounds it).  The rows
-  are multiplied in integers over the product of the kernels'
-  denominators.  A pair z < z' is admissible when some state reachable at
-  position i-1 moves to both with positive probability (for i = 1: when
-  the initial law charges both).  A row costs O(n m^3) integer
-  operations, so delta_matrix costs O(n^2 m^3) and reads no table.
+* Dense (a :class:`Measure`): in the measure's integer numerators, the
+  block of each admissible prefix y z holds the unnormalized tail law for
+  j = i+1, and summing its m equal chunks gives the law for the next j.
+  TV distances are then integer sums scaled by the two block masses,
+  compared by cross-products, and only the n - i maxima are converted to
+  rationals.  A row costs O(m^(n+1)) integer operations, so delta_matrix
+  costs O(n m^(n+1)).
+* Kernel (a :class:`MarkovSpec`): given X_1..i = y z, X_j has law row z
+  of T_i...T_j-1 for every past y, and the rest of the tail follows the
+  same later kernels after either swap, so eta(i, j, y, z, z') is the TV
+  distance between rows z and z' of that product (Kontorovich and
+  Ramanan, Ann. Probab. 36(6), 2008, whose Dobrushin product
+  theta_i...theta_j-1 bounds it).  The rows are multiplied in integers
+  over the product of the kernels' denominators.  A pair z < z' is
+  admissible when some state reachable at position i-1 moves to both with
+  positive probability (for i = 1: when the initial law charges both).  A
+  row costs O(n m^3) integer operations, so delta_matrix costs
+  O(n^2 m^3) and reads no table.
 
 Both paths return the same rationals.
 """
@@ -55,14 +57,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, combinations, cycle
 from math import gcd, lcm
 from numbers import Rational
 from operator import mul, sub
 from typing import Callable, Sequence
 
-from .rational import RationalLike, rat
+from .rational import RationalLike, float_from_rat, rat, rat_from_float
 from .words import TableFunction, WeightVector, project_numerators
 
 # Dense tables beyond this size are refused at the CLI boundary; library
@@ -75,15 +77,10 @@ class Measure(TableFunction):
 
     A table (:class:`~hammix.words.TableFunction`) whose entries are
     nonnegative and sum to 1; ``_cum`` holds the prefix sums of its integer
-    numerators, which the dense eta_bar kernel and the sampler read.  A
-    measure built by :func:`expand_markov` also carries its ``chain``, whose
-    integer laws delta_matrix, eta_bar and the sampler use instead of the
-    table; the chain takes no part in equality or hashing, and tables
-    derived from the measure do not carry it.
+    numerators, which the dense eta_bar kernel and the sampler read.
     """
 
     _cum: tuple[int, ...]
-    chain: MarkovSpec | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -207,15 +204,12 @@ def expand_markov(spec: MarkovSpec) -> Measure:
 
     In integers: each level multiplies the numerators of the previous one
     by the rows of the next law (the word with last symbol a continues
-    with row a), and the table reduces the product by one gcd.  The chain
-    is recorded on the measure.
+    with row a), and the table reduces the product by one gcd.
     """
     (nums,) = spec.laws[0]
     for rows in spec.laws[1:]:
         nums = [mass * x for mass, row in zip(nums, cycle(rows)) for x in row]
-    measure = Measure.from_numerators(spec.alphabet_size, spec.arity, nums, math.prod(spec.dens))
-    object.__setattr__(measure, "chain", spec)
-    return measure
+    return Measure.from_numerators(spec.alphabet_size, spec.arity, nums, math.prod(spec.dens))
 
 
 def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
@@ -300,16 +294,15 @@ def _chain_eta_row(chain: MarkovSpec, i: int) -> list[Rational]:
     return out
 
 
-def eta_bar(P: Measure, i: int, j: int) -> Rational:
+def eta_bar(P: Measure | MarkovSpec, i: int, j: int) -> Rational:
     """Worst-case eta over all pasts y and symbol pairs z, z'.
 
     Triples whose conditioning prefix is null are excluded; returns 0 when
-    no admissible pair of pasts exists.  Computed from P's chain when it
-    carries one, else from its table.
+    no admissible pair of pasts exists.
     """
     if not 1 <= i < j <= P.arity:
         raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
-    row = _eta_bar_row(P, i) if P.chain is None else _chain_eta_row(P.chain, i)
+    row = _chain_eta_row(P, i) if isinstance(P, MarkovSpec) else _eta_bar_row(P, i)
     return row[j - i - 1]
 
 
@@ -358,25 +351,15 @@ class DeltaMatrix:
         )
 
 
-def _assemble(n: int, eta_row: Callable[[int], list[Rational]]) -> DeltaMatrix:
-    rows = [tuple([rat(0)] * (i - 1) + [rat(1)] + eta_row(i)) for i in range(1, n + 1)]
-    return DeltaMatrix(tuple(rows))
+def delta_matrix(P: Measure | MarkovSpec) -> DeltaMatrix:
+    """Assemble the mixing matrix, one pass per row.
 
-
-def delta_matrix(P: Measure) -> DeltaMatrix:
-    """Assemble the mixing matrix of a measure, one kernel pass per row.
-
-    Uses P's chain when it carries one (O(n^2 m^3)), else its table
-    (O(n m^(n+1))); both give the same rationals.
+    A chain is read from its kernels (O(n^2 m^3), no table), a measure from
+    its table (O(n m^(n+1))); both give the same rationals.
     """
-    if P.chain is not None:
-        return chain_delta_matrix(P.chain)
-    return _assemble(P.arity, partial(_eta_bar_row, P))
-
-
-def chain_delta_matrix(chain: MarkovSpec) -> DeltaMatrix:
-    """The mixing matrix of a Markov chain from its kernels, with no table."""
-    return _assemble(chain.arity, partial(_chain_eta_row, chain))
+    eta_row = _chain_eta_row if isinstance(P, MarkovSpec) else _eta_bar_row
+    rows = [tuple([rat(0)] * (i - 1) + [rat(1)] + eta_row(P, i)) for i in range(1, P.arity + 1)]
+    return DeltaMatrix(tuple(rows))
 
 
 _OPNORM_REL_TOL = 1e-12
@@ -392,8 +375,11 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     where rho is the Rayleigh quotient of the unit iterate, then returns
     sqrt(rho + residual).  Since rho <= lambda_max for symmetric PSD A, the
     returned value brackets the norm from above at convergence, which keeps
-    tail bounds computed from it valid.  This is the package's only
-    floating-point computation before the exp() boundary.
+    tail bounds computed from it valid.  If _OPNORM_MAX_ITERATIONS pass
+    without convergence, the exact Schur bound sqrt(||D||_1 ||D||_inf) is
+    returned instead, as the float square root stepped up with
+    math.nextafter until its exact square reaches it.  This is the
+    package's only floating-point computation before the exp() boundary.
     """
     n = D.size
     d = [[float(v) for v in row] for row in D.entries]
@@ -401,14 +387,17 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     a = [[sum(d[k][i] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
     x = [1.0 / math.sqrt(n)] * n
-    rho = 0.0
-    resid = 0.0
     for _ in range(_OPNORM_MAX_ITERATIONS):
         ax = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
         rho = sum(ax[i] * x[i] for i in range(n))
         resid = math.sqrt(sum((ax[i] - rho * x[i]) ** 2 for i in range(n)))
         if resid <= _OPNORM_REL_TOL * rho:
-            break
+            return math.sqrt(rho + resid)
         norm = math.sqrt(sum(v * v for v in ax))
         x = [v / norm for v in ax]
-    return math.sqrt(rho + resid)
+    # Largest column sum times largest row sum; D is nonnegative.
+    bound = max(map(sum, zip(*D.entries))) * max(map(sum, D.entries))
+    root = math.sqrt(float_from_rat(bound))
+    while rat_from_float(root) ** 2 < bound:
+        root = math.nextafter(root, math.inf)
+    return root

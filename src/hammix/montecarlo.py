@@ -6,10 +6,10 @@ uniform variate is exact (the variate is the rational r / 2^64 of a 64-bit
 draw, compared in integers against the measure's integer prefix sums over
 their common denominator), so a run is a pure function of
 (measure, seed, sample count) -- bit-identical across platforms and
-schedules.  A dense table is scanned symbol by symbol, O(n m) a word; a
-measure from :func:`~hammix.mixing.expand_markov` is sampled from its
-chain kernels by one bisection per symbol, O(n log m) a word, with the
-same draws.
+schedules.  A dense measure is scanned symbol by symbol, O(n m) a word;
+a chain, passed as its :class:`~hammix.mixing.MarkovSpec`, is sampled
+from its kernels by one bisection per symbol, O(n log m) a word, with the
+same draws as a scan of its expanded table.
 
 Randomness comes from splitmix64 streams: sample k uses the stream whose
 initial state is seed + (k+1) * GAMMA mod 2^64, advanced by the standard
@@ -19,9 +19,9 @@ may be generated in any order or in parallel without changing the result.
 :func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
 reports the Azuma and mixing-matrix bounds next to each estimated
 frequency.  E f is exact (removing one noise source): it is the level-0
-entry of :func:`~hammix.martingale.conditional_sums`, and each sample's
-test |f(x) - E f| > t runs on f's integer numerators against the exact
-value of the float t, scaled to integers.
+entry of :func:`~hammix.martingale.conditional_sums` (whose levels also
+give d_squared), and each sample's test |f(x) - E f| > t runs on f's
+integer numerators against the exact value of the float t, scaled to integers.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Rational
 
-from .martingale import azuma_bound, concentration_bound, conditional_sums, martingale_profile
-from .mixing import Measure
+from .martingale import azuma_bound, concentration_bound, conditional_sums, profile_from_sums
+from .mixing import MarkovSpec, Measure
 from .rational import float_from_rat, rat, rat_from_float
 from .words import TableFunction, WeightVector, Word, word_index
 
@@ -81,7 +81,7 @@ class SimulationConfig:
             raise ValueError(f"thresholds must be positive, got {thresholds}")
 
 
-def sample_word(P: Measure, stream: SampleStream) -> Word:
+def sample_word(P: Measure | MarkovSpec, stream: SampleStream) -> Word:
     """Draw one word with probability exactly P(x).
 
     Symbol i is drawn from P(x_i | x_1..i-1) by comparing u = r / 2^64
@@ -91,16 +91,16 @@ def sample_word(P: Measure, stream: SampleStream) -> Word:
     denominator, u * M < A is r * M < A * 2^64: all comparisons are exact
     integer ones, and zero-probability branches can never be selected.
 
-    On a measure that carries its chain, A / M is the cumulative row c / d
-    of the current state's kernel row, so the same test is r * d < c * 2^64:
-    one bisection over the row's cut points
-    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) per symbol, O(n log m)
-    a word, with the same draws as the O(n m) scan of the table.
+    On a chain, A / M is the cumulative row c / d of the current state's
+    kernel row, so the same test is r * d < c * 2^64: one bisection over
+    the row's cut points (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`)
+    per symbol, O(n log m) a word, with the same draws as the O(n m) scan
+    of the chain's table.
     """
-    if P.chain is not None:
+    if isinstance(P, MarkovSpec):
         symbols = []
         state = 0
-        for rows in P.chain.sampler_cuts:
+        for rows in P.sampler_cuts:
             den, cuts = rows[state]
             # r * d < d * 2^64, the last cut, so a symbol is always found;
             # a null symbol's cut equals the one before it and is never first.
@@ -149,7 +149,7 @@ class TailReport:
 
 
 def empirical_tail(
-    f: TableFunction, P: Measure, w: WeightVector, cfg: SimulationConfig
+    f: TableFunction, P: Measure | MarkovSpec, w: WeightVector, cfg: SimulationConfig
 ) -> TailReport:
     """Estimate P(|f - E f| > t) for each configured t.
 
@@ -158,14 +158,15 @@ def empirical_tail(
     bounds are floating point.  Identical (f, P, w, cfg) give bit-identical
     reports.
     """
-    ((weighted,), (mass,)) = conditional_sums(f, P)[0]
+    levels = conditional_sums(f, P)
+    ((weighted,), (mass,)) = levels[0]
     # E f = weighted / (f.den * mass); |f(x) - E f| > t, with t = t_num / t_den
     # the exact value of the float, is |f_num(x) * mass - weighted| * t_den >
     # t_num * f.den * mass.
     scale = f.den * mass
     exact_thresholds = [rat_from_float(t) for t in cfg.thresholds]
     limits = [(t.denominator, t.numerator * scale) for t in exact_thresholds]
-    profile = martingale_profile(f, P)
+    profile = profile_from_sums(f, levels)
     counts = [0] * len(limits)
     m = f.alphabet_size
     for k in range(cfg.sample_count):

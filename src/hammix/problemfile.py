@@ -30,8 +30,8 @@ Builtins avoid shipping m^n-entry tables for the canonical test functions:
 
 ``<word>`` is a digit string ("0110") or comma-separated symbols
 ("0,1,1,0"); the comma form is required when the alphabet has more than
-ten symbols.  Dense expansion is capped (``max_table``) since every
-downstream computation is O(m^n) anyway.
+ten symbols.  A chain is handed on as its parsed spec.  The dense cap
+(``max_table``) applies to every input, chains included.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from numbers import Rational
 from typing import Any
 
-from .mixing import MAX_DENSE_TABLE, MarkovSpec, Measure, expand_markov
+from .mixing import MAX_DENSE_TABLE, MarkovSpec, Measure
 from .montecarlo import SimulationConfig
 from .rational import rat, rat_str
 from .words import TableFunction, WeightVector, Word, hamming_table, words
@@ -68,7 +68,7 @@ class ProblemFile:
     n: int
     weights: WeightVector | None
     function: TableFunction | str | None  # a builtin is expanded on resolve
-    measure: Measure | MarkovSpec | None  # so is a chain
+    measure: Measure | MarkovSpec | None
     v: Rational
     thresholds: tuple[float, ...]
     simulation: SimulationConfig | None
@@ -332,14 +332,12 @@ def resolve_function(
     return hamming_table(m, target, problem.weights)
 
 
-def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> Measure:
-    """Dense measure for the file's measure section."""
+def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> Measure | MarkovSpec:
+    """The file's measure as parsed: a :class:`Measure` or a :class:`MarkovSpec`."""
     if problem.measure is None:
         raise ProblemFileError("measure", "this subcommand needs a 'measure' section")
     _check_table_size(problem.alphabet, problem.n, max_table)
-    if isinstance(problem.measure, Measure):
-        return problem.measure
-    return expand_markov(problem.measure)
+    return problem.measure
 
 
 def _word_count(m: int, n: int, cap: int) -> int:

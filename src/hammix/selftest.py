@@ -23,7 +23,7 @@ from . import martingale as mg
 from .instances import (
     random_dense_measure,
     random_lipschitz_function,
-    random_markov_measure,
+    random_markov_spec,
     random_product_measure,
     random_rational,
     random_table,
@@ -36,7 +36,6 @@ from .mixing import (
     Measure,
     delta_matrix,
     eta_bar,
-    expand_markov,
     operator_norm_2,
 )
 from .montecarlo import SimulationConfig, empirical_tail
@@ -206,13 +205,13 @@ def mixing_ground_truth_criterion(seed: int) -> CriterionResult:
     rng = random.Random(seed)
     failures = []
 
-    chain2 = expand_markov(_binary_chain(2))
+    chain2 = _binary_chain(2)
     if eta_bar(chain2, 1, 2) != rat(4, 5):
         failures.append("eta_bar_12 on n=2 chain")
     if delta_matrix(chain2) != DeltaMatrix(((rat(1), rat(4, 5)), (rat(0), rat(1)))):
         failures.append("delta matrix on n=2 chain")
 
-    chain3 = expand_markov(_binary_chain(3))
+    chain3 = _binary_chain(3)
     if eta_bar(chain3, 1, 2) != rat(4, 5):
         failures.append("eta_bar_12 on n=3 chain")
     if eta_bar(chain3, 2, 3) != rat(4, 5):
@@ -243,7 +242,7 @@ def _draw_martingale_instance(rng: random.Random):
     w = random_weights(rng, n)
     kind = rng.randrange(4)
     if kind == 0:
-        P = random_markov_measure(rng, m, n)
+        P = random_markov_spec(rng, m, n)
     elif kind == 1:
         P = random_product_measure(rng, m, n)
     else:
@@ -285,7 +284,9 @@ def martingale_criteria(instance_count: int, seed: int) -> tuple[CriterionResult
     return c7, c8
 
 
-def _martingale_structure_ok(rng: random.Random, f: TableFunction, P: Measure) -> bool:
+def _martingale_structure_ok(
+    rng: random.Random, f: TableFunction, P: Measure | MarkovSpec
+) -> bool:
     """Exact conditional-mean-zero and translation-invariance checks.
 
     v_i(y) = (S_y M_p - S_p M_y) / (f.den M_y M_p) for parent p (see
@@ -319,7 +320,7 @@ def montecarlo_criterion(
 ) -> CriterionResult:
     """Criterion 9: empirical tails stay below the proved bounds; runs are
     bit-identical for a fixed seed."""
-    P = expand_markov(_binary_chain(n))
+    P = _binary_chain(n)
     f = TableFunction.from_callable(2, n, lambda x: sum(x))
     w = WeightVector((1,) * n)
     cfg = SimulationConfig(sample_count, seed, (1.0, 2.0, 3.0, 4.0))

@@ -8,6 +8,7 @@ import pytest
 from hammix.instances import (
     random_dense_measure,
     random_lipschitz_function,
+    random_markov_spec,
     random_product_measure,
     random_rational,
     random_table,
@@ -31,7 +32,7 @@ from table_oracle import conditional_expectation, v_i
 
 def _chain(n):
     rows = ((rat("9/10"), rat("1/10")), (rat("1/10"), rat("9/10")))
-    return expand_markov(MarkovSpec((rat("1/2"), rat("1/2")), (rows,) * (n - 1)))
+    return MarkovSpec((rat("1/2"), rat("1/2")), (rows,) * (n - 1))
 
 
 def _indicator_11():
@@ -245,6 +246,22 @@ def test_verify_sumvi_two_state_chain():
     assert report.lhs == rat(81, 50)  # enumerated by hand: both v_bars are 9/10
     assert report.v_bars == (rat(9, 10), rat(9, 10))
     assert report.holds and all(report.per_i_holds)
+
+
+def test_chain_and_its_table_give_the_same_reports():
+    # A chain reaches conditional_sums as its spec and delta_matrix as its
+    # kernels; every report must equal the one on its expanded table.
+    rng = random.Random(20)
+    for _ in range(10):
+        m, n = rng.choice((2, 3)), rng.choice((1, 2, 3))
+        spec = random_markov_spec(rng, m, n)
+        f, w = random_table(rng, m, n), random_weights(rng, n)
+        table = expand_markov(spec)
+        assert verify_sumvi(f, spec, w) == verify_sumvi(f, table, w)
+        ts = [0.5, 2.0]
+        assert concentration_bound(f, spec, w, ts) == concentration_bound(f, table, w, ts)
+        v_bars = [v_bar(f, spec, i) for i in range(1, n + 1)]
+        assert v_bars == list(martingale_profile(f, table).v_bars)
 
 
 def test_verify_sumvi_random_instances():

@@ -5,9 +5,10 @@ import time
 import pytest
 
 import mixing_oracle
+import numpy as np
+
 from hammix.instances import (
     random_dense_measure,
-    random_markov_measure,
     random_markov_spec,
     random_product_measure,
 )
@@ -15,7 +16,6 @@ from hammix.mixing import (
     DeltaMatrix,
     MarkovSpec,
     Measure,
-    chain_delta_matrix,
     delta_matrix,
     eta_bar,
     expand_markov,
@@ -32,8 +32,8 @@ from mixing_oracle import (
     tv_distance,
     weighted_norm_sq,
 )
-from hammix.rational import rat
-from hammix.words import TableFunction, WeightVector, marginal_projection, words, y_section
+from hammix.rational import rat, rat_from_float
+from hammix.words import TableFunction, WeightVector, words
 
 
 def _chain(n):
@@ -198,10 +198,10 @@ def test_eta_null_prefix_raises():
 
 
 def test_eta_bar_chain_ground_truth():
-    P2 = expand_markov(_chain(2))
+    P2 = _chain(2)
     assert eta_bar(P2, 1, 2) == rat(4, 5)
 
-    P3 = expand_markov(_chain(3))
+    P3 = _chain(3)
     assert eta_bar(P3, 1, 2) == rat(4, 5)
     assert eta_bar(P3, 2, 3) == rat(4, 5)
     # Two-step mixing: total variation between the rows of T^2.
@@ -239,10 +239,10 @@ def test_delta_matrix_examples():
     rng = random.Random(7)
     assert delta_matrix(random_product_measure(rng, 2, 3)) == DeltaMatrix.identity(3)
 
-    P2 = expand_markov(_chain(2))
+    P2 = _chain(2)
     assert delta_matrix(P2) == DeltaMatrix(((1, rat(4, 5)), (0, 1)))
 
-    P3 = expand_markov(_chain(3))
+    P3 = _chain(3)
     assert delta_matrix(P3) == DeltaMatrix(
         ((1, rat(4, 5), rat(16, 25)), (0, 1, rat(4, 5)), (0, 0, 1))
     )
@@ -285,6 +285,20 @@ def test_operator_norm_2x2_quadratic_oracle():
     det = 1.0 * (41.0 / 25.0) - 0.8 * 0.8
     lam_max = (trace + math.sqrt(trace * trace - 4.0 * det)) / 2.0
     assert abs(operator_norm_2(d) - math.sqrt(lam_max)) <= 1e-9
+
+
+def test_operator_norm_falls_back_to_the_schur_bound_at_the_cap():
+    # The power iteration does not settle on this matrix within the cap, so
+    # the exact Schur bound sqrt(||D||_1 ||D||_inf) = 1 + e comes back as the
+    # smallest float at or above it.
+    e = rat(1, 10**7)
+    d = DeltaMatrix(((1, 0, 0), (0, 1, e), (0, 0, 1)))
+    expected = float(1 + e)
+    if rat_from_float(expected) < 1 + e:
+        expected = math.nextafter(expected, math.inf)
+    got = operator_norm_2(d)
+    assert got == expected
+    assert got >= np.linalg.norm(np.array([[float(v) for v in row] for row in d.entries]), 2)
 
 
 def test_operator_norm_dominates_weighted_action():
@@ -347,8 +361,8 @@ def _oracle_cases():
             yield f"sparse-m{m}n{n}", _sparse_measure(rng, m, n)
     for m, n in ((2, 6), (3, 4), (4, 3)):
         for _ in range(3):
-            yield f"markov0-m{m}n{n}", expand_markov(_chain_with_zeros(rng, m, n))
-        yield f"markov-m{m}n{n}", random_markov_measure(rng, m, n)
+            yield f"markov0-m{m}n{n}", _chain_with_zeros(rng, m, n)
+        yield f"markov-m{m}n{n}", random_markov_spec(rng, m, n)
         yield f"product-m{m}n{n}", random_product_measure(rng, m, n)
         word = tuple(rng.randrange(m) for _ in range(n))
         yield f"point-m{m}n{n}", point_mass(m, n, word)
@@ -359,12 +373,19 @@ def _oracle_cases():
 ORACLE_CASES = list(_oracle_cases())
 
 
+def _table(P):
+    """The dense measure of a chain or measure, for the oracles that read tables."""
+    return expand_markov(P) if isinstance(P, MarkovSpec) else P
+
+
 @pytest.mark.parametrize("P", [P for _, P in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES])
 def test_delta_matrix_matches_rational_oracle(P):
-    assert delta_matrix(P) == mixing_oracle.delta_matrix(P)
+    # Chains run the kernel path, measures the dense one.
+    table = _table(P)
+    assert delta_matrix(P) == mixing_oracle.delta_matrix(table)
     for i in range(1, P.arity + 1):
         for j in range(i + 1, P.arity + 1):
-            assert eta_bar(P, i, j) == mixing_oracle.eta_bar(P, i, j)
+            assert eta_bar(P, i, j) == mixing_oracle.eta_bar(table, i, j)
 
 
 def test_oracle_cases_cover_null_prefixes_and_forced_positions():
@@ -372,7 +393,7 @@ def test_oracle_cases_cover_null_prefixes_and_forced_positions():
     # null prefix blocks, and on the forced measures row 2 must be all 0
     # while row 1 is not.
     assert any(
-        prefix_mass(P, prefix) == 0
+        prefix_mass(_table(P), prefix) == 0
         for name, P in ORACLE_CASES
         if name.startswith("markov0")
         for prefix in words(P.alphabet_size, 2)
@@ -385,10 +406,10 @@ def test_oracle_cases_cover_null_prefixes_and_forced_positions():
 
 
 def test_eta_bar_rejects_out_of_range_pairs():
-    P = expand_markov(_chain(3))
-    for i, j in ((0, 1), (2, 2), (3, 2), (1, 4)):
-        with pytest.raises(ValueError):
-            eta_bar(P, i, j)
+    for P in (_chain(3), expand_markov(_chain(3))):
+        for i, j in ((0, 1), (2, 2), (3, 2), (1, 4)):
+            with pytest.raises(ValueError):
+                eta_bar(P, i, j)
 
 
 def _kernel_chains():
@@ -416,22 +437,15 @@ def _kernel_chains():
 KERNEL_CHAINS = list(_kernel_chains())
 
 
-def _dense_copy(P):
-    return Measure.from_numerators(P.alphabet_size, P.arity, P.nums, P.den)
-
-
 @pytest.mark.parametrize("spec", [s for _, s in KERNEL_CHAINS], ids=[name for name, _ in KERNEL_CHAINS])
 def test_kernel_delta_matches_dense_kernel_and_oracle(spec):
-    P = expand_markov(spec)
-    dense = _dense_copy(P)
-    assert P.chain == spec and dense.chain is None
-    kernel = delta_matrix(P)
-    assert kernel == chain_delta_matrix(spec)
+    dense = expand_markov(spec)
+    kernel = delta_matrix(spec)
     assert kernel == delta_matrix(dense)
     assert kernel == mixing_oracle.delta_matrix(dense)
-    for i in range(1, P.arity + 1):
-        for j in range(i + 1, P.arity + 1):
-            assert eta_bar(P, i, j) == eta_bar(dense, i, j) == kernel.entries[i - 1][j - 1]
+    for i in range(1, spec.arity + 1):
+        for j in range(i + 1, spec.arity + 1):
+            assert eta_bar(spec, i, j) == eta_bar(dense, i, j) == kernel.entries[i - 1][j - 1]
 
 
 def test_kernel_chains_cover_the_admissibility_cases():
@@ -442,8 +456,8 @@ def test_kernel_chains_cover_the_admissibility_cases():
     assert any(spec.alphabet_size == 1 for spec in specs.values())
     unreachable = expand_markov(specs["unreachable"])
     assert prefix_mass(unreachable, (0, 2)) == prefix_mass(unreachable, (1, 2)) == 0
-    assert eta_bar(unreachable, 3, 4) == 0  # 1 if state 2 were counted
-    forced = delta_matrix(expand_markov(specs["forced"])).entries
+    assert eta_bar(specs["unreachable"], 3, 4) == 0  # 1 if state 2 were counted
+    forced = delta_matrix(specs["forced"]).entries
     assert forced[0][1] > 0
     assert forced[0][2:] == forced[1][2:] == (0, 0) and forced[2][3] == 0
 
@@ -455,25 +469,13 @@ def _dobrushin(matrix):
 
 def test_eta_bar_within_dobrushin_product():
     for name, spec in KERNEL_CHAINS:
-        entries = delta_matrix(expand_markov(spec)).entries
+        entries = delta_matrix(spec).entries
         n = spec.arity
         for i in range(1, n + 1):
             theta = rat(1)
             for j in range(i + 1, n + 1):
                 theta *= _dobrushin(spec.transitions[j - 2])
                 assert entries[i - 1][j - 1] <= theta, (name, i, j)
-
-
-def test_chain_measure_equals_and_hashes_like_its_dense_copy():
-    for _, spec in KERNEL_CHAINS:
-        P = expand_markov(spec)
-        dense = _dense_copy(P)
-        assert P == dense and hash(P) == hash(dense)
-        assert P == mixing_oracle.expand_markov(spec)
-    P = expand_markov(_chain(3))
-    assert P.chain == _chain(3)
-    for derived in (marginal_projection(P), y_section(P, 1), _dense_copy(P)):
-        assert getattr(derived, "chain", None) is None
 
 
 def test_kernel_delta_of_a_long_chain_builds_no_table(monkeypatch):
@@ -485,7 +487,7 @@ def test_kernel_delta_of_a_long_chain_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(TableFunction, "__post_init__", no_table)
     start = time.process_time()
-    delta = chain_delta_matrix(spec)
+    delta = delta_matrix(spec)
     assert time.process_time() - start < 1.0
     assert delta.size == 100
     theta = _dobrushin(spec.transitions[0])

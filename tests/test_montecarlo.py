@@ -5,7 +5,7 @@ import random
 import pytest
 
 import mixing_oracle
-from hammix.instances import random_dense_measure, random_markov_measure
+from hammix.instances import random_dense_measure, random_markov_spec
 from hammix.martingale import martingale_profile
 from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.montecarlo import (
@@ -20,7 +20,7 @@ from hammix.words import TableFunction, WeightVector, word_index
 
 def _chain(n):
     rows = ((rat("9/10"), rat("1/10")), (rat("1/10"), rat("9/10")))
-    return expand_markov(MarkovSpec((rat("1/2"), rat("1/2")), (rows,) * (n - 1)))
+    return MarkovSpec((rat("1/2"), rat("1/2")), (rows,) * (n - 1))
 
 
 def test_stream_determinism_and_splitting():
@@ -58,16 +58,18 @@ def test_zero_probability_cells_never_sampled():
 
 SAMPLER_CASES = {
     "dense0-m3n4": random_dense_measure(random.Random(31), 3, 4, allow_zeros=True),
-    "markov-m2n8": random_markov_measure(random.Random(32), 2, 8),
+    "markov-m2n8": random_markov_spec(random.Random(32), 2, 8),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
 def test_sample_word_matches_rational_scan(name):
+    # The chain is sampled by its kernels, the oracle scans its table.
     P = SAMPLER_CASES[name]
+    table = expand_markov(P) if isinstance(P, MarkovSpec) else P
     for k in range(2000):
         stream, oracle_stream = SampleStream(2024, k), SampleStream(2024, k)
-        assert sample_word(P, stream) == mixing_oracle.sample_word(P, oracle_stream)
+        assert sample_word(P, stream) == mixing_oracle.sample_word(table, oracle_stream)
         # Both consumed one draw per symbol: the streams stay in step.
         assert stream.next_u64() == oracle_stream.next_u64()
 
@@ -117,9 +119,8 @@ def test_chain_sampler_at_exact_cut_points():
     # the chain stays.  A draw exactly on a cut goes past it, and past every
     # null symbol behind it.
     rows = (("1/3", "1/3", "1/3"), ("1/2", "0", "1/2"), ("0", "0", "1"))
-    P = expand_markov(MarkovSpec(("0", "1/4", "3/4"), (rows,)))
-    assert P.chain is not None
-    dense = Measure.from_numerators(3, 2, P.nums, P.den)
+    P = MarkovSpec(("0", "1/4", "3/4"), (rows,))
+    dense = expand_markov(P)
     cases = {
         (0, 0): (1, 0),
         (0, 2**63 - 1): (1, 0),
@@ -146,8 +147,8 @@ def test_chain_sampler_matches_dense_copy():
 
     for m, n in ((1, 3), (2, 1), (2, 6), (3, 4), (4, 3)):
         for _ in range(3):
-            P = expand_markov(MarkovSpec(law(m), tuple(tuple(law(m) for _ in range(m)) for _ in range(n - 1))))
-            dense = Measure.from_numerators(m, n, P.nums, P.den)
+            P = MarkovSpec(law(m), tuple(tuple(law(m) for _ in range(m)) for _ in range(n - 1)))
+            dense = expand_markov(P)
             for k in range(300):
                 streams = SampleStream(n, k), SampleStream(n, k), SampleStream(n, k)
                 word = sample_word(P, streams[0])

@@ -17,14 +17,14 @@ import table_oracle as oracle
 from hammix import selftest
 from hammix.instances import (
     random_dense_measure,
-    random_markov_measure,
+    random_markov_spec,
     random_product_measure,
     random_rational,
     random_table,
     random_weights,
 )
 from hammix.lipschitz_lp import lipschitz_constant
-from hammix.mixing import Measure
+from hammix.mixing import Measure, expand_markov
 from hammix.montecarlo import SimulationConfig, empirical_tail
 from hammix.psi import psi, psi_decomposition_rhs
 from hammix.rational import rat
@@ -49,7 +49,7 @@ def _measures(rng, m, n):
     yield point_mass(m, n, tuple(rng.randrange(m) for _ in range(n)))
     if n > 0:
         yield random_dense_measure(rng, m, n, allow_zeros=True)
-        yield random_markov_measure(rng, m, n)
+        yield expand_markov(random_markov_spec(rng, m, n))
         yield random_product_measure(rng, m, n)
 
 
