@@ -33,11 +33,14 @@ on one of two paths, chosen by the argument's type:
 
 * Dense (a :class:`Measure`): in the measure's integer numerators, the
   block of each admissible prefix y z holds the unnormalized tail law for
-  j = i+1, and summing its m equal chunks gives the law for the next j.
-  TV distances are then integer sums scaled by the two block masses,
-  compared by cross-products, and only the n - i maxima are converted to
-  rationals.  A row costs O(m^(n+1)) integer operations, so delta_matrix
-  costs O(n m^(n+1)).
+  j = i+1.  Each admissible pair z, z' under a past y gets one integer
+  difference vector, its two blocks cross-scaled by each other's mass;
+  its absolute sum is the TV numerator for j = i+1, and summing its m
+  equal chunks (marginalizing is linear) gives the vector for the next j.
+  The numerators are compared by cross-products, and only the n - i
+  maxima are converted to rationals.  A row costs O(m^(n+1)) integer
+  operations (m^2 / 2 pairs under each of m^(i-1) pasts, m^(n-i) entries
+  each), so delta_matrix costs O(n m^(n+1)).
 * Kernel (a :class:`MarkovSpec`): given X_1..i = y z, X_j has law row z
   of T_i...T_j-1 for every past y, and the rest of the tail follows the
   same later kernels after either swap, so eta(i, j, y, z, z') is the TV
@@ -57,11 +60,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, combinations, cycle
 from math import gcd, lcm
 from numbers import Rational
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .rational import RationalLike, float_from_rat, rat, rat_from_float
@@ -186,15 +189,18 @@ class MarkovSpec:
         )
 
     @cached_property
-    def sampler_cuts(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-        """Per position and current state: (den, cumulative row << 64).
+    def sampler_cuts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per position and current state: the row's draw thresholds.
 
-        Position 1 has the single entry for the initial law (its "state" is
-        0); position t+1 has one entry per state a, for row a of
-        ``laws[t]``.
+        A draw r < 2^64 selects the first symbol b whose cumulative row
+        c_b / d satisfies r * d < c_b * 2^64; for an integer r that is
+        r < ceil(c_b * 2^64 / d), so the row is kept as those ceilings and
+        a symbol is one ``bisect_right``.  Position 1 has the single entry
+        for the initial law (its "state" is 0); position t+1 has one entry
+        per state a, for row a of ``laws[t]``.
         """
         return tuple(
-            tuple((den, tuple(c << 64 for c in accumulate(row))) for row in rows)
+            tuple(tuple(-((-c << 64) // den) for c in accumulate(row)) for row in rows)
             for rows, den in zip(self.laws, self.dens)
         )
 
@@ -216,11 +222,12 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
     """eta_bar(i, j) for j = i+1..n, from one integer pass over row i.
 
     For each past y, the block of y z holds the unnormalized law of
-    X_i+1..n after y z in integer numerators; summing its m equal chunks
-    marginalizes out the next symbol, which gives the tail law for the next
-    j.  The TV distance between the tails after y z and y z' is
-    sum |a_t M_z' - b_t M_z| / (2 M_z M_z') with M the block masses, and the
-    largest one per j is kept as an integer pair compared by cross-products.
+    X_i+1..n after y z in integer numerators, with mass M_z.  The TV
+    distance between the tails after y z and y z' is sum |c| / (2 M_z M_z')
+    for the difference vector c = a M_z' - b M_z of their blocks a, b;
+    marginalizing is linear, so summing the m equal chunks of c gives the
+    difference vector for the next j.  The largest distance per j is kept
+    as an integer pair compared by cross-products.
     """
     m, n = P.alphabet_size, P.arity
     if i == n:
@@ -229,26 +236,20 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
     block = m ** (n - i)
     best = [(0, 1)] * (n - i)
     for lo in range(0, len(cells), m * block):
-        admissible = []
-        for z_lo in range(lo, lo + m * block, block):
-            mass = cum[z_lo + block] - cum[z_lo]
-            if mass:
-                admissible.append((mass, z_lo))
-        if len(admissible) < 2:
-            continue
-        tails = []
-        for mass, z_lo in admissible:
-            law = cells[z_lo : z_lo + block]
-            laws = [law]
-            for _ in range(n - i - 1):
-                law = project_numerators(law, m)
-                laws.append(law)
-            tails.append((mass, laws))
-        for a, (mass_a, laws_a) in enumerate(tails):
-            for mass_b, laws_b in tails[a + 1 :]:
+        bounds = cum[lo : lo + m * block + 1 : block]
+        admissible = [
+            (mass, cells[z_lo : z_lo + block])
+            for mass, z_lo in zip(map(sub, bounds[1:], bounds), range(lo, lo + m * block, block))
+            if mass
+        ]
+        for a, (mass_a, law_a) in enumerate(admissible):
+            for mass_b, law_b in admissible[a + 1 :]:
                 den = 2 * mass_a * mass_b
-                for k, (law_a, law_b) in enumerate(zip(laws_a, laws_b)):
-                    num = sum(abs(p * mass_b - q * mass_a) for p, q in zip(law_a, law_b))
+                diff = [p * mass_b - q * mass_a for p, q in zip(law_a, law_b)]
+                for k in range(n - i):
+                    if k:
+                        diff = project_numerators(diff, m)
+                    num = sum(map(abs, diff))
                     best_num, best_den = best[k]
                     if num * best_den > best_num * den:
                         best[k] = (num, den)
@@ -366,6 +367,15 @@ _OPNORM_REL_TOL = 1e-12
 _OPNORM_MAX_ITERATIONS = 100_000
 
 
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """sum u_i v_i, added left to right in plain float arithmetic.
+
+    Builtin ``sum`` compensates its float rounding since Python 3.12, which
+    would move the last bit of a norm between Python versions.
+    """
+    return reduce(add, map(mul, u, v), 0.0)
+
+
 def operator_norm_2(D: DeltaMatrix) -> float:
     """l2 operator norm (largest singular value), upper-biased.
 
@@ -382,18 +392,18 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     package's only floating-point computation before the exp() boundary.
     """
     n = D.size
-    d = [[float(v) for v in row] for row in D.entries]
-    # A = D^T D, symmetric PSD.
-    a = [[sum(d[k][i] * d[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    # A = D^T D, symmetric PSD, from inner products of D's columns.
+    cols = list(zip(*([float(v) for v in row] for row in D.entries)))
+    a = [[_dot(ci, cj) for cj in cols] for ci in cols]
 
     x = [1.0 / math.sqrt(n)] * n
     for _ in range(_OPNORM_MAX_ITERATIONS):
-        ax = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        rho = sum(ax[i] * x[i] for i in range(n))
-        resid = math.sqrt(sum((ax[i] - rho * x[i]) ** 2 for i in range(n)))
+        ax = [_dot(row, x) for row in a]
+        rho = _dot(ax, x)
+        resid = math.sqrt(reduce(add, [(v - rho * xi) ** 2 for v, xi in zip(ax, x)], 0.0))
         if resid <= _OPNORM_REL_TOL * rho:
             return math.sqrt(rho + resid)
-        norm = math.sqrt(sum(v * v for v in ax))
+        norm = math.sqrt(_dot(ax, ax))
         x = [v / norm for v in ax]
     # Largest column sum times largest row sum; D is nonnegative.
     bound = max(map(sum, zip(*D.entries))) * max(map(sum, D.entries))

@@ -6,15 +6,20 @@ uniform variate is exact (the variate is the rational r / 2^64 of a 64-bit
 draw, compared in integers against the measure's integer prefix sums over
 their common denominator), so a run is a pure function of
 (measure, seed, sample count) -- bit-identical across platforms and
-schedules.  A dense measure is scanned symbol by symbol, O(n m) a word;
-a chain, passed as its :class:`~hammix.mixing.MarkovSpec`, is sampled
-from its kernels by one bisection per symbol, O(n log m) a word, with the
-same draws as a scan of its expanded table.
+schedules.  One kernel draws every word, straight to its table index,
+by one bisection per symbol: of the prefix sums of a dense measure's
+current block, or, for a chain passed as its
+:class:`~hammix.mixing.MarkovSpec`, of the current state's kernel row
+(O(n log m) a word, with the same draws as its expanded table).
 
 Randomness comes from splitmix64 streams: sample k uses the stream whose
 initial state is seed + (k+1) * GAMMA mod 2^64, advanced by the standard
 splitmix64 output function.  Streams depend only on (seed, k), so samples
 may be generated in any order or in parallel without changing the result.
+They are not independent, though: stream k+1 is stream k advanced by one
+draw, so consecutive samples of an n-symbol word share n - 1 uniforms.
+:func:`empirical_tail` uses that overlap: it slides one window of n draws
+along the single sequence, one mix64 per sample rather than n.
 
 :func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
 reports the Azuma and mixing-matrix bounds next to each estimated
@@ -27,13 +32,16 @@ integer numerators against the exact value of the float t, scaled to integers.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Rational
+from typing import Iterable, Iterator
 
 from .martingale import azuma_bound, concentration_bound, conditional_sums, profile_from_sums
 from .mixing import MarkovSpec, Measure
 from .rational import float_from_rat, rat, rat_from_float
-from .words import TableFunction, WeightVector, Word, word_index
+from .words import TableFunction, WeightVector, Word, word_unindex
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -59,6 +67,25 @@ class SampleStream:
         return _mix64(self._state)
 
 
+def _sample_windows(seed: int, n: int) -> Iterator[deque[int]]:
+    """The n draws of SampleStream(seed, k), for k = 0, 1, 2, ...
+
+    Sample k's stream yields u[k+2], u[k+3], ... of the one sequence
+    u[s] = mix64(seed + s * GAMMA mod 2^64), so each sample's draws are the
+    previous sample's shifted by one: one window slides along the sequence,
+    one mix64 per sample.  The same deque is yielded each time, advanced.
+    """
+    state = (seed + _GAMMA) & _MASK64
+    window: deque[int] = deque(maxlen=n)
+    for _ in range(n - 1):
+        state = (state + _GAMMA) & _MASK64
+        window.append(_mix64(state))
+    while True:
+        state = (state + _GAMMA) & _MASK64
+        window.append(_mix64(state))
+        yield window
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Sample count, seed and the tail thresholds to estimate."""
@@ -81,51 +108,58 @@ class SimulationConfig:
             raise ValueError(f"thresholds must be positive, got {thresholds}")
 
 
-def sample_word(P: Measure | MarkovSpec, stream: SampleStream) -> Word:
-    """Draw one word with probability exactly P(x).
+def _sample_index(P: Measure | MarkovSpec, draws: Iterable[int]) -> int:
+    """Table index of the word drawn from n 64-bit draws, one per symbol.
 
     Symbol i is drawn from P(x_i | x_1..i-1) by comparing u = r / 2^64
     against the cumulative sub-block masses of the current prefix block,
-    divided by the block's mass.  With M the block's mass and A a running
-    sub-block sum, both integer numerators over the measure's common
-    denominator, u * M < A is r * M < A * 2^64: all comparisons are exact
-    integer ones, and zero-probability branches can never be selected.
+    divided by the block's mass: the symbol is the first sub-block whose
+    cumulative mass A exceeds u M.  With M and A integer numerators over
+    the measure's common denominator, u M < A is r M < A 2^64, that is,
+    floor(r M / 2^64) < A: all comparisons are exact integer ones, and
+    zero-probability branches can never be selected.  So the symbol is the
+    sub-block holding the cell that ``bisect_right`` finds for
+    base + floor(r M / 2^64) in the block's prefix sums (base the prefix
+    sum at the block's start): one bisection per symbol.
 
     On a chain, A / M is the cumulative row c / d of the current state's
-    kernel row, so the same test is r * d < c * 2^64: one bisection over
-    the row's cut points (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`)
-    per symbol, O(n log m) a word, with the same draws as the O(n m) scan
-    of the chain's table.
+    kernel row, so the same test is r d < c 2^64, that is,
+    r < ceil(c 2^64 / d): one bisection over the row's thresholds
+    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) per symbol, which
+    selects the word the chain's table would.
     """
-    if isinstance(P, MarkovSpec):
-        symbols = []
-        state = 0
-        for rows in P.sampler_cuts:
-            den, cuts = rows[state]
-            # r * d < d * 2^64, the last cut, so a symbol is always found;
-            # a null symbol's cut equals the one before it and is never first.
-            state = bisect_right(cuts, stream.next_u64() * den)
-            symbols.append(state)
-        return tuple(symbols)
     m = P.alphabet_size
+    if isinstance(P, MarkovSpec):
+        index = state = 0
+        for rows, r in zip(P.sampler_cuts, draws):
+            # r < 2^64, the last threshold, so a symbol is always found; a
+            # null symbol's threshold equals the one before it and is never first.
+            state = bisect_right(rows[state], r)
+            index = index * m + state
+        return index
     cum = P._cum
-    block = m**P.arity
+    size = len(cum) - 1
     lo = 0
-    symbols = []
-    for _ in range(P.arity):
-        block //= m
+    for r in draws:
+        hi = lo + size
         base = cum[lo]
-        # target = r * M with r < 2^64; strictly below the block mass times
-        # 2^64, so the scan always terminates at some positive sub-block.
-        target = stream.next_u64() * (cum[lo + block * m] - base)
-        for a in range(m):
-            if target < (cum[lo + (a + 1) * block] - base) << 64:
-                symbols.append(a)
-                lo += a * block
-                break
-        else:  # pragma: no cover - unreachable: target < mass * 2^64 == final acc
-            raise AssertionError("cumulative scan failed to select a symbol")
-    return tuple(symbols)
+        # base <= target < cum[hi], so the cell lies in [lo, hi) and has
+        # positive mass; its sub-block starts at the cell's index rounded
+        # down to a multiple of the sub-block size.
+        cell = bisect_right(cum, base + (r * (cum[hi] - base) >> 64), lo, hi) - 1
+        size //= m
+        lo = cell - cell % size
+    return lo
+
+
+def sample_word(P: Measure | MarkovSpec, stream: SampleStream) -> Word:
+    """Draw one word with probability exactly P(x), from the stream's next n draws.
+
+    The word is the one :func:`_sample_index` selects (see there for the
+    exact comparisons); the stream advances by exactly n draws.
+    """
+    m, n = P.alphabet_size, P.arity
+    return word_unindex(_sample_index(P, [stream.next_u64() for _ in range(n)]), m, n)
 
 
 @dataclass(frozen=True)
@@ -168,10 +202,9 @@ def empirical_tail(
     limits = [(t.denominator, t.numerator * scale) for t in exact_thresholds]
     profile = profile_from_sums(f, levels)
     counts = [0] * len(limits)
-    m = f.alphabet_size
-    for k in range(cfg.sample_count):
-        word = sample_word(P, SampleStream(cfg.seed, k))
-        deviation = abs(f.nums[word_index(word, m)] * mass - weighted)
+    nums = f.nums
+    for window in islice(_sample_windows(cfg.seed, P.arity), cfg.sample_count):
+        deviation = abs(nums[_sample_index(P, window)] * mass - weighted)
         for idx, (t_den, limit) in enumerate(limits):
             if deviation * t_den > limit:
                 counts[idx] += 1

@@ -15,12 +15,13 @@ without rounding; exponents, numerators and denominators are held to
 floats are not, except in ``thresholds`` / ``simulation.thresholds``,
 which are genuinely floating-point quantities.
 
-Dense tables and Markov chains are built once, here, from one per-entry
-reader: JSON ints and ASCII "p" / "p/q" strings split straight into
-integer pairs, every other spelling goes through
-:func:`~hammix.rational.rat`, and the table or chain is built from those
-pairs, so no rational is built per entry.  The accepted spellings, the
-values and every error are those of parsing each entry with ``rat``.
+Dense tables and Markov chains are built once, here, from integer pairs:
+a list of ASCII "p" strings, or of "p/q" strings, is converted in bulk;
+otherwise JSON ints and such strings split straight into pairs entry by
+entry, every other spelling goes through :func:`~hammix.rational.rat`,
+and the table or chain is built from those pairs, so no rational is
+built per entry.  The accepted spellings, the values and every error
+are those of parsing each entry with ``rat``.
 
 Builtins avoid shipping m^n-entry tables for the canonical test functions:
 
@@ -156,10 +157,19 @@ def _split_ratio(entry: Any) -> tuple[int, int] | None:
 def _parse_ratios(entries: list, path: str, nonnegative: bool = False) -> list[tuple[int, int]]:
     """The entries as integer pairs (p, q), q > 0, with value p / q.
 
-    Entries that :func:`_split_ratio` cannot take, or that break the sign
-    rule, go through :func:`_parse_rational`, which either returns the
-    value or raises the field's error.
+    A list of "p" strings, or of "p/q" strings, is read in bulk by
+    :func:`_bulk_ratios`; any other list, or one the bulk reader refuses,
+    is read entry by entry.  There, entries that :func:`_split_ratio`
+    cannot take, or that break the sign rule, go through
+    :func:`_parse_rational`, which either returns the value or raises the
+    field's error.  Both readers return the same pairs.
     """
+    ratios = _bulk_ratios(entries, nonnegative)
+    return ratios if ratios is not None else _entry_ratios(entries, path, nonnegative)
+
+
+def _entry_ratios(entries: list, path: str, nonnegative: bool) -> list[tuple[int, int]]:
+    """The per-entry reader of :func:`_parse_ratios`."""
     ratios = []
     for i, entry in enumerate(entries):
         pair = _split_ratio(entry)
@@ -168,6 +178,36 @@ def _parse_ratios(entries: list, path: str, nonnegative: bool = False) -> list[t
             pair = value.numerator, value.denominator
         ratios.append(pair)
     return ratios
+
+
+def _bulk_ratios(entries: list, nonnegative: bool) -> list[tuple[int, int]] | None:
+    """The pairs of a list of ASCII "p" strings, or of "p/q" strings, else None.
+
+    Each entry is matched on its own (one pattern over the joined table
+    backtracks through a stack as deep as the table), then the whole list
+    is converted by one ``int`` map over the joined text.  None (read the
+    entries one by one) when the list mixes the two forms, holds anything
+    else, or has an entry the per-entry reader would refuse or report: a
+    zero denominator, a sign against the rule, a number past the digit
+    limit.
+    """
+    try:
+        if not all(map(_INTEGER_RATIO.fullmatch, entries)):
+            return None
+    except TypeError:  # an entry that is not a string
+        return None
+    text = ",".join(entries)
+    slashes = text.count("/")
+    if slashes not in (0, len(entries)):
+        return None
+    try:
+        values = list(map(int, text.replace("/", ",").split(",")))
+    except ValueError:  # past the int digit limit
+        return None
+    nums, dens = (values[::2], values[1::2]) if slashes else (values, [1] * len(values))
+    if not all(dens) or (nonnegative and min(nums) < 0):
+        return None
+    return list(zip(nums, dens))
 
 
 def _parse_table(table: Any, m: int, n: int, path: str, nonnegative: bool = False):

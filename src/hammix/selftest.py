@@ -36,6 +36,7 @@ from .mixing import (
     Measure,
     delta_matrix,
     eta_bar,
+    expand_markov,
     operator_norm_2,
 )
 from .montecarlo import SimulationConfig, empirical_tail
@@ -294,6 +295,8 @@ def _martingale_structure_ok(
     """
     m = f.alphabet_size
     shifted = f.shift(random_rational(rng, -3, 3))
+    if isinstance(P, MarkovSpec):
+        P = expand_markov(P)  # once, for both sets of sums
     levels, shifted_levels = mg.conditional_sums(f, P), mg.conditional_sums(shifted, P)
     for i in range(1, f.arity + 1):
         (p_sums, p_masses), (sums, masses) = levels[i - 1], levels[i]

@@ -12,6 +12,7 @@ from hammix.instances import (
     random_markov_spec,
     random_product_measure,
 )
+from hammix import mixing
 from hammix.mixing import (
     DeltaMatrix,
     MarkovSpec,
@@ -386,6 +387,36 @@ def test_delta_matrix_matches_rational_oracle(P):
     for i in range(1, P.arity + 1):
         for j in range(i + 1, P.arity + 1):
             assert eta_bar(P, i, j) == mixing_oracle.eta_bar(table, i, j)
+
+
+def _product_with_null_symbols():
+    """Product measure whose marginals give some symbols zero mass."""
+    laws = (("1/3", "0", "2/3"), ("0", "1/2", "1/2"), ("1/4", "3/4", "0"), ("1/2", "0", "1/2"))
+    laws = [tuple(map(rat, law)) for law in laws]
+    return Measure(3, 4, tuple(math.prod(law[s] for law, s in zip(laws, x)) for x in words(3, 4)))
+
+
+DENSE_ROW_CASES = [
+    *((name, _table(P)) for name, P in ORACLE_CASES if isinstance(P, MarkovSpec)),
+    ("product0-m3n4", _product_with_null_symbols()),
+]
+
+
+@pytest.mark.parametrize("P", [P for _, P in DENSE_ROW_CASES], ids=[name for name, _ in DENSE_ROW_CASES])
+def test_dense_eta_bar_rows_match_rational_oracle(P):
+    # The dense measures of ORACLE_CASES meet the oracle above; here the
+    # dense row kernel also runs on every chain's table and on a product
+    # whose null symbols leave zero-mass blocks under positive pasts.
+    n = P.arity
+    for i in range(1, n + 1):
+        expected = [mixing_oracle.eta_bar(P, i, j) for j in range(i + 1, n + 1)]
+        assert mixing._eta_bar_row(P, i) == expected
+
+
+def test_product_with_null_symbols_has_identity_delta():
+    P = _product_with_null_symbols()
+    assert any(prefix_mass(P, prefix) == 0 for prefix in words(3, 2))
+    assert delta_matrix(P) == DeltaMatrix.identity(4)
 
 
 def test_oracle_cases_cover_null_prefixes_and_forced_positions():

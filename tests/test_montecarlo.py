@@ -5,7 +5,9 @@ import random
 import pytest
 
 import mixing_oracle
-from hammix.instances import random_dense_measure, random_markov_spec
+import table_oracle
+from hammix import montecarlo
+from hammix.instances import random_dense_measure, random_markov_spec, random_table
 from hammix.martingale import martingale_profile
 from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.montecarlo import (
@@ -15,7 +17,7 @@ from hammix.montecarlo import (
     sample_word,
 )
 from hammix.rational import rat
-from hammix.words import TableFunction, WeightVector, word_index
+from hammix.words import TableFunction, WeightVector, word_index, word_unindex
 
 
 def _chain(n):
@@ -30,6 +32,16 @@ def test_stream_determinism_and_splitting():
     assert SampleStream(99, 6).next_u64() != a[0]
     assert SampleStream(98, 5).next_u64() != a[0]
     assert all(0 <= r < 2**64 for r in a)
+
+
+def test_stream_k_plus_one_is_stream_k_advanced_by_one():
+    # Consecutive samples share all but one draw; empirical_tail's sliding
+    # window reads exactly these draws.
+    for seed in (0, 2**64 - 1, -7, 99):
+        for k in range(20):
+            ahead, next_stream = SampleStream(seed, k), SampleStream(seed, k + 1)
+            ahead.next_u64()
+            assert [ahead.next_u64() for _ in range(6)] == [next_stream.next_u64() for _ in range(6)]
 
 
 def test_simulation_config_validation():
@@ -72,6 +84,70 @@ def test_sample_word_matches_rational_scan(name):
         assert sample_word(P, stream) == mixing_oracle.sample_word(table, oracle_stream)
         # Both consumed one draw per symbol: the streams stay in step.
         assert stream.next_u64() == oracle_stream.next_u64()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
+def test_window_sampler_matches_rational_scan(name):
+    P = SAMPLER_CASES[name]
+    table = expand_markov(P) if isinstance(P, MarkovSpec) else P
+    m, n = P.alphabet_size, P.arity
+    for seed in (2024, 2**64 - 1):
+        windows = montecarlo._sample_windows(seed, n)
+        for k, window in zip(range(250), windows):
+            assert len(window) == n
+            word = word_unindex(montecarlo._sample_index(P, window), m, n)
+            assert word == mixing_oracle.sample_word(table, SampleStream(seed, k))
+
+
+class _CountingStream(SampleStream):
+    """A sample stream that counts its draws."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed, index):
+        super().__init__(seed, index)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+def test_sample_word_consumes_exactly_n_draws():
+    cases = [*SAMPLER_CASES.values(), Measure.uniform(1, 3), mixing_oracle.point_mass(2, 4, (1, 0, 0, 1))]
+    for P in cases:
+        for k in range(20):
+            stream = _CountingStream(5, k)
+            sample_word(P, stream)
+            assert stream.draws == P.arity
+
+
+def _tail_cases():
+    """(f, P) with P a measure or a chain; n = 1 and m = 1 included."""
+    rng = random.Random(61)
+    for P in (
+        *SAMPLER_CASES.values(),
+        random_dense_measure(rng, 3, 1, allow_zeros=True),
+        random_markov_spec(rng, 3, 1),
+        Measure.uniform(1, 4),
+        random_markov_spec(rng, 1, 3),
+    ):
+        yield random_table(rng, P.alphabet_size, P.arity, max_denominator=2), P
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, -3])
+@pytest.mark.parametrize("samples", [1, 300])
+def test_empirical_tail_counts_match_one_stream_per_sample(seed, samples):
+    # The sliding window must count what one SampleStream(seed, k) per
+    # sample draws; the oracle samples each chain's expanded table.
+    for f, P in _tail_cases():
+        cfg = SimulationConfig(samples, seed, (0.5, 1.0, 1.5))
+        w = WeightVector((1,) * P.arity)
+        table = expand_markov(P) if isinstance(P, MarkovSpec) else P
+        report = empirical_tail(f, P, w, cfg)
+        mean, counts = table_oracle.tail_mean_and_counts(f, table, cfg)
+        assert report.mean == mean
+        assert [row.exceed_count for row in report.rows] == counts
 
 
 def test_sampler_cases_include_null_cells():
@@ -133,6 +209,19 @@ def test_chain_sampler_at_exact_cut_points():
         assert sample_word(P, _Draws(*draws)) == word
         assert sample_word(dense, _Draws(*draws)) == word
         assert mixing_oracle.sample_word(dense, _Draws(*draws)) == word
+
+
+def test_chain_sampler_at_non_dyadic_cut_points():
+    # With law (1/3, 2/3), r * 3 < 2^64 holds up to r = (2^64 - 1) / 3, the
+    # floor of the cut c * 2^64 / d: the threshold must be its ceiling.
+    P = MarkovSpec(("1/3", "2/3"), ((("2/7", "5/7"), ("3/5", "2/5")),))
+    dense = expand_markov(P)
+    third, sevenths = (2**64 - 1) // 3, (2 * 2**64) // 7
+    for draws in ((third, sevenths), (third, sevenths + 1), (third + 1, 0), (third + 1, 2**64 - 1)):
+        word = mixing_oracle.sample_word(dense, _Draws(*draws))
+        assert sample_word(P, _Draws(*draws)) == word
+        assert sample_word(dense, _Draws(*draws)) == word
+    assert [mixing_oracle.sample_word(dense, _Draws(third, r)) for r in (sevenths, sevenths + 1)] == [(0, 0), (0, 1)]
 
 
 def test_chain_sampler_matches_dense_copy():

@@ -8,7 +8,9 @@ from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.problemfile import (
     ProblemFile,
     ProblemFileError,
+    _bulk_ratios,
     _parse_rational,
+    _parse_ratios,
     parse_problem,
     resolve_function,
     resolve_measure,
@@ -343,6 +345,44 @@ def test_dense_measure_spellings_match_rational_parse(entries):
     new = _outcome(lambda: parse_problem(doc).measure)
     old = _outcome(lambda: _old_measure(entries))
     _assert_same_table(new, old)
+
+
+# Bulk reader of "p" / "p/q" string tables -------------------------------
+
+ascii_integers = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(("-0", "007", "-007", "1" * 5000, "-" + "9" * 5000)),
+)
+ascii_denominators = st.one_of(
+    st.integers(1, 10**30).map(str), st.sampled_from(("0", "00", "010", "7" * 5000))
+)
+# Lists the bulk reader takes or refuses as a whole: every entry "p", every
+# entry "p/q", or the two forms mixed.
+ascii_ratio_lists = st.one_of(
+    st.lists(ascii_integers, min_size=1, max_size=6),
+    st.lists(st.builds("{}/{}".format, ascii_integers, ascii_denominators), min_size=1, max_size=6),
+    st.lists(ascii_integers | st.builds("{}/{}".format, ascii_integers, ascii_denominators), min_size=2, max_size=6),
+)
+
+
+@given(ascii_ratio_lists, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_bulk_reader_matches_per_entry_rational_parse(entries, nonnegative):
+    new = _outcome(lambda: [rat(p, q) for p, q in _parse_ratios(entries, "t", nonnegative)])
+    old = _outcome(lambda: list(_per_entry(entries, "t", nonnegative)))
+    assert new == old
+
+
+def test_bulk_reader_takes_uniform_lists_only():
+    assert _bulk_ratios(["1", "-2", "007"], False) == [(1, 1), (-2, 1), (7, 1)]
+    assert _bulk_ratios(["1/2", "-0/3", "2/4"], True) == [(1, 2), (0, 3), (2, 4)]
+    # Mixed forms, other spellings and non-strings are read entry by entry;
+    # so are lists holding an entry the per-entry reader reports.
+    for entries in (["1", "1/2"], ["1/2", "0.5"], ["1", 2], [], ["1/0", "1/2"], ["1" * 5000]):
+        assert _bulk_ratios(entries, False) is None
+    assert _bulk_ratios(["1/2", "-1/2"], True) is None
+    with pytest.raises(ProblemFileError, match=r"^t\[1\]: must be >= 0"):
+        _parse_ratios(["1/2", "-1/2"], "t", nonnegative=True)
 
 
 # Integer chain parse against the per-entry rational parse ---------------

@@ -133,6 +133,14 @@ def test_criterion_8_structure_check_holds_and_sees_a_wrong_mean(monkeypatch):
     assert not selftest._martingale_structure_ok(random.Random(6), f, P)
 
 
+def test_criterion_8_expands_a_chain_once(builds):
+    # Both sets of conditional sums, f's and its shift's, read one table.
+    rng = random.Random(8)
+    f, spec = random_table(rng, 2, 3), random_markov_spec(rng, 2, 3)
+    assert selftest._martingale_structure_ok(rng, f, spec)
+    assert (builds["expand_markov"], builds["conditional_sums"]) == (1, 2)
+
+
 def test_empirical_tail_mean_and_counts_match_oracle():
     rng = random.Random(7)
     for m, n in [(1, 2), (2, 3), (3, 2)]:
