@@ -70,7 +70,7 @@ def _parser() -> argparse.ArgumentParser:
                 "--max-table",
                 type=int,
                 default=MAX_DENSE_TABLE,
-                help="largest dense table (m^n) this run may expand",
+                help="largest table this run may build (m^n; n^2 for a chain's mixing matrix)",
             )
         return p
 

@@ -22,9 +22,11 @@ The central quantities:
 * ``verify_phi_psi``    -- exact comparison of phi_sup against the psi
   functional, which dominates it:  phi_sup <= psi + v * ramp(total(k)).
 
-Every solve returns the :class:`~hammix.simplex.SimplexResult` whose
-strong-duality certificate ``simplex_max`` has verified; see
-:mod:`hammix.simplex`.
+:func:`solve_lp` builds the simplex's integer rows straight from the
+problem's fields, so no rational is built before the vertex, the duals and
+the value.  Every solve returns the :class:`~hammix.simplex.SimplexResult`
+whose strong-duality certificate the integer checker has verified against
+those rows; see :mod:`hammix.simplex`.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from operator import sub
 from typing import Iterator, Literal
 
 from .psi import norm_shift, psi, ramp
-from .rational import RationalLike, rat
-from .simplex import SimplexResult, simplex_max
+from .rational import RationalLike, over_common_denominator, rat
+from .simplex import SimplexResult, _solve
 from .words import TableFunction, WeightVector, word_unindex
 
 
@@ -61,12 +63,12 @@ class LpProblem:
             raise ValueError(
                 f"objective length {len(self.objective)} != num_vars {self.num_vars}"
             )
-        if self.upper_bound <= 0:
+        if self.upper_bound.numerator <= 0:
             raise ValueError(f"box upper bound must be positive, got {self.upper_bound}")
         for x, y, rhs in self.difference_constraints:
             if not (0 <= x < self.num_vars and 0 <= y < self.num_vars) or x == y:
                 raise ValueError(f"bad difference constraint pair ({x}, {y})")
-            if rhs <= 0:
+            if rhs.numerator <= 0:
                 raise ValueError(f"difference constraint rhs must be positive, got {rhs}")
 
 
@@ -127,24 +129,23 @@ def build_polytope_lp(
     return LpProblem(m**n, k.values, upper, tuple(constraints))
 
 
-def _standard_form(p: LpProblem):
-    rows: list[dict[int, Rational]] = [{j: rat(1)} for j in range(p.num_vars)]
-    rhs: list[Rational] = [p.upper_bound] * p.num_vars
-    one = rat(1)
-    for x, y, bound in p.difference_constraints:
-        rows.append({x: one, y: -one})
-        rhs.append(bound)
-    return rows, rhs
-
-
 def solve_lp(p: LpProblem) -> SimplexResult:
-    """Exact simplex solve; simplex_max has already verified the certificate.
+    """Exact simplex solve on integer rows built from the problem's fields.
 
+    With U = p_U / q_U, box row j reads q_U x_j <= p_U over q_U, and the
+    difference constraint (x, y, p / q) reads q x - q y <= p over q.  The
+    certificate is checked against these rows before the result returns.
     The dual vector is indexed by constraint rows in build order: first the
     num_vars box rows, then the difference rows.
     """
-    rows, rhs = _standard_form(p)
-    return simplex_max(p.objective, rows, rhs)
+    nv = p.num_vars
+    top, q = p.upper_bound.numerator, p.upper_bound.denominator
+    rows = [({j: q}, top, q) for j in range(nv)]
+    for x, y, bound in p.difference_constraints:
+        q = bound.denominator
+        rows.append(({x: q, y: -q}, bound.numerator, q))
+    nums, den = over_common_denominator(p.objective)
+    return _solve(nv, {j: a for j, a in enumerate(nums) if a}, den, rows)
 
 
 def phi_sup(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Rational:

@@ -31,8 +31,10 @@ Builtins avoid shipping m^n-entry tables for the canonical test functions:
 
 ``<word>`` is a digit string ("0110") or comma-separated symbols
 ("0,1,1,0"); the comma form is required when the alphabet has more than
-ten symbols.  A chain is handed on as its parsed spec.  The dense cap
-(``max_table``) applies to every input, chains included.
+ten symbols.  A chain is handed on as its parsed spec.  The cap
+(``max_table``) applies to every m^n table a run builds, the function's
+and a dense measure's; a chain builds none, so for a chain it caps the
+n x n mixing matrix instead.
 """
 
 from __future__ import annotations
@@ -373,10 +375,16 @@ def resolve_function(
 
 
 def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> Measure | MarkovSpec:
-    """The file's measure as parsed: a :class:`Measure` or a :class:`MarkovSpec`."""
+    """The file's :class:`Measure` or :class:`MarkovSpec`; a chain's cap is on its n x n Delta."""
     if problem.measure is None:
         raise ProblemFileError("measure", "this subcommand needs a 'measure' section")
-    _check_table_size(problem.alphabet, problem.n, max_table)
+    n = problem.n
+    if not isinstance(problem.measure, MarkovSpec):
+        _check_table_size(problem.alphabet, n, max_table)
+    elif n * n > max_table:
+        raise ProblemFileError(
+            "n", f"mixing matrix of {n}^2 entries exceeds the cap of {max_table}"
+        )
     return problem.measure
 
 

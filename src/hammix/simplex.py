@@ -6,32 +6,35 @@ Solves the standard form
     subject to  A x <= b,   x >= 0,   b >= 0 entrywise,
 
 on a fraction-free sparse tableau: each row is a ``{column: int}`` map of
-its nonzero numerators with one positive integer denominator, so a pivot
-is integer arithmetic (``row * pe - f * pivot_row``, then division by the
-row's gcd) and zero cells cost nothing.  Nonnegative right-hand sides make
-the all-slack basis feasible, so no phase-1 is needed; every polytope built
-in this package has that shape.  Pivoting uses Bland's anti-cycling rule
-(smallest-index entering column with positive reduced cost; ratio ties
-broken by smallest basic variable index), which terminates on degenerate
-polytopes.  Row denominators cancel in the ratio test, so the pivot
-sequence is the one a tableau of rationals would take; only the final
-vertex, duals and objective are converted to the backend rational type.
+its nonzero numerators, its right-hand side's numerator and one positive
+integer denominator, so a pivot is integer arithmetic (``row * pe - f *
+pivot_row``, then division by the row's gcd) and zero cells cost nothing.
+:func:`simplex_max` converts rational rows to integer ones;
+:func:`hammix.lipschitz_lp.solve_lp` builds them from its problem's fields.
+Nonnegative right-hand sides make the all-slack basis feasible, so no
+phase-1 is needed; every polytope built in this package has that shape.
+Pivoting uses Bland's anti-cycling rule (smallest-index entering column
+with positive reduced cost; ratio ties broken by smallest basic variable
+index), which terminates on degenerate polytopes.  Row denominators cancel
+in the ratio test, so the pivot sequence is the one a tableau of rationals
+would take; only the final vertex, duals and objective are rationals.
 
 Every solve returns a :class:`SimplexResult` carrying the optimal vertex
-and the dual multipliers read off the final tableau, and
-:func:`verify_certificate` re-checks primal feasibility, dual feasibility
-and equality of the two objectives exactly, against the *original* data
-rather than the tableau.  A certificate failure means a solver bug, never a
-caller error, hence the dedicated exception type.
+and the dual multipliers read off the final tableau, and one integer
+checker re-checks primal feasibility, dual feasibility and equality of the
+two objectives exactly, against the integer rows rather than the tableau;
+:func:`verify_certificate` converts rational rows and runs it.  A
+certificate failure means a solver bug, never a caller error, hence the
+dedicated exception type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .rational import over_common_denominator, rat
 
@@ -40,6 +43,9 @@ _EXACT = frozenset({int, Fraction, type(rat(0))})
 
 # Bland's rule terminates; this cap only trips on an implementation bug.
 _MAX_PIVOTS = 200_000
+
+#: Nonzero numerators by column, the rhs numerator, their positive denominator.
+_IntegerRow = tuple[dict[int, int], int, int]
 
 
 class SimplexError(RuntimeError):
@@ -72,33 +78,78 @@ def simplex_max(
     infeasible) and SimplexError on unboundedness, which cannot happen for
     the box-bounded polytopes built here.
     """
-    nv = len(objective)
-    nr = len(rows)
-    if len(rhs) != nr:
-        raise ValueError(f"{nr} constraint rows but {len(rhs)} right-hand sides")
     for i, b in enumerate(rhs):
         if b < 0:
             raise ValueError(f"negative right-hand side {b} in row {i}")
+    return _solve(len(objective), *_integer_lp(objective, rows, rhs))
 
-    # Row i of the tableau is nums[i][j] / dens[i] in column j (slacks are
-    # columns nv + i) and rhs_nums[i] / dens[i] on the right; zeros are not
-    # stored.
-    nums: list[dict[int, int]] = []
-    rhs_nums: list[int] = []
-    dens: list[int] = []
+
+def verify_certificate(
+    objective: Sequence[Rational],
+    rows: Sequence[Mapping[int, Rational]],
+    rhs: Sequence[Rational],
+    result: SimplexResult,
+) -> None:
+    """Exact strong-duality check against the original problem data.
+
+    Converts the rows to integers and runs the checker every solve runs;
+    raises CertificateError unless x >= 0, Ax <= b, y >= 0, A^T y >= c and
+    c.x == b.y == the reported value.
+    """
+    _check(len(objective), *_integer_lp(objective, rows, rhs), result)
+
+
+def _integer_lp(
+    objective: Sequence[Rational],
+    rows: Sequence[Mapping[int, Rational]],
+    rhs: Sequence[Rational],
+) -> tuple[dict[int, int], int, list[_IntegerRow]]:
+    """Objective numerators, their denominator, and the integer rows."""
+    nv = len(objective)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} constraint rows but {len(rhs)} right-hand sides")
+    integer_rows = []
     for i, coeffs in enumerate(rows):
         for j in coeffs:
             if not 0 <= j < nv:
                 raise ValueError(f"variable index {j} out of range in row {i}")
-        row, b, den = _integer_row(coeffs, rhs[i])
-        row[nv + i] = den
-        nums.append(row)
-        rhs_nums.append(b)
-        dens.append(den)
-    # Objective row: reduced costs; its rhs cell accumulates -(objective value).
-    obj, obj_rhs, obj_den = _integer_row(dict(enumerate(objective)), 0)
+        integer_rows.append(_integer_row(coeffs, rhs[i]))
+    c, _, c_den = _integer_row(dict(enumerate(objective)), 0)
+    return c, c_den, integer_rows
 
-    basis = list(range(nv, nv + nr))
+
+def _integer_row(coeffs: Mapping[int, Rational], rhs: Rational) -> _IntegerRow:
+    """Nonzero ``coeffs`` and ``rhs`` as numerators over one common denominator."""
+    values = {j: a if type(a) in _EXACT else rat(a) for j, a in coeffs.items()}
+    columns = [j for j, a in values.items() if a]
+    rhs = rhs if type(rhs) in _EXACT else rat(rhs)
+    nums, den = over_common_denominator([values[j] for j in columns] + [rhs])
+    return dict(zip(columns, nums[:-1])), nums[-1], den
+
+
+def _solve(
+    nv: int, objective: dict[int, int], objective_den: int, rows: Sequence[_IntegerRow]
+) -> SimplexResult:
+    """Maximize objective . x / objective_den over rows with rhs >= 0, checked."""
+    result = _pivot(nv, objective, objective_den, rows)
+    _check(nv, objective, objective_den, rows, result)
+    return result
+
+
+def _pivot(
+    nv: int, objective: dict[int, int], objective_den: int, rows: Sequence[_IntegerRow]
+) -> SimplexResult:
+    """The simplex itself: Bland pivots, then the vertex, duals and value."""
+    # Row i of the tableau is nums[i][j] / dens[i] in column j (slacks are
+    # columns nv + i) and rhs_nums[i] / dens[i] on the right; zeros are not
+    # stored.  Pivots rewrite rows in place, so the input rows are copied.
+    nums = [{**coeffs, nv + i: den} for i, (coeffs, _, den) in enumerate(rows)]
+    rhs_nums = [b for _, b, _ in rows]
+    dens = [den for _, _, den in rows]
+    # Objective row: reduced costs; its rhs cell accumulates -(objective value).
+    obj, obj_rhs, obj_den = dict(objective), 0, objective_den
+
+    basis = list(range(nv, nv + len(rows)))
     pivots = 0
     while True:
         enter = min((j for j, a in obj.items() if a > 0), default=-1)
@@ -151,24 +202,9 @@ def simplex_max(
             primal[bvar] = rat(rhs_nums[i], dens[i])
     # At optimality the slack column nv + i of the objective row holds -y_i.
     dual = tuple(
-        rat(-obj[nv + i], obj_den) if nv + i in obj else zero for i in range(nr)
+        rat(-obj[nv + i], obj_den) if nv + i in obj else zero for i in range(len(rows))
     )
-    value = rat(-obj_rhs, obj_den)
-
-    result = SimplexResult(tuple(primal), dual, value, pivots)
-    verify_certificate(objective, rows, rhs, result)
-    return result
-
-
-def _integer_row(
-    coeffs: Mapping[int, Rational], rhs: Rational
-) -> tuple[dict[int, int], int, int]:
-    """Nonzero ``coeffs`` and ``rhs`` as numerators over one common denominator."""
-    values = {j: a if type(a) in _EXACT else rat(a) for j, a in coeffs.items()}
-    columns = [j for j, a in values.items() if a]
-    rhs = rhs if type(rhs) in _EXACT else rat(rhs)
-    nums, den = over_common_denominator([values[j] for j in columns] + [rhs])
-    return dict(zip(columns, nums[:-1])), nums[-1], den
+    return SimplexResult(tuple(primal), dual, rat(-obj_rhs, obj_den), pivots)
 
 
 def _eliminate(
@@ -206,75 +242,63 @@ def _eliminate(
     return row, rhs, den
 
 
-def verify_certificate(
-    objective: Sequence[Rational],
-    rows: Sequence[Mapping[int, Rational]],
-    rhs: Sequence[Rational],
+def _check(
+    nv: int,
+    objective: dict[int, int],
+    objective_den: int,
+    rows: Sequence[_IntegerRow],
     result: SimplexResult,
 ) -> None:
-    """Exact strong-duality check against the original problem data.
+    """Exact strong-duality check of ``result`` against integer rows.
 
     Confirms primal feasibility (x >= 0, Ax <= b), dual feasibility
-    (y >= 0, A^T y >= c) and objective equality (c.x == b.y); raises
-    CertificateError otherwise.  x and y are put over their common
-    denominators X and Y, so every inequality is compared in integers after
-    multiplying both sides by a positive factor.
+    (y >= 0, A^T y >= c) and objective equality (c.x == b.y == value);
+    raises CertificateError otherwise.  Row i reads coeffs / den_i, so y_i
+    multiplies its numerators as z_i = y_i / den_i.  x and z are put over
+    common denominators X and Z, and every comparison is one between
+    integers multiplied by positive factors.
     """
-    x = result.primal
-    y = result.dual
-    nv = len(objective)
+    x, y = result.primal, result.dual
     if len(x) != nv or len(y) != len(rows):
         raise CertificateError("certificate dimensions do not match the problem")
-    for j, xj in enumerate(x):
-        if xj < 0:
-            raise CertificateError(f"primal variable {j} negative: {xj}")
     x_nums, x_den = over_common_denominator(x)
-    y_nums, y_den = over_common_denominator(y)
-    columns: list[list[tuple[Rational, int]]] = [[] for _ in range(nv)]
-    for i, coeffs in enumerate(rows):
-        num, den = _dot((a, x_nums[j]) for j, a in coeffs.items())
-        b = rhs[i]
-        # lhs = num / (den * X) <= b
-        if num * b.denominator > b.numerator * den * x_den:
-            lhs = rat(num, den * x_den)
-            raise CertificateError(f"primal row {i} violated: {lhs} > {b}")
-        if y[i] < 0:
-            raise CertificateError(f"dual multiplier {i} negative: {y[i]}")
-        yi = y_nums[i]
+    for j, a in enumerate(x_nums):
+        if a < 0:
+            raise CertificateError(f"primal variable {j} negative: {x[j]}")
+    for i, (coeffs, b, den) in enumerate(rows):
+        lhs = sum(a * x_nums[j] for j, a in coeffs.items())
+        if lhs > b * x_den:
+            raise CertificateError(
+                f"primal row {i} violated: {rat(lhs, den * x_den)} > {rat(b, den)}"
+            )
+
+    z_den = lcm(*(yi.denominator * den for yi, (_, _, den) in zip(y, rows) if yi))
+    columns = [0] * nv
+    dual_num = 0
+    for i, (yi, (coeffs, b, den)) in enumerate(zip(y, rows)):
+        if yi.numerator < 0:
+            raise CertificateError(f"dual multiplier {i} negative: {yi}")
         if yi:
+            z = yi.numerator * (z_den // (yi.denominator * den))
+            dual_num += b * z
             for j, a in coeffs.items():
-                columns[j].append((a, yi))
-    for j, terms in enumerate(columns):
-        num, den = _dot(terms)
-        c = objective[j]
-        # column sum = num / (den * Y) >= c
-        if num * c.denominator < c.numerator * den * y_den:
-            total = rat(num, den * y_den)
-            raise CertificateError(f"dual row for variable {j} violated: {total} < {c}")
+                columns[j] += a * z
+    for j, total in enumerate(columns):
+        c = objective.get(j, 0)
+        if total * objective_den < c * z_den:
+            raise CertificateError(
+                f"dual row for variable {j} violated: "
+                f"{rat(total, z_den)} < {rat(c, objective_den)}"
+            )
+
     value = result.objective_value
-    primal_num, primal_den = _dot(zip(objective, x_nums))
-    dual_num, dual_den = _dot(zip(rhs, y_nums))
-    primal_den *= x_den
-    dual_den *= y_den
+    primal_num = sum(c * x_nums[j] for j, c in objective.items())
+    primal_den = objective_den * x_den
     if (
         primal_num * value.denominator != value.numerator * primal_den
-        or dual_num * value.denominator != value.numerator * dual_den
+        or dual_num * value.denominator != value.numerator * z_den
     ):
         raise CertificateError(
             f"objective mismatch: primal {rat(primal_num, primal_den)}, "
-            f"dual {rat(dual_num, dual_den)}, reported {value}"
+            f"dual {rat(dual_num, z_den)}, reported {value}"
         )
-
-
-def _dot(terms: Iterable[tuple[Rational, int]]) -> tuple[int, int]:
-    """sum(a * z) over (rational a, int z) pairs, as (numerator, denominator > 0)."""
-    num, den = 0, 1
-    for a, z in terms:
-        q = a.denominator
-        if q == den:
-            num += a.numerator * z
-        else:
-            g = gcd(den, q)
-            num = num * (q // g) + a.numerator * z * (den // g)
-            den = den // g * q
-    return num, den

@@ -7,6 +7,9 @@ to the smallest basic index) and the same read-out of the primal vertex,
 the duals and the objective.  The library's fraction-free sparse tableau
 must return a :class:`~hammix.simplex.SimplexResult` equal to this one,
 ``pivots`` included.  No certificate check is done here.
+
+:func:`standard_form` gives the rational rows of a polytope LP, the form
+``solve_lp`` built before it built its integer rows directly.
 """
 
 from __future__ import annotations
@@ -14,8 +17,22 @@ from __future__ import annotations
 from numbers import Rational
 from typing import Mapping, Sequence
 
+from hammix.lipschitz_lp import LpProblem
 from hammix.rational import rat
 from hammix.simplex import SimplexError, SimplexResult
+
+
+def standard_form(
+    problem: LpProblem,
+) -> tuple[list[dict[int, Rational]], list[Rational]]:
+    """Rational rows and right-hand sides of an LpProblem: box rows, then difference rows."""
+    one = rat(1)
+    rows: list[dict[int, Rational]] = [{j: one} for j in range(problem.num_vars)]
+    rhs = [problem.upper_bound] * problem.num_vars
+    for x, y, bound in problem.difference_constraints:
+        rows.append({x: one, y: -one})
+        rhs.append(bound)
+    return rows, rhs
 
 
 def dense_simplex_max(

@@ -145,6 +145,32 @@ def test_one_parser_per_process_keeps_no_state_between_calls(capsys, chain_file)
     assert code == 0 and payload["lipschitz"] == "1/1"
 
 
+def test_chain_past_the_dense_cap_runs_eta_only(capsys, tmp_path):
+    # 3^100 words: eta reads the chain's kernels and caps only its 100x100
+    # Delta; every subcommand that needs f's table still refuses.
+    n = 100
+    law = [["1/2", "1/4", "1/4"], ["1/3", "1/3", "1/3"], ["0", "1/5", "4/5"]]
+    chain = _write(
+        tmp_path,
+        {
+            "alphabet": 3,
+            "n": n,
+            "weights": ["1"] * n,
+            "function": "sum_of_symbols",
+            "measure": {"markov": {"init": ["1", "0", "0"], "transitions": [law] * (n - 1)}},
+            "thresholds": [1.0],
+        },
+    )
+    code, payload, _ = _run(capsys, ["eta", chain])
+    assert code == 0
+    assert len(payload["delta"]) == n and all(len(row) == n for row in payload["delta"])
+    code, _, err = _run(capsys, ["eta", "--max-table", str(n * n - 1), chain])
+    assert code == 1 and "exceeds the cap" in err
+    for command in ("bound", "martingale", "simulate"):
+        code, _, err = _run(capsys, [command, chain])
+        assert code == 1 and "exceeds the cap" in err
+
+
 @pytest.mark.parametrize(
     "command,expansions,sums,tables",
     [

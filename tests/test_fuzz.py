@@ -4,7 +4,7 @@ Arbitrary JSON values and field-level mutations of ``sample_problems/``
 either parse or raise :class:`ProblemFileError`, and ``hammix <command>``
 on the written file exits 0, 1 or 3 with strict JSON on stdout.  Sizes stay
 small: integers are bounded, the simulation's sample count is cut before
-mutating, and ``--max-table`` caps every dense table.
+mutating, and ``--max-table`` caps every table a run builds.
 """
 
 import contextlib

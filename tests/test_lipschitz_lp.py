@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from simplex_oracle import standard_form
 
 import hammix.lipschitz_lp as lipschitz_lp
 import hammix.selftest as selftest
@@ -276,13 +277,9 @@ def test_certificates_survive_reverification():
         w = random_weights(rng, 2)
         problem = build_polytope_lp(k, w, "1/2")
         result = solve_lp(problem)
-        # Standard-form rows rebuilt from the public LpProblem fields: the
-        # box rows first, then one row per difference constraint.
-        rows = [{j: rat(1)} for j in range(problem.num_vars)]
-        rhs = [problem.upper_bound] * problem.num_vars
-        for x, y, bound in problem.difference_constraints:
-            rows.append({x: rat(1), y: rat(-1)})
-            rhs.append(bound)
+        # Rational rows rebuilt from the public LpProblem fields: the box
+        # rows first, then one row per difference constraint.
+        rows, rhs = standard_form(problem)
         verify_certificate(problem.objective, rows, rhs, result)
         assert all(y >= 0 for y in result.dual)
         assert all(0 <= x <= problem.upper_bound for x in result.primal)

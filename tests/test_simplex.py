@@ -2,7 +2,7 @@ import random
 
 import pytest
 from scipy.optimize import linprog
-from simplex_oracle import dense_simplex_max
+from simplex_oracle import dense_simplex_max, standard_form
 
 import hammix.simplex
 from hammix import instances
@@ -15,6 +15,7 @@ from hammix.simplex import (
     simplex_max,
     verify_certificate,
 )
+from hammix.words import WeightVector
 
 
 def test_zero_objective():
@@ -208,9 +209,97 @@ def test_matches_dense_oracle_on_polytope_lps(m, n, v):
         k = instances.random_table(rng, m, n)
         w = instances.random_weights(rng, n)
         problem = build_polytope_lp(k, w, v)
-        rows = [{j: rat(1)} for j in range(problem.num_vars)]
-        rhs = [problem.upper_bound] * problem.num_vars
-        for x, y, bound in problem.difference_constraints:
-            rows.append({x: rat(1), y: rat(-1)})
-            rhs.append(bound)
+        rows, rhs = standard_form(problem)
         assert solve_lp(problem) == dense_simplex_max(problem.objective, rows, rhs)
+
+
+def _distinct_denominator_weights(rng, n):
+    """Weights whose denominators are pairwise different primes."""
+    dens = rng.sample((2, 3, 5, 7, 11, 13), n)
+    return WeightVector(rat(rng.choice([a for a in range(1, 2 * q) if a != q]), q) for q in dens)
+
+
+@pytest.mark.parametrize("m,n,pairs", [(2, 1, "all"), (2, 2, "all"), (3, 2, "all"),
+                                       (2, 3, "adjacent"), (3, 2, "adjacent"), (2, 4, "adjacent")])
+@pytest.mark.parametrize("v", ["0", "1/2", "1", "5/7"])
+def test_integer_rows_match_the_rational_standard_form(m, n, pairs, v):
+    # solve_lp builds its integer rows from the LpProblem's fields; the
+    # rational rows through simplex_max must give the same result, pivots
+    # included, and a subset also goes through the dense oracle.
+    rng = random.Random(f"integer-rows:{m}:{n}:{pairs}:{v}")
+    for trial in range(3):
+        k = instances.random_table(rng, m, n)
+        w = _distinct_denominator_weights(rng, n)
+        problem = build_polytope_lp(k, w, v, pairs=pairs)
+        rows, rhs = standard_form(problem)
+        result = solve_lp(problem)
+        assert result == simplex_max(problem.objective, rows, rhs)
+        if trial == 0 and m**n <= 9:
+            assert result == dense_simplex_max(problem.objective, rows, rhs)
+
+
+def _solved_with_tampering(monkeypatch, problem, tamper):
+    """solve_lp with the pivot core's result passed through ``tamper`` first."""
+    pivot = hammix.simplex._pivot
+    with monkeypatch.context() as patch:
+        patch.setattr(hammix.simplex, "_pivot", lambda *args: tamper(pivot(*args)))
+        solve_lp(problem)
+
+
+def _replace(values, index, value):
+    return values[:index] + (value,) + values[index + 1 :]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_integer_checker_rejects_tampering_on_the_solve_lp_path(monkeypatch, m):
+    rng = random.Random(f"tamper:{m}")
+    tested = 0
+    while tested < 4:
+        k = instances.random_table(rng, m, 2)
+        w = _distinct_denominator_weights(rng, 2)
+        problem = build_polytope_lp(k, w, "1/2")
+        good = solve_lp(problem)
+        nv, upper = problem.num_vars, problem.upper_bound
+        positive = [i for i, y in enumerate(good.dual) if y > 0]
+        if not positive:
+            continue
+        tested += 1
+
+        def check(tamper, message):
+            with pytest.raises(CertificateError, match=message):
+                _solved_with_tampering(monkeypatch, problem, tamper)
+
+        # A primal entry over the box breaks box row j.
+        j = rng.randrange(nv)
+        check(lambda r: _tampered(r, primal=_replace(r.primal, j, upper + rat(1, 3))),
+              f"primal row {j} violated")
+
+        check(lambda r: _tampered(r, primal=_replace(r.primal, j, rat(-1, 2))),
+              f"primal variable {j} negative")
+
+        # x[a] = U, x[b] = 0 stays in the box and breaks (a, b, d) since d < U.
+        row = rng.randrange(len(problem.difference_constraints))
+        a, b, _ = problem.difference_constraints[row]
+
+        def break_difference(r):
+            return _tampered(r, primal=_replace(_replace(r.primal, a, upper), b, rat(0)))
+
+        with pytest.raises(CertificateError, match=r"primal row \d+ violated") as err:
+            _solved_with_tampering(monkeypatch, problem, break_difference)
+        assert int(err.value.args[0].split()[2]) >= nv
+
+        i = rng.randrange(len(good.dual))
+        check(lambda r: _tampered(r, dual=_replace(r.dual, i, rat(-1, 2))),
+              f"dual multiplier {i} negative")
+
+        # A positive dual sits on a tight row whose positive coefficient is on
+        # a variable x > 0, so that variable's dual row is tight: lowering
+        # the multiplier to 0 breaks it.
+        i = rng.choice(positive)
+        column = i if i < nv else problem.difference_constraints[i - nv][0]
+        check(lambda r: _tampered(r, dual=_replace(r.dual, i, rat(0))),
+              f"dual row for variable {column} violated")
+
+        check(lambda r: _tampered(
+            r, objective_value=r.objective_value + rat(1, r.objective_value.denominator)),
+            "objective mismatch")
