@@ -22,11 +22,11 @@ The central quantities:
 * ``verify_phi_psi``    -- exact comparison of phi_sup against the psi
   functional, which dominates it:  phi_sup <= psi + v * ramp(total(k)).
 
-:func:`solve_lp` builds the simplex's integer rows straight from the
-problem's fields, so no rational is built before the vertex, the duals and
-the value.  Every solve returns the :class:`~hammix.simplex.SimplexResult`
-whose strong-duality certificate the integer checker has verified against
-those rows; see :mod:`hammix.simplex`.
+:func:`solve_lp` hands the simplex rows of int coefficients, which it puts
+over their rhs's denominator with no rational arithmetic.  Every solve
+returns the :class:`~hammix.simplex.SimplexResult` whose strong-duality
+certificate the simplex's integer checker has verified against those rows;
+see :mod:`hammix.simplex`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from operator import sub
 from typing import Iterator, Literal
 
 from .psi import norm_shift, psi, ramp
-from .rational import RationalLike, over_common_denominator, rat
-from .simplex import SimplexResult, _solve
+from .rational import RationalLike, rat
+from .simplex import SimplexResult, simplex_max
 from .words import TableFunction, WeightVector, word_unindex
 
 
@@ -130,22 +130,18 @@ def build_polytope_lp(
 
 
 def solve_lp(p: LpProblem) -> SimplexResult:
-    """Exact simplex solve on integer rows built from the problem's fields.
+    """Exact simplex solve of the problem, its certificate checked.
 
-    With U = p_U / q_U, box row j reads q_U x_j <= p_U over q_U, and the
-    difference constraint (x, y, p / q) reads q x - q y <= p over q.  The
-    certificate is checked against these rows before the result returns.
-    The dual vector is indexed by constraint rows in build order: first the
+    Every row has int coefficients -- box row j reads x_j <= upper_bound,
+    the difference constraint (x, y, b) reads x - y <= b -- so the simplex
+    puts each over its rhs's denominator without building a rational.  The
+    dual vector is indexed by constraint rows in build order: first the
     num_vars box rows, then the difference rows.
     """
-    nv = p.num_vars
-    top, q = p.upper_bound.numerator, p.upper_bound.denominator
-    rows = [({j: q}, top, q) for j in range(nv)]
-    for x, y, bound in p.difference_constraints:
-        q = bound.denominator
-        rows.append(({x: q, y: -q}, bound.numerator, q))
-    nums, den = over_common_denominator(p.objective)
-    return _solve(nv, {j: a for j, a in enumerate(nums) if a}, den, rows)
+    nv, pairs = p.num_vars, p.difference_constraints
+    rows = [{j: 1} for j in range(nv)] + [{x: 1, y: -1} for x, y, _ in pairs]
+    rhs = [p.upper_bound] * nv + [b for _, _, b in pairs]
+    return simplex_max(p.objective, rows, rhs)
 
 
 def phi_sup(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Rational:

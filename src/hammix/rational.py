@@ -5,9 +5,9 @@ comparisons, so no module is allowed to round.  The working type is
 ``gmpy2.mpq`` when gmpy2 is importable (its arithmetic is an order of
 magnitude faster than ``fractions.Fraction``) and ``fractions.Fraction``
 otherwise.  The simplex works in Python integers from its input rows to
-its certificate check (fraction-free rows, built from the polytope's
-fields by ``solve_lp``), so there the backend only carries the problem's
-data and the final vertex, duals and value.
+its certificate check (fraction-free rows; ``solve_lp``'s polytope rows
+have int coefficients), so there the backend only carries the problem's
+right-hand sides and objective and the final vertex, duals and value.
 The two types interoperate: ``==``, ``hash`` and mixed arithmetic agree,
 so callers may hand any of int / Fraction / mpq / string to the functions
 in this package.

@@ -8,7 +8,8 @@ violation fails the criterion and is recorded in the result detail.
 
 The LP-based criteria read ``verify_phi_psi`` reports: one per random
 (k, w, v), plus one at v = 0 for the norms when v != 0.  Every certificate
-is verified once, inside ``solve_lp``, against the LP's constraint rows.
+is verified once, inside ``simplex_max``, against the original constraint
+data.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def lp_criteria(
     """Criteria 1, 2 and 5: supremum bound, norm bound, certificates.
 
     Returns (lp_inequality, norm_inequality, certificates) results.  Each
-    solve's certificate is verified inside ``solve_lp`` (a failure raises
+    solve's certificate is verified inside ``simplex_max`` (a failure raises
     CertificateError) and counted once; the adjacent-pair constraint
     reduction is cross-checked against the all-pairs build on m=2, n=2.
     """

@@ -9,8 +9,9 @@ on a fraction-free sparse tableau: each row is a ``{column: int}`` map of
 its nonzero numerators, its right-hand side's numerator and one positive
 integer denominator, so a pivot is integer arithmetic (``row * pe - f *
 pivot_row``, then division by the row's gcd) and zero cells cost nothing.
-:func:`simplex_max` converts rational rows to integer ones;
-:func:`hammix.lipschitz_lp.solve_lp` builds them from its problem's fields.
+:func:`simplex_max` puts each input row over one denominator; a row of
+int coefficients, as :func:`hammix.lipschitz_lp.solve_lp` builds every
+polytope row, takes its rhs's denominator with no rational arithmetic.
 Nonnegative right-hand sides make the all-slack basis feasible, so no
 phase-1 is needed; every polytope built in this package has that shape.
 Pivoting uses Bland's anti-cycling rule (smallest-index entering column
@@ -71,17 +72,22 @@ def simplex_max(
     rows: Sequence[Mapping[int, Rational]],
     rhs: Sequence[Rational],
 ) -> SimplexResult:
-    """Maximize objective . x over {x >= 0 : rows x <= rhs}.
+    """Maximize objective . x over {x >= 0 : rows x <= rhs}, certificate checked.
 
-    ``rows`` holds one sparse coefficient mapping per constraint.  Raises
-    ValueError if some rhs entry is negative (the all-slack start would be
-    infeasible) and SimplexError on unboundedness, which cannot happen for
-    the box-bounded polytopes built here.
+    ``rows`` holds one sparse coefficient mapping per constraint; a row of
+    int coefficients is put over its rhs's denominator without building a
+    rational.  Raises ValueError if some rhs entry is negative (the
+    all-slack start would be infeasible) and SimplexError on unboundedness,
+    which cannot happen for the box-bounded polytopes built here.
     """
-    for i, b in enumerate(rhs):
+    nv = len(objective)
+    c, c_den, integer_rows = _integer_lp(objective, rows, rhs)
+    for i, (_, b, _) in enumerate(integer_rows):
         if b < 0:
-            raise ValueError(f"negative right-hand side {b} in row {i}")
-    return _solve(len(objective), *_integer_lp(objective, rows, rhs))
+            raise ValueError(f"negative right-hand side {rhs[i]} in row {i}")
+    result = _pivot(nv, c, c_den, integer_rows)
+    _check(nv, c, c_den, integer_rows, result)
+    return result
 
 
 def verify_certificate(
@@ -114,26 +120,27 @@ def _integer_lp(
             if not 0 <= j < nv:
                 raise ValueError(f"variable index {j} out of range in row {i}")
         integer_rows.append(_integer_row(coeffs, rhs[i]))
-    c, _, c_den = _integer_row(dict(enumerate(objective)), 0)
-    return c, c_den, integer_rows
+    nums, c_den = over_common_denominator([c if type(c) in _EXACT else rat(c) for c in objective])
+    return {j: c for j, c in enumerate(nums) if c}, c_den, integer_rows
 
 
 def _integer_row(coeffs: Mapping[int, Rational], rhs: Rational) -> _IntegerRow:
     """Nonzero ``coeffs`` and ``rhs`` as numerators over one common denominator."""
+    rhs = rhs if type(rhs) in _EXACT else rat(rhs)
+    den = rhs.denominator
+    row = {}
+    for j, a in coeffs.items():
+        if type(a) is not int:
+            break
+        if a:
+            row[j] = a * den
+    else:
+        # Int coefficients take the rhs's denominator as they are.
+        return row, rhs.numerator, den
     values = {j: a if type(a) in _EXACT else rat(a) for j, a in coeffs.items()}
     columns = [j for j, a in values.items() if a]
-    rhs = rhs if type(rhs) in _EXACT else rat(rhs)
     nums, den = over_common_denominator([values[j] for j in columns] + [rhs])
     return dict(zip(columns, nums[:-1])), nums[-1], den
-
-
-def _solve(
-    nv: int, objective: dict[int, int], objective_den: int, rows: Sequence[_IntegerRow]
-) -> SimplexResult:
-    """Maximize objective . x / objective_den over rows with rhs >= 0, checked."""
-    result = _pivot(nv, objective, objective_den, rows)
-    _check(nv, objective, objective_den, rows, result)
-    return result
 
 
 def _pivot(

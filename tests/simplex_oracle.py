@@ -8,8 +8,8 @@ the duals and the objective.  The library's fraction-free sparse tableau
 must return a :class:`~hammix.simplex.SimplexResult` equal to this one,
 ``pivots`` included.  No certificate check is done here.
 
-:func:`standard_form` gives the rational rows of a polytope LP, the form
-``solve_lp`` built before it built its integer rows directly.
+:func:`standard_form` gives a polytope LP's rows with rational
+coefficients, the oracle for ``solve_lp``'s int-coefficient rows.
 """
 
 from __future__ import annotations
