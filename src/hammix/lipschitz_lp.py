@@ -22,8 +22,8 @@ The central quantities:
 * ``verify_phi_psi``    -- exact comparison of phi_sup against the psi
   functional, which dominates it:  phi_sup <= psi + v * ramp(total(k)).
 
-:func:`solve_lp` hands the simplex rows of int coefficients, which it puts
-over their rhs's denominator with no rational arithmetic.  Every solve
+:func:`solve_lp` hands the simplex rows of int coefficients, a totally
+unimodular matrix, so every pivot is an integer subtraction.  Every solve
 returns the :class:`~hammix.simplex.SimplexResult` whose strong-duality
 certificate the simplex's integer checker has verified against those rows;
 see :mod:`hammix.simplex`.
@@ -132,11 +132,11 @@ def build_polytope_lp(
 def solve_lp(p: LpProblem) -> SimplexResult:
     """Exact simplex solve of the problem, its certificate checked.
 
-    Every row has int coefficients -- box row j reads x_j <= upper_bound,
-    the difference constraint (x, y, b) reads x - y <= b -- so the simplex
-    puts each over its rhs's denominator without building a rational.  The
-    dual vector is indexed by constraint rows in build order: first the
-    num_vars box rows, then the difference rows.
+    Box row j reads x_j <= upper_bound and the difference constraint
+    (x, y, b) reads x - y <= b: int rows of a totally unimodular (network)
+    matrix, which the simplex pivots unscaled with every pivot element 1.
+    The dual vector is indexed by constraint rows in build order: first
+    the num_vars box rows, then the difference rows.
     """
     nv, pairs = p.num_vars, p.difference_constraints
     rows = [{j: 1} for j in range(nv)] + [{x: 1, y: -1} for x, y, _ in pairs]

@@ -5,20 +5,27 @@ Solves the standard form
     maximize    c . x
     subject to  A x <= b,   x >= 0,   b >= 0 entrywise,
 
-on a fraction-free sparse tableau: each row is a ``{column: int}`` map of
-its nonzero numerators, its right-hand side's numerator and one positive
-integer denominator, so a pivot is integer arithmetic (``row * pe - f *
-pivot_row``, then division by the row's gcd) and zero cells cost nothing.
-:func:`simplex_max` puts each input row over one denominator; a row of
-int coefficients, as :func:`hammix.lipschitz_lp.solve_lp` builds every
-polytope row, takes its rhs's denominator with no rational arithmetic.
+on a sparse integer-preserving tableau (Bareiss's fraction-free
+elimination).  :func:`simplex_max` scales each row by the lcm of its
+coefficients' denominators (a row of ints, as every polytope row
+:func:`hammix.lipschitz_lp.solve_lp` builds, by 1) and puts the scaled
+right-hand sides over one denominator D.  The tableau then shares one
+positive denominator d, the last pivot element (1 at the start): row i
+maps each column to its nonzero numerator over d, and its rhs's numerator
+is over d * D.  A pivot with element p turns every other row into
+``(row * p - row[enter] * pivot_row) / d``, an exact division, and sets
+d = p.  On a totally unimodular matrix, as the box and difference rows of
+every polytope here are, p and d stay 1, and a pivot subtracts the pivot
+row in place from the rows holding its column.
+
 Nonnegative right-hand sides make the all-slack basis feasible, so no
-phase-1 is needed; every polytope built in this package has that shape.
-Pivoting uses Bland's anti-cycling rule (smallest-index entering column
-with positive reduced cost; ratio ties broken by smallest basic variable
-index), which terminates on degenerate polytopes.  Row denominators cancel
-in the ratio test, so the pivot sequence is the one a tableau of rationals
-would take; only the final vertex, duals and objective are rationals.
+phase-1 is needed.  Pivoting uses Bland's anti-cycling rule (smallest-index
+entering column with positive reduced cost; ratio ties broken by smallest
+basic variable index), which terminates on degenerate polytopes.  Positive
+row scales change no ratio and no reduced cost's sign, so the pivot
+sequence is the one a tableau of rationals would take; the duals are
+scaled back per row, and only the final vertex, duals and value are
+rationals.
 
 Every solve returns a :class:`SimplexResult` carrying the optimal vertex
 and the dual multipliers read off the final tableau, and one integer
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
 from typing import Mapping, Sequence
 
@@ -45,7 +52,8 @@ _EXACT = frozenset({int, Fraction, type(rat(0))})
 # Bland's rule terminates; this cap only trips on an implementation bug.
 _MAX_PIVOTS = 200_000
 
-#: Nonzero numerators by column, the rhs numerator, their positive denominator.
+#: A row times its positive scale: nonzero int coefficients by column, the
+#: rhs's numerator over the LP's rhs denominator, and the scale.
 _IntegerRow = tuple[dict[int, int], int, int]
 
 
@@ -75,18 +83,18 @@ def simplex_max(
     """Maximize objective . x over {x >= 0 : rows x <= rhs}, certificate checked.
 
     ``rows`` holds one sparse coefficient mapping per constraint; a row of
-    int coefficients is put over its rhs's denominator without building a
-    rational.  Raises ValueError if some rhs entry is negative (the
-    all-slack start would be infeasible) and SimplexError on unboundedness,
-    which cannot happen for the box-bounded polytopes built here.
+    int coefficients is used as it is.  Raises ValueError if some rhs entry
+    is negative (the all-slack start would be infeasible) and SimplexError
+    on unboundedness, which cannot happen for the box-bounded polytopes
+    built here.
     """
     nv = len(objective)
-    c, c_den, integer_rows = _integer_lp(objective, rows, rhs)
+    c, c_den, integer_rows, rhs_den = _integer_lp(objective, rows, rhs)
     for i, (_, b, _) in enumerate(integer_rows):
         if b < 0:
             raise ValueError(f"negative right-hand side {rhs[i]} in row {i}")
-    result = _pivot(nv, c, c_den, integer_rows)
-    _check(nv, c, c_den, integer_rows, result)
+    result = _pivot(nv, c, c_den, integer_rows, rhs_den)
+    _check(nv, c, c_den, integer_rows, rhs_den, result)
     return result
 
 
@@ -109,70 +117,75 @@ def _integer_lp(
     objective: Sequence[Rational],
     rows: Sequence[Mapping[int, Rational]],
     rhs: Sequence[Rational],
-) -> tuple[dict[int, int], int, list[_IntegerRow]]:
-    """Objective numerators, their denominator, and the integer rows."""
+) -> tuple[dict[int, int], int, list[_IntegerRow], int]:
+    """Objective numerators and denominator, the integer rows, the rhs denominator."""
     nv = len(objective)
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} constraint rows but {len(rhs)} right-hand sides")
-    integer_rows = []
+    scaled = []
     for i, coeffs in enumerate(rows):
         for j in coeffs:
             if not 0 <= j < nv:
                 raise ValueError(f"variable index {j} out of range in row {i}")
-        integer_rows.append(_integer_row(coeffs, rhs[i]))
+        scaled.append(_scaled_row(coeffs, rhs[i]))
+    b_nums, rhs_den = over_common_denominator([b for _, b, _ in scaled])
     nums, c_den = over_common_denominator([c if type(c) in _EXACT else rat(c) for c in objective])
-    return {j: c for j, c in enumerate(nums) if c}, c_den, integer_rows
+    integer_rows = [(row, b, scale) for (row, _, scale), b in zip(scaled, b_nums)]
+    return {j: c for j, c in enumerate(nums) if c}, c_den, integer_rows, rhs_den
 
 
-def _integer_row(coeffs: Mapping[int, Rational], rhs: Rational) -> _IntegerRow:
-    """Nonzero ``coeffs`` and ``rhs`` as numerators over one common denominator."""
+def _scaled_row(coeffs: Mapping[int, Rational], rhs: Rational) -> tuple[dict, Rational, int]:
+    """Nonzero ``coeffs`` and ``rhs`` times ``scale``, the lcm of the coefficients' denominators."""
     rhs = rhs if type(rhs) in _EXACT else rat(rhs)
-    den = rhs.denominator
     row = {}
     for j, a in coeffs.items():
         if type(a) is not int:
             break
         if a:
-            row[j] = a * den
+            row[j] = a
     else:
-        # Int coefficients take the rhs's denominator as they are.
-        return row, rhs.numerator, den
-    values = {j: a if type(a) in _EXACT else rat(a) for j, a in coeffs.items()}
-    columns = [j for j, a in values.items() if a]
-    nums, den = over_common_denominator([values[j] for j in columns] + [rhs])
-    return dict(zip(columns, nums[:-1])), nums[-1], den
+        return row, rhs, 1
+    values = [a if type(a) in _EXACT else rat(a) for a in coeffs.values()]
+    nums, scale = over_common_denominator(values)
+    return {j: a for j, a in zip(coeffs, nums) if a}, rhs * scale, scale
 
 
 def _pivot(
-    nv: int, objective: dict[int, int], objective_den: int, rows: Sequence[_IntegerRow]
+    nv: int,
+    objective: dict[int, int],
+    objective_den: int,
+    rows: Sequence[_IntegerRow],
+    rhs_den: int,
 ) -> SimplexResult:
     """The simplex itself: Bland pivots, then the vertex, duals and value."""
-    # Row i of the tableau is nums[i][j] / dens[i] in column j (slacks are
-    # columns nv + i) and rhs_nums[i] / dens[i] on the right; zeros are not
-    # stored.  Pivots rewrite rows in place, so the input rows are copied.
-    nums = [{**coeffs, nv + i: den} for i, (coeffs, _, den) in enumerate(rows)]
-    rhs_nums = [b for _, b, _ in rows]
-    dens = [den for _, _, den in rows]
-    # Objective row: reduced costs; its rhs cell accumulates -(objective value).
-    obj, obj_rhs, obj_den = dict(objective), 0, objective_den
+    # Row i is tab[i][j] / d in column j (the scaled row's slack is column
+    # nv + i) and b[i] / (d * rhs_den) on the right; zeros are not stored.
+    # The last row holds the reduced costs times objective_den, and in b
+    # -(objective value) times objective_den * rhs_den.
+    tab = [{**coeffs, nv + i: 1} for i, (coeffs, _, _) in enumerate(rows)]
+    tab.append(dict(objective))
+    b = [rhs for _, rhs, _ in rows] + [0]
+    d = 1
 
     basis = list(range(nv, nv + len(rows)))
     pivots = 0
     while True:
-        enter = min((j for j, a in obj.items() if a > 0), default=-1)
+        enter = min((j for j, a in tab[-1].items() if a > 0), default=-1)
         if enter < 0:
             break
+        # The objective row holds column enter and comes last.
+        holding = [i for i, row in enumerate(tab) if enter in row]
 
-        # Ratio rhs_i / a_i,enter: the row denominator cancels, so compare
+        # Ratio b_i / a_i,enter: the shared denominators cancel, so compare
         # numerator cross products.
         leave, best_b, best_a = -1, 0, 1
-        for i, row in enumerate(nums):
-            a = row.get(enter, 0)
+        for i in holding[:-1]:
+            a = tab[i][enter]
             if a > 0:
-                b = rhs_nums[i]
-                order = b * best_a - best_b * a
+                bi = b[i]
+                order = bi * best_a - best_b * a
                 if leave < 0 or order < 0 or (order == 0 and basis[i] < basis[leave]):
-                    leave, best_b, best_a = i, b, a
+                    leave, best_b, best_a = i, bi, a
         if leave < 0:
             raise SimplexError("unbounded direction in a box-bounded polytope")
 
@@ -180,73 +193,56 @@ def _pivot(
         if pivots > _MAX_PIVOTS:
             raise SimplexError(f"pivot cap exceeded ({_MAX_PIVOTS}); cycling suspected")
 
-        # Dividing the pivot row by its entry keeps its numerators and makes
-        # that entry the denominator.
-        prow = nums[leave]
-        prhs = rhs_nums[leave]
-        g = gcd(prhs, *prow.values())
-        if g > 1:
-            prow = {j: a // g for j, a in prow.items()}
-            prhs //= g
-            nums[leave] = prow
-            rhs_nums[leave] = prhs
-        pden = dens[leave] = prow[enter]
-        for i, row in enumerate(nums):
-            if i != leave and enter in row:
-                nums[i], rhs_nums[i], dens[i] = _eliminate(
-                    row, rhs_nums[i], dens[i], enter, prow, prhs, pden
-                )
-        if enter in obj:
-            obj, obj_rhs, obj_den = _eliminate(
-                obj, obj_rhs, obj_den, enter, prow, prhs, pden
-            )
+        if best_a == d == 1:
+            # A unit pivot leaves every other row over d = 1: subtract the
+            # pivot row from the rows holding column enter, in place.
+            prow, prhs = tab[leave], best_b
+            for i in holding:
+                if i != leave:
+                    row = tab[i]
+                    f = row[enter]
+                    for j, a in prow.items():
+                        c = row.get(j, 0) - f * a
+                        if c:
+                            row[j] = c
+                        else:
+                            del row[j]
+                    b[i] -= f * prhs
+        else:
+            _scaled_pivot(tab, b, leave, enter, d)
+            d = best_a
         basis[leave] = enter
 
     zero = rat(0)
     primal = [zero] * nv
     for i, bvar in enumerate(basis):
-        if bvar < nv and rhs_nums[i]:
-            primal[bvar] = rat(rhs_nums[i], dens[i])
-    # At optimality the slack column nv + i of the objective row holds -y_i.
+        if bvar < nv and b[i]:
+            primal[bvar] = rat(b[i], d * rhs_den)
+    # At optimality the slack column nv + i of the objective row holds
+    # -y_i / scale_i, the dual of row i as scaled.
+    obj, obj_den = tab[-1], d * objective_den
     dual = tuple(
-        rat(-obj[nv + i], obj_den) if nv + i in obj else zero for i in range(len(rows))
+        rat(-obj[nv + i] * scale, obj_den) if nv + i in obj else zero
+        for i, (_, _, scale) in enumerate(rows)
     )
-    return SimplexResult(tuple(primal), dual, rat(-obj_rhs, obj_den), pivots)
+    return SimplexResult(tuple(primal), dual, rat(-b[-1], obj_den * rhs_den), pivots)
 
 
-def _eliminate(
-    row: dict[int, int],
-    rhs: int,
-    den: int,
-    enter: int,
-    prow: dict[int, int],
-    prhs: int,
-    pden: int,
-) -> tuple[dict[int, int], int, int]:
-    """Clear column ``enter`` of a row with the pivot row, fraction-free.
-
-    The pivot row reads prow / pden with prow[enter] == pden, so the new row
-    is (row * pden - f * prow) / (den * pden) with f = row[enter], divided
-    through by the gcd of its numerators and denominator.
-    """
-    f = row[enter]
-    if pden != 1:
-        row = {j: a * pden for j, a in row.items()}
-        rhs *= pden
-        den *= pden
-    for j, p in prow.items():
-        a = row.get(j, 0) - f * p
-        if a:
-            row[j] = a
-        else:
-            del row[j]
-    rhs -= f * prhs
-    g = gcd(den, rhs, *row.values())
-    if g > 1:
-        row = {j: a // g for j, a in row.items()}
-        rhs //= g
-        den //= g
-    return row, rhs, den
+def _scaled_pivot(
+    tab: list[dict[int, int]], b: list[int], leave: int, enter: int, d: int
+) -> None:
+    """A non-unit pivot: every other row becomes (row * p - row[enter] * pivot_row) / d."""
+    prow, prhs = tab[leave], b[leave]
+    p = prow[enter]
+    for i, row in enumerate(tab):
+        if i != leave:
+            f = row.get(enter, 0)
+            new = {j: a * p for j, a in row.items()}
+            if f:
+                for j, a in prow.items():
+                    new[j] = new.get(j, 0) - f * a
+            tab[i] = {j: a // d for j, a in new.items() if a}
+            b[i] = (b[i] * p - f * prhs) // d
 
 
 def _check(
@@ -254,16 +250,18 @@ def _check(
     objective: dict[int, int],
     objective_den: int,
     rows: Sequence[_IntegerRow],
+    rhs_den: int,
     result: SimplexResult,
 ) -> None:
     """Exact strong-duality check of ``result`` against integer rows.
 
     Confirms primal feasibility (x >= 0, Ax <= b), dual feasibility
     (y >= 0, A^T y >= c) and objective equality (c.x == b.y == value);
-    raises CertificateError otherwise.  Row i reads coeffs / den_i, so y_i
-    multiplies its numerators as z_i = y_i / den_i.  x and z are put over
-    common denominators X and Z, and every comparison is one between
-    integers multiplied by positive factors.
+    raises CertificateError otherwise.  Row i reads coeffs / scale_i <=
+    b_i / (scale_i * rhs_den), so y_i multiplies its coefficients as
+    z_i = y_i / scale_i.  x and z are put over common denominators X and Z,
+    and every comparison is one between integers multiplied by positive
+    factors.
     """
     x, y = result.primal, result.dual
     if len(x) != nv or len(y) != len(rows):
@@ -272,21 +270,21 @@ def _check(
     for j, a in enumerate(x_nums):
         if a < 0:
             raise CertificateError(f"primal variable {j} negative: {x[j]}")
-    for i, (coeffs, b, den) in enumerate(rows):
+    for i, (coeffs, b, scale) in enumerate(rows):
         lhs = sum(a * x_nums[j] for j, a in coeffs.items())
-        if lhs > b * x_den:
+        if lhs * rhs_den > b * x_den:
             raise CertificateError(
-                f"primal row {i} violated: {rat(lhs, den * x_den)} > {rat(b, den)}"
+                f"primal row {i} violated: {rat(lhs, scale * x_den)} > {rat(b, scale * rhs_den)}"
             )
 
-    z_den = lcm(*(yi.denominator * den for yi, (_, _, den) in zip(y, rows) if yi))
+    z_den = lcm(*(yi.denominator * scale for yi, (_, _, scale) in zip(y, rows) if yi))
     columns = [0] * nv
     dual_num = 0
-    for i, (yi, (coeffs, b, den)) in enumerate(zip(y, rows)):
+    for i, (yi, (coeffs, b, scale)) in enumerate(zip(y, rows)):
         if yi.numerator < 0:
             raise CertificateError(f"dual multiplier {i} negative: {yi}")
         if yi:
-            z = yi.numerator * (z_den // (yi.denominator * den))
+            z = yi.numerator * (z_den // (yi.denominator * scale))
             dual_num += b * z
             for j, a in coeffs.items():
                 columns[j] += a * z
@@ -303,9 +301,9 @@ def _check(
     primal_den = objective_den * x_den
     if (
         primal_num * value.denominator != value.numerator * primal_den
-        or dual_num * value.denominator != value.numerator * z_den
+        or dual_num * value.denominator != value.numerator * z_den * rhs_den
     ):
         raise CertificateError(
             f"objective mismatch: primal {rat(primal_num, primal_den)}, "
-            f"dual {rat(dual_num, z_den)}, reported {value}"
+            f"dual {rat(dual_num, z_den * rhs_den)}, reported {value}"
         )

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -188,15 +189,44 @@ def _general_lp(rng):
     return objective, rows, rhs
 
 
-def test_matches_dense_oracle_on_general_lps():
+@pytest.fixture
+def scaled_pivots(monkeypatch):
+    """(leave, enter, d) of each non-unit pivot: pivot element or denominator not 1."""
+    calls = []
+    scaled_pivot = hammix.simplex._scaled_pivot
+
+    def counted(*args):
+        calls.append(args[2:])
+        scaled_pivot(*args)
+
+    monkeypatch.setattr(hammix.simplex, "_scaled_pivot", counted)
+    return calls
+
+
+def test_matches_dense_oracle_on_general_lps(scaled_pivots):
+    # Rational rows make most pivots non-unit, so the oracle covers the
+    # exact division by the tableau's denominator and the rescaling of
+    # rows that lack the entering column.
     rng = random.Random(17)
-    degenerate = 0
+    degenerate = pivots = 0
     for _ in range(200):
         objective, rows, rhs = _general_lp(rng)
         expected = dense_simplex_max(objective, rows, rhs)
         assert simplex_max(objective, rows, rhs) == expected
         degenerate += any(b == 0 for b in rhs) and expected.pivots > 0
+        pivots += expected.pivots
     assert degenerate > 50
+    assert len(scaled_pivots) > pivots // 2
+
+
+def test_pivot_element_one_over_a_larger_denominator(scaled_pivots):
+    # The first pivot element 3 becomes the tableau's denominator; a later
+    # pivot element 1 must still divide every row by 3.
+    objective = [2, 4]
+    rows = [{0: 1, 1: -1}, {0: 3, 1: -1}, {0: 1}, {1: 1}]
+    rhs = [1, 2, 1, 1]
+    assert simplex_max(objective, rows, rhs) == dense_simplex_max(objective, rows, rhs)
+    assert scaled_pivots == [(1, 0, 1), (2, 1, 3)]
 
 
 def _distinct_denominator_weights(rng, n):
@@ -209,10 +239,11 @@ def _distinct_denominator_weights(rng, n):
     "m,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (2, 4)]
 )
 @pytest.mark.parametrize("v", ["0", "1/2", "1", "5/7"])
-def test_matches_dense_oracle_on_polytope_lps(m, n, v):
+def test_matches_dense_oracle_on_polytope_lps(m, n, v, scaled_pivots):
     # solve_lp's int-coefficient rows must give the result of the rational
     # standard form, pivots included, through simplex_max and the dense
-    # oracle alike; the all-pairs build runs on the smaller tables.
+    # oracle alike; the all-pairs build runs on the smaller tables.  Both
+    # builds are totally unimodular, so every pivot is a unit pivot.
     rng = random.Random(f"oracle:{m}:{n}:{v}")
     for pairs in ("adjacent", "all") if m**n <= 9 else ("adjacent",):
         for weights in (instances.random_weights, _distinct_denominator_weights):
@@ -223,6 +254,27 @@ def test_matches_dense_oracle_on_polytope_lps(m, n, v):
             result = solve_lp(problem)
             assert result == simplex_max(problem.objective, rows, rhs)
             assert result == dense_simplex_max(problem.objective, rows, rhs)
+    assert scaled_pivots == []
+
+
+@pytest.mark.parametrize(
+    "m,n,pivots,value,digest",
+    [
+        (3, 4, 250, "4117/24", "ce4ad2bfb01c7ce4"),
+        (2, 5, 70, "20723/600", "66b72a4fe9379293"),
+    ],
+)
+def test_bland_pivot_sequence_pinned_beyond_the_dense_oracle(m, n, pivots, value, digest):
+    # Too large for the dense oracle: the pivot count, the value and a digest
+    # of the vertex and duals pin Bland's pivot sequence and its tie-break.
+    rng = random.Random(1)
+    k = instances.random_table(rng, m, n)
+    w = instances.random_weights(rng, n)
+    result = solve_lp(build_polytope_lp(k, w, 0))
+    assert result.pivots == pivots
+    assert result.objective_value == rat(value)
+    entries = " ".join(map(str, result.primal + result.dual))
+    assert hashlib.sha256(entries.encode()).hexdigest()[:16] == digest
 
 
 def _solved_with_tampering(monkeypatch, problem, tamper):
