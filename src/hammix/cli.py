@@ -22,7 +22,6 @@ certificate failure, 3 a verify-style subcommand found a violation.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -99,6 +98,8 @@ def _load(args: argparse.Namespace) -> tuple[ProblemFile, str]:
             raw = handle.read()
     except OSError as exc:
         raise ProblemFileError("$", f"cannot read {args.problem_file}: {exc}") from None
+    import hashlib  # only here: importing hammix.cli stays lighter without it
+
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)

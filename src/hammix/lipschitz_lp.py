@@ -23,7 +23,8 @@ The central quantities:
   functional, which dominates it:  phi_sup <= psi + v * ramp(total(k)).
 
 :func:`solve_lp` hands the simplex rows of int coefficients, a totally
-unimodular matrix, so every pivot is an integer subtraction.  Every solve
+unimodular matrix, which is what the simplex requires: every pivot
+element is 1, so every pivot is an integer subtraction.  Every solve
 returns the :class:`~hammix.simplex.SimplexResult` whose strong-duality
 certificate the simplex's integer checker has verified against those rows;
 see :mod:`hammix.simplex`.
@@ -134,7 +135,7 @@ def solve_lp(p: LpProblem) -> SimplexResult:
 
     Box row j reads x_j <= upper_bound and the difference constraint
     (x, y, b) reads x - y <= b: int rows of a totally unimodular (network)
-    matrix, which the simplex pivots unscaled with every pivot element 1.
+    matrix, the only kind the simplex accepts, so every pivot element is 1.
     The dual vector is indexed by constraint rows in build order: first
     the num_vars box rows, then the difference rows.
     """

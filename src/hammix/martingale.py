@@ -33,6 +33,7 @@ exp and the operator norm); it reads a chain's kernels, not its table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Rational
@@ -206,8 +207,8 @@ def concentration_bound(
     deviation probability is 0 and the formula's limit as the denominator
     vanishes is the correct bound.
     """
-    if any(t <= 0 for t in thresholds):
-        raise ValueError(f"thresholds must be positive, got {tuple(thresholds)}")
+    if any(not 0 < t <= sys.float_info.max for t in thresholds):
+        raise ValueError(f"thresholds must be finite and positive, got {tuple(thresholds)}")
     _check_compatible(f, P)
     lip = lipschitz_constant(f, w)
     w_norm_sq = sum((x * x for x in w), rat(0))

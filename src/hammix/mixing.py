@@ -377,19 +377,21 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
 
 
 def operator_norm_2(D: DeltaMatrix) -> float:
-    """l2 operator norm (largest singular value), upper-biased.
+    """l2 operator norm (largest singular value) as a float estimate.
 
     Power iteration on A = D^T D from the all-ones vector (never orthogonal
     to the dominant eigenvector: A is entrywise nonnegative).  Iterates
     until the residual ||A x - rho x|| drops below _OPNORM_REL_TOL * rho,
     where rho is the Rayleigh quotient of the unit iterate, then returns
-    sqrt(rho + residual).  Since rho <= lambda_max for symmetric PSD A, the
-    returned value brackets the norm from above at convergence, which keeps
-    tail bounds computed from it valid.  If _OPNORM_MAX_ITERATIONS pass
-    without convergence, the exact Schur bound sqrt(||D||_1 ||D||_inf) is
-    returned instead, as the float square root stepped up with
-    math.nextafter until its exact square reaches it.  This is the
-    package's only floating-point computation before the exp() boundary.
+    sqrt(rho + residual).  The residual pads the estimate upward, but float
+    rounding can still leave it below the norm (0.9999999999999999 for the
+    2x2 identity), so tail bounds computed from it are estimates too;
+    ROADMAP item 4 replaces it with an exact bound.  If
+    _OPNORM_MAX_ITERATIONS pass without convergence, the exact Schur bound
+    sqrt(||D||_1 ||D||_inf) is returned instead, as the float square root
+    stepped up with math.nextafter until its exact square reaches it.  This
+    is the package's only floating-point computation before the exp()
+    boundary.
     """
     n = D.size
     # A = D^T D, symmetric PSD, from inner products of D's columns.

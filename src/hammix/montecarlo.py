@@ -31,6 +31,7 @@ integer numerators against the exact value of the float t, scaled to integers.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -100,12 +101,13 @@ class SimulationConfig:
         if not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {type(self.seed).__name__}")
         object.__setattr__(self, "seed", self.seed & _MASK64)
-        thresholds = tuple(float(t) for t in self.thresholds)
-        object.__setattr__(self, "thresholds", thresholds)
+        thresholds = tuple(self.thresholds)
         if not thresholds:
             raise ValueError("thresholds must be nonempty")
-        if any(t <= 0 for t in thresholds):
-            raise ValueError(f"thresholds must be positive, got {thresholds}")
+        # Checked before float(), which raises OverflowError on a huge int.
+        if any(not 0 < t <= sys.float_info.max for t in thresholds):
+            raise ValueError(f"thresholds must be finite and positive, got {thresholds}")
+        object.__setattr__(self, "thresholds", tuple(map(float, thresholds)))
 
 
 def _sample_index(P: Measure | MarkovSpec, draws: Iterable[int]) -> int:
@@ -190,8 +192,10 @@ def empirical_tail(
     E f and the per-sample comparisons are exact (thresholds enter as the
     exact rational values of their floats); only the reported frequency and
     bounds are floating point.  Identical (f, P, w, cfg) give bit-identical
-    reports.
+    reports.  The weights are checked before any word is drawn.
     """
+    if len(w) != f.arity:
+        raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
     levels = conditional_sums(f, P)
     ((weighted,), (mass,)) = levels[0]
     # E f = weighted / (f.den * mass); |f(x) - E f| > t, with t = t_num / t_den

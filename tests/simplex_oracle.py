@@ -4,7 +4,7 @@ This is the straightforward textbook form of :func:`hammix.simplex.simplex_max`:
 one dense row of backend rationals per constraint, the same Bland rule
 (smallest-index entering column with a positive reduced cost; ratio ties go
 to the smallest basic index) and the same read-out of the primal vertex,
-the duals and the objective.  The library's fraction-free sparse tableau
+the duals and the objective.  The library's sparse integer tableau
 must return a :class:`~hammix.simplex.SimplexResult` equal to this one,
 ``pivots`` included.  No certificate check is done here.
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +57,15 @@ def _run(capsys, argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out else None
     return code, payload, captured.err
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # hashlib (and the libcrypto it loads) is imported only to digest a file.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, hammix.cli; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_psi_subcommand(capsys, psi_file):

@@ -8,7 +8,7 @@ import mixing_oracle
 import table_oracle
 from hammix import montecarlo
 from hammix.instances import random_dense_measure, random_markov_spec, random_table
-from hammix.martingale import martingale_profile
+from hammix.martingale import concentration_bound, martingale_profile
 from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.montecarlo import (
     SampleStream,
@@ -53,6 +53,19 @@ def test_simulation_config_validation():
         SimulationConfig(10, 1, (0.0,))
     cfg = SimulationConfig(10, -1, (1.0,))
     assert cfg.seed == 2**64 - 1  # seeds live in 64-bit space
+
+
+@pytest.mark.parametrize(
+    "t", [math.nan, math.inf, -math.inf, 0.0, -1.0, pytest.param(10**400, id="10**400")]
+)
+def test_thresholds_must_be_finite_and_positive(t):
+    # The rule problem files already apply: 0 < t <= sys.float_info.max,
+    # which also refuses an int too large for a float.
+    with pytest.raises(ValueError, match="finite and positive"):
+        SimulationConfig(10, 1, (1.0, t))
+    f, P, w = TableFunction(2, 1, (0, 1)), Measure.uniform(2, 1), WeightVector((1,))
+    with pytest.raises(ValueError, match="finite and positive"):
+        concentration_bound(f, P, w, [1.0, t])
 
 
 def test_point_mass_always_sampled():
@@ -322,5 +335,19 @@ def test_empirical_tail_shape_mismatch():
             TableFunction.constant(2, 2, 0),
             Measure.uniform(2, 3),
             WeightVector((1, 1)),
+            SimulationConfig(10, 0, (1.0,)),
+        )
+
+
+def test_empirical_tail_checks_weights_before_sampling(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("words were drawn before the weights were checked")
+
+    monkeypatch.setattr(montecarlo, "_sample_windows", sampled)
+    with pytest.raises(ValueError, match="weight length 1 != table arity 2"):
+        empirical_tail(
+            TableFunction.constant(2, 2, 0),
+            Measure.uniform(2, 2),
+            WeightVector((1,)),
             SimulationConfig(10, 0, (1.0,)),
         )

@@ -78,20 +78,36 @@ def test_entries_have_backend_type():
     # Integer and Fraction inputs alike come back as the backend type
     # (gmpy2.mpq when it is installed).
     backend = type(rat(0))
-    rows = [{0: 2, 1: rat(1, 3)}, {0: rat(1), 1: 3}, {1: rat(5, 2)}]
-    result = simplex_max([rat(3, 2), 1], rows, [rat(7, 2), 4, 0])
+    rows = [{0: 1, 1: rat(-1)}, {0: rat(1)}, {1: 1}]
+    result = simplex_max([rat(3, 2), 1], rows, [rat(1, 3), 4, rat(7, 2)])
     entries = result.primal + result.dual + (result.objective_value,)
     assert all(type(value) is backend for value in entries)
 
 
 def test_exact_fractional_solution():
-    # max 3x + 2y  s.t.  2x + y <= 7/2, x + 3y <= 4  ->  crosses at the
-    # vertex x = 13/10, y = 9/10 (solved by hand from the two equalities).
-    rows = [{0: rat(2), 1: rat(1)}, {0: rat(1), 1: rat(3)}]
-    rhs = [rat(7, 2), rat(4)]
+    # max 3x + 2y  s.t.  x - y <= 1/2, y <= 7/3, x <= 4  ->  both objective
+    # coefficients are positive and x - y is capped, so the vertex is
+    # y = 7/3, x = 7/3 + 1/2 = 17/6 (solved by hand).
+    rows = [{0: 1, 1: -1}, {1: 1}, {0: 1}]
+    rhs = [rat(1, 2), rat(7, 3), rat(4)]
     result = simplex_max([rat(3), rat(2)], rows, rhs)
-    assert result.primal == (rat(13, 10), rat(9, 10))
-    assert result.objective_value == rat(3) * rat(13, 10) + rat(2) * rat(9, 10)
+    assert result.primal == (rat(17, 6), rat(7, 3))
+    assert result.objective_value == rat(3) * rat(17, 6) + rat(2) * rat(7, 3)
+
+
+def test_pivot_element_other_than_one_rejected():
+    # Row 0 is 2x <= 1, not totally unimodular: its pivot element is 2.
+    with pytest.raises(ValueError, match="not totally unimodular"):
+        simplex_max([1, 1], [{0: 2}, {0: 1}, {1: 1}], [1, 1, 1])
+
+
+def test_non_integer_coefficient_rejected():
+    objective, rows, rhs = [rat(1), rat(1)], [{0: 1}, {1: rat(1, 2)}], [rat(1), rat(1)]
+    with pytest.raises(ValueError, match="coefficient 1/2 of variable 1 in row 1"):
+        simplex_max(objective, rows, rhs)
+    result = SimplexResult((rat(1), rat(2)), (rat(1), rat(2)), rat(3), 2)
+    with pytest.raises(ValueError, match="coefficient 1/2 of variable 1 in row 1"):
+        verify_certificate(objective, rows, rhs, result)
 
 
 def _tampered(result, **kwargs):
@@ -138,23 +154,34 @@ def test_certificate_rejects_tampering():
         verify_certificate(objective, rows, rhs, infeasible_dual)
 
 
+def _network_lp(rng):
+    """A bounded LP on a network matrix: difference rows x - y, unit rows +-x
+    and box rows x, with rational objectives and rational or zero rhs."""
+    nv = rng.randint(1, 6)
+    objective = [rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nv)]
+    one = rng.choice((1, rat(1)))
+    rows = []
+    rhs = []
+    for _ in range(rng.randint(1, 7)):
+        if nv > 1 and rng.random() < 0.7:
+            x, y = rng.sample(range(nv), 2)
+            rows.append({x: one, y: -one})
+        else:
+            rows.append({rng.randrange(nv): rng.choice((one, -one))})
+        b = rat(rng.randint(1, 9), rng.randint(1, 3))
+        rhs.append(rat(0) if rng.random() < 0.4 else b)
+    for j in range(nv):  # box rows keep the region bounded
+        rows.append({j: one})
+        b = rat(rng.randint(1, 9), rng.randint(1, 2))
+        rhs.append(rat(0) if rng.random() < 0.2 else b)
+    return objective, rows, rhs
+
+
 def test_matches_scipy_on_random_bounded_problems():
     rng = random.Random(5)
     for _ in range(30):
-        nv = rng.randint(1, 5)
-        nr = rng.randint(1, 6)
-        objective = [rat(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(nv)]
-        rows = []
-        rhs = []
-        for _ in range(nr):
-            rows.append(
-                {j: rat(rng.randint(-3, 3)) for j in range(nv) if rng.random() < 0.7}
-            )
-            rhs.append(rat(rng.randint(0, 8), rng.randint(1, 2)))
-        for j in range(nv):  # box rows keep the region bounded
-            rows.append({j: rat(1)})
-            rhs.append(rat(rng.randint(1, 9)))
-
+        objective, rows, rhs = _network_lp(rng)
+        nv = len(objective)
         result = simplex_max(objective, rows, rhs)
 
         a_ub = [[float(row.get(j, 0)) for j in range(nv)] for row in rows]
@@ -166,67 +193,18 @@ def test_matches_scipy_on_random_bounded_problems():
         assert abs(float(result.objective_value) - (-res.fun)) < 1e-7
 
 
-def _general_lp(rng):
-    """A bounded LP with rational and negative coefficients and some zero rhs."""
-    nv = rng.randint(1, 6)
-    objective = [rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nv)]
-    rows = []
-    rhs = []
-    for _ in range(rng.randint(1, 7)):
-        rows.append(
-            {
-                j: rat(rng.randint(-5, 5), rng.randint(1, 3))
-                for j in range(nv)
-                if rng.random() < 0.7
-            }
-        )
-        b = rat(rng.randint(1, 9), rng.randint(1, 3))
-        rhs.append(rat(0) if rng.random() < 0.4 else b)
-    for j in range(nv):  # box rows keep the region bounded
-        rows.append({j: rat(rng.randint(1, 5), rng.randint(1, 3))})
-        b = rat(rng.randint(1, 9), rng.randint(1, 2))
-        rhs.append(rat(0) if rng.random() < 0.2 else b)
-    return objective, rows, rhs
-
-
-@pytest.fixture
-def scaled_pivots(monkeypatch):
-    """(leave, enter, d) of each non-unit pivot: pivot element or denominator not 1."""
-    calls = []
-    scaled_pivot = hammix.simplex._scaled_pivot
-
-    def counted(*args):
-        calls.append(args[2:])
-        scaled_pivot(*args)
-
-    monkeypatch.setattr(hammix.simplex, "_scaled_pivot", counted)
-    return calls
-
-
-def test_matches_dense_oracle_on_general_lps(scaled_pivots):
-    # Rational rows make most pivots non-unit, so the oracle covers the
-    # exact division by the tableau's denominator and the rescaling of
-    # rows that lack the entering column.
+def test_matches_dense_oracle_on_network_lps():
+    # Zero right-hand sides make many of these LPs degenerate, so the
+    # oracle covers Bland's tie-break on ratio ties as well as the vertex,
+    # duals and value.
     rng = random.Random(17)
-    degenerate = pivots = 0
+    degenerate = 0
     for _ in range(200):
-        objective, rows, rhs = _general_lp(rng)
+        objective, rows, rhs = _network_lp(rng)
         expected = dense_simplex_max(objective, rows, rhs)
         assert simplex_max(objective, rows, rhs) == expected
         degenerate += any(b == 0 for b in rhs) and expected.pivots > 0
-        pivots += expected.pivots
     assert degenerate > 50
-    assert len(scaled_pivots) > pivots // 2
-
-
-def test_pivot_element_one_over_a_larger_denominator(scaled_pivots):
-    # The first pivot element 3 becomes the tableau's denominator; a later
-    # pivot element 1 must still divide every row by 3.
-    objective = [2, 4]
-    rows = [{0: 1, 1: -1}, {0: 3, 1: -1}, {0: 1}, {1: 1}]
-    rhs = [1, 2, 1, 1]
-    assert simplex_max(objective, rows, rhs) == dense_simplex_max(objective, rows, rhs)
-    assert scaled_pivots == [(1, 0, 1), (2, 1, 3)]
 
 
 def _distinct_denominator_weights(rng, n):
@@ -239,11 +217,11 @@ def _distinct_denominator_weights(rng, n):
     "m,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (2, 4)]
 )
 @pytest.mark.parametrize("v", ["0", "1/2", "1", "5/7"])
-def test_matches_dense_oracle_on_polytope_lps(m, n, v, scaled_pivots):
+def test_matches_dense_oracle_on_polytope_lps(m, n, v):
     # solve_lp's int-coefficient rows must give the result of the rational
     # standard form, pivots included, through simplex_max and the dense
     # oracle alike; the all-pairs build runs on the smaller tables.  Both
-    # builds are totally unimodular, so every pivot is a unit pivot.
+    # builds are totally unimodular, so no pivot is refused.
     rng = random.Random(f"oracle:{m}:{n}:{v}")
     for pairs in ("adjacent", "all") if m**n <= 9 else ("adjacent",):
         for weights in (instances.random_weights, _distinct_denominator_weights):
@@ -254,7 +232,6 @@ def test_matches_dense_oracle_on_polytope_lps(m, n, v, scaled_pivots):
             result = solve_lp(problem)
             assert result == simplex_max(problem.objective, rows, rhs)
             assert result == dense_simplex_max(problem.objective, rows, rhs)
-    assert scaled_pivots == []
 
 
 @pytest.mark.parametrize(
