@@ -30,7 +30,7 @@ from typing import Any
 
 from . import __version__
 from .lipschitz_lp import build_polytope_lp, solve_lp, verify_phi_psi
-from .martingale import concentration_bound, verify_sumvi
+from .martingale import concentration_bound, kernel_terms, verify_sumvi
 from .mixing import MAX_DENSE_TABLE, delta_matrix, operator_norm_2
 from .montecarlo import SimulationConfig, empirical_tail
 from .problemfile import (
@@ -42,7 +42,6 @@ from .problemfile import (
 )
 from .psi import norm_shift, psi, psi_decomposition_rhs
 from .rational import DigitLimitError, rat_str
-from .selftest import DEFAULT_SEED, run_selftest
 from .simplex import SimplexError
 
 _EXIT_OK = 0
@@ -69,7 +68,11 @@ def _parser() -> argparse.ArgumentParser:
                 "--max-table",
                 type=int,
                 default=MAX_DENSE_TABLE,
-                help="largest table this run may build (m^n; n^2 for a chain's mixing matrix)",
+                help=(
+                    "largest table this run may build, at least 1: m^n for f's or a dense measure's table, "
+                    "n^2 for a chain's mixing matrix (bound builds no table of a builtin; "
+                    "martingale and simulate none of sum_of_symbols or hamming_to on a chain)"
+                ),
             )
         return p
 
@@ -85,7 +88,9 @@ def _parser() -> argparse.ArgumentParser:
 
     self_test = add("selftest", "run the random-instance verification suite", needs_file=False)
     self_test.add_argument("--instances", type=int, default=500, help="random instances per LP criterion")
-    self_test.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for instance generation")
+    self_test.add_argument(
+        "--seed", type=int, default=None, help="seed for instance generation (default: the suite's own)"
+    )
     self_test.add_argument(
         "--mc-samples", type=int, default=100_000, help="Monte Carlo sample count"
     )
@@ -185,9 +190,17 @@ def _cmd_eta(problem: ProblemFile, args) -> tuple[dict, int, str]:
     return payload, _EXIT_OK, f"eta: {P.arity}x{P.arity} mixing matrix, ||Delta||_2 ~= {norm:.6g}"
 
 
-def _cmd_martingale(problem: ProblemFile, args) -> tuple[dict, int, str]:
-    f = resolve_function(problem, args.max_table)
+def _function_and_measure(problem: ProblemFile, args) -> tuple:
+    """f and P for martingale and simulate: f's table is built only where they read it."""
+    f = resolve_function(problem, args.max_table, table=False)
     P = resolve_measure(problem, args.max_table)
+    if kernel_terms(f, P) is None:
+        f = resolve_function(problem, args.max_table)
+    return f, P
+
+
+def _cmd_martingale(problem: ProblemFile, args) -> tuple[dict, int, str]:
+    f, P = _function_and_measure(problem, args)
     w = _weights(problem)
     report = verify_sumvi(f, P, w)
     payload = {
@@ -207,7 +220,7 @@ def _cmd_martingale(problem: ProblemFile, args) -> tuple[dict, int, str]:
 
 
 def _cmd_bound(problem: ProblemFile, args) -> tuple[dict, int, str]:
-    f = resolve_function(problem, args.max_table)
+    f = resolve_function(problem, args.max_table, table=False)  # reads oscillations only
     P = resolve_measure(problem, args.max_table)
     w = _weights(problem)
     if not problem.thresholds:
@@ -225,8 +238,7 @@ def _cmd_bound(problem: ProblemFile, args) -> tuple[dict, int, str]:
 
 
 def _cmd_simulate(problem: ProblemFile, args) -> tuple[dict, int, str]:
-    f = resolve_function(problem, args.max_table)
-    P = resolve_measure(problem, args.max_table)
+    f, P = _function_and_measure(problem, args)
     w = _weights(problem)
     if problem.simulation is None:
         raise ProblemFileError("simulation", "simulate needs a 'simulation' section")
@@ -274,14 +286,22 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     envelope: dict[str, Any] = {"tool": "hammix", "version": __version__, "command": args.command}
+    if args.command == "selftest":
+        counts = (("--instances", args.instances), ("--mc-samples", args.mc_samples))
+    else:
+        counts = (("--max-table", args.max_table),)
+    for flag, value in counts:
+        if value < 1:
+            print(f"invalid argument: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return _EXIT_INVALID_INPUT
     try:
         if args.command == "selftest":
-            for flag, value in (("--instances", args.instances), ("--mc-samples", args.mc_samples)):
-                if value < 1:
-                    print(f"invalid argument: {flag} must be >= 1, got {value}", file=sys.stderr)
-                    return _EXIT_INVALID_INPUT
+            # Imported only here: every other subcommand runs without loading the suite.
+            from .selftest import DEFAULT_SEED, run_selftest
+
+            seed = DEFAULT_SEED if args.seed is None else args.seed
             report = run_selftest(
-                args.instances, args.seed, args.mc_samples, lambda line: print(line, file=sys.stderr)
+                args.instances, seed, args.mc_samples, lambda line: print(line, file=sys.stderr)
             )
             envelope.update(
                 {

@@ -41,7 +41,7 @@ from typing import Iterator, Literal
 from .psi import norm_shift, psi, ramp
 from .rational import RationalLike, rat
 from .simplex import SimplexResult, simplex_max
-from .words import TableFunction, WeightVector, word_unindex
+from .words import Builtin, TableFunction, WeightVector, word_unindex
 
 
 @dataclass(frozen=True)
@@ -184,25 +184,34 @@ def verify_phi_psi(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Ph
     return PhiPsiReport(lhs, rhs, lhs <= rhs, norm_lhs, norm_rhs, norm_lhs <= norm_rhs)
 
 
-def lipschitz_constant(f: TableFunction, w: WeightVector) -> Rational:
-    """Smallest c with |f(x) - f(y)| <= c * d_w(x, y) for all word pairs.
+def oscillations(f: TableFunction | Builtin) -> tuple[Rational, ...]:
+    """Per coordinate i, c_i = max |f(x) - f(y)| over words differing only at i.
 
-    It suffices to scan pairs at Hamming distance 1 (path metric), taking
-    max |f(x) - f(y)| / w_i over the coordinate i they differ in.  Since
-    every w_i > 0, the largest difference per coordinate is divided once;
-    the differences are taken between the table's integer numerators.
-    Each step rotates the first coordinate of the numerator table to the
-    last place, where the words differing only there are the slices
-    nums[a::m] and nums[b::m].  Constant functions give 0.
+    A builtin gives its closed form (:meth:`~hammix.words.Builtin.oscillations`)
+    without a table.  A table is scanned in its integer numerators: each
+    step rotates the first coordinate of the numerator table to the last
+    place, where the words differing only there are the slices nums[a::m]
+    and nums[b::m].
+    """
+    if isinstance(f, Builtin):
+        return f.oscillations()
+    m, nums = f.alphabet_size, f.nums
+    block = len(nums) // m
+    out = []
+    for _ in range(f.arity):
+        nums = list(chain.from_iterable(zip(*(nums[a * block : (a + 1) * block] for a in range(m)))))
+        pairs = ((nums[a::m], nums[b::m]) for a in range(m) for b in range(a))
+        out.append(rat(max((max(map(abs, map(sub, x, y))) for x, y in pairs), default=0), f.den))
+    return tuple(out)
+
+
+def lipschitz_constant(f: TableFunction | Builtin, w: WeightVector) -> Rational:
+    """Smallest c with |f(x) - f(y)| <= c * d_w(x, y) for all word pairs: max_i c_i / w_i.
+
+    It suffices to compare words at Hamming distance 1 (path metric), so c
+    is the largest :func:`oscillations` entry c_i over its weight w_i.
+    Constant functions give 0.
     """
     if len(w) != f.arity:
         raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
-    m, nums = f.alphabet_size, f.nums
-    block = len(nums) // m
-    best = rat(0)
-    for wi in w:
-        nums = list(chain.from_iterable(zip(*(nums[a * block : (a + 1) * block] for a in range(m)))))
-        pairs = ((nums[a::m], nums[b::m]) for a in range(m) for b in range(a))
-        spread = max((max(map(abs, map(sub, x, y))) for x, y in pairs), default=0)
-        best = max(best, rat(spread, f.den) / wi)
-    return best
+    return max((c / wi for c, wi in zip(oscillations(f), w)), default=rat(0))

@@ -10,12 +10,23 @@ into a Doob martingale; the increment after the i-th reveal is
 in :mod:`hammix.mixing`), and d_squared = sum_i v_bar_i^2 feeds Azuma's
 tail bound  P(|f - Ef| > t) <= 2 exp(-t^2 / (2 d_squared)).
 
-Every conditional mean comes from :func:`conditional_sums`, which reads the
-integer numerators of f and P (one table format, see :mod:`hammix.words`),
-expanding a chain (a :class:`~hammix.mixing.MarkovSpec`) to its table:
-E[f | y] is an integer sum of f_num * p_num over y's block, divided by
-f.den times y's integer mass.  Differences of means are compared by integer
-cross-products, and only the n maxima v_bar_i become rationals.
+The profile has two paths, chosen by :func:`kernel_terms`:
+
+* Kernels: for an additive builtin f = sum_j g_j(x_j) (``sum_of_symbols``,
+  ``hamming_to``) on a chain (a :class:`~hammix.mixing.MarkovSpec`),
+  :func:`_chain_profile` reads only g and the kernels, in O(n m^2)
+  integer operations: a backward recursion gives E[sum_{j>i} g_j | X_i],
+  and E f is its first level.  No table is built, so n is not capped by
+  m^n.
+* Tables: otherwise (a table function, ``indicator``, or a dense
+  measure) every conditional mean comes from :func:`conditional_sums`,
+  which reads the integer numerators of f's table and P's (one table
+  format, see :mod:`hammix.words`), expanding a chain to its table:
+  E[f | y] is an integer sum of f_num * p_num over y's block, divided by
+  f.den times y's integer mass.
+
+Both paths compare differences of means as integers, and only the n
+maxima v_bar_i become rationals; they give the same rationals.
 
 :func:`verify_sumvi` checks, entirely in exact arithmetic, that the
 martingale spread is controlled by smoothness times mixing:
@@ -27,7 +38,8 @@ with Delta_n the mixing matrix of P.  :func:`concentration_bound` then
 evaluates the resulting closed-form tail bound
 2 exp(-t^2 / (2 ||f||^2 ||w||^2 ||Delta_n||_2^2)) -- Azuma's bound with that
 d_squared -- for a list of thresholds, the only place floats enter (inside
-exp and the operator norm); it reads a chain's kernels, not its table.
+exp and the operator norm); it reads a chain's kernels, not its table, and
+a builtin's closed-form oscillations, not its table.
 """
 
 from __future__ import annotations
@@ -43,10 +55,12 @@ from typing import Sequence
 from .lipschitz_lp import lipschitz_constant
 from .mixing import MarkovSpec, Measure, delta_matrix, expand_markov, operator_norm_2
 from .rational import float_from_rat, rat
-from .words import TableFunction, WeightVector
+from .words import Builtin, TableFunction, WeightVector
+
+Function = TableFunction | Builtin
 
 
-def _check_compatible(f: TableFunction, P: Measure | MarkovSpec) -> None:
+def _check_compatible(f: Function, P: Measure | MarkovSpec) -> None:
     if f.alphabet_size != P.alphabet_size or f.arity != P.arity:
         raise ValueError(
             f"function on {f.alphabet_size}^{f.arity} does not match "
@@ -89,13 +103,12 @@ def _profile_level(f: TableFunction, parents: tuple, children: tuple) -> Rationa
     return rat(best_num, f.den * best_den)
 
 
-def v_bar(f: TableFunction, P: Measure | MarkovSpec, i: int) -> Rational:
+def v_bar(f: Function, P: Measure | MarkovSpec, i: int) -> Rational:
     """max |v_i| over prefixes y in S^i with positive probability."""
     _check_compatible(f, P)
     if not 1 <= i <= f.arity:
         raise ValueError(f"coordinate index must be in [1, {f.arity}], got {i}")
-    levels = conditional_sums(f, P)
-    return _profile_level(f, levels[i - 1], levels[i])
+    return martingale_profile(f, P).v_bars[i - 1]
 
 
 @dataclass(frozen=True)
@@ -112,9 +125,75 @@ class MartingaleProfile:
             raise ValueError("d_squared must equal the sum of squared v_bars")
 
 
-def martingale_profile(f: TableFunction, P: Measure | MarkovSpec) -> MartingaleProfile:
-    """All v_bar levels plus d_squared from one set of conditional sums."""
-    return profile_from_sums(f, conditional_sums(f, P))
+def martingale_profile(f: Function, P: Measure | MarkovSpec) -> MartingaleProfile:
+    """All v_bar levels plus d_squared, from the kernels or from one set of conditional sums."""
+    return mean_and_profile(f, P)[1]
+
+
+def kernel_terms(f: Function, P: Measure | MarkovSpec) -> tuple[list[tuple[int, ...]], int] | None:
+    """f's additive terms (g, den) when the martingale stages read P's kernels alone.
+
+    That is when f is an additive :class:`~hammix.words.Builtin` and P a
+    chain; otherwise (None) they read f's table and P's.
+    """
+    return f.terms() if isinstance(f, Builtin) and isinstance(P, MarkovSpec) else None
+
+
+def mean_and_profile(f: Function, P: Measure | MarkovSpec) -> tuple[Rational, MartingaleProfile]:
+    """E f and the martingale profile of f under P.
+
+    Read from the kernels (:func:`_chain_profile`) where :func:`kernel_terms`
+    allows it, else from the level-0 entry and the levels of
+    :func:`conditional_sums` on f's table.
+    """
+    _check_compatible(f, P)
+    terms = kernel_terms(f, P)
+    if terms is not None:
+        return _chain_profile(*terms, P)
+    f = f.table()
+    levels = conditional_sums(f, P)
+    ((weighted,), (mass,)) = levels[0]
+    return rat(weighted, f.den * mass), profile_from_sums(f, levels)
+
+
+def _chain_profile(
+    g: list[tuple[int, ...]], den: int, chain: MarkovSpec
+) -> tuple[Rational, MartingaleProfile]:
+    """E f and the profile of f(x) = sum_i g[i][x_i] / den under a chain, in O(n m^2).
+
+    Given X_1..i = y, the rest of the chain depends on y_i alone, so
+    E[f | y] = sum_{j <= i} g_j(y_j) / den + h_i(y_i) with
+    h_i(a) = E[sum_{j > i} g_j(X_j) / den | X_i = a], and
+
+        v_i(y) = g_i(y_i) / den + h_i(y_i) - h_i-1(y_i-1),
+
+    h_0 = E f for the empty prefix.  A backward recursion gives each h_i-1
+    from row a of the kernel into position i.  y has positive mass when
+    y_i-1 is reachable at position i-1 and the kernel moves it to y_i
+    with positive probability, so v_bar_i is the largest |v_i| over those
+    state pairs (the initial law's charged states for i = 1).  Level i
+    keeps g_i + h_i as integers over den times the product of the later
+    kernels' denominators, so each maximum is an integer one.
+    """
+    m = chain.alphabet_size
+    laws, dens = chain.laws, chain.dens
+    # reach[i]: the states whose row of laws[i] a positive-mass prefix uses,
+    # the single row of the initial law for i = 0.
+    reach = [[0]]
+    for rows in laws[:-1]:
+        reach.append([b for b in range(m) if any(rows[a][b] for a in reach[-1])])
+    h = [0] * m
+    scale = 1  # h and this level's g + h are over den * scale
+    bars = []
+    for terms, rows, d, states in zip(reversed(g), reversed(laws), reversed(dens), reversed(reach)):
+        values = [x * scale + y for x, y in zip(terms, h)]
+        h = [sum(map(mul, row, values)) for row in rows]  # over den * scale * d
+        best = max(abs(values[b] * d - h[a]) for a in states for b, p in enumerate(rows[a]) if p)
+        scale *= d
+        bars.append(rat(best, den * scale))
+    bars.reverse()
+    (mean,) = h
+    return rat(mean, den * scale), MartingaleProfile(tuple(bars), sum((v * v for v in bars), rat(0)))
 
 
 def profile_from_sums(f: TableFunction, levels: list) -> MartingaleProfile:
@@ -156,7 +235,7 @@ class SumViReport:
     holds: bool
 
 
-def verify_sumvi(f: TableFunction, P: Measure | MarkovSpec, w: WeightVector) -> SumViReport:
+def verify_sumvi(f: Function, P: Measure | MarkovSpec, w: WeightVector) -> SumViReport:
     """Check sum_i v_bar_i^2 <= ||f||^2_Lip,w ||Delta_n w||_2^2, exactly."""
     _check_compatible(f, P)
     if len(w) != f.arity:
@@ -194,7 +273,7 @@ class ConcentrationReport:
 
 
 def concentration_bound(
-    f: TableFunction,
+    f: Function,
     P: Measure | MarkovSpec,
     w: WeightVector,
     thresholds: Sequence[float],

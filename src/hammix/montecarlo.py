@@ -23,10 +23,14 @@ along the single sequence, one mix64 per sample rather than n.
 
 :func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
 reports the Azuma and mixing-matrix bounds next to each estimated
-frequency.  E f is exact (removing one noise source): it is the level-0
-entry of :func:`~hammix.martingale.conditional_sums` (whose levels also
-give d_squared), and each sample's test |f(x) - E f| > t runs on f's
-integer numerators against the exact value of the float t, scaled to integers.
+frequency.  E f is exact (removing one noise source): it comes with
+d_squared from :func:`~hammix.martingale.mean_and_profile`, and each
+sample's test |f(x) - E f| > t runs on f's integer numerator at x against
+the exact value of the float t, scaled to integers.  For ``sum_of_symbols``
+or ``hamming_to`` on a chain that numerator is summed from the builtin's
+per-coordinate terms as the symbols are drawn, and neither f nor the
+chain is expanded to a table; otherwise it is read from f's table at the
+drawn word's index.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from itertools import islice
 from numbers import Rational
 from typing import Iterable, Iterator
 
-from .martingale import azuma_bound, concentration_bound, conditional_sums, profile_from_sums
+from .martingale import Function, azuma_bound, concentration_bound, kernel_terms, mean_and_profile
 from .mixing import MarkovSpec, Measure
-from .rational import float_from_rat, rat, rat_from_float
-from .words import TableFunction, WeightVector, Word, word_unindex
+from .rational import float_from_rat, rat_from_float
+from .words import WeightVector, Word, word_unindex
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -154,6 +158,19 @@ def _sample_index(P: Measure | MarkovSpec, draws: Iterable[int]) -> int:
     return lo
 
 
+def _chain_value(chain: MarkovSpec, terms: list[tuple[int, ...]], draws: Iterable[int]) -> int:
+    """sum_i terms[i][x_i] over the chain word x that :func:`_sample_index` draws.
+
+    The same bisections select the same states; each adds its term instead
+    of a digit of the table index.
+    """
+    value = state = 0
+    for rows, g, r in zip(chain.sampler_cuts, terms, draws):
+        state = bisect_right(rows[state], r)
+        value += g[state]
+    return value
+
+
 def sample_word(P: Measure | MarkovSpec, stream: SampleStream) -> Word:
     """Draw one word with probability exactly P(x), from the stream's next n draws.
 
@@ -185,30 +202,38 @@ class TailReport:
 
 
 def empirical_tail(
-    f: TableFunction, P: Measure | MarkovSpec, w: WeightVector, cfg: SimulationConfig
+    f: Function, P: Measure | MarkovSpec, w: WeightVector, cfg: SimulationConfig
 ) -> TailReport:
     """Estimate P(|f - E f| > t) for each configured t.
 
     E f and the per-sample comparisons are exact (thresholds enter as the
     exact rational values of their floats); only the reported frequency and
     bounds are floating point.  Identical (f, P, w, cfg) give bit-identical
-    reports.  The weights are checked before any word is drawn.
+    reports.  The weights are checked before any word is drawn.  Where
+    :func:`~hammix.martingale.kernel_terms` allows it, a sample's value is
+    summed from its terms as its symbols are drawn, and no table is built.
     """
     if len(w) != f.arity:
         raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
-    levels = conditional_sums(f, P)
-    ((weighted,), (mass,)) = levels[0]
-    # E f = weighted / (f.den * mass); |f(x) - E f| > t, with t = t_num / t_den
-    # the exact value of the float, is |f_num(x) * mass - weighted| * t_den >
-    # t_num * f.den * mass.
-    scale = f.den * mass
+    windows = _sample_windows(cfg.seed, P.arity)
+    terms = kernel_terms(f, P)
+    if terms is None:
+        f = f.table()
+        den, nums = f.den, f.nums
+        values = (nums[_sample_index(P, window)] for window in windows)
+    else:
+        g, den = terms
+        values = (_chain_value(P, g, window) for window in windows)
+    mean, profile = mean_and_profile(f, P)
+    # A sample's value is value / den; |value / den - E f| > t, with
+    # E f = p / q in lowest terms and t = t_num / t_den the exact value of
+    # the float, is |value * q - p * den| * t_den > t_num * den * q.
+    q, weighted = mean.denominator, mean.numerator * den
     exact_thresholds = [rat_from_float(t) for t in cfg.thresholds]
-    limits = [(t.denominator, t.numerator * scale) for t in exact_thresholds]
-    profile = profile_from_sums(f, levels)
+    limits = [(t.denominator, t.numerator * den * q) for t in exact_thresholds]
     counts = [0] * len(limits)
-    nums = f.nums
-    for window in islice(_sample_windows(cfg.seed, P.arity), cfg.sample_count):
-        deviation = abs(nums[_sample_index(P, window)] * mass - weighted)
+    for value in islice(values, cfg.sample_count):
+        deviation = abs(value * q - weighted)
         for idx, (t_den, limit) in enumerate(limits):
             if deviation * t_den > limit:
                 counts[idx] += 1
@@ -230,7 +255,7 @@ def empirical_tail(
     return TailReport(
         sample_count=cfg.sample_count,
         seed=cfg.seed,
-        mean=rat(weighted, scale),
+        mean=mean,
         d_squared=profile.d_squared,
         rows=tuple(rows),
     )

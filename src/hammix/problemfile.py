@@ -29,12 +29,19 @@ Builtins avoid shipping m^n-entry tables for the canonical test functions:
     "indicator:<word>"      1 at the given word, else 0
     "hamming_to:<word>"     d_w(x, word) with the file's weights
 
-``<word>`` is a digit string ("0110") or comma-separated symbols
-("0,1,1,0"); the comma form is required when the alphabet has more than
-ten symbols.  A chain is handed on as its parsed spec.  The cap
-(``max_table``) applies to every m^n table a run builds, the function's
-and a dense measure's; a chain builds none, so for a chain it caps the
-n x n mixing matrix instead.
+``<word>`` is a string of ASCII digits ("0110") or comma-separated ASCII
+digit strings ("0,1,1,0"); the comma form is required when the alphabet
+has more than ten symbols.  The word is parsed once, here, into a
+:class:`~hammix.words.Builtin`, which builds its m^n table only when a
+stage reads one.  :func:`resolve_function` builds it for ``psi``,
+``phi``, ``verify-lp`` and ``decompose``, and for ``martingale`` and
+``simulate`` unless the function is ``sum_of_symbols`` or ``hamming_to``
+and the measure a chain (they then read its kernels and the builtin's
+per-coordinate terms); ``bound`` reads a builtin's closed-form
+oscillations and never builds its table.  A chain is handed on as its
+parsed spec.  The cap (``max_table``) applies to every m^n table a run
+builds, the function's and a dense measure's; a chain builds none on
+those paths, so for a chain it caps the n x n mixing matrix instead.
 """
 
 from __future__ import annotations
@@ -48,13 +55,16 @@ from typing import Any
 from .mixing import MAX_DENSE_TABLE, MarkovSpec, Measure
 from .montecarlo import SimulationConfig
 from .rational import rat, rat_str
-from .words import TableFunction, WeightVector, Word, hamming_table, words
+from .words import Builtin, TableFunction, WeightVector, Word
 
 _BUILTIN_NAMES = ("sum_of_symbols", "indicator", "hamming_to")
 
 # Table entries spelled this way split straight into an integer pair; every
 # other spelling is parsed by rat().
 _INTEGER_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# A builtin word's symbols: ASCII digits only (int() would also take
+# whitespace, "_" separators and other scripts' digits).
+_SYMBOL = re.compile(r"[0-9]+")
 
 
 class ProblemFileError(ValueError):
@@ -70,7 +80,7 @@ class ProblemFile:
     alphabet: int
     n: int
     weights: WeightVector | None
-    function: TableFunction | str | None  # a builtin is expanded on resolve
+    function: TableFunction | Builtin | None
     measure: Measure | MarkovSpec | None
     v: Rational
     thresholds: tuple[float, ...]
@@ -110,10 +120,9 @@ def _parse_word(text: str, m: int, n: int, path: str) -> Word:
                 path, "alphabets larger than 10 need comma-separated words"
             )
         parts = list(text)
-    try:
-        symbols = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ProblemFileError(path, f"cannot parse word from {text!r}") from None
+    if not all(map(_SYMBOL.fullmatch, parts)):
+        raise ProblemFileError(path, f"cannot parse word from {text!r}")
+    symbols = tuple(map(int, parts))
     if len(symbols) != n:
         raise ProblemFileError(path, f"word {text!r} has length {len(symbols)}, expected {n}")
     for s in symbols:
@@ -221,23 +230,28 @@ def _parse_table(table: Any, m: int, n: int, path: str, nonnegative: bool = Fals
     return _parse_ratios(table, path, nonnegative)
 
 
-def _parse_function(value: Any, m: int, n: int) -> TableFunction | str:
+def _parse_function(
+    value: Any, m: int, n: int, weights: WeightVector | None
+) -> TableFunction | Builtin:
     if isinstance(value, dict) and "table" in value:
         ratios = _parse_table(value["table"], m, n, "function.table")
         return TableFunction.from_ratios(m, n, ratios)
     if isinstance(value, dict) and "builtin" in value:
         value = value["builtin"]
     if isinstance(value, str):
-        name = value.split(":", 1)[0]
+        name, colon, arg = value.partition(":")
         if name not in _BUILTIN_NAMES:
             raise ProblemFileError(
                 "function.builtin", f"unknown builtin {name!r}; known: {', '.join(_BUILTIN_NAMES)}"
             )
-        if name != "sum_of_symbols":
-            if ":" not in value:
-                raise ProblemFileError("function.builtin", f"{name} needs an argument word")
-            _parse_word(value.split(":", 1)[1], m, n, "function.builtin")
-        return value
+        if name == "sum_of_symbols":
+            if colon:
+                raise ProblemFileError("function.builtin", "sum_of_symbols takes no argument")
+            return Builtin(name, m, n)
+        if not colon:
+            raise ProblemFileError("function.builtin", f"{name} needs an argument word")
+        target = _parse_word(arg, m, n, "function.builtin")
+        return Builtin(name, m, n, target, weights if name == "hamming_to" else None)
     raise ProblemFileError("function", f"expected a table or builtin, got {value!r}")
 
 
@@ -315,7 +329,7 @@ def parse_problem(doc: Any) -> ProblemFile:
         ]
         weights = WeightVector(entries)
 
-    function = _parse_function(doc["function"], m, n) if "function" in doc else None
+    function = _parse_function(doc["function"], m, n, weights) if "function" in doc else None
     measure = _parse_measure(doc["measure"], m, n) if "measure" in doc else None
     v = _parse_rational(doc["v"], "v", nonnegative=True) if "v" in doc else rat(0)
     thresholds = (
@@ -351,27 +365,23 @@ def parse_problem(doc: Any) -> ProblemFile:
 
 
 def resolve_function(
-    problem: ProblemFile, max_table: int = MAX_DENSE_TABLE
-) -> TableFunction:
-    """Dense table for the file's function; builtins are expanded here."""
-    if problem.function is None:
+    problem: ProblemFile, max_table: int = MAX_DENSE_TABLE, table: bool = True
+) -> TableFunction | Builtin:
+    """The file's function: a dense table, or with ``table=False`` a builtin as parsed.
+
+    Only a table is held to the cap: a table function always, a builtin
+    when it is expanded here.
+    """
+    f = problem.function
+    if f is None:
         raise ProblemFileError("function", "this subcommand needs a 'function' section")
-    m, n = problem.alphabet, problem.n
-    _check_table_size(m, n, max_table)
-    if isinstance(problem.function, TableFunction):
-        return problem.function
-    name, _, arg = problem.function.partition(":")
-    if name == "sum_of_symbols":
-        return TableFunction.from_numerators(m, n, map(sum, words(m, n)))
-    target = _parse_word(arg, m, n, "function.builtin")
-    if name == "indicator":
-        return TableFunction.from_numerators(m, n, (int(x == target) for x in words(m, n)))
-    # hamming_to: the distance uses the file's weights.
-    if problem.weights is None:
-        raise ProblemFileError(
-            "function.builtin", "hamming_to requires a 'weights' section"
-        )
-    return hamming_table(m, target, problem.weights)
+    if isinstance(f, Builtin):
+        if f.name == "hamming_to" and f.weights is None:
+            raise ProblemFileError("function.builtin", "hamming_to requires a 'weights' section")
+        if not table:
+            return f
+    _check_table_size(problem.alphabet, problem.n, max_table)
+    return f.table()
 
 
 def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> Measure | MarkovSpec:

@@ -19,6 +19,11 @@ structural operators strided integer sums:
 
 Arity-0 tables are length-1 tables (the single value indexed by the empty
 word), so recursions over arity bottom out without a special scalar case.
+
+A problem file's named functions are :class:`Builtin` values, which keep
+their parsed argument and build a table only when asked
+(:meth:`Builtin.table`); the additive ones build it with
+:func:`additive_table`.
 """
 
 from __future__ import annotations
@@ -173,6 +178,10 @@ class TableFunction:
     def total(self) -> Rational:
         return rat(sum(self.nums), self.den)
 
+    def table(self) -> "TableFunction":
+        """The table itself; a :class:`Builtin` builds its own."""
+        return self
+
 
 def words(m: int, n: int) -> Iterator[Word]:
     """All words of S^n in lexicographic (index) order."""
@@ -210,18 +219,71 @@ def hamming_distance(x: Sequence[int], y: Sequence[int], w: WeightVector) -> Rat
     return sum((w[i] for i in range(len(w)) if x[i] != y[i]), rat(0))
 
 
-def hamming_table(m: int, target: Word, w: WeightVector) -> TableFunction:
-    """x |-> d_w(x, target) on S^len(w), summed in the weights' numerators.
+def additive_table(m: int, terms: Sequence[Sequence[int]], den: int = 1) -> TableFunction:
+    """x |-> (terms[0][x_1] + ... + terms[n-1][x_n]) / den on S^n, n = len(terms).
 
     Built one coordinate at a time: appending symbol a at coordinate i adds
-    the cost w_i unless a is the target's symbol there.
+    the integer terms[i][a] to every word's numerator.
     """
-    costs, den = over_common_denominator(w.entries)
     nums = [0]
-    for cost, t in zip(costs, target):
-        step = [0 if a == t else cost for a in range(m)]
+    for step in terms:
         nums = [x + c for x in nums for c in step]
-    return TableFunction.from_numerators(m, len(w), nums, den)
+    return TableFunction.from_numerators(m, len(terms), nums, den)
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """A named function on S^n, held as its parsed argument, not as a table.
+
+        sum_of_symbols   f(x) = x_1 + ... + x_n
+        indicator        1 at ``target``, else 0
+        hamming_to       d_w(x, target), w = ``weights``
+
+    ``sum_of_symbols`` and ``hamming_to`` are additive, f(x) = sum_i
+    g_i(x_i) (:meth:`terms`), so stages that read only per-coordinate terms
+    never build the m^n table; :meth:`table` builds it for those that do.
+    """
+
+    name: str
+    alphabet_size: int
+    arity: int
+    target: Word | None = None
+    weights: WeightVector | None = None
+
+    def terms(self) -> tuple[list[tuple[int, ...]], int] | None:
+        """(g, den) with f(x) = sum_i g[i][x_i] / den, or None for ``indicator``."""
+        m, n = self.alphabet_size, self.arity
+        if self.name == "sum_of_symbols":
+            return [tuple(range(m))] * n, 1
+        if self.name == "indicator":
+            return None
+        if self.weights is None:
+            raise ValueError("hamming_to needs weights")
+        costs, den = over_common_denominator(self.weights.entries)
+        return [tuple(0 if a == t else c for a in range(m)) for c, t in zip(costs, self.target)], den
+
+    def table(self) -> TableFunction:
+        """The dense table of f (m^n entries)."""
+        m, n = self.alphabet_size, self.arity
+        additive = self.terms()
+        if additive is not None:
+            return additive_table(m, *additive)
+        nums = [0] * m**n
+        nums[word_index(self.target, m, n)] = 1
+        return TableFunction.from_numerators(m, n, nums)
+
+    def oscillations(self) -> tuple[Rational, ...]:
+        """Per coordinate i, max |f(x) - f(y)| over words differing only at i.
+
+        An additive term's spread max g_i - min g_i (m - 1 for
+        ``sum_of_symbols``, w_i for ``hamming_to``); 1 for ``indicator``;
+        0 everywhere when m = 1.
+        """
+        additive = self.terms()
+        if additive is None:
+            return (rat(int(self.alphabet_size > 1)),) * self.arity
+        g, den = additive
+        return tuple(rat(max(t) - min(t), den) for t in g)
 
 
 def project_numerators(nums: Sequence[int], m: int) -> list[int]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,11 @@ from hammix.rational import rat
 from hammix.simplex import CertificateError
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def _write(tmp_path, doc, name="problem.json"):
-    path = tmp_path / name
+    path = Path(tmp_path) / name
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -157,49 +161,91 @@ def test_one_parser_per_process_keeps_no_state_between_calls(capsys, chain_file)
     assert code == 0 and payload["lipschitz"] == "1/1"
 
 
-def test_chain_past_the_dense_cap_runs_eta_only(capsys, tmp_path):
+def test_chain_past_the_dense_cap_runs_the_kernel_stages(capsys, tmp_path):
     # 3^100 words: eta reads the chain's kernels and caps only its 100x100
-    # Delta; every subcommand that needs f's table still refuses.
+    # Delta; martingale, bound and simulate read sum_of_symbols' terms and
+    # the kernels.  Stages that read f's table still refuse, and so do the
+    # martingale stages of indicator, whose profile needs the table.
     n = 100
-    law = [["1/2", "1/4", "1/4"], ["1/3", "1/3", "1/3"], ["0", "1/5", "4/5"]]
-    chain = _write(
-        tmp_path,
-        {
-            "alphabet": 3,
-            "n": n,
-            "weights": ["1"] * n,
-            "function": "sum_of_symbols",
-            "measure": {"markov": {"init": ["1", "0", "0"], "transitions": [law] * (n - 1)}},
-            "thresholds": [1.0],
-        },
-    )
+    doc = json.loads((GOLDEN / "chain_m3n100.json").read_text())
+    assert (doc["alphabet"], doc["n"], doc["function"]) == (3, n, "sum_of_symbols")
+    doc["simulation"]["sample_count"] = 500
+    chain = _write(tmp_path, doc)
     code, payload, _ = _run(capsys, ["eta", chain])
     assert code == 0
     assert len(payload["delta"]) == n and all(len(row) == n for row in payload["delta"])
     code, _, err = _run(capsys, ["eta", "--max-table", str(n * n - 1), chain])
     assert code == 1 and "exceeds the cap" in err
-    for command in ("bound", "martingale", "simulate"):
+    code, payload, _ = _run(capsys, ["martingale", chain])
+    assert code == 0 and len(payload["v_bars"]) == n and payload["holds"]
+    code, payload, _ = _run(capsys, ["bound", chain])
+    assert code == 0 and payload["lipschitz"] == "2/1"
+    code, payload, _ = _run(capsys, ["simulate", chain])
+    assert code == 0 and payload["sample_count"] == 500
+    for command in ("psi", "decompose"):
         code, _, err = _run(capsys, [command, chain])
-        assert code == 1 and "exceeds the cap" in err
+        assert code == 1 and "n: dense table of 3^100 entries exceeds the cap" in err
+    indicator = _write(tmp_path, dict(doc, function="indicator:" + "0" * n), "indicator.json")
+    for command in ("martingale", "simulate"):
+        code, _, err = _run(capsys, [command, indicator])
+        assert code == 1 and "n: dense table of 3^100 entries exceeds the cap" in err
+    code, payload, _ = _run(capsys, ["bound", indicator])
+    assert code == 0 and payload["lipschitz"] == "1/1"
 
 
 @pytest.mark.parametrize(
     "command,expansions,sums,tables",
     [
         ("eta", 0, 0, []),
-        ("bound", 0, 0, ["TableFunction"]),
-        ("martingale", 1, 1, ["TableFunction", "Measure"]),
-        ("simulate", 1, 1, ["TableFunction", "Measure"]),
+        ("bound", 0, 0, []),
+        ("martingale", 0, 0, []),
+        ("simulate", 0, 0, []),
     ],
 )
 def test_chain_is_expanded_only_where_a_table_is_read(
     capsys, chain_file, builds, command, expansions, sums, tables
 ):
-    # eta and bound read the chain's kernels only; martingale and simulate
-    # expand it once, for the one set of conditional sums they read.
+    # On a sum_of_symbols chain every stage reads the kernels and f's
+    # per-coordinate terms only: no expansion, no conditional sums, no table.
     code, _, _ = _run(capsys, [command, chain_file])
     assert code == 0
     assert builds == {"expand_markov": expansions, "conditional_sums": sums, "tables": tables}
+
+
+@pytest.mark.parametrize("command", ["martingale", "simulate"])
+def test_indicator_chain_reads_its_table(capsys, chain_file, builds, command):
+    # indicator's profile and sample values come from its table and the
+    # chain's, each built once.
+    doc = json.loads(Path(chain_file).read_text())
+    path = _write(os.path.dirname(chain_file), dict(doc, function="indicator:01"), "indicator.json")
+    code, _, _ = _run(capsys, [command, path])
+    assert code == 0
+    assert builds == {"expand_markov": 1, "conditional_sums": 1, "tables": ["TableFunction", "Measure"]}
+
+
+@pytest.mark.parametrize("function", ["sum_of_symbols", "indicator:10", "hamming_to:01"])
+def test_bound_builds_no_table_of_a_builtin(capsys, tmp_path, builds, function):
+    # A builtin's Lipschitz constant is closed-form; only the file's dense
+    # measure is a table.
+    doc = {
+        "alphabet": 2,
+        "n": 2,
+        "weights": ["1/2", "3"],
+        "function": function,
+        "measure": {"dense": ["1/4", "1/4", "0", "1/2"]},
+        "thresholds": [1.0],
+    }
+    code, payload, _ = _run(capsys, ["bound", _write(tmp_path, doc)])
+    assert code == 0
+    assert payload["lipschitz"] == {"sum_of_symbols": "2/1", "indicator:10": "2/1", "hamming_to:01": "1/1"}[function]
+    assert builds["tables"] == ["Measure"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_table_below_one_is_refused(capsys, chain_file, value):
+    code, payload, err = _run(capsys, ["martingale", "--max-table", value, chain_file])
+    assert (code, payload) == (1, None)
+    assert f"invalid argument: --max-table must be >= 1, got {value}" in err
 
 
 def test_selftest_subcommand(capsys):

@@ -12,7 +12,12 @@ symbol is forced (m = 3, n = 3), a v = 0 LP whose table sums below 0,
 so the norms carry a nonzero sign shift (m = 3, n = 2), and a Markov chain
 with a null initial state, zero transition entries and a symbol forced
 after one state (m = 3, n = 4), which runs the kernel paths of
-``delta_matrix`` and the sampler.
+``delta_matrix`` and the sampler.  Two more files hold one m = 3, n = 4
+chain with a null initial state, zero transition entries and a state
+unreachable at the second position, under non-unit weights: with
+``hamming_to`` they pin the kernel-only martingale profile, exact mean and
+sample values, and with ``indicator`` the table path and the closed-form
+Lipschitz constant of ``bound``.
 
 ``selftest.stdout`` is the report of ``hammix selftest --instances 50
 --seed 3 --mc-samples 2000``; only its ``elapsed_seconds`` fields may
@@ -38,6 +43,8 @@ CASES = [
     (GOLDEN / "dense_zeros.json", ("eta", "martingale", "bound", "simulate")),
     (GOLDEN / "lp_negative.json", ("psi", "phi", "verify-lp")),
     (GOLDEN / "markov_zeros.json", ("eta", "martingale", "bound", "simulate")),
+    (GOLDEN / "markov_hamming.json", ("eta", "martingale", "bound", "simulate")),
+    (GOLDEN / "markov_indicator.json", ("martingale", "bound", "simulate")),
 ]
 
 

@@ -11,6 +11,7 @@ from hammix.lipschitz_lp import (
     LpProblem,
     build_polytope_lp,
     lipschitz_constant,
+    oscillations,
     phi_norm,
     phi_sup,
     solve_lp,
@@ -20,6 +21,7 @@ from hammix.psi import psi, psi_norm, ramp
 from hammix.rational import rat
 from hammix.simplex import verify_certificate
 from hammix.words import (
+    Builtin,
     TableFunction,
     WeightVector,
     hamming_distance,
@@ -332,3 +334,25 @@ def test_lipschitz_constant_matches_all_pairs_oracle():
         f = random_table(rng, m, n)
         w = random_weights(rng, n)
         assert lipschitz_constant(f, w) == _lipschitz_all_pairs_oracle(f, w)
+
+
+def test_builtin_oscillations_match_the_table_scan():
+    # Closed forms: m - 1 for sum_of_symbols, w_i for hamming_to, 1 for
+    # indicator, and 0 for every builtin when m = 1.
+    rng = random.Random(79)
+    for m, n in [(1, 1), (1, 3), (2, 1), (2, 4), (3, 3), (4, 2)]:
+        for _ in range(3):
+            w = random_weights(rng, n)
+            target = tuple(rng.randrange(m) for _ in range(n))
+            for f in (
+                Builtin("sum_of_symbols", m, n),
+                Builtin("indicator", m, n, target),
+                Builtin("hamming_to", m, n, target, w),
+            ):
+                table = f.table()
+                assert oscillations(f) == oscillations(table)
+                assert lipschitz_constant(f, w) == lipschitz_constant(table, w)
+            if m == 1:
+                assert set(oscillations(f)) == {0}
+            else:
+                assert oscillations(f) == w.entries

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -19,13 +20,16 @@ from hammix.martingale import (
     azuma_bound,
     concentration_bound,
     conditional_sums,
+    kernel_terms,
     martingale_profile,
+    mean_and_profile,
     v_bar,
     verify_sumvi,
 )
+from hammix.lipschitz_lp import lipschitz_constant
 from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.rational import rat
-from hammix.words import TableFunction, WeightVector, hamming_distance, words
+from hammix.words import Builtin, TableFunction, WeightVector, hamming_distance, words
 from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass
 from table_oracle import conditional_expectation, v_i
 
@@ -262,6 +266,58 @@ def test_chain_and_its_table_give_the_same_reports():
         assert concentration_bound(f, spec, w, ts) == concentration_bound(f, table, w, ts)
         v_bars = [v_bar(f, spec, i) for i in range(1, n + 1)]
         assert v_bars == list(martingale_profile(f, table).v_bars)
+
+
+def _chain_with_zeros(rng, m, n):
+    """A random chain with about a third of its law entries exactly 0.
+
+    That often leaves a state that no positive-mass prefix reaches.
+    """
+
+    def law():
+        while True:
+            weights = [max(0, rng.randint(-4, 9)) for _ in range(m)]
+            if sum(weights):
+                return [Fraction(c, sum(weights)) for c in weights]
+
+    return MarkovSpec(law(), [[law() for _ in range(m)] for _ in range(n - 1)])
+
+
+def additive_chain_cases(seed, count):
+    """(builtin, its table, chain, weights): both additive builtins on chains with zeros."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.choice((1, 2, 3)), rng.randint(1, 5)
+        chain = _chain_with_zeros(rng, m, n)
+        w = random_weights(rng, n)
+        target = tuple(rng.randrange(m) for _ in range(n))
+        for f in (Builtin("sum_of_symbols", m, n), Builtin("hamming_to", m, n, target, w)):
+            yield f, f.table(), chain, w
+
+
+def test_kernel_profile_matches_the_table_path_on_chains():
+    # Seeded chains with null initial states, zero transition entries and
+    # states no positive-mass prefix reaches, m = 1 included: the kernel
+    # path must give the table path's rationals.
+    zero_init = zero_entries = unreachable = 0
+    for f, table, chain, w in additive_chain_cases(16, 150):
+        assert kernel_terms(f, chain) is not None and kernel_terms(table, chain) is None
+        mean, profile = mean_and_profile(f, chain)
+        assert (mean, profile) == mean_and_profile(table, chain)
+        P = expand_markov(chain)
+        assert mean == sum(map(mul, P.values, table.values), rat(0))
+        assert profile.v_bars == tuple(v_bar(table, chain, i) for i in range(1, f.arity + 1))
+        assert lipschitz_constant(f, w) == lipschitz_constant(table, w)
+        assert verify_sumvi(f, chain, w) == verify_sumvi(table, P, w)
+        zero_init += 0 in chain.laws[0][0]
+        zero_entries += any(0 in row for rows in chain.laws[1:] for row in rows)
+        m, n = f.alphabet_size, f.arity
+        unreachable += any(
+            sum(p for x, p in zip(words(m, n), P.values) if x[i] == b) == 0
+            for i in range(1, n)
+            for b in range(m)
+        )
+    assert min(zero_init, zero_entries, unreachable) >= 50
 
 
 def test_verify_sumvi_random_instances():

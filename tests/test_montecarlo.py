@@ -6,6 +6,7 @@ import pytest
 
 import mixing_oracle
 import table_oracle
+from test_martingale import additive_chain_cases
 from hammix import montecarlo
 from hammix.instances import random_dense_measure, random_markov_spec, random_table
 from hammix.martingale import concentration_bound, martingale_profile
@@ -161,6 +162,22 @@ def test_empirical_tail_counts_match_one_stream_per_sample(seed, samples):
         mean, counts = table_oracle.tail_mean_and_counts(f, table, cfg)
         assert report.mean == mean
         assert [row.exceed_count for row in report.rows] == counts
+
+
+def test_additive_chain_samples_match_the_table_path():
+    # Summing a builtin's terms symbol by symbol must count what indexing
+    # its table counts, on the same draws, and match the oracle's counts.
+    rng = random.Random(17)
+    exceeded = 0
+    for f, table, chain, w in additive_chain_cases(18, 60):
+        cfg = SimulationConfig(120, rng.getrandbits(64), (0.25, 0.5, 1.0, 2.0))
+        report = empirical_tail(f, chain, w, cfg)
+        assert report == empirical_tail(table, chain, w, cfg)
+        mean, counts = table_oracle.tail_mean_and_counts(table, expand_markov(chain), cfg)
+        assert report.mean == mean
+        assert [row.exceed_count for row in report.rows] == counts
+        exceeded += 0 < counts[1] < cfg.sample_count
+    assert exceeded >= 20
 
 
 def test_sampler_cases_include_null_cells():

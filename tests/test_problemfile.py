@@ -16,7 +16,7 @@ from hammix.problemfile import (
     resolve_measure,
 )
 from hammix.rational import DigitLimitError, over_common_denominator, rat, rat_str
-from hammix.words import TableFunction
+from hammix.words import Builtin, TableFunction, WeightVector
 
 
 def problem_to_jsonable(problem: ProblemFile) -> dict:
@@ -27,7 +27,9 @@ def problem_to_jsonable(problem: ProblemFile) -> dict:
     if isinstance(problem.function, TableFunction):
         doc["function"] = {"table": [rat_str(x) for x in problem.function.values]}
     elif problem.function is not None:
-        doc["function"] = {"builtin": problem.function}
+        f = problem.function
+        word = "" if f.target is None else ":" + ",".join(map(str, f.target))
+        doc["function"] = {"builtin": f.name + word}
     if isinstance(problem.measure, Measure):
         doc["measure"] = {"dense": [rat_str(p) for p in problem.measure.values]}
     elif problem.measure is not None:
@@ -85,6 +87,8 @@ def test_round_trip_identity():
     for doc in (
         _doc(),
         _doc(function="sum_of_symbols", v="0"),
+        _doc(function="hamming_to:10", weights=["1/2", "3"]),
+        _doc(function={"builtin": "indicator:0,1"}),
         _doc(
             measure={
                 "markov": {
@@ -198,13 +202,44 @@ def test_missing_sections_reported_with_path():
         ({"alphabet": "2"}, "alphabet"),
         ({"weights": ["1e5000", "1"]}, "weights[0]"),
         ({"v": "1e-5000"}, "v"),
+        # A builtin's word is ASCII digits and commas only.
+        ({"function": {"builtin": "indicator:١٠"}}, "function.builtin"),
+        ({"function": {"builtin": "hamming_to: 0,1"}}, "function.builtin"),
+        ({"function": {"builtin": "hamming_to:0,1 "}}, "function.builtin"),
+        ({"function": {"builtin": "indicator:+1,0"}}, "function.builtin"),
+        ({"function": {"builtin": "indicator:0,_1"}}, "function.builtin"),
+        ({"function": {"builtin": "indicator:0,,1"}}, "function.builtin"),
+        ({"function": {"builtin": "indicator:0１"}}, "function.builtin"),
+        ({"function": {"builtin": "indicator"}}, "function.builtin"),
+        ({"function": {"builtin": "sum_of_symbols:01"}}, "function.builtin"),
     ],
 )
 def test_invalid_documents(overrides, fragment):
     with pytest.raises(ProblemFileError) as err:
-        problem = parse_problem(_doc(**overrides))
-        resolve_function(problem)  # builtins validate their argument lazily
+        parse_problem(_doc(**overrides))
     assert fragment in str(err.value)
+
+
+def test_builtin_word_is_parsed_once_into_the_builtin():
+    problem = parse_problem(_doc(function="indicator:1,0"))
+    assert problem.function == Builtin("indicator", 2, 2, (1, 0))
+    assert parse_problem(_doc(function="indicator:10")).function == problem.function
+    hamming = parse_problem(_doc(function="hamming_to:01", weights=["1/2", "3"])).function
+    assert hamming == Builtin("hamming_to", 2, 2, (0, 1), WeightVector(["1/2", "3"]))
+
+
+def test_hamming_to_without_weights_is_refused_where_it_is_read():
+    problem = parse_problem({"alphabet": 2, "n": 2, "function": "hamming_to:01"})
+    for table in (True, False):
+        with pytest.raises(ProblemFileError, match="function.builtin: hamming_to requires"):
+            resolve_function(problem, table=table)
+
+
+def test_builtin_stays_unexpanded_without_a_table():
+    problem = parse_problem({"alphabet": 2, "n": 30, "function": "sum_of_symbols"})
+    assert resolve_function(problem, table=False) is problem.function
+    with pytest.raises(ProblemFileError, match="n: dense table of 2\\^30 entries exceeds"):
+        resolve_function(problem)
 
 
 def test_weight_zero_message_cites_positivity():

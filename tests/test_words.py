@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from hammix.rational import rat
 from hammix.instances import random_weights
 from hammix.words import (
+    Builtin,
     TableFunction,
     WeightVector,
     hamming_distance,
-    hamming_table,
     marginal_projection,
     word_index,
     word_unindex,
@@ -117,10 +117,20 @@ def test_hamming_table_matches_per_word_distances():
         for _ in range(3):
             w = random_weights(rng, n)
             target = tuple(rng.randrange(m) for _ in range(n))
-            table = hamming_table(m, target, w)
+            table = Builtin("hamming_to", m, n, target, w).table()
             expected = TableFunction.from_callable(m, n, lambda x: hamming_distance(x, target, w))
             assert table == expected
             assert table.values == expected.values
+
+
+def test_builtin_tables_match_per_word_values():
+    rng = random.Random(29)
+    for m, n in [(1, 3), (2, 0), (2, 1), (2, 5), (3, 3), (4, 2)]:
+        target = tuple(rng.randrange(m) for _ in range(n))
+        expected_sum = TableFunction.from_callable(m, n, sum)
+        assert Builtin("sum_of_symbols", m, n).table() == expected_sum
+        expected_indicator = TableFunction.from_callable(m, n, lambda x: int(x == target))
+        assert Builtin("indicator", m, n, target).table() == expected_indicator
 
 
 def test_marginal_projection_examples():
