@@ -56,14 +56,12 @@ def random_dense_measure(
     v_bar.
     """
     size = m**n
+    low = 0 if allow_zeros else 1
     while True:
-        if allow_zeros:
-            weights = [rng.randint(0, 9) for _ in range(size)]
-        else:
-            weights = [rng.randint(1, 9) for _ in range(size)]
+        weights = [rng.randint(low, 9) for _ in range(size)]
         total = sum(weights)
         if total > 0:
-            return Measure(m, n, tuple(rat(c, total) for c in weights))
+            return Measure.from_numerators(m, n, weights, total)
 
 
 def random_markov_spec(rng: random.Random, m: int, n: int) -> MarkovSpec:
@@ -81,19 +79,17 @@ def random_markov_spec(rng: random.Random, m: int, n: int) -> MarkovSpec:
 
 
 def random_product_measure(rng: random.Random, m: int, n: int) -> Measure:
-    """Product of independent per-coordinate distributions."""
-    factors = []
+    """Product of independent per-coordinate distributions.
+
+    Each coordinate's law is integer weights over their sum, so the table is
+    the products of the weights over the product of the sums.
+    """
+    nums, den = [1], 1
     for _ in range(n):
         weights = [rng.randint(1, 9) for _ in range(m)]
-        total = sum(weights)
-        factors.append([rat(c, total) for c in weights])
-    probs = []
-    for x in words(m, n):
-        p = rat(1)
-        for i, s in enumerate(x):
-            p *= factors[i][s]
-        probs.append(p)
-    return Measure(m, n, tuple(probs))
+        nums = [p * c for p in nums for c in weights]
+        den *= sum(weights)
+    return Measure.from_numerators(m, n, nums, den)
 
 
 def random_lipschitz_function(

@@ -37,9 +37,13 @@ martingale spread is controlled by smoothness times mixing:
 with Delta_n the mixing matrix of P.  :func:`concentration_bound` then
 evaluates the resulting closed-form tail bound
 2 exp(-t^2 / (2 ||f||^2 ||w||^2 ||Delta_n||_2^2)) -- Azuma's bound with that
-d_squared -- for a list of thresholds, the only place floats enter (inside
-exp and the operator norm); it reads a chain's kernels, not its table, and
-a builtin's closed-form oscillations, not its table.
+d_squared -- for a list of thresholds; it reads a chain's kernels, not its
+table, and a builtin's closed-form oscillations, not its table.  Floats
+enter there, each rounded to nearest: the operator norm, the float of the
+exact ||f||^2 ||w||^2 and its product with the norm's square, the exponent
+and exp.  :func:`hammix.montecarlo.empirical_tail` also rounds the exact
+d_squared to a float for Azuma's bound.  So every reported tail bound is
+an estimate, not a certified upper bound.
 """
 
 from __future__ import annotations
@@ -169,23 +173,18 @@ def _chain_profile(
 
     h_0 = E f for the empty prefix.  A backward recursion gives each h_i-1
     from row a of the kernel into position i.  y has positive mass when
-    y_i-1 is reachable at position i-1 and the kernel moves it to y_i
+    y_i-1 is in ``chain.reachable[i-1]`` and the kernel moves it to y_i
     with positive probability, so v_bar_i is the largest |v_i| over those
     state pairs (the initial law's charged states for i = 1).  Level i
     keeps g_i + h_i as integers over den times the product of the later
     kernels' denominators, so each maximum is an integer one.
     """
-    m = chain.alphabet_size
     laws, dens = chain.laws, chain.dens
-    # reach[i]: the states whose row of laws[i] a positive-mass prefix uses,
-    # the single row of the initial law for i = 0.
-    reach = [[0]]
-    for rows in laws[:-1]:
-        reach.append([b for b in range(m) if any(rows[a][b] for a in reach[-1])])
-    h = [0] * m
+    h = [0] * chain.alphabet_size
     scale = 1  # h and this level's g + h are over den * scale
     bars = []
-    for terms, rows, d, states in zip(reversed(g), reversed(laws), reversed(dens), reversed(reach)):
+    levels = zip(reversed(g), reversed(laws), reversed(dens), reversed(chain.reachable))
+    for terms, rows, d, states in levels:
         values = [x * scale + y for x, y in zip(terms, h)]
         h = [sum(map(mul, row, values)) for row in rows]  # over den * scale * d
         best = max(abs(values[b] * d - h[a]) for a in states for b, p in enumerate(rows[a]) if p)

@@ -189,6 +189,23 @@ class MarkovSpec:
         )
 
     @cached_property
+    def reachable(self) -> tuple[tuple[int, ...], ...]:
+        """Per law t, the states whose row of ``laws[t]`` a positive-mass prefix uses.
+
+        Entry 0 is ``(0,)``, the one row of the initial law.  Entry t >= 1
+        holds the states reachable at position t: the last symbols of the
+        positive-mass prefixes of length t, which are the states some
+        entry t - 1 state moves to with positive probability.  Conditioning
+        on a null prefix is undefined, so the kernel paths of eta_bar and of
+        the martingale profile read only these rows.
+        """
+        m = self.alphabet_size
+        reach = [(0,)]
+        for rows in self.laws[:-1]:
+            reach.append(tuple(b for b in range(m) if any(rows[a][b] for a in reach[-1])))
+        return tuple(reach)
+
+    @cached_property
     def sampler_cuts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per position and current state: the row's draw thresholds.
 
@@ -259,16 +276,11 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
 def _admissible_pairs(chain: MarkovSpec, i: int) -> list[tuple[int, int]]:
     """Symbol pairs z < z' for which some past y gives y z and y z' positive mass.
 
-    Some state a reachable at position i-1 must move to both, that is, row
-    a of ``laws[i-1]`` charges both; position 0 has the single state 0,
-    whose row is the initial law.
+    Some state a in ``chain.reachable[i-1]`` must move to both, that is,
+    row a of ``laws[i-1]`` charges both.
     """
-    m = chain.alphabet_size
-    reachable = [0]
-    for rows in chain.laws[: i - 1]:
-        reachable = [b for b in range(m) if any(rows[a][b] for a in reachable)]
     pairs = set()
-    for a in reachable:
+    for a in chain.reachable[i - 1]:
         pairs.update(combinations([z for z, p in enumerate(chain.laws[i - 1][a]) if p], 2))
     return sorted(pairs)
 
@@ -389,9 +401,9 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     ROADMAP item 4 replaces it with an exact bound.  If
     _OPNORM_MAX_ITERATIONS pass without convergence, the exact Schur bound
     sqrt(||D||_1 ||D||_inf) is returned instead, as the float square root
-    stepped up with math.nextafter until its exact square reaches it.  This
-    is the package's only floating-point computation before the exp()
-    boundary.
+    stepped up with math.nextafter until its exact square reaches it.
+    :func:`hammix.martingale.concentration_bound` multiplies the square of
+    the result by another rounded float before it reaches exp().
     """
     n = D.size
     # A = D^T D, symmetric PSD, from inner products of D's columns.

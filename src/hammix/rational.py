@@ -1,17 +1,12 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every inequality this package verifies is checked with exact rational
-comparisons, so no module is allowed to round.  The working type is
-``gmpy2.mpq`` when gmpy2 is importable (its arithmetic is an order of
-magnitude faster than ``fractions.Fraction``) and ``fractions.Fraction``
-otherwise.  The simplex works in Python integers from its input rows to
-its certificate check (its rows are integer, totally unimodular ones, as
-``solve_lp``'s polytope rows are), so there the backend only carries the
-problem's right-hand sides and objective and the final vertex, duals and
-value.
-The two types interoperate: ``==``, ``hash`` and mixed arithmetic agree,
-so callers may hand any of int / Fraction / mpq / string to the functions
-in this package.
+comparisons, so no module is allowed to round.  The one rational type is
+``fractions.Fraction``.  The hot loops (the simplex, tables, eta_bar, the
+martingale profile and the sampler) work on Python integers: numerators
+over a common denominator.  Rationals carry only the inputs and the
+reported values.  :func:`rat` accepts int, any ``numbers.Rational`` and
+strings, so callers may hand any of them to the functions in this package.
 
 Floats are deliberately rejected by :func:`rat`: a float argument is almost
 always a bug (silent precision loss).  Parse decimal *strings* instead,
@@ -29,28 +24,20 @@ from math import inf, lcm, ulp
 from numbers import Rational
 from typing import Sequence, Union
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = Fraction
-    _HAVE_GMPY2 = False
-
 #: Accepted spellings of an exact rational in public signatures.
 RationalLike = Union[int, str, Rational]
 
 
-def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
+def rat(value: RationalLike, den: RationalLike | None = None) -> Fraction:
     """Construct an exact rational.
 
-    Accepts ints, Fractions, mpq, and strings in ratio ("3/2") or decimal
-    ("0.125") form.  A second argument gives a numerator/denominator pair.
-    Floats raise TypeError; convert them deliberately via ``str`` or
+    Accepts ints, any ``numbers.Rational``, and strings in ratio ("3/2") or
+    decimal ("0.125") form.  A second argument gives a numerator/denominator
+    pair.  Floats raise TypeError; convert them deliberately via ``str`` or
     ``Fraction(f)`` at the call site if the binary value is truly intended.
-    A value already of the backend type is immutable and returned as is.
+    A Fraction is immutable and returned as is.
     """
-    if den is None and type(value) is _mpq:
+    if den is None and type(value) is Fraction:
         return value
     if isinstance(value, float) or isinstance(den, float):
         raise TypeError(
@@ -59,8 +46,8 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
         )
     if den is not None:
         if type(value) is int and type(den) is int:
-            return _mpq(value, den)
-        return _mpq(rat(value), rat(den))
+            return Fraction(value, den)
+        return Fraction(rat(value), rat(den))
     if isinstance(value, str):
         # Fraction's parser accepts both "p/q" and decimal notation and is
         # exact in both cases; normalize through it for uniform errors.  It
@@ -77,9 +64,9 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Rational:
                 raise ValueError(f"value has more than {limit} digits")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}: {exc}") from None
-        return parsed if _mpq is Fraction else _mpq(parsed)
+        return parsed
     if isinstance(value, Rational):
-        return _mpq(value)
+        return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
 
 
@@ -112,8 +99,7 @@ def rat_str(value: Rational) -> str:
     """Serialize a rational as "p/q" with the denominator always present.
 
     Raises :class:`DigitLimitError` when the numerator or denominator has
-    more digits than ``sys.get_int_max_str_digits()`` allows, on either
-    backend.
+    more digits than ``sys.get_int_max_str_digits()`` allows.
     """
     limit = sys.get_int_max_str_digits()
     if limit and _too_long(value, limit):
@@ -136,7 +122,7 @@ def float_from_rat(value: Rational) -> float:
     return result if result or not value else ulp(0.0)
 
 
-def rat_from_float(value: float) -> Rational:
+def rat_from_float(value: float) -> Fraction:
     """Exact rational value of a float (its binary expansion, no rounding)."""
-    return _mpq(Fraction(value))
+    return Fraction(value)
 

@@ -43,6 +43,7 @@ from .montecarlo import SimulationConfig, empirical_tail
 from .psi import psi, psi_decomposition_rhs
 from .rational import rat, rat_str
 from .words import (
+    Builtin,
     TableFunction,
     WeightVector,
     marginal_projection,
@@ -324,7 +325,7 @@ def montecarlo_criterion(
     """Criterion 9: empirical tails stay below the proved bounds; runs are
     bit-identical for a fixed seed."""
     P = _binary_chain(n)
-    f = TableFunction.from_callable(2, n, lambda x: sum(x))
+    f = Builtin("sum_of_symbols", 2, n).table()
     w = WeightVector((1,) * n)
     cfg = SimulationConfig(sample_count, seed, (1.0, 2.0, 3.0, 4.0))
     started = time.monotonic()

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 from .rational import over_common_denominator, rat
 
 # Values whose numerator and denominator are read without conversion.
-_EXACT = frozenset({int, Fraction, type(rat(0))})
+_EXACT = frozenset({int, Fraction})
 
 # Bland's rule terminates; this cap only trips on an implementation bug.
 _MAX_PIVOTS = 200_000

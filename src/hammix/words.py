@@ -29,6 +29,7 @@ their parsed argument and build a table only when asked
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
@@ -36,7 +37,7 @@ from numbers import Rational
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rational import RationalLike, _mpq, over_common_denominator, rat
+from .rational import RationalLike, over_common_denominator, rat
 
 Word = tuple[int, ...]
 
@@ -76,8 +77,8 @@ class TableFunction:
     unique, so equal tables have equal integers, and equality and hashing
     compare them.  ``nums[i] / den`` is the value on the word with
     lexicographic index ``i``, and ``len(nums) == alphabet_size ** arity``
-    always holds.  ``values``, the same numbers as backend rationals, is
-    built on first read and then kept.  ``TableFunction(m, n, values)``
+    always holds.  ``values``, the same numbers as Fractions, is built on
+    first read and then kept.  ``TableFunction(m, n, values)``
     takes rationals; :meth:`from_numerators` and :meth:`from_ratios` build
     a table from integers without converting any.
     """
@@ -144,9 +145,9 @@ class TableFunction:
 
     @cached_property
     def values(self) -> tuple[Rational, ...]:
-        """The values nums[i] / den as backend rationals."""
+        """The values nums[i] / den as Fractions."""
         den = self.den
-        return tuple(map(_mpq, self.nums)) if den == 1 else tuple(_mpq(x, den) for x in self.nums)
+        return tuple(map(Fraction, self.nums)) if den == 1 else tuple(Fraction(x, den) for x in self.nums)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -4,16 +4,19 @@ This is the straightforward textbook form of :mod:`hammix.mixing`'s
 ``expand_markov`` and ``eta_bar``/``delta_matrix`` and of
 :func:`hammix.montecarlo.sample_word`: a chain is expanded with one
 rational product per cell and level, every conditional law is rebuilt
-from its prefix block in backend rationals and divided by its mass, every
+from its prefix block in Fractions and divided by its mass, every
 total-variation distance is taken in rationals, and every ``(i, j)`` entry
 is a separate pass.  The library's fraction-free code must return the same
 rationals (and its integer sampler the same words) on every input.  The
 prefix-mass helpers, point masses and ``||Delta w||^2`` that the tests
-build their cases and checks from live here too.
+build their cases and checks from live here too, and so do the rational
+forms of :mod:`hammix.instances`' measure generators, which must build the
+same measures from the same draws.
 """
 
 from __future__ import annotations
 
+import random
 from numbers import Rational
 from typing import Sequence
 
@@ -71,6 +74,35 @@ def expand_markov(spec: MarkovSpec) -> Measure:
                     nxt[base + b] = mass * row[b]
         vals = nxt
     return Measure(m, spec.arity, tuple(vals))
+
+
+def random_dense_measure(rng: random.Random, m: int, n: int, allow_zeros: bool = True) -> Measure:
+    """Random probability table, one rational per cell."""
+    size = m**n
+    while True:
+        if allow_zeros:
+            weights = [rng.randint(0, 9) for _ in range(size)]
+        else:
+            weights = [rng.randint(1, 9) for _ in range(size)]
+        total = sum(weights)
+        if total > 0:
+            return Measure(m, n, tuple(rat(c, total) for c in weights))
+
+
+def random_product_measure(rng: random.Random, m: int, n: int) -> Measure:
+    """Product measure, one rational product per coordinate per word."""
+    factors = []
+    for _ in range(n):
+        weights = [rng.randint(1, 9) for _ in range(m)]
+        total = sum(weights)
+        factors.append([rat(c, total) for c in weights])
+    probs = []
+    for x in words(m, n):
+        p = rat(1)
+        for i, s in enumerate(x):
+            p *= factors[i][s]
+        probs.append(p)
+    return Measure(m, n, tuple(probs))
 
 
 def conditional_law(P: Measure, prefix: Sequence[int], j: int) -> tuple[Rational, ...]:

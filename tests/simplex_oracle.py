@@ -1,7 +1,7 @@
 """Dense-tableau reference simplex, kept only as a test oracle.
 
 This is the straightforward textbook form of :func:`hammix.simplex.simplex_max`:
-one dense row of backend rationals per constraint, the same Bland rule
+one dense row of Fractions per constraint, the same Bland rule
 (smallest-index entering column with a positive reduced cost; ratio ties go
 to the smallest basic index) and the same read-out of the primal vertex,
 the duals and the objective.  The library's sparse integer tableau

@@ -1,4 +1,4 @@
-"""Table layers summed in backend rationals, kept only as test oracles.
+"""Table layers summed in Fractions, kept only as test oracles.
 
 These are the straightforward forms of the library's integer table code:
 ``psi`` and its section decomposition ramp and project ``values`` level by

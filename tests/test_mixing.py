@@ -524,3 +524,38 @@ def test_kernel_delta_of_a_long_chain_builds_no_table(monkeypatch):
     theta = _dobrushin(spec.transitions[0])
     assert delta.entries[0][1] == theta  # every pair is admissible at i = 1
     assert 0 < delta.entries[0][99] <= theta**99
+
+
+def test_reachable_states_are_the_positive_mass_prefixes():
+    # Entry t of MarkovSpec.reachable must hold exactly the last symbols of
+    # the positive-mass prefixes of length t of the expanded chain, on
+    # chains with null initial states and zero transition entries.
+    rng = random.Random(43)
+    cases = [_chain_with_zeros(rng, m, n) for m in (1, 2, 3) for n in (1, 2, 3, 5) for _ in range(8)]
+    cases += [spec for name, spec in KERNEL_CHAINS if name in ("unreachable", "forced")]
+    pruned = 0
+    for spec in cases:
+        P = expand_markov(spec)
+        m, n = spec.alphabet_size, spec.arity
+        assert len(spec.reachable) == n and spec.reachable[0] == (0,)
+        for t in range(1, n):
+            expected = sorted({y[-1] for y in words(m, t) if prefix_mass(P, y) > 0})
+            assert list(spec.reachable[t]) == expected
+            pruned += len(expected) < m
+    assert pruned >= 10
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 1), (2, 4), (3, 3), (2, 10), (4, 2)])
+def test_measure_generators_match_rational_oracles(m, n):
+    # The integer generators must build the oracles' measures from the same
+    # draws, leaving the generator in the same state.
+    builders = [(random_product_measure, mixing_oracle.random_product_measure, {})] + [
+        (random_dense_measure, mixing_oracle.random_dense_measure, {"allow_zeros": zeros})
+        for zeros in (True, False)
+    ]
+    for seed in range(5):
+        for build, oracle, options in builders:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            P, Q = build(ours, m, n, **options), oracle(theirs, m, n, **options)
+            assert P == Q and P.values == Q.values
+            assert ours.getstate() == theirs.getstate()

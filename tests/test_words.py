@@ -200,6 +200,21 @@ def test_table_validation():
         TableFunction(2, 1, (0.5, 1))  # floats are not exact
 
 
+def test_every_exact_value_is_a_fraction():
+    # Fraction is the one rational type: rat converts every Rational input
+    # (a Fraction subclass included), and table values are built as Fractions.
+    class Subclass(Fraction):
+        pass
+
+    cases = ((3, Fraction(3)), (Subclass(1, 2), Fraction(1, 2)), ("0.125", Fraction(1, 8)))
+    for value, expected in cases:
+        assert type(rat(value)) is Fraction and rat(value) == expected
+    assert type(rat(Subclass(1, 2), 3)) is Fraction and rat(Subclass(1, 2), 3) == Fraction(1, 6)
+    for den in (1, 3):
+        values = TableFunction.from_numerators(2, 1, (1, 2), den).values
+        assert all(type(v) is Fraction for v in values)
+
+
 def test_weight_vector_validation():
     with pytest.raises(ValueError):
         WeightVector((1, 0))
