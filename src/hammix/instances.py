@@ -53,7 +53,7 @@ def random_dense_measure(
     """Random probability table; with allow_zeros, some cells are exactly null.
 
     Null cells exercise the zero-prefix exclusion rules in eta_bar and
-    v_bar.
+    the martingale profile.
     """
     size = m**n
     low = 0 if allow_zeros else 1

@@ -16,11 +16,12 @@ formulation in the test suite.
 The central quantities:
 
 * ``phi_sup(k, w, v)``  -- sup of <k, phi> over the polytope (one LP);
-* ``phi_norm(k, w)``    -- sup of |<k, phi>| at v = 0, the max of the two
-  signed suprema; phi -> sum(w) - phi maps the v = 0 polytope onto itself,
-  so that max is one LP plus :func:`~hammix.psi.norm_shift`;
 * ``verify_phi_psi``    -- exact comparison of phi_sup against the psi
   functional, which dominates it:  phi_sup <= psi + v * ramp(total(k)).
+  At v = 0 it also compares the norms: phi_norm, the sup of |<k, phi>|,
+  is the max of the two signed suprema, and phi -> sum(w) - phi maps the
+  v = 0 polytope onto itself, so that max is one LP plus
+  :func:`~hammix.psi.norm_shift`.
 
 :func:`solve_lp` hands the simplex rows of int coefficients, a totally
 unimodular matrix, which is what the simplex requires: every pivot
@@ -150,18 +151,14 @@ def phi_sup(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Rational:
     return solve_lp(build_polytope_lp(k, w, v)).objective_value
 
 
-def phi_norm(k: TableFunction, w: WeightVector) -> Rational:
-    """sup of |<k, phi>| over the v = 0 polytope: phi_sup(k, w, 0) + norm_shift."""
-    return phi_sup(k, w, 0) + norm_shift(w, k)
-
-
 @dataclass(frozen=True)
 class PhiPsiReport:
     """Exact comparison of the polytope supremum against its psi bound.
 
     lhs = phi_sup(k, w, v), rhs = psi(w, k) + v * ramp(total(k)).  When
-    v = 0 the report also compares the norms (norm_lhs = phi_norm,
-    norm_rhs = psi_norm); for v > 0 those fields are None.
+    v = 0 the report also compares the norms (norm_lhs = phi_norm =
+    lhs + norm_shift, norm_rhs = psi_norm = rhs + norm_shift); for v > 0
+    those fields are None.
     """
 
     lhs: Rational

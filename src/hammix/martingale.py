@@ -5,10 +5,11 @@ into a Doob martingale; the increment after the i-th reveal is
 
     v_i(f; y_1..i) = E[f | X_1..i = y_1..i] - E[f | X_1..i-1 = y_1..i-1].
 
-``v_bar(f, P, i)`` is the largest |v_i| over positive-probability prefixes
-(conditioning on a null prefix is undefined, mirroring the exclusion rule
-in :mod:`hammix.mixing`), and d_squared = sum_i v_bar_i^2 feeds Azuma's
-tail bound  P(|f - Ef| > t) <= 2 exp(-t^2 / (2 d_squared)).
+v_bar_i, entry i of :func:`martingale_profile`'s ``v_bars``, is the largest
+|v_i| over positive-probability prefixes (conditioning on a null prefix is
+undefined, mirroring the exclusion rule in :mod:`hammix.mixing`), and the
+profile's d_squared = sum_i v_bar_i^2 feeds Azuma's tail bound
+P(|f - Ef| > t) <= 2 exp(-t^2 / (2 d_squared)).
 
 The profile has two paths, chosen by :func:`kernel_terms`:
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Rational
 from operator import mul, sub
@@ -107,30 +108,21 @@ def _profile_level(f: TableFunction, parents: tuple, children: tuple) -> Rationa
     return rat(best_num, f.den * best_den)
 
 
-def v_bar(f: Function, P: Measure | MarkovSpec, i: int) -> Rational:
-    """max |v_i| over prefixes y in S^i with positive probability."""
-    _check_compatible(f, P)
-    if not 1 <= i <= f.arity:
-        raise ValueError(f"coordinate index must be in [1, {f.arity}], got {i}")
-    return martingale_profile(f, P).v_bars[i - 1]
-
-
 @dataclass(frozen=True)
 class MartingaleProfile:
-    """Per-coordinate worst-case martingale differences and their square sum."""
+    """Per-coordinate worst-case martingale differences; d_squared, their square sum, is derived."""
 
     v_bars: tuple[Rational, ...]
-    d_squared: Rational
+    d_squared: Rational = field(init=False)
 
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.v_bars):
-            raise ValueError("v_bar values must be nonnegative")
-        if self.d_squared != sum((v * v for v in self.v_bars), rat(0)):
-            raise ValueError("d_squared must equal the sum of squared v_bars")
+            raise ValueError("v_bars must be nonnegative")
+        object.__setattr__(self, "d_squared", sum((v * v for v in self.v_bars), rat(0)))
 
 
 def martingale_profile(f: Function, P: Measure | MarkovSpec) -> MartingaleProfile:
-    """All v_bar levels plus d_squared, from the kernels or from one set of conditional sums."""
+    """All v_bars plus d_squared, from the kernels or from one set of conditional sums."""
     return mean_and_profile(f, P)[1]
 
 
@@ -157,7 +149,8 @@ def mean_and_profile(f: Function, P: Measure | MarkovSpec) -> tuple[Rational, Ma
     f = f.table()
     levels = conditional_sums(f, P)
     ((weighted,), (mass,)) = levels[0]
-    return rat(weighted, f.den * mass), profile_from_sums(f, levels)
+    bars = tuple(_profile_level(f, parent, child) for parent, child in zip(levels, levels[1:]))
+    return rat(weighted, f.den * mass), MartingaleProfile(bars)
 
 
 def _chain_profile(
@@ -192,13 +185,7 @@ def _chain_profile(
         bars.append(rat(best, den * scale))
     bars.reverse()
     (mean,) = h
-    return rat(mean, den * scale), MartingaleProfile(tuple(bars), sum((v * v for v in bars), rat(0)))
-
-
-def profile_from_sums(f: TableFunction, levels: list) -> MartingaleProfile:
-    """The martingale profile of f from its :func:`conditional_sums` levels."""
-    bars = tuple(_profile_level(f, levels[i - 1], levels[i]) for i in range(1, f.arity + 1))
-    return MartingaleProfile(bars, sum((v * v for v in bars), rat(0)))
+    return rat(mean, den * scale), MartingaleProfile(tuple(bars))
 
 
 def azuma_bound(t: float, d_squared: float) -> float:

@@ -403,9 +403,12 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     sqrt(||D||_1 ||D||_inf) is returned instead, as the float square root
     stepped up with math.nextafter until its exact square reaches it.
     :func:`hammix.martingale.concentration_bound` multiplies the square of
-    the result by another rounded float before it reaches exp().
+    the result by another rounded float before it reaches exp().  The
+    0x0 matrix (arity 0) has norm 0.0.
     """
     n = D.size
+    if n == 0:
+        return 0.0
     # A = D^T D, symmetric PSD, from inner products of D's columns.
     cols = list(zip(*([float(v) for v in row] for row in D.entries)))
     a = [[_dot(ci, cj) for cj in cols] for ci in cols]

@@ -12,14 +12,13 @@ current block, or, for a chain passed as its
 :class:`~hammix.mixing.MarkovSpec`, of the current state's kernel row
 (O(n log m) a word, with the same draws as its expanded table).
 
-Randomness comes from splitmix64 streams: sample k uses the stream whose
-initial state is seed + (k+1) * GAMMA mod 2^64, advanced by the standard
-splitmix64 output function.  Streams depend only on (seed, k), so samples
-may be generated in any order or in parallel without changing the result.
-They are not independent, though: stream k+1 is stream k advanced by one
-draw, so consecutive samples of an n-symbol word share n - 1 uniforms.
-:func:`empirical_tail` uses that overlap: it slides one window of n draws
-along the single sequence, one mix64 per sample rather than n.
+Randomness comes from one sequence per seed, u[s] = mix64(seed + s * GAMMA
+mod 2^64) with mix64 the splitmix64 output function.  Sample k reads the
+n draws u[k+2], ..., u[k+n+1], so it depends only on (seed, k).  Samples
+are not independent, though: consecutive samples of an n-symbol word
+share n - 1 uniforms.  :func:`empirical_tail` uses that overlap: it slides
+one window of n draws along the sequence, one mix64 per sample rather
+than n.
 
 :func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
 reports the Azuma and mixing-matrix bounds next to each estimated
@@ -39,9 +38,10 @@ import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from numbers import Rational
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .martingale import Function, azuma_bound, concentration_bound, kernel_terms, mean_and_profile
 from .mixing import MarkovSpec, Measure
@@ -59,26 +59,13 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class SampleStream:
-    """Deterministic 64-bit stream for one sample index."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int, index: int) -> None:
-        self._state = (seed + (index + 1) * _GAMMA) & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
-
-
 def _sample_windows(seed: int, n: int) -> Iterator[deque[int]]:
-    """The n draws of SampleStream(seed, k), for k = 0, 1, 2, ...
+    """The n draws u[k+2], ..., u[k+n+1] of sample k, for k = 0, 1, 2, ...
 
-    Sample k's stream yields u[k+2], u[k+3], ... of the one sequence
-    u[s] = mix64(seed + s * GAMMA mod 2^64), so each sample's draws are the
-    previous sample's shifted by one: one window slides along the sequence,
-    one mix64 per sample.  The same deque is yielded each time, advanced.
+    Each sample's draws are the previous sample's shifted by one, so one
+    window slides along the sequence u[s] = mix64(seed + s * GAMMA mod
+    2^64), one mix64 per sample.  The same deque is yielded each time,
+    advanced.
     """
     state = (seed + _GAMMA) & _MASK64
     window: deque[int] = deque(maxlen=n)
@@ -132,17 +119,13 @@ def _sample_index(P: Measure | MarkovSpec, draws: Iterable[int]) -> int:
     kernel row, so the same test is r d < c 2^64, that is,
     r < ceil(c 2^64 / d): one bisection over the row's thresholds
     (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) per symbol, which
-    selects the word the chain's table would.
+    selects the word the chain's table would.  The index is additive in
+    the symbols (digit a m^(n-1-i) at position i), so :func:`_chain_value`
+    walks the chain.
     """
     m = P.alphabet_size
     if isinstance(P, MarkovSpec):
-        index = state = 0
-        for rows, r in zip(P.sampler_cuts, draws):
-            # r < 2^64, the last threshold, so a symbol is always found; a
-            # null symbol's threshold equals the one before it and is never first.
-            state = bisect_right(rows[state], r)
-            index = index * m + state
-        return index
+        return _chain_value(P, _index_digits(m, P.arity), draws)
     cum = P._cum
     size = len(cum) - 1
     lo = 0
@@ -158,27 +141,38 @@ def _sample_index(P: Measure | MarkovSpec, draws: Iterable[int]) -> int:
     return lo
 
 
-def _chain_value(chain: MarkovSpec, terms: list[tuple[int, ...]], draws: Iterable[int]) -> int:
-    """sum_i terms[i][x_i] over the chain word x that :func:`_sample_index` draws.
+@lru_cache
+def _index_digits(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Per position i, symbol a's digit a * m^(n-1-i) of the table index."""
+    return tuple(tuple(range(0, m * step, step)) for step in (m ** (n - 1 - i) for i in range(n)))
 
-    The same bisections select the same states; each adds its term instead
-    of a digit of the table index.
+
+def _chain_value(chain: MarkovSpec, terms: Sequence[tuple[int, ...]], draws: Iterable[int]) -> int:
+    """sum_i terms[i][x_i] over the chain word x drawn symbol by symbol.
+
+    Symbol i is one bisection of the current state's row thresholds
+    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) by draw i; see
+    :func:`_sample_index`, which passes the table index's digits as terms.
     """
     value = state = 0
     for rows, g, r in zip(chain.sampler_cuts, terms, draws):
+        # r < 2^64, the last threshold, so a symbol is always found; a
+        # null symbol's threshold equals the one before it and is never first.
         state = bisect_right(rows[state], r)
         value += g[state]
     return value
 
 
-def sample_word(P: Measure | MarkovSpec, stream: SampleStream) -> Word:
-    """Draw one word with probability exactly P(x), from the stream's next n draws.
+def sample_word(P: Measure | MarkovSpec, draws: Sequence[int]) -> Word:
+    """The word with probability exactly P(x) that n 64-bit draws select, one per symbol.
 
     The word is the one :func:`_sample_index` selects (see there for the
-    exact comparisons); the stream advances by exactly n draws.
+    exact comparisons); anything but exactly n draws is refused.
     """
     m, n = P.alphabet_size, P.arity
-    return word_unindex(_sample_index(P, [stream.next_u64() for _ in range(n)]), m, n)
+    if len(draws) != n:
+        raise ValueError(f"need exactly {n} draws, one per symbol, got {len(draws)}")
+    return word_unindex(_sample_index(P, draws), m, n)
 
 
 @dataclass(frozen=True)

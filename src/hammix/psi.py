@@ -8,7 +8,7 @@ For a weight vector w of length n and a table k of arity n,
 where k' is the marginal projection over the first coordinate and
 ramp(z) = max(z, 0).  psi dominates the supremum of <k, .> over the
 1-Lipschitz polytope (see :mod:`hammix.lipschitz_lp`); the max over the two
-signs of k, psi_norm (one psi plus :func:`norm_shift`), dominates the
+signs of k, psi_norm = psi + :func:`norm_shift`, dominates the
 corresponding norm.
 
 psi also decomposes exactly over last-coordinate sections:
@@ -67,11 +67,6 @@ def norm_shift(w: WeightVector, k: TableFunction) -> Rational:
     v = 0 polytope onto itself, so phi_sup(-k, w, 0) obeys the same identity.
     """
     return w.total() * ramp(-k.total())
-
-
-def psi_norm(w: WeightVector, k: TableFunction) -> Rational:
-    """max(psi(w, k), psi(w, -k)) = psi(w, k) + norm_shift(w, k)."""
-    return psi(w, k) + norm_shift(w, k)
 
 
 def psi_decomposition_rhs(w: WeightVector, k: TableFunction) -> Rational:

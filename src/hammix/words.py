@@ -5,11 +5,14 @@ A word of length n over an alphabet of size m is a tuple of ints in
 per word of S^n, in lexicographic order with the *first* symbol most
 significant: ``index((x1,...,xn)) = sum_i xi * m**(n-i)``.  A table is its
 integer numerators ``nums`` over one denominator ``den`` in lowest terms;
-its rationals are built only when ``values`` is read.  This module is the
-only place that puts table values (rationals or integer pairs p/q) over a
-common denominator, and every table layer (psi, the Lipschitz constant,
-the measures of :mod:`hammix.mixing`, the martingale and Monte Carlo
-layers) computes on the integers.  The index order makes the two
+its rationals are built only when ``values`` is read.  Tables and
+measures (a :class:`~hammix.mixing.Measure` is a table) get that form
+here.  Two other places put values over a common denominator of their
+own: a chain's laws (``MarkovSpec._set_laws`` through
+``mixing._distribution``) and the simplex's objective and right-hand
+sides (``simplex._integer_lp``).  Every table layer (psi, the Lipschitz
+constant, the measures of :mod:`hammix.mixing`, the martingale and Monte
+Carlo layers) computes on the integers.  The index order makes the two
 structural operators strided integer sums:
 
 * marginal projection  k'(y) = sum_{a in S} k(a y)   -- sums the m blocks
@@ -35,7 +38,7 @@ from itertools import product
 from math import gcd, lcm
 from numbers import Rational
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .rational import RationalLike, over_common_denominator, rat
 
@@ -130,19 +133,6 @@ class TableFunction:
         den = lcm(*(q for _, q in ratios))
         return cls.from_numerators(alphabet_size, arity, (p * (den // q) for p, q in ratios), den)
 
-    @classmethod
-    def from_callable(
-        cls, alphabet_size: int, arity: int, fn: Callable[[Word], RationalLike]
-    ) -> "TableFunction":
-        vals = [fn(x) for x in words(alphabet_size, arity)]
-        return cls(alphabet_size, arity, tuple(vals))
-
-    @classmethod
-    def constant(cls, alphabet_size: int, arity: int, value: RationalLike) -> "TableFunction":
-        value = rat(value)
-        nums = (value.numerator,) * alphabet_size**arity
-        return cls.from_numerators(alphabet_size, arity, nums, value.denominator)
-
     @cached_property
     def values(self) -> tuple[Rational, ...]:
         """The values nums[i] / den as Fractions."""
@@ -164,11 +154,6 @@ class TableFunction:
 
     def __neg__(self) -> "TableFunction":
         return TableFunction.from_numerators(self.alphabet_size, self.arity, (-x for x in self.nums), self.den)
-
-    def scale(self, a: RationalLike) -> "TableFunction":
-        a = rat(a)
-        nums = (a.numerator * x for x in self.nums)
-        return TableFunction.from_numerators(self.alphabet_size, self.arity, nums, a.denominator * self.den)
 
     def shift(self, a: RationalLike) -> "TableFunction":
         a = rat(a)

@@ -11,7 +11,9 @@ rationals (and its integer sampler the same words) on every input.  The
 prefix-mass helpers, point masses and ``||Delta w||^2`` that the tests
 build their cases and checks from live here too, and so do the rational
 forms of :mod:`hammix.instances`' measure generators, which must build the
-same measures from the same draws.
+same measures from the same draws, and :class:`SampleStream`, one sample's
+draws read one at a time, which :func:`hammix.montecarlo.empirical_tail`'s
+sliding window must reproduce.
 """
 
 from __future__ import annotations
@@ -21,11 +23,35 @@ from numbers import Rational
 from typing import Sequence
 
 from hammix.mixing import DeltaMatrix, MarkovSpec, Measure
-from hammix.montecarlo import SampleStream
+from hammix.montecarlo import _GAMMA, _MASK64, _mix64
 from hammix.rational import rat
 from hammix.words import WeightVector, Word, word_index, words
 
 _TWO64 = 1 << 64
+
+
+class SampleStream:
+    """Deterministic 64-bit stream for one sample index.
+
+    Sample k's stream starts at seed + (k+1) * GAMMA mod 2^64 and yields
+    mix64 of each advanced state: u[k+2], u[k+3], ... of the sequence
+    u[s] = mix64(seed + s * GAMMA mod 2^64).
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int, index: int) -> None:
+        self._state = (seed + (index + 1) * _GAMMA) & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix64(self._state)
+
+
+def stream_draws(seed: int, index: int, n: int) -> list[int]:
+    """The first n draws of SampleStream(seed, index): one n-symbol word's draws."""
+    stream = SampleStream(seed, index)
+    return [stream.next_u64() for _ in range(n)]
 
 
 class ZeroPrefixProbability(ValueError):

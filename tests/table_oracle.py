@@ -7,20 +7,41 @@ martingale quantities build ``f * P`` prefix sums and divide every
 conditional expectation out.  They read only a table's ``values`` (and a
 measure's ``probabilities``), never its integer numerators, so the
 library's numerator paths must return the same rationals on every input.
+
+The table builders that only tests use live here too: :func:`from_callable`
+(one value per word), :func:`constant` and :func:`scale`.
 """
 
 from __future__ import annotations
 
 from numbers import Rational
-from typing import Sequence
+from typing import Callable, Sequence
 
 from hammix.martingale import MartingaleProfile
 from hammix.mixing import Measure
-from hammix.montecarlo import SampleStream, SimulationConfig, sample_word
+from hammix.montecarlo import SimulationConfig, sample_word
 from hammix.psi import ramp
-from hammix.rational import rat, rat_from_float
-from hammix.words import TableFunction, WeightVector, word_index, words
-from mixing_oracle import ZeroPrefixProbability, block_mass, prefix_block
+from hammix.rational import RationalLike, rat, rat_from_float
+from hammix.words import TableFunction, WeightVector, Word, word_index, words
+from mixing_oracle import ZeroPrefixProbability, block_mass, prefix_block, stream_draws
+
+
+def from_callable(m: int, n: int, fn: Callable[[Word], RationalLike]) -> TableFunction:
+    """The table of fn on S^n, one call per word."""
+    return TableFunction(m, n, tuple(fn(x) for x in words(m, n)))
+
+
+def constant(m: int, n: int, value: RationalLike) -> TableFunction:
+    """The table with every value equal to ``value``, built from its numerator."""
+    value = rat(value)
+    return TableFunction.from_numerators(m, n, (value.numerator,) * m**n, value.denominator)
+
+
+def scale(k: TableFunction, a: RationalLike) -> TableFunction:
+    """a * k, built from numerators over the unreduced denominator a.den * k.den."""
+    a = rat(a)
+    nums = (a.numerator * x for x in k.nums)
+    return TableFunction.from_numerators(k.alphabet_size, k.arity, nums, a.denominator * k.den)
 
 
 def marginal_projection(k: TableFunction) -> TableFunction:
@@ -143,7 +164,7 @@ def martingale_profile(f: TableFunction, P: Measure) -> MartingaleProfile:
     """Every v_bar level from rational f * P prefix sums."""
     fp_cum = _weighted_cum(f, P)
     bars = tuple(_profile_level(f, P, fp_cum, i) for i in range(1, f.arity + 1))
-    return MartingaleProfile(bars, sum((v * v for v in bars), rat(0)))
+    return MartingaleProfile(bars)
 
 
 def tail_mean_and_counts(
@@ -154,7 +175,7 @@ def tail_mean_and_counts(
     thresholds = [rat_from_float(t) for t in cfg.thresholds]
     counts = [0] * len(thresholds)
     for k in range(cfg.sample_count):
-        deviation = abs(f(sample_word(P, SampleStream(cfg.seed, k))) - mean)
+        deviation = abs(f(sample_word(P, stream_draws(cfg.seed, k, P.arity))) - mean)
         for idx, t in enumerate(thresholds):
             if deviation > t:
                 counts[idx] += 1

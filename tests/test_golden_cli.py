@@ -3,7 +3,9 @@
 Each ``tests/golden/<stem>.<command>.stdout`` file is the complete stdout
 of ``hammix <command> <stem>.json``, so a refactor that changes any
 rational, any bound's float bits or the JSON layout fails here.  The
-inputs are the ``sample_problems/`` files plus small documents in
+inputs are the ``sample_problems/`` files (``chain_simulate.json`` is the
+README's ``simulate`` example: 10^5 draws on an m = 2, n = 8 chain, through
+the kernel sampler) plus small documents in
 ``tests/golden/`` that exercise ``simulate``, the constant-function
 (Lipschitz constant 0) path of the tail bounds, a multi-pivot LP
 (m = 3, n = 2, non-integer weights, v = 1/2), and a dense measure with
@@ -37,6 +39,7 @@ GOLDEN = ROOT / "tests" / "golden"
 CASES = [
     (ROOT / "sample_problems" / "lp_small.json", ("psi", "phi", "verify-lp", "decompose")),
     (ROOT / "sample_problems" / "chain_martingale.json", ("eta", "martingale", "bound")),
+    (ROOT / "sample_problems" / "chain_simulate.json", ("bound", "simulate")),
     (GOLDEN / "simulate_small.json", ("bound", "simulate")),
     (GOLDEN / "constant_function.json", ("bound", "simulate")),
     (GOLDEN / "lp_mid.json", ("phi", "verify-lp")),

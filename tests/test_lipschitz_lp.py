@@ -12,12 +12,11 @@ from hammix.lipschitz_lp import (
     build_polytope_lp,
     lipschitz_constant,
     oscillations,
-    phi_norm,
     phi_sup,
     solve_lp,
     verify_phi_psi,
 )
-from hammix.psi import psi, psi_norm, ramp
+from hammix.psi import norm_shift, psi, ramp
 from hammix.rational import rat
 from hammix.simplex import verify_certificate
 from hammix.words import (
@@ -28,6 +27,12 @@ from hammix.words import (
     word_unindex,
     words,
 )
+from table_oracle import constant, from_callable, scale
+
+
+def _phi_norm(k, w):
+    """sup of |<k, phi>| over the v = 0 polytope, as ``verify_phi_psi`` reports it."""
+    return verify_phi_psi(k, w, 0).norm_lhs
 
 
 def test_build_n1():
@@ -116,9 +121,9 @@ def test_solve_n2_against_lattice_oracle():
 
 
 def test_phi_norm_examples():
-    assert phi_norm(TableFunction(2, 1, (0, 0)), WeightVector((1,))) == 0
-    assert phi_norm(TableFunction(2, 1, (1, -1)), WeightVector((1,))) == 1
-    assert phi_norm(TableFunction(2, 2, (1, 0, 0, -1)), WeightVector((1, 1))) == 2
+    assert _phi_norm(TableFunction(2, 1, (0, 0)), WeightVector((1,))) == 0
+    assert _phi_norm(TableFunction(2, 1, (1, -1)), WeightVector((1,))) == 1
+    assert _phi_norm(TableFunction(2, 2, (1, 0, 0, -1)), WeightVector((1, 1))) == 2
 
 
 def test_phi_norm_absolute_homogeneity():
@@ -127,7 +132,7 @@ def test_phi_norm_absolute_homogeneity():
         k = random_table(rng, 2, 2)
         w = random_weights(rng, 2)
         a = rat(rng.randint(-3, 3), rng.randint(1, 3))
-        assert phi_norm(k.scale(a), w) == abs(a) * phi_norm(k, w)
+        assert _phi_norm(scale(k, a), w) == abs(a) * _phi_norm(k, w)
 
 
 def _sign_symmetry_cases():
@@ -141,7 +146,7 @@ def _sign_symmetry_cases():
         for _ in range(8)
     ]
     w = WeightVector(("2/3", "5/4"))
-    cases += [(TableFunction.constant(3, 2, c), w) for c in (0, "-3/2", 2)]
+    cases += [(constant(3, 2, c), w) for c in (0, "-3/2", 2)]
     cases.append((TableFunction(3, 2, (0, 0, 0, 0, -5, 0, 0, 0, 0)), w))
     cases.append((TableFunction(3, 2, (1, -1, 0, 0, 2, -2, 0, 0, 0)), w))
     return cases
@@ -153,7 +158,7 @@ def test_phi_sup_sign_symmetry_gives_phi_norm():
     for k, w in cases:
         pos, neg = phi_sup(k, w, 0), phi_sup(-k, w, 0)
         assert neg == pos - w.total() * k.total()
-        assert phi_norm(k, w) == max(pos, neg)
+        assert phi_sup(k, w, 0) + norm_shift(w, k) == max(pos, neg)
         report = verify_phi_psi(k, w, 0)
         assert report.norm_lhs == max(pos, neg)
         assert report.norm_rhs == max(psi(w, k), psi(w, -k))
@@ -178,7 +183,7 @@ def test_norms_solve_one_lp_and_evaluate_psi_once(monkeypatch):
     w = WeightVector(("2/3", "5/4"))
     report = verify_phi_psi(k, w, 0)
     assert (len(solves), len(psi_calls)) == (1, 1)
-    assert phi_norm(k, w) == report.norm_lhs
+    assert report.norm_lhs == phi_sup(k, w, 0) + norm_shift(w, k)
     assert len(solves) == 2
 
 
@@ -199,7 +204,7 @@ def test_verify_phi_psi_example():
     assert (report.lhs, report.rhs, report.holds) == (rat(2), rat(2), True)
     assert report.norm_holds is True
 
-    zero = TableFunction.constant(2, 2, 0)
+    zero = constant(2, 2, 0)
     report = verify_phi_psi(zero, WeightVector((1, 1)), 0)
     assert report.lhs == report.rhs == 0 and report.holds
 
@@ -230,7 +235,7 @@ def test_supremum_and_norm_bounds_on_random_instances():
         w = random_weights(rng, n)
         v = rat(rng.choice(("0", "1/2", "1")))
         assert phi_sup(k, w, v) <= psi(w, k) + v * ramp(k.total())
-        assert phi_norm(k, w) <= psi_norm(w, k)
+        assert _phi_norm(k, w) <= psi(w, k) + norm_shift(w, k)
 
 
 def test_phi_sup_matches_scipy_float_oracle():
@@ -321,7 +326,7 @@ def test_lipschitz_constant_examples():
         n = rng.choice((2, 3))
         w = random_weights(rng, n)
         anchor = tuple(rng.randrange(m) for _ in range(n))
-        dist = TableFunction.from_callable(m, n, lambda x: hamming_distance(x, anchor, w))
+        dist = from_callable(m, n, lambda x: hamming_distance(x, anchor, w))
         assert lipschitz_constant(dist, w) == 1
         assert _lipschitz_all_pairs_oracle(dist, w) == 1
 

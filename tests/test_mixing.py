@@ -278,6 +278,12 @@ def test_operator_norm_identity():
         assert abs(operator_norm_2(DeltaMatrix.identity(n)) - 1.0) <= 1e-12
 
 
+def test_operator_norm_of_the_empty_matrix_is_zero():
+    # Arity 0: delta_matrix gives the 0x0 matrix, whose norm is 0.
+    assert delta_matrix(Measure.uniform(2, 0)) == DeltaMatrix.identity(0)
+    assert operator_norm_2(DeltaMatrix.identity(0)) == 0.0
+
+
 def test_operator_norm_2x2_quadratic_oracle():
     d = DeltaMatrix(((1, rat(4, 5)), (0, 1)))
     # Largest eigenvalue of D^T D = ((1, 4/5), (4/5, 41/25)) by the

@@ -11,14 +11,11 @@ from hammix import montecarlo
 from hammix.instances import random_dense_measure, random_markov_spec, random_table
 from hammix.martingale import concentration_bound, martingale_profile
 from hammix.mixing import MarkovSpec, Measure, expand_markov
-from hammix.montecarlo import (
-    SampleStream,
-    SimulationConfig,
-    empirical_tail,
-    sample_word,
-)
+from hammix.montecarlo import SimulationConfig, empirical_tail, sample_word
 from hammix.rational import rat
-from hammix.words import TableFunction, WeightVector, word_index, word_unindex
+from hammix.words import Builtin, TableFunction, WeightVector, word_index, word_unindex
+from mixing_oracle import SampleStream, stream_draws
+from table_oracle import constant, from_callable
 
 
 def _chain(n):
@@ -72,13 +69,13 @@ def test_thresholds_must_be_finite_and_positive(t):
 def test_point_mass_always_sampled():
     P = mixing_oracle.point_mass(2, 3, (1, 0, 1))
     for k in range(50):
-        assert sample_word(P, SampleStream(7, k)) == (1, 0, 1)
+        assert sample_word(P, stream_draws(7, k, 3)) == (1, 0, 1)
 
 
 def test_zero_probability_cells_never_sampled():
     P = Measure(2, 2, (rat(1, 2), 0, 0, rat(1, 2)))
     for k in range(200):
-        word = sample_word(P, SampleStream(21, k))
+        word = sample_word(P, stream_draws(21, k, 2))
         assert word in ((0, 0), (1, 1))
 
 
@@ -95,8 +92,9 @@ def test_sample_word_matches_rational_scan(name):
     table = expand_markov(P) if isinstance(P, MarkovSpec) else P
     for k in range(2000):
         stream, oracle_stream = SampleStream(2024, k), SampleStream(2024, k)
-        assert sample_word(P, stream) == mixing_oracle.sample_word(table, oracle_stream)
-        # Both consumed one draw per symbol: the streams stay in step.
+        draws = [stream.next_u64() for _ in range(P.arity)]
+        assert sample_word(P, draws) == mixing_oracle.sample_word(table, oracle_stream)
+        # The oracle consumed one draw per symbol: the streams stay in step.
         assert stream.next_u64() == oracle_stream.next_u64()
 
 
@@ -113,27 +111,15 @@ def test_window_sampler_matches_rational_scan(name):
             assert word == mixing_oracle.sample_word(table, SampleStream(seed, k))
 
 
-class _CountingStream(SampleStream):
-    """A sample stream that counts its draws."""
-
-    __slots__ = ("draws",)
-
-    def __init__(self, seed, index):
-        super().__init__(seed, index)
-        self.draws = 0
-
-    def next_u64(self):
-        self.draws += 1
-        return super().next_u64()
-
-
 def test_sample_word_consumes_exactly_n_draws():
     cases = [*SAMPLER_CASES.values(), Measure.uniform(1, 3), mixing_oracle.point_mass(2, 4, (1, 0, 0, 1))]
     for P in cases:
-        for k in range(20):
-            stream = _CountingStream(5, k)
-            sample_word(P, stream)
-            assert stream.draws == P.arity
+        n = P.arity
+        draws = stream_draws(5, 0, n + 1)
+        assert len(sample_word(P, draws[:n])) == n
+        for wrong in (draws[: n - 1], draws):
+            with pytest.raises(ValueError, match=f"need exactly {n} draws"):
+                sample_word(P, wrong)
 
 
 def _tail_cases():
@@ -200,14 +186,14 @@ def test_sample_word_at_exact_cut_points():
     # null symbol.
     skewed = Measure(3, 1, (0, rat(1, 4), rat(3, 4)))
     fair = Measure(2, 1, (rat(1, 2), rat(1, 2)))
-    assert sample_word(skewed, _FixedStream(0)) == (1,)
-    assert sample_word(skewed, _FixedStream(2**62)) == (2,)
-    assert sample_word(fair, _FixedStream(2**63 - 1)) == (0,)
-    assert sample_word(fair, _FixedStream(2**63)) == (1,)
+    assert sample_word(skewed, [0]) == (1,)
+    assert sample_word(skewed, [2**62]) == (2,)
+    assert sample_word(fair, [2**63 - 1]) == (0,)
+    assert sample_word(fair, [2**63]) == (1,)
     values = (0, 1, 2**62 - 1, 2**62, 2**63, 3 * 2**62, 2**64 - 1)
     for P in (skewed, fair, SAMPLER_CASES["dense0-m3n4"]):
         for r in values:
-            assert sample_word(P, _FixedStream(r)) == mixing_oracle.sample_word(P, _FixedStream(r))
+            assert sample_word(P, [r] * P.arity) == mixing_oracle.sample_word(P, _FixedStream(r))
 
 
 class _Draws:
@@ -236,8 +222,8 @@ def test_chain_sampler_at_exact_cut_points():
         (2**64 - 1, 2**64 - 1): (2, 2),
     }
     for draws, word in cases.items():
-        assert sample_word(P, _Draws(*draws)) == word
-        assert sample_word(dense, _Draws(*draws)) == word
+        assert sample_word(P, draws) == word
+        assert sample_word(dense, draws) == word
         assert mixing_oracle.sample_word(dense, _Draws(*draws)) == word
 
 
@@ -249,8 +235,8 @@ def test_chain_sampler_at_non_dyadic_cut_points():
     third, sevenths = (2**64 - 1) // 3, (2 * 2**64) // 7
     for draws in ((third, sevenths), (third, sevenths + 1), (third + 1, 0), (third + 1, 2**64 - 1)):
         word = mixing_oracle.sample_word(dense, _Draws(*draws))
-        assert sample_word(P, _Draws(*draws)) == word
-        assert sample_word(dense, _Draws(*draws)) == word
+        assert sample_word(P, draws) == word
+        assert sample_word(dense, draws) == word
     assert [mixing_oracle.sample_word(dense, _Draws(third, r)) for r in (sevenths, sevenths + 1)] == [(0, 0), (0, 1)]
 
 
@@ -269,11 +255,12 @@ def test_chain_sampler_matches_dense_copy():
             P = MarkovSpec(law(m), tuple(tuple(law(m) for _ in range(m)) for _ in range(n - 1)))
             dense = expand_markov(P)
             for k in range(300):
-                streams = SampleStream(n, k), SampleStream(n, k), SampleStream(n, k)
-                word = sample_word(P, streams[0])
-                assert word == sample_word(dense, streams[1])
-                assert word == mixing_oracle.sample_word(dense, streams[2])
-                assert len({s.next_u64() for s in streams}) == 1
+                draws = stream_draws(n, k, n)
+                word = sample_word(P, draws)
+                assert word == sample_word(dense, draws)
+                oracle_draws = _Draws(*draws)
+                assert word == mixing_oracle.sample_word(dense, oracle_draws)
+                assert not oracle_draws.values
 
 
 def test_uniform_cell_frequencies():
@@ -281,7 +268,7 @@ def test_uniform_cell_frequencies():
     counts = [0] * 4
     samples = 100_000
     for k in range(samples):
-        counts[word_index(sample_word(P, SampleStream(1234, k)), 2)] += 1
+        counts[word_index(sample_word(P, stream_draws(1234, k, 2)), 2)] += 1
     sigma = math.sqrt(samples * 0.25 * 0.75)
     for c in counts:
         assert abs(c - samples / 4) <= 5 * sigma
@@ -292,7 +279,7 @@ def test_markov_transition_frequency():
     samples = 50_000
     stay = total = 0
     for k in range(samples):
-        x = sample_word(P, SampleStream(777, k))
+        x = sample_word(P, stream_draws(777, k, 2))
         total += 1
         stay += x[0] == x[1]
     p_hat = stay / total
@@ -303,7 +290,7 @@ def test_markov_transition_frequency():
 def test_empirical_tail_reproducible_and_bounded():
     n = 8
     P = _chain(n)
-    f = TableFunction.from_callable(2, n, lambda x: sum(x))
+    f = from_callable(2, n, lambda x: sum(x))
     w = WeightVector((1,) * n)
     cfg = SimulationConfig(5_000, 424242, (1.0, 2.0, 3.0, 4.0))
     report = empirical_tail(f, P, w, cfg)
@@ -322,7 +309,7 @@ def test_empirical_tail_against_midrange_corollary_bound():
     # unreachable), then check the simulated tail stays under it.
     n = 8
     P = _chain(n)
-    f = TableFunction.from_callable(2, n, lambda x: sum(x))
+    f = from_callable(2, n, lambda x: sum(x))
     w = WeightVector((1,) * n)
     from hammix.mixing import delta_matrix, operator_norm_2
 
@@ -338,7 +325,7 @@ def test_empirical_tail_against_midrange_corollary_bound():
 
 def test_empirical_tail_threshold_beyond_range_is_zero():
     P = Measure.uniform(2, 2)
-    f = TableFunction.from_callable(2, 2, lambda x: sum(x))
+    f = from_callable(2, 2, lambda x: sum(x))
     w = WeightVector((1, 1))
     cfg = SimulationConfig(2_000, 9, (10.0,))
     report = empirical_tail(f, P, w, cfg)
@@ -346,10 +333,20 @@ def test_empirical_tail_threshold_beyond_range_is_zero():
     assert report.rows[0].frequency == 0.0
 
 
+def test_arity_zero_tail_bounds_are_zero():
+    # The one word of S^0 is E f itself, so every deviation and bound is 0.
+    P, w = Measure.uniform(2, 0), WeightVector(())
+    for f in (TableFunction(2, 0, ("7/2",)), Builtin("sum_of_symbols", 2, 0)):
+        assert concentration_bound(f, P, w, [0.5, 1.0]).bounds == (0.0, 0.0)
+        report = empirical_tail(f, P, w, SimulationConfig(20, 3, (0.5, 1.0)))
+        assert report.d_squared == 0
+        assert [(r.exceed_count, r.azuma, r.corollary) for r in report.rows] == [(0, 0.0, 0.0)] * 2
+
+
 def test_empirical_tail_shape_mismatch():
     with pytest.raises(ValueError):
         empirical_tail(
-            TableFunction.constant(2, 2, 0),
+            constant(2, 2, 0),
             Measure.uniform(2, 3),
             WeightVector((1, 1)),
             SimulationConfig(10, 0, (1.0,)),
@@ -363,7 +360,7 @@ def test_empirical_tail_checks_weights_before_sampling(monkeypatch):
     monkeypatch.setattr(montecarlo, "_sample_windows", sampled)
     with pytest.raises(ValueError, match="weight length 1 != table arity 2"):
         empirical_tail(
-            TableFunction.constant(2, 2, 0),
+            constant(2, 2, 0),
             Measure.uniform(2, 2),
             WeightVector((1,)),
             SimulationConfig(10, 0, (1.0,)),

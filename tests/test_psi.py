@@ -1,5 +1,5 @@
+import json
 import random
-import sys
 from fractions import Fraction
 from itertools import product
 
@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hammix.psi import psi, psi_decomposition_rhs, psi_norm, ramp
+import hammix.cli as cli
+from hammix.psi import norm_shift, psi, psi_decomposition_rhs, ramp
 from hammix.rational import rat
 from hammix.words import TableFunction, WeightVector
+from table_oracle import constant, scale
+
+
+def _psi_norm(w, k):
+    """max(psi(w, k), psi(w, -k)) as ``hammix psi`` reports it: psi plus norm_shift."""
+    return psi(w, k) + norm_shift(w, k)
 
 
 def test_ramp():
@@ -73,9 +80,9 @@ def test_psi_length_mismatch():
 
 def test_psi_norm_examples():
     w = WeightVector((1,))
-    assert psi_norm(w, TableFunction(2, 1, (0, 0))) == 0
-    assert psi_norm(w, TableFunction(2, 1, (1, -1))) == 1
-    assert psi_norm(w, TableFunction(2, 1, (2, -1))) == 2
+    assert _psi_norm(w, TableFunction(2, 1, (0, 0))) == 0
+    assert _psi_norm(w, TableFunction(2, 1, (1, -1))) == 1
+    assert _psi_norm(w, TableFunction(2, 1, (2, -1))) == 2
 
 
 def test_decomposition_examples():
@@ -86,7 +93,7 @@ def test_decomposition_examples():
     k1 = TableFunction(2, 1, (1, -1))
     assert psi_decomposition_rhs(WeightVector((1,)), k1) == 1
 
-    zero = TableFunction.constant(3, 2, 0)
+    zero = constant(3, 2, 0)
     assert psi_decomposition_rhs(WeightVector((1, 1)), zero) == 0
 
     with pytest.raises(ValueError):
@@ -118,14 +125,14 @@ def _table_and_weights(draw):
 @settings(max_examples=150, deadline=None)
 def test_psi_positive_homogeneity(tw, a):
     k, w = tw
-    assert psi(w, k.scale(a)) == rat(a) * psi(w, k)
+    assert psi(w, scale(k, a)) == rat(a) * psi(w, k)
 
 
 @given(_table_and_weights(), st.fractions(min_value=-4, max_value=4, max_denominator=4))
 @settings(max_examples=150, deadline=None)
 def test_psi_norm_absolute_homogeneity(tw, a):
     k, w = tw
-    assert psi_norm(w, k.scale(a)) == abs(rat(a)) * psi_norm(w, k)
+    assert _psi_norm(w, scale(k, a)) == abs(rat(a)) * _psi_norm(w, k)
 
 
 @given(_table_and_weights())
@@ -141,18 +148,23 @@ def test_psi_monotone_in_weights(tw):
 def test_psi_sign_symmetry_gives_psi_norm(tw):
     k, w = tw
     assert psi(w, -k) == psi(w, k) - w.total() * k.total()
-    assert psi_norm(w, k) == max(psi(w, k), psi(w, -k))
+    assert _psi_norm(w, k) == max(psi(w, k), psi(w, -k))
 
 
-def test_psi_norm_evaluates_psi_once(monkeypatch):
+def test_psi_norm_evaluates_psi_once(monkeypatch, tmp_path, capsys):
+    # ``hammix psi`` reports psi_norm from its one psi evaluation.
     calls = []
 
     def counted(w, k):
         calls.append(k)
         return psi(w, k)
 
-    # The package namespace re-exports psi, so reach the module itself.
-    monkeypatch.setattr(sys.modules["hammix.psi"], "psi", counted)
-    k = TableFunction(3, 2, ("-2", "1/2", "-3/4", "1", "-5/2", "0", "3/5", "-1", "-1/3"))
-    assert psi_norm(WeightVector(("2/3", "5/4")), k) == rat(1439, 144)
-    assert calls == [k]
+    monkeypatch.setattr(cli, "psi", counted)
+    table = ("-2", "1/2", "-3/4", "1", "-5/2", "0", "3/5", "-1", "-1/3")
+    doc = {"alphabet": 3, "n": 2, "weights": ["2/3", "5/4"], "function": {"table": list(table)}}
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["psi", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["psi_norm"] == "1439/144"
+    assert calls == [TableFunction(3, 2, table)]

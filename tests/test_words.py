@@ -20,7 +20,7 @@ from hammix.words import (
     words,
     y_section,
 )
-from table_oracle import prefix_restrict
+from table_oracle import constant, from_callable, prefix_restrict
 
 
 def test_word_index_trivial():
@@ -118,7 +118,7 @@ def test_hamming_table_matches_per_word_distances():
             w = random_weights(rng, n)
             target = tuple(rng.randrange(m) for _ in range(n))
             table = Builtin("hamming_to", m, n, target, w).table()
-            expected = TableFunction.from_callable(m, n, lambda x: hamming_distance(x, target, w))
+            expected = from_callable(m, n, lambda x: hamming_distance(x, target, w))
             assert table == expected
             assert table.values == expected.values
 
@@ -127,9 +127,9 @@ def test_builtin_tables_match_per_word_values():
     rng = random.Random(29)
     for m, n in [(1, 3), (2, 0), (2, 1), (2, 5), (3, 3), (4, 2)]:
         target = tuple(rng.randrange(m) for _ in range(n))
-        expected_sum = TableFunction.from_callable(m, n, sum)
+        expected_sum = from_callable(m, n, sum)
         assert Builtin("sum_of_symbols", m, n).table() == expected_sum
-        expected_indicator = TableFunction.from_callable(m, n, lambda x: int(x == target))
+        expected_indicator = from_callable(m, n, lambda x: int(x == target))
         assert Builtin("indicator", m, n, target).table() == expected_indicator
 
 
@@ -140,7 +140,7 @@ def test_marginal_projection_examples():
     k2 = TableFunction(2, 2, (1, 0, 0, -1))
     assert marginal_projection(k2).values == (rat(1), rat(-1))
 
-    const = TableFunction.constant(2, 2, "5/3")
+    const = constant(2, 2, "5/3")
     assert marginal_projection(const).values == (rat(10, 3), rat(10, 3))
 
 
