@@ -1,16 +1,8 @@
 """Batch front door: parse a problem file, compute, emit one JSON report.
 
-Subcommands
------------
-psi         psi value and psi-norm of the function
-phi         phi-norm with both signed LP certificates
-verify-lp   exact supremum-vs-psi comparison (exit 3 on violation)
-decompose   both sides of the psi section decomposition
-eta         eta_bar / Delta matrix of the measure and its operator norm
-martingale  martingale profile and mixing-bound check (exit 3 on violation)
-bound       concentration tail bound per threshold
-simulate    seeded Monte Carlo tail estimate vs the proved bounds
-selftest    the full random-instance verification suite
+Each file subcommand is declared once, with its handler and help text,
+in ``_COMMANDS``; ``selftest`` runs the random-instance verification suite
+and takes no file.  ``hammix --help`` lists them all.
 
 The report goes to stdout as a single JSON document (rationals as "p/q"
 strings, floats in shortest round-trip decimal); a short human summary
@@ -59,34 +51,23 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, needs_file: bool = True) -> argparse.ArgumentParser:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if needs_file:
-            p.add_argument("problem_file", help="path to the JSON problem file")
-            p.add_argument(
-                "--max-table",
-                type=int,
-                default=MAX_DENSE_TABLE,
-                help=(
-                    "largest table this run may build, at least 1: m^n for f's or a dense measure's table, "
-                    "n^2 for a chain's mixing matrix (bound builds no table of a builtin; "
-                    "martingale and simulate none of sum_of_symbols or hamming_to on a chain)"
-                ),
-            )
-        return p
+        p.add_argument("problem_file", help="path to the JSON problem file")
+        p.add_argument(
+            "--max-table",
+            type=int,
+            default=MAX_DENSE_TABLE,
+            help=(
+                "largest table this run may build, at least 1: m^n for f's or a dense measure's table, "
+                "n^2 for a chain's mixing matrix (bound builds no table of a builtin; "
+                "martingale and simulate none of sum_of_symbols or hamming_to on a chain)"
+            ),
+        )
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="override the file's seed")
 
-    add("psi", "psi value and psi-norm of the function")
-    add("phi", "phi-norm with LP certificates")
-    add("verify-lp", "check the supremum against its psi bound (exit 3 on violation)")
-    add("decompose", "evaluate both sides of the psi section decomposition")
-    add("eta", "mixing matrix of the measure and its operator norm")
-    add("martingale", "martingale profile and the mixing-bound report (exit 3 on violation)")
-    add("bound", "concentration tail bound per threshold")
-    sim = add("simulate", "seeded Monte Carlo tail estimate")
-    sim.add_argument("--seed", type=int, default=None, help="override the file's seed")
-
-    self_test = add("selftest", "run the random-instance verification suite", needs_file=False)
+    self_test = sub.add_parser("selftest", help="run the random-instance verification suite")
     self_test.add_argument("--instances", type=int, default=500, help="random instances per LP criterion")
     self_test.add_argument(
         "--seed", type=int, default=None, help="seed for instance generation (default: the suite's own)"
@@ -271,15 +252,16 @@ def _weights(problem: ProblemFile):
     return problem.weights
 
 
+# Every subcommand that reads a problem file: its handler and its help text.
 _COMMANDS = {
-    "psi": _cmd_psi,
-    "phi": _cmd_phi,
-    "verify-lp": _cmd_verify_lp,
-    "decompose": _cmd_decompose,
-    "eta": _cmd_eta,
-    "martingale": _cmd_martingale,
-    "bound": _cmd_bound,
-    "simulate": _cmd_simulate,
+    "psi": (_cmd_psi, "psi value and psi-norm of the function"),
+    "phi": (_cmd_phi, "phi-norm with LP certificates"),
+    "verify-lp": (_cmd_verify_lp, "check the supremum against its psi bound (exit 3 on violation)"),
+    "decompose": (_cmd_decompose, "evaluate both sides of the psi section decomposition"),
+    "eta": (_cmd_eta, "mixing matrix of the measure and its operator norm"),
+    "martingale": (_cmd_martingale, "martingale profile and the mixing-bound report (exit 3 on violation)"),
+    "bound": (_cmd_bound, "concentration tail bound per threshold"),
+    "simulate": (_cmd_simulate, "seeded Monte Carlo tail estimate"),
 }
 
 
@@ -321,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
                 envelope["seed"] = (
                     args.seed if args.seed is not None else problem.simulation.seed
                 )
-            payload, code, summary = _COMMANDS[args.command](problem, args)
+            payload, code, summary = _COMMANDS[args.command][0](problem, args)
             envelope.update(payload)
     except ProblemFileError as exc:
         print(f"invalid problem file: {exc}", file=sys.stderr)

@@ -9,17 +9,19 @@ exact-by-construction families below already hit the interesting corners
 Because the checked functionals are homogeneous and translation invariant
 in f, nothing is lost by also generating normalized 1-Lipschitz functions;
 :func:`random_lipschitz_function` builds them as a min of shifted cones
-c_j + d_w(., anchor_j), each 1-Lipschitz, hence so is their minimum.
+c_j + d_w(., anchor_j), each 1-Lipschitz, hence so is their minimum.  Each
+cone is the ``hamming_to`` builtin's table, shifted.
 """
 
 from __future__ import annotations
 
 import random
+from math import lcm
 from numbers import Rational
 
 from .mixing import MarkovSpec, Measure
 from .rational import rat
-from .words import TableFunction, WeightVector, hamming_distance, words
+from .words import Builtin, TableFunction, WeightVector
 
 
 def random_rational(
@@ -30,19 +32,17 @@ def random_rational(
     return rat(rng.randint(low * den, high * den), den)
 
 
-def random_table(
-    rng: random.Random, m: int, n: int, bound: int = 3, max_denominator: int = 6
-) -> TableFunction:
-    """Dense table with entries in [-bound, bound]."""
-    vals = tuple(random_rational(rng, -bound, bound, max_denominator) for _ in range(m**n))
+def random_table(rng: random.Random, m: int, n: int, max_denominator: int = 6) -> TableFunction:
+    """Dense table with entries in [-3, 3]."""
+    vals = tuple(random_rational(rng, -3, 3, max_denominator) for _ in range(m**n))
     return TableFunction(m, n, vals)
 
 
-def random_weights(rng: random.Random, n: int, max_denominator: int = 6) -> WeightVector:
+def random_weights(rng: random.Random, n: int) -> WeightVector:
     """Strictly positive weights in (0, 2]."""
     entries = []
     for _ in range(n):
-        den = rng.randint(1, max_denominator)
+        den = rng.randint(1, 6)
         entries.append(rat(rng.randint(1, 2 * den), den))
     return WeightVector(entries)
 
@@ -92,17 +92,15 @@ def random_product_measure(rng: random.Random, m: int, n: int) -> Measure:
     return Measure.from_numerators(m, n, nums, den)
 
 
-def random_lipschitz_function(
-    rng: random.Random, m: int, n: int, w: WeightVector, anchors: int = 3
-) -> TableFunction:
-    """A 1-Lipschitz (w.r.t. d_w) function: min of shifted distance cones."""
+def random_lipschitz_function(rng: random.Random, m: int, n: int, w: WeightVector) -> TableFunction:
+    """A 1-Lipschitz (w.r.t. d_w) function: min of three shifted distance cones.
+
+    The minimum is taken on the cones' numerators over one common denominator.
+    """
     cones = []
-    for _ in range(max(1, anchors)):
+    for _ in range(3):
         anchor = tuple(rng.randrange(m) for _ in range(n))
-        shift = random_rational(rng, 0, 2)
-        cones.append((anchor, shift))
-    vals = tuple(
-        min(shift + hamming_distance(x, anchor, w) for anchor, shift in cones)
-        for x in words(m, n)
-    )
-    return TableFunction(m, n, vals)
+        cones.append(Builtin("hamming_to", m, n, anchor, w).table().shift(random_rational(rng, 0, 2)))
+    den = lcm(*(cone.den for cone in cones))
+    scaled = ([x * (den // cone.den) for x in cone.nums] for cone in cones)
+    return TableFunction.from_numerators(m, n, map(min, *scaled), den)

@@ -11,7 +11,8 @@ metric of the graph whose edges flip a single coordinate (edge weight w_i),
 imposing the difference constraints only on pairs at Hamming distance 1
 already forces them for all pairs; that cuts the constraint count from
 O(m^2n) pairs to O(n * m^(n+1)) and is cross-checked against the all-pairs
-formulation in the test suite.
+formulation, whose right-hand sides are the ``hamming_to`` builtin's
+tables, by selftest criterion 5 and the test suite.
 
 The central quantities:
 
@@ -101,8 +102,9 @@ def build_polytope_lp(
     """Construct the LP for sup <k, phi> over the polytope with slack v.
 
     pairs="all" emits one constraint per arbitrary ordered word pair with
-    rhs d_w(x, y); it is exponentially larger and exists only as the oracle
-    for the adjacent-pair reduction.
+    rhs d_w(x, y), read from the ``hamming_to`` table of x; it is
+    exponentially larger and exists only as the oracle for the
+    adjacent-pair reduction.
     """
     if len(w) != k.arity:
         raise ValueError(f"weight length {len(w)} != table arity {k.arity}")
@@ -116,16 +118,9 @@ def build_polytope_lp(
         for x, y, pos in _adjacent_pairs(m, n):
             constraints.append((x, y, w[pos]))
     elif pairs == "all":
-        size = m**n
-        cache = [word_unindex(i, m, n) for i in range(size)]
-        for x in range(size):
-            for y in range(size):
-                if x == y:
-                    continue
-                dist = sum(
-                    (w[i] for i in range(n) if cache[x][i] != cache[y][i]), rat(0)
-                )
-                constraints.append((x, y, dist))
+        for x in range(m**n):
+            dist = Builtin("hamming_to", m, n, word_unindex(x, m, n), w).table().values
+            constraints.extend((x, y, d) for y, d in enumerate(dist) if y != x)
     else:
         raise ValueError(f"unknown pair mode {pairs!r}")
     return LpProblem(m**n, k.values, upper, tuple(constraints))

@@ -193,7 +193,9 @@ def azuma_bound(t: float, d_squared: float) -> float:
 
     Exceeds 1 for small t; callers may clamp at 1 when reporting since any
     probability bound above 1 is vacuous.  An infinite d_squared (an exact
-    one past the float range) gives the vacuous 2.0 for every t.
+    one past the float range) gives the vacuous 2.0 for every t.  When t^2
+    and 2 d_squared both overflow, the exponent is taken as z^2 / 2 with
+    z = t / sqrt(d_squared), so the bound is a number, never NaN.
     """
     if t <= 0:
         raise ValueError(f"threshold t must be positive, got {t}")
@@ -201,7 +203,11 @@ def azuma_bound(t: float, d_squared: float) -> float:
         raise ValueError(f"d_squared must be positive, got {d_squared}")
     if d_squared == math.inf:
         return 2.0
-    return 2.0 * math.exp(-(t * t) / (2.0 * d_squared))
+    exponent = -(t * t) / (2.0 * d_squared)
+    if math.isnan(exponent):  # inf / inf
+        z = t / math.sqrt(d_squared)
+        exponent = -(z * z) / 2.0
+    return 2.0 * math.exp(exponent)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,11 @@ without rounding; exponents, numerators and denominators are held to
 floats are not, except in ``thresholds`` / ``simulation.thresholds``,
 which are genuinely floating-point quantities.
 
-Dense tables and Markov chains are built once, here, from integer pairs:
-a list of ASCII "p" strings, or of "p/q" strings, is converted in bulk;
-otherwise JSON ints and such strings split straight into pairs entry by
-entry, every other spelling goes through :func:`~hammix.rational.rat`,
-and the table or chain is built from those pairs, so no rational is
-built per entry.  The accepted spellings, the values and every error
-are those of parsing each entry with ``rat``.
+Dense tables and Markov chains are built once, here, from integer pairs.
+A list of JSON ints, of ASCII "p" strings, or of "p/q" strings is
+converted in bulk; any other list is read entry by entry through
+:func:`~hammix.rational.rat`.  The accepted spellings, the values and
+every error are those of parsing each entry with ``rat``.
 
 Builtins avoid shipping m^n-entry tables for the canonical test functions:
 
@@ -31,7 +29,8 @@ Builtins avoid shipping m^n-entry tables for the canonical test functions:
 
 ``<word>`` is a string of ASCII digits ("0110") or comma-separated ASCII
 digit strings ("0,1,1,0"); the comma form is required when the alphabet
-has more than ten symbols.  The word is parsed once, here, into a
+has more than ten symbols, except for a one-symbol word (n = 1), whose
+whole text is its symbol ("11").  The word is parsed once, here, into a
 :class:`~hammix.words.Builtin`, which builds its m^n table only when a
 stage reads one.  :func:`resolve_function` builds it for ``psi``,
 ``phi``, ``verify-lp`` and ``decompose``, and for ``martingale`` and
@@ -59,8 +58,7 @@ from .words import Builtin, TableFunction, WeightVector, Word
 
 _BUILTIN_NAMES = ("sum_of_symbols", "indicator", "hamming_to")
 
-# Table entries spelled this way split straight into an integer pair; every
-# other spelling is parsed by rat().
+# Table entries the bulk reader takes; every other spelling is parsed by rat().
 _INTEGER_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 # A builtin word's symbols: ASCII digits only (int() would also take
 # whitespace, "_" separators and other scripts' digits).
@@ -114,12 +112,12 @@ def _parse_rational(value: Any, path: str, *, positive: bool = False, nonnegativ
 def _parse_word(text: str, m: int, n: int, path: str) -> Word:
     if "," in text:
         parts = text.split(",")
-    else:
-        if m > 10:
-            raise ProblemFileError(
-                path, "alphabets larger than 10 need comma-separated words"
-            )
+    elif m <= 10:
         parts = list(text)
+    elif n == 1:  # a one-symbol word has no comma to write
+        parts = [text]
+    else:
+        raise ProblemFileError(path, "alphabets larger than 10 need comma-separated words")
     if not all(map(_SYMBOL.fullmatch, parts)):
         raise ProblemFileError(path, f"cannot parse word from {text!r}")
     symbols = tuple(map(int, parts))
@@ -150,58 +148,34 @@ def _parse_alphabet(value: Any) -> int:
     return size
 
 
-def _split_ratio(entry: Any) -> tuple[int, int] | None:
-    """(p, q) for a JSON int or an ASCII "p" / "p/q" string with q > 0, else None."""
-    if type(entry) is int:
-        return entry, 1
-    if type(entry) is str and _INTEGER_RATIO.fullmatch(entry):
-        p, _, q = entry.partition("/")
-        try:
-            pair = int(p), int(q) if q else 1
-        except ValueError:  # past the int digit limit
-            return None
-        if pair[1]:
-            return pair
-    return None
-
-
 def _parse_ratios(entries: list, path: str, nonnegative: bool = False) -> list[tuple[int, int]]:
     """The entries as integer pairs (p, q), q > 0, with value p / q.
 
-    A list of "p" strings, or of "p/q" strings, is read in bulk by
-    :func:`_bulk_ratios`; any other list, or one the bulk reader refuses,
-    is read entry by entry.  There, entries that :func:`_split_ratio`
-    cannot take, or that break the sign rule, go through
-    :func:`_parse_rational`, which either returns the value or raises the
-    field's error.  Both readers return the same pairs.
+    A list of JSON ints, of "p" strings, or of "p/q" strings is read in
+    bulk by :func:`_bulk_ratios`.  Any other list, or one the bulk reader
+    refuses, is read entry by entry with :func:`_parse_rational`, which
+    either returns the value or raises the field's error, naming the
+    entry's index.  Both readers give pairs of the same values.
     """
-    ratios = _bulk_ratios(entries, nonnegative)
-    return ratios if ratios is not None else _entry_ratios(entries, path, nonnegative)
-
-
-def _entry_ratios(entries: list, path: str, nonnegative: bool) -> list[tuple[int, int]]:
-    """The per-entry reader of :func:`_parse_ratios`."""
-    ratios = []
-    for i, entry in enumerate(entries):
-        pair = _split_ratio(entry)
-        if pair is None or (nonnegative and pair[0] < 0):
-            value = _parse_rational(entry, f"{path}[{i}]", nonnegative=nonnegative)
-            pair = value.numerator, value.denominator
-        ratios.append(pair)
-    return ratios
+    # Lazy: parsed only when the bulk reader refuses the list.
+    per_entry = (_parse_rational(e, f"{path}[{i}]", nonnegative=nonnegative) for i, e in enumerate(entries))
+    return _bulk_ratios(entries, nonnegative) or [value.as_integer_ratio() for value in per_entry]
 
 
 def _bulk_ratios(entries: list, nonnegative: bool) -> list[tuple[int, int]] | None:
-    """The pairs of a list of ASCII "p" strings, or of "p/q" strings, else None.
+    """The pairs of a nonempty list of JSON ints, of ASCII "p" strings, or of
+    "p/q" strings, else None.
 
-    Each entry is matched on its own (one pattern over the joined table
+    A string entry is matched on its own (one pattern over the joined table
     backtracks through a stack as deep as the table), then the whole list
     is converted by one ``int`` map over the joined text.  None (read the
-    entries one by one) when the list mixes the two forms, holds anything
+    entries one by one) when the list mixes the forms, holds anything
     else, or has an entry the per-entry reader would refuse or report: a
     zero denominator, a sign against the rule, a number past the digit
     limit.
     """
+    if entries and type(entries[0]) is int and all(type(p) is int for p in entries):
+        return [(p, 1) for p in entries] if not nonnegative or min(entries) >= 0 else None
     try:
         if not all(map(_INTEGER_RATIO.fullmatch, entries)):
             return None

@@ -26,7 +26,9 @@ word), so recursions over arity bottom out without a special scalar case.
 A problem file's named functions are :class:`Builtin` values, which keep
 their parsed argument and build a table only when asked
 (:meth:`Builtin.table`); the additive ones build it with
-:func:`additive_table`.
+:func:`additive_table`.  The weighted Hamming metric d_w is stated once,
+as the ``hamming_to`` builtin's per-coordinate terms: every distance
+table the package builds is ``Builtin("hamming_to", m, n, y, w).table()``.
 """
 
 from __future__ import annotations
@@ -194,15 +196,6 @@ def word_unindex(idx: int, m: int, n: int) -> Word:
     for pos in range(n - 1, -1, -1):
         idx, out[pos] = divmod(idx, m)
     return tuple(out)
-
-
-def hamming_distance(x: Sequence[int], y: Sequence[int], w: WeightVector) -> Rational:
-    """Weighted Hamming distance: sum of w_i over coordinates where x, y differ."""
-    if len(x) != len(y) or len(x) != len(w):
-        raise ValueError(
-            f"length mismatch: |x|={len(x)}, |y|={len(y)}, |w|={len(w)}"
-        )
-    return sum((w[i] for i in range(len(w)) if x[i] != y[i]), rat(0))
 
 
 def additive_table(m: int, terms: Sequence[Sequence[int]], den: int = 1) -> TableFunction:

@@ -9,7 +9,9 @@ measure's ``probabilities``), never its integer numerators, so the
 library's numerator paths must return the same rationals on every input.
 
 The table builders that only tests use live here too: :func:`from_callable`
-(one value per word), :func:`constant` and :func:`scale`.
+(one value per word), :func:`constant` and :func:`scale`, and so does
+:func:`hamming_distance`, d_w summed in Fractions for one word pair (the
+library builds d_w only as the ``hamming_to`` builtin's table).
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ from hammix.psi import ramp
 from hammix.rational import RationalLike, rat, rat_from_float
 from hammix.words import TableFunction, WeightVector, Word, word_index, words
 from mixing_oracle import ZeroPrefixProbability, block_mass, prefix_block, stream_draws
+
+
+def hamming_distance(x: Sequence[int], y: Sequence[int], w: WeightVector) -> Rational:
+    """Weighted Hamming distance: sum of w_i over coordinates where x, y differ."""
+    if len(x) != len(y) or len(x) != len(w):
+        raise ValueError(
+            f"length mismatch: |x|={len(x)}, |y|={len(y)}, |w|={len(w)}"
+        )
+    return sum((w[i] for i in range(len(w)) if x[i] != y[i]), rat(0))
 
 
 def from_callable(m: int, n: int, fn: Callable[[Word], RationalLike]) -> TableFunction:

@@ -492,3 +492,42 @@ def test_positive_variance_below_the_float_range(capsys, tmp_path, command):
     key = "bound" if command == "bound" else "corollary"
     # t^2 underflows for t = 1e-300, which leaves the vacuous bound.
     assert [row[key] for row in payload["per_t"]] == [2.0, 0.0]
+
+
+@pytest.mark.parametrize("function", ["sum_of_symbols", "indicator:01"])
+@pytest.mark.parametrize("command", ["bound", "simulate"])
+def test_tail_bound_is_a_number_when_both_squares_overflow(capsys, tmp_path, command, function):
+    # t^2 and 2 ||Delta w||^2 c^2 (or 2 d^2) both overflow: inf / inf would be NaN.
+    doc = {
+        "alphabet": 2,
+        "n": 2,
+        "weights": ["1e-154", "1"],
+        "function": function,
+        "measure": {"dense": ["1/4", "1/4", "1/4", "1/4"]},
+        "thresholds": [1e200],
+        "simulation": {"sample_count": 10, "seed": 1},
+    }
+    code = cli.main([command, _write(tmp_path, doc)])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    key = "bound" if command == "bound" else "corollary"
+    assert [row[key] for row in payload["per_t"]] == [0.0]
+
+
+@pytest.mark.parametrize("function", ["indicator:11", "hamming_to:11"])
+def test_one_symbol_word_over_a_large_alphabet(capsys, tmp_path, function):
+    # With n = 1 the word is one symbol, so it has no comma to write.
+    doc = {
+        "alphabet": 12,
+        "n": 1,
+        "weights": ["1"],
+        "function": function,
+        "measure": {"dense": ["1/12"] * 12},
+        "thresholds": [1.0],
+    }
+    code, payload, _ = _run(capsys, ["bound", _write(tmp_path, doc)])
+    assert code == 0
+    assert payload["lipschitz"] == "1/1"
+    code, payload, err = _run(capsys, ["bound", _write(tmp_path, {**doc, "function": function + ","})])
+    assert code == 1 and payload is None
+    assert "cannot parse word" in err

@@ -23,11 +23,10 @@ from hammix.words import (
     Builtin,
     TableFunction,
     WeightVector,
-    hamming_distance,
     word_unindex,
     words,
 )
-from table_oracle import constant, from_callable, scale
+from table_oracle import constant, from_callable, hamming_distance, scale
 
 
 def _phi_norm(k, w):
@@ -264,6 +263,20 @@ def test_phi_sup_matches_scipy_float_oracle():
         )
         assert res.status == 0
         assert abs(exact - (-res.fun)) < 1e-7
+
+
+def test_all_pairs_rows_are_per_pair_distances():
+    rng = random.Random(31)
+    for m, n in [(1, 2), (2, 1), (2, 3), (3, 2)]:
+        k, w = random_table(rng, m, n), random_weights(rng, n)
+        all_words = list(words(m, n))
+        expected = [
+            (x, y, hamming_distance(all_words[x], all_words[y], w))
+            for x in range(m**n)
+            for y in range(m**n)
+            if x != y
+        ]
+        assert list(build_polytope_lp(k, w, pairs="all").difference_constraints) == expected
 
 
 def test_adjacent_pairs_match_all_pairs_formulation():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -28,9 +29,9 @@ from hammix.martingale import (
 from hammix.lipschitz_lp import lipschitz_constant
 from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.rational import rat
-from hammix.words import Builtin, TableFunction, WeightVector, hamming_distance, words
+from hammix.words import Builtin, TableFunction, WeightVector, words
 from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass
-from table_oracle import conditional_expectation, constant, from_callable, scale, v_i
+from table_oracle import conditional_expectation, constant, from_callable, hamming_distance, scale, v_i
 
 
 def _v_bar(f, P, i):
@@ -221,6 +222,13 @@ def test_azuma_bound_values():
         azuma_bound(0.0, 1.0)
     with pytest.raises(ValueError):
         azuma_bound(1.0, 0.0)
+
+
+def test_azuma_bound_when_both_squares_overflow():
+    # t^2 and 2 d^2 are both inf; the exponent t^2 / (2 d^2) is 5e91.
+    assert azuma_bound(1e200, 1e308) == 0.0
+    # z = t / sqrt(d^2) is finite, z^2 is not: the bound is still a number.
+    assert azuma_bound(sys.float_info.max, 1e308) == 0.0
 
 
 def test_verify_sumvi_constant_function():

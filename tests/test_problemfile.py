@@ -155,6 +155,17 @@ def test_builtin_hamming_to_comma_form():
     assert resolve_function(problem).values[1] == 0
 
 
+def test_builtin_word_over_more_than_ten_symbols():
+    # Commas separate symbols; a one-symbol word's whole text is its symbol.
+    word = {"alphabet": 12, "n": 1, "function": "indicator:11"}
+    assert parse_problem(word).function.target == (11,)
+    assert parse_problem({**word, "n": 2, "function": "indicator:11,0"}).function.target == (11, 0)
+    with pytest.raises(ProblemFileError, match="comma-separated"):
+        parse_problem({**word, "n": 2, "function": "indicator:10"})
+    with pytest.raises(ProblemFileError, match="out of range"):
+        parse_problem({**word, "function": "indicator:12"})
+
+
 def test_missing_sections_reported_with_path():
     problem = parse_problem({"alphabet": 2, "n": 2})
     with pytest.raises(ProblemFileError, match="function"):
@@ -391,12 +402,16 @@ ascii_integers = st.one_of(
 ascii_denominators = st.one_of(
     st.integers(1, 10**30).map(str), st.sampled_from(("0", "00", "010", "7" * 5000))
 )
-# Lists the bulk reader takes or refuses as a whole: every entry "p", every
-# entry "p/q", or the two forms mixed.
+json_integers = st.integers(-(10**30), 10**30)
+ascii_ratios = st.builds("{}/{}".format, ascii_integers, ascii_denominators)
+# Lists the bulk reader takes or refuses as a whole: every entry a JSON int,
+# every entry "p", every entry "p/q", or the forms mixed.
 ascii_ratio_lists = st.one_of(
+    st.lists(json_integers, min_size=1, max_size=6),
     st.lists(ascii_integers, min_size=1, max_size=6),
-    st.lists(st.builds("{}/{}".format, ascii_integers, ascii_denominators), min_size=1, max_size=6),
-    st.lists(ascii_integers | st.builds("{}/{}".format, ascii_integers, ascii_denominators), min_size=2, max_size=6),
+    st.lists(ascii_ratios, min_size=1, max_size=6),
+    st.lists(ascii_integers | ascii_ratios, min_size=2, max_size=6),
+    st.lists(json_integers | ascii_integers | ascii_ratios, min_size=2, max_size=6),
 )
 
 
@@ -418,6 +433,19 @@ def test_bulk_reader_takes_uniform_lists_only():
     assert _bulk_ratios(["1/2", "-1/2"], True) is None
     with pytest.raises(ProblemFileError, match=r"^t\[1\]: must be >= 0"):
         _parse_ratios(["1/2", "-1/2"], "t", nonnegative=True)
+
+
+def test_bulk_reader_takes_json_int_lists():
+    assert _bulk_ratios([1, -2, 7], False) == [(1, 1), (-2, 1), (7, 1)]
+    # A sign against the rule, or a non-int entry, leaves the list to the
+    # per-entry reader, which names the entry.
+    assert _bulk_ratios([1, -2, 7], True) is None
+    for entries in ([], [True], [1, True], [1, "2"]):
+        assert _bulk_ratios(entries, False) is None and _bulk_ratios(entries, True) is None
+    with pytest.raises(ProblemFileError, match=r"^t\[1\]: must be >= 0"):
+        _parse_ratios([1, -2, 7], "t", nonnegative=True)
+    with pytest.raises(ProblemFileError, match=r"^t\[1\]: expected a rational"):
+        _parse_ratios([1, True], "t")
 
 
 # Integer chain parse against the per-entry rational parse ---------------

@@ -8,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hammix.rational import rat
-from hammix.instances import random_weights
+from hammix.instances import random_lipschitz_function, random_rational, random_weights
 from hammix.words import (
     Builtin,
     TableFunction,
     WeightVector,
-    hamming_distance,
     marginal_projection,
     word_index,
     word_unindex,
     words,
     y_section,
 )
-from table_oracle import constant, from_callable, prefix_restrict
+from table_oracle import constant, from_callable, hamming_distance, prefix_restrict
 
 
 def test_word_index_trivial():
@@ -121,6 +120,29 @@ def test_hamming_table_matches_per_word_distances():
             expected = from_callable(m, n, lambda x: hamming_distance(x, target, w))
             assert table == expected
             assert table.values == expected.values
+
+
+def _lipschitz_oracle(rng, m, n, w):
+    """random_lipschitz_function's draws, its minimum taken per word in Fractions."""
+    cones = []
+    for _ in range(3):
+        anchor = tuple(rng.randrange(m) for _ in range(n))
+        cones.append((anchor, random_rational(rng, 0, 2)))
+    return from_callable(m, n, lambda x: min(s + hamming_distance(x, a, w) for a, s in cones))
+
+
+def test_random_lipschitz_function_matches_per_word_oracle():
+    for seed in range(60):
+        rng = random.Random(seed)
+        m, n = rng.choice((1, 2, 3)), rng.randint(1, 4)
+        w = random_weights(rng, n)
+        oracle_rng = random.Random()
+        oracle_rng.setstate(rng.getstate())
+        f = random_lipschitz_function(rng, m, n, w)
+        expected = _lipschitz_oracle(oracle_rng, m, n, w)
+        assert f == expected and f.values == expected.values
+        # The same draws, in the same order: the generator is left in the same state.
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_builtin_tables_match_per_word_values():
