@@ -28,6 +28,7 @@ from .montecarlo import SimulationConfig, empirical_tail
 from .problemfile import (
     ProblemFile,
     ProblemFileError,
+    check_table_size,
     parse_problem,
     resolve_function,
     resolve_measure,
@@ -172,11 +173,16 @@ def _cmd_eta(problem: ProblemFile, args) -> tuple[dict, int, str]:
 
 
 def _function_and_measure(problem: ProblemFile, args) -> tuple:
-    """f and P for martingale and simulate: f's table is built only where they read it."""
+    """f and P for martingale and simulate; a builtin stays a builtin.
+
+    Its Lipschitz constant is then closed-form, and where the stages read
+    its table (no kernel terms) they build it once; that table is held to
+    the cap here, before any table is built.
+    """
     f = resolve_function(problem, args.max_table, table=False)
     P = resolve_measure(problem, args.max_table)
     if kernel_terms(f, P) is None:
-        f = resolve_function(problem, args.max_table)
+        check_table_size(problem.alphabet, problem.n, args.max_table)
     return f, P
 
 

@@ -33,14 +33,21 @@ on one of two paths, chosen by the argument's type:
 
 * Dense (a :class:`Measure`): in the measure's integer numerators, the
   block of each admissible prefix y z holds the unnormalized tail law for
-  j = i+1.  Each admissible pair z, z' under a past y gets one integer
+  j = i+1.  Each admissible pair z, z' under a past y gets an integer
   difference vector, its two blocks cross-scaled by each other's mass;
   its absolute sum is the TV numerator for j = i+1, and summing its m
   equal chunks (marginalizing is linear) gives the vector for the next j.
   The numerators are compared by cross-products, and only the n - i
   maxima are converted to rationals.  A row costs O(m^(n+1)) integer
   operations (m^2 / 2 pairs under each of m^(i-1) pasts, m^(n-i) entries
-  each), so delta_matrix costs O(n m^(n+1)).
+  each), so delta_matrix costs O(n m^(n+1)).  They run as whole-list
+  passes (slices, ``map`` and comprehensions): a row with no more pasts
+  than block cells keeps one vector per past and pair, and a row with
+  more pasts lays its cells out suffix-major, so one vector per pair
+  covers every past.  Either way the loop of a row runs over the fewer of
+  its m^(i-1) pasts and m^(n-i) block cells, once per symbol pair, so a
+  row takes O(min(m^(i-1), m^(n-i)) n m^3) steps, each one pass over a
+  whole list.
 * Kernel (a :class:`MarkovSpec`): given X_1..i = y z, X_j has law row z
   of T_i...T_j-1 for every past y, and the rest of the tail follows the
   same later kernels after either swap, so eta(i, j, y, z, z') is the TV
@@ -61,13 +68,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, combinations, cycle
+from itertools import accumulate, chain, combinations, compress, cycle, repeat
 from math import gcd, lcm
 from numbers import Rational
-from operator import add, mul, sub
+from operator import add, eq, mul, sub, truediv
 from typing import Callable, Sequence
 
-from .rational import RationalLike, float_from_rat, rat, rat_from_float
+from .rational import RationalLike, float_from_rat, over_common_denominator, rat, rat_from_float
 from .words import TableFunction, WeightVector, project_numerators
 
 # Dense tables beyond this size are refused at the CLI boundary; library
@@ -236,41 +243,98 @@ def expand_markov(spec: MarkovSpec) -> Measure:
 
 
 def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
-    """eta_bar(i, j) for j = i+1..n, from one integer pass over row i.
+    """eta_bar(i, j) for j = i+1..n, from whole-list integer passes over row i.
 
     For each past y, the block of y z holds the unnormalized law of
     X_i+1..n after y z in integer numerators, with mass M_z.  The TV
     distance between the tails after y z and y z' is sum |c| / (2 M_z M_z')
     for the difference vector c = a M_z' - b M_z of their blocks a, b;
     marginalizing is linear, so summing the m equal chunks of c gives the
-    difference vector for the next j.  The largest distance per j is kept
-    as an integer pair compared by cross-products.
+    difference vector for the next j.  A row has m^(i-1) pasts and blocks
+    of m^(n-i) cells; its Python-level loop runs over the fewer of the two:
+
+    * Long blocks (no more pasts than cells): one difference vector per
+      past and admissible pair, built by one comprehension and
+      projected by ``map``.
+    * Many pasts: the row is laid out suffix-major, so cell s of every
+      past's block y z is the one slice ``cells[z*block + s :: m*block]``
+      and the m^(i-1) pasts sit side by side.  One difference vector per
+      pair then covers every past, projections sum its chunks as above,
+      and each past's sum |c| is the sum of the vector's per-suffix slices
+      (see :func:`_largest_ratio` for the maximum over pasts).
+
+    The per-past loop skips null blocks.  Suffix-major, a past under which
+    one side's block is null gets c = 0 (that block's cells are 0, and so
+    is its mass, which scales the other block) and denominator 1, so its
+    distance 0 never raises the maximum.  The largest distance per j is
+    kept as an integer pair compared by cross-products.
     """
     m, n = P.alphabet_size, P.arity
     if i == n:
         return []
     cells, cum = P.nums, P._cum
     block = m ** (n - i)
+    span = m * block
+    pasts = len(cells) // span
     best = [(0, 1)] * (n - i)
-    for lo in range(0, len(cells), m * block):
-        bounds = cum[lo : lo + m * block + 1 : block]
-        admissible = [
-            (mass, cells[z_lo : z_lo + block])
-            for mass, z_lo in zip(map(sub, bounds[1:], bounds), range(lo, lo + m * block, block))
-            if mass
-        ]
-        for a, (mass_a, law_a) in enumerate(admissible):
-            for mass_b, law_b in admissible[a + 1 :]:
-                den = 2 * mass_a * mass_b
-                diff = [p * mass_b - q * mass_a for p, q in zip(law_a, law_b)]
-                for k in range(n - i):
-                    if k:
-                        diff = project_numerators(diff, m)
-                    num = sum(map(abs, diff))
-                    best_num, best_den = best[k]
-                    if num * best_den > best_num * den:
-                        best[k] = (num, den)
+    if pasts <= block:
+        for lo in range(0, len(cells), span):
+            bounds = cum[lo : lo + span + 1 : block]
+            admissible = [
+                (mass, cells[z_lo : z_lo + block])
+                for mass, z_lo in zip(map(sub, bounds[1:], bounds), range(lo, lo + span, block))
+                if mass
+            ]
+            for a, (mass_a, law_a) in enumerate(admissible):
+                for mass_b, law_b in admissible[a + 1 :]:
+                    den = 2 * mass_a * mass_b
+                    diff = [p * mass_b - q * mass_a for p, q in zip(law_a, law_b)]
+                    for k in range(n - i):
+                        if k:
+                            diff = project_numerators(diff, m)
+                        num = sum(map(abs, diff))
+                        best_num, best_den = best[k]
+                        if num * best_den > best_num * den:
+                            best[k] = (num, den)
+        return [rat(num, den) for num, den in best]
+    # Suffix-major: entry s * pasts + y of laws[z] is cell s of past y's block y z.
+    laws = [
+        list(chain.from_iterable(cells[s::span] for s in range(z * block, (z + 1) * block))) for z in range(m)
+    ]
+    masses = [list(map(sub, cum[(z + 1) * block :: span], cum[z * block :: span])) for z in range(m)]
+    for a, b in combinations(range(m), 2):
+        dens = list(map(mul, masses[a], masses[b]))
+        if not any(dens):
+            continue
+        dens = [d or 1 for d in dens]  # M_a M_b, or 1 where a block is null
+        diff = [p * y - q * x for p, q, x, y in zip(laws[a], laws[b], masses[a] * block, masses[b] * block)]
+        for k in range(n - i):
+            if k:
+                diff = project_numerators(diff, m)
+            num, den = _largest_ratio(project_numerators(list(map(abs, diff)), len(diff) // pasts), dens)
+            den *= 2
+            best_num, best_den = best[k]
+            if num * best_den > best_num * den:
+                best[k] = (num, den)
     return [rat(num, den) for num, den in best]
+
+
+def _largest_ratio(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
+    """The largest nums[y] / dens[y] (every dens[y] > 0) as its integer pair.
+
+    CPython rounds an int / int quotient correctly, and rounding is
+    monotone, so the exact maximum is among the entries whose float
+    quotient equals the largest one; only those are compared exactly, by
+    cross-products.  The floats select candidates and reach no result.
+    """
+    quotients = list(map(truediv, nums, dens))
+    top = max(quotients)
+    best_num, best_den = 0, 1
+    for y in compress(range(len(quotients)), map(eq, quotients, repeat(top))):
+        num, den = nums[y], dens[y]
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
 
 
 def _admissible_pairs(chain: MarkovSpec, i: int) -> list[tuple[int, int]]:
@@ -355,13 +419,21 @@ class DeltaMatrix:
         )
 
     def apply(self, w: WeightVector) -> tuple[Rational, ...]:
-        """Matrix-vector product (Delta w), exact."""
+        """Matrix-vector product (Delta w), exact.
+
+        Entry i is one integer dot product of row i's numerators over the
+        row's common denominator with the weights' over theirs; the row's
+        entries below the diagonal are 0 and are left out.
+        """
         if len(w) != self.size:
             raise ValueError(f"weight length {len(w)} != matrix size {self.size}")
-        return tuple(
-            sum((row[j] * w[j] for j in range(self.size)), rat(0))
-            for row in self.entries
-        )
+        w_nums, w_den = over_common_denominator(w.entries)
+        out = []
+        for i, row in enumerate(self.entries):
+            den = lcm(*[v.denominator for v in row[i:]])
+            dot = sum([v.numerator * (den // v.denominator) * x for v, x in zip(row[i:], w_nums[i:])])
+            out.append(rat(dot, den * w_den))
+        return tuple(out)
 
 
 def delta_matrix(P: Measure | MarkovSpec) -> DeltaMatrix:
@@ -409,9 +481,17 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     n = D.size
     if n == 0:
         return 0.0
-    # A = D^T D, symmetric PSD, from inner products of D's columns.
+    # A = D^T D, symmetric PSD, from inner products of D's columns.  D is
+    # upper triangular, so column j is 0 below row j: A[i][j] sums the
+    # first min(i, j) + 1 products, and every product dropped is an exact
+    # +0.0 that would be added to a nonnegative sum, so the float is the
+    # full dot product's.  A[j][i] is the same float, so the lower
+    # triangle is a mirror.
     cols = list(zip(*([float(v) for v in row] for row in D.entries)))
-    a = [[_dot(ci, cj) for cj in cols] for ci in cols]
+    a = [[0.0] * n for _ in range(n)]
+    for j, cj in enumerate(cols):
+        for i in range(j + 1):
+            a[i][j] = a[j][i] = _dot(cols[i][: i + 1], cj)
 
     x = [1.0 / math.sqrt(n)] * n
     for _ in range(_OPNORM_MAX_ITERATIONS):

@@ -6,19 +6,31 @@ uniform variate is exact (the variate is the rational r / 2^64 of a 64-bit
 draw, compared in integers against the measure's integer prefix sums over
 their common denominator), so a run is a pure function of
 (measure, seed, sample count) -- bit-identical across platforms and
-schedules.  One kernel draws every word, straight to its table index,
-by one bisection per symbol: of the prefix sums of a dense measure's
-current block, or, for a chain passed as its
-:class:`~hammix.mixing.MarkovSpec`, of the current state's kernel row
-(O(n log m) a word, with the same draws as its expanded table).
+schedules.  A block of mass M selects child c or a later one when
+r >= ceil(C 2^64 / M), C the mass of the children before c, so each symbol
+is the number of its block's child thresholds at or below its draw: of a
+dense measure's prefix block (:func:`_block_cuts`), or, for a chain passed
+as its :class:`~hammix.mixing.MarkovSpec`, of the current state's kernel
+row (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`), with the same draws
+as its expanded table.
 
 Randomness comes from one sequence per seed, u[s] = mix64(seed + s * GAMMA
 mod 2^64) with mix64 the splitmix64 output function.  Sample k reads the
 n draws u[k+2], ..., u[k+n+1], so it depends only on (seed, k).  Samples
 are not independent, though: consecutive samples of an n-symbol word
-share n - 1 uniforms.  :func:`empirical_tail` uses that overlap: it slides
-one window of n draws along the sequence, one mix64 per sample rather
-than n.
+share n - 1 uniforms.  :func:`empirical_tail` uses that overlap: a batch
+of c samples reads one list of c + n - 1 draws, and symbol i of every
+sample is the slice starting at i.
+
+The sampler runs as whole-list integer passes over a batch of samples
+(list comprehensions over slices of one draw list), not as a loop over
+the symbols of each word: the draws are splitmix64 in list passes
+(:func:`_draws`), the walk advances every sample of a batch one level at
+a time (:func:`_dense_indices`, :func:`_chain_values`), and the
+exceedances are counted with list passes.  A level costs m - 1 passes
+over the batch plus one, so a word costs O(n m) integer steps; a dense
+level's thresholds are built once for all its prefixes when it has no
+more of them than samples (O(m^n) in all), else per sample.
 
 :func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
 reports the Azuma and mixing-matrix bounds next to each estimated
@@ -35,13 +47,10 @@ drawn word's index.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from numbers import Rational
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .martingale import Function, azuma_bound, concentration_bound, kernel_terms, mean_and_profile
 from .mixing import MarkovSpec, Measure
@@ -50,32 +59,22 @@ from .words import WeightVector, Word, word_unindex
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# Samples drawn per batch of list passes: the batch's lists stay small at
+# any sample count.
+_BATCH = 1 << 14
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output function."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _draws(seed: int, start: int, count: int) -> list[int]:
+    """u[start], ..., u[start + count - 1] of u[s] = mix64(seed + s * GAMMA mod 2^64).
 
-
-def _sample_windows(seed: int, n: int) -> Iterator[deque[int]]:
-    """The n draws u[k+2], ..., u[k+n+1] of sample k, for k = 0, 1, 2, ...
-
-    Each sample's draws are the previous sample's shifted by one, so one
-    window slides along the sequence u[s] = mix64(seed + s * GAMMA mod
-    2^64), one mix64 per sample.  The same deque is yielded each time,
-    advanced.
+    The states seed + s * GAMMA come from one ``range``, and each of the
+    three steps of mix64, the splitmix64 output function, is one pass over
+    the whole list.
     """
-    state = (seed + _GAMMA) & _MASK64
-    window: deque[int] = deque(maxlen=n)
-    for _ in range(n - 1):
-        state = (state + _GAMMA) & _MASK64
-        window.append(_mix64(state))
-    while True:
-        state = (state + _GAMMA) & _MASK64
-        window.append(_mix64(state))
-        yield window
+    z = [x & _MASK64 for x in range(seed + start * _GAMMA, seed + (start + count) * _GAMMA, _GAMMA)]
+    z = [(x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64 for x in z]
+    z = [(x ^ x >> 27) * 0x94D049BB133111EB & _MASK64 for x in z]
+    return [x ^ x >> 31 for x in z]
 
 
 @dataclass(frozen=True)
@@ -101,44 +100,72 @@ class SimulationConfig:
         object.__setattr__(self, "thresholds", tuple(map(float, thresholds)))
 
 
-def _sample_index(P: Measure | MarkovSpec, draws: Iterable[int]) -> int:
-    """Table index of the word drawn from n 64-bit draws, one per symbol.
+def _advance(
+    base: list[int], cuts: Sequence[Sequence[int]], keys: Sequence[int], draws: Sequence[int]
+) -> list[int]:
+    """Per sample k, base[k] plus the number of its thresholds at or below its draw.
 
-    Symbol i is drawn from P(x_i | x_1..i-1) by comparing u = r / 2^64
-    against the cumulative sub-block masses of the current prefix block,
-    divided by the block's mass: the symbol is the first sub-block whose
-    cumulative mass A exceeds u M.  With M and A integer numerators over
-    the measure's common denominator, u M < A is r M < A 2^64, that is,
-    floor(r M / 2^64) < A: all comparisons are exact integer ones, and
-    zero-probability branches can never be selected.  So the symbol is the
-    sub-block holding the cell that ``bisect_right`` finds for
-    base + floor(r M / 2^64) in the block's prefix sums (base the prefix
-    sum at the block's start): one bisection per symbol.
-
-    On a chain, A / M is the cumulative row c / d of the current state's
-    kernel row, so the same test is r d < c 2^64, that is,
-    r < ceil(c 2^64 / d): one bisection over the row's thresholds
-    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) per symbol, which
-    selects the word the chain's table would.  The index is additive in
-    the symbols (digit a m^(n-1-i) at position i), so :func:`_chain_value`
-    walks the chain.
+    ``cuts`` holds one list per child c = 1..m-1, indexed by ``keys[k]``
+    (a prefix, a state or k itself).  One sample's thresholds are
+    nondecreasing, so the count is what ``bisect_right`` of the draw in
+    them gives: the sampled symbol.
     """
-    m = P.alphabet_size
-    if isinstance(P, MarkovSpec):
-        return _chain_value(P, _index_digits(m, P.arity), draws)
-    cum = P._cum
-    size = len(cum) - 1
-    lo = 0
-    for r in draws:
-        hi = lo + size
-        base = cum[lo]
-        # base <= target < cum[hi], so the cell lies in [lo, hi) and has
-        # positive mass; its sub-block starts at the cell's index rounded
-        # down to a multiple of the sub-block size.
-        cell = bisect_right(cum, base + (r * (cum[hi] - base) >> 64), lo, hi) - 1
-        size //= m
-        lo = cell - cell % size
-    return lo
+    for cut in cuts:
+        base = [b + (cut[key] <= r) for b, key, r in zip(base, keys, draws)]
+    return base
+
+
+def _block_cuts(cum: Sequence[int], starts: Sequence[int], block: int, m: int) -> list[list[int]]:
+    """Per child c = 1..m-1, the draw threshold of c in each block starting at ``starts``.
+
+    A draw r < 2^64 selects, in a block of mass M = cum[lo + block] - cum[lo],
+    the first sub-block whose cumulative mass C satisfies r M < C 2^64
+    (that is, r / 2^64 < C / M); for an integer r, child c or a later one
+    is selected when r >= ceil((cum[lo + c block / m] - cum[lo]) 2^64 / M),
+    the rule of :attr:`~hammix.mixing.MarkovSpec.sampler_cuts`.  A null
+    sub-block's threshold equals the next one, so it is never selected.  A
+    null block, which no draw reaches, is divided by 1.
+    """
+    base = [cum[lo] for lo in starts]
+    mass = [cum[lo + block] - below or 1 for lo, below in zip(starts, base)]
+    step = block // m
+    return [
+        [-(((below - cum[lo + c * step]) << 64) // total) for lo, below, total in zip(starts, base, mass)]
+        for c in range(1, m)
+    ]
+
+
+def _whole_levels(P: Measure, samples: int) -> list[list[list[int]] | None]:
+    """Per level i, :func:`_block_cuts` of all m^i prefix blocks, or None past ``samples`` blocks.
+
+    Up to that size a level's thresholds cost no more than one per sample,
+    and every batch of samples reads them.
+    """
+    m, cum, size = P.alphabet_size, P._cum, len(P.nums)
+    blocks = (size // m**i for i in range(P.arity))
+    return [_block_cuts(cum, range(0, size, b), b, m) if size // b <= samples else None for b in blocks]
+
+
+def _dense_indices(P: Measure, draws: Sequence[int], count: int, levels: list) -> list[int]:
+    """Table indices of ``count`` samples; sample k's symbol i reads draws[k + i].
+
+    The walk runs level by level over every sample at once: each sample's
+    prefix index p becomes p m + its symbol, the number of its block's
+    child thresholds at or below its draw.  The thresholds come from
+    ``levels[i]`` (:func:`_whole_levels`), or, where that is None, from
+    each sample's own block.
+    """
+    m, cum = P.alphabet_size, P._cum
+    block = len(P.nums)
+    prefixes = [0] * count
+    for i, whole in enumerate(levels):
+        if whole is None:
+            cuts, keys = _block_cuts(cum, [p * block for p in prefixes], block, m), range(count)
+        else:
+            cuts, keys = whole, prefixes
+        prefixes = _advance([p * m for p in prefixes], cuts, keys, draws[i : i + count])
+        block //= m
+    return prefixes
 
 
 @lru_cache
@@ -147,32 +174,43 @@ def _index_digits(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(range(0, m * step, step)) for step in (m ** (n - 1 - i) for i in range(n)))
 
 
-def _chain_value(chain: MarkovSpec, terms: Sequence[tuple[int, ...]], draws: Iterable[int]) -> int:
-    """sum_i terms[i][x_i] over the chain word x drawn symbol by symbol.
+def _chain_values(
+    chain: MarkovSpec, terms: Sequence[Sequence[int]], draws: Sequence[int], count: int
+) -> list[int]:
+    """sum_i terms[i][x_i] of ``count`` chain samples; sample k's symbol i reads draws[k + i].
 
-    Symbol i is one bisection of the current state's row thresholds
-    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) by draw i; see
-    :func:`_sample_index`, which passes the table index's digits as terms.
+    Level by level over every sample at once: the next state is the number
+    of the current state's row thresholds
+    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) at or below the draw.
+    With the table index's digits (:func:`_index_digits`) as terms, the
+    sum is the index of the word the chain's table would give.
     """
-    value = state = 0
-    for rows, g, r in zip(chain.sampler_cuts, terms, draws):
-        # r < 2^64, the last threshold, so a symbol is always found; a
-        # null symbol's threshold equals the one before it and is never first.
-        state = bisect_right(rows[state], r)
-        value += g[state]
-    return value
+    states = [0] * count
+    values = [0] * count
+    for i, (rows, g) in enumerate(zip(chain.sampler_cuts, terms)):
+        # Per child, its threshold in each state's row; the last child's
+        # is 2^64, above every draw.
+        cuts = list(zip(*rows))[:-1]
+        states = _advance([0] * count, cuts, states, draws[i : i + count])
+        values = [v + g[s] for v, s in zip(values, states)]
+    return values
 
 
 def sample_word(P: Measure | MarkovSpec, draws: Sequence[int]) -> Word:
     """The word with probability exactly P(x) that n 64-bit draws select, one per symbol.
 
-    The word is the one :func:`_sample_index` selects (see there for the
-    exact comparisons); anything but exactly n draws is refused.
+    Draw i selects symbol i from P(x_i | x_1..i-1) by exact integer
+    thresholds (:func:`_block_cuts`, or the chain's kernel rows); anything
+    but exactly n draws is refused.
     """
     m, n = P.alphabet_size, P.arity
     if len(draws) != n:
         raise ValueError(f"need exactly {n} draws, one per symbol, got {len(draws)}")
-    return word_unindex(_sample_index(P, draws), m, n)
+    if isinstance(P, MarkovSpec):
+        (index,) = _chain_values(P, _index_digits(m, n), draws, 1)
+    else:
+        (index,) = _dense_indices(P, draws, 1, _whole_levels(P, 1))
+    return word_unindex(index, m, n)
 
 
 @dataclass(frozen=True)
@@ -209,28 +247,36 @@ def empirical_tail(
     """
     if len(w) != f.arity:
         raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
-    windows = _sample_windows(cfg.seed, P.arity)
+    n = P.arity
     terms = kernel_terms(f, P)
-    if terms is None:
-        f = f.table()
-        den, nums = f.den, f.nums
-        values = (nums[_sample_index(P, window)] for window in windows)
-    else:
-        g, den = terms
-        values = (_chain_value(P, g, window) for window in windows)
-    mean, profile = mean_and_profile(f, P)
+    table = f.table() if terms is None else None
+    mean, profile = mean_and_profile(f if table is None else table, P)
     # A sample's value is value / den; |value / den - E f| > t, with
     # E f = p / q in lowest terms and t = t_num / t_den the exact value of
     # the float, is |value * q - p * den| * t_den > t_num * den * q.
+    den = terms[1] if table is None else table.den
     q, weighted = mean.denominator, mean.numerator * den
     exact_thresholds = [rat_from_float(t) for t in cfg.thresholds]
     limits = [(t.denominator, t.numerator * den * q) for t in exact_thresholds]
     counts = [0] * len(limits)
-    for value in islice(values, cfg.sample_count):
-        deviation = abs(value * q - weighted)
+    if isinstance(P, Measure):
+        levels = _whole_levels(P, cfg.sample_count)
+    else:  # a chain walk sums f's terms, or the table index's digits
+        g = _index_digits(P.alphabet_size, n) if terms is None else terms[0]
+    for start in range(0, cfg.sample_count, _BATCH):
+        count = min(_BATCH, cfg.sample_count - start)
+        # Sample k reads u[k+2], ..., u[k+n+1].
+        draws = _draws(cfg.seed, start + 2, count + n - 1)
+        if isinstance(P, Measure):
+            values = _dense_indices(P, draws, count, levels)
+        else:
+            values = _chain_values(P, g, draws, count)
+        if table is not None:  # values are table indices
+            nums = table.nums
+            values = [nums[x] for x in values]
+        deviations = [abs(v * q - weighted) for v in values]
         for idx, (t_den, limit) in enumerate(limits):
-            if deviation * t_den > limit:
-                counts[idx] += 1
+            counts[idx] += sum([d * t_den > limit for d in deviations])
 
     d2 = float_from_rat(profile.d_squared)
     corollary_bounds = concentration_bound(f, P, w, cfg.thresholds).bounds

@@ -15,9 +15,14 @@ without rounding; exponents, numerators and denominators are held to
 floats are not, except in ``thresholds`` / ``simulation.thresholds``,
 which are genuinely floating-point quantities.
 
-Dense tables and Markov chains are built once, here, from integer pairs.
-A list of JSON ints, of ASCII "p" strings, or of "p/q" strings is
-converted in bulk; any other list is read entry by entry through
+Dense tables and Markov chains are built once, here, from integers.  A
+list of JSON ints, of ASCII "p" strings, or of "p/q" strings is converted
+in bulk, in C-level passes over the whole list: one ``str.translate``
+checks the joined text's separators, one ``int`` map reads it, and a table
+gets two integer columns, numerators and denominators, which
+:meth:`~hammix.words.TableFunction.from_ratios` scales to their common
+denominator in one pass, with no tuple per entry.
+Any other list is read entry by entry through
 :func:`~hammix.rational.rat`.  The accepted spellings, the values and
 every error are those of parsing each entry with ``rat``.
 
@@ -33,14 +38,17 @@ has more than ten symbols, except for a one-symbol word (n = 1), whose
 whole text is its symbol ("11").  The word is parsed once, here, into a
 :class:`~hammix.words.Builtin`, which builds its m^n table only when a
 stage reads one.  :func:`resolve_function` builds it for ``psi``,
-``phi``, ``verify-lp`` and ``decompose``, and for ``martingale`` and
-``simulate`` unless the function is ``sum_of_symbols`` or ``hamming_to``
-and the measure a chain (they then read its kernels and the builtin's
-per-coordinate terms); ``bound`` reads a builtin's closed-form
-oscillations and never builds its table.  A chain is handed on as its
-parsed spec.  The cap (``max_table``) applies to every m^n table a run
-builds, the function's and a dense measure's; a chain builds none on
-those paths, so for a chain it caps the n x n mixing matrix instead.
+``phi``, ``verify-lp`` and ``decompose``; ``martingale``, ``simulate`` and
+``bound`` take the builtin as parsed, so its Lipschitz constant comes from
+its closed-form oscillations.  ``martingale`` and ``simulate`` build its
+table once (the profile and the sampler read that one table) unless the
+function is ``sum_of_symbols`` or ``hamming_to`` and the measure a chain
+(they then read its kernels and the builtin's per-coordinate terms), and
+:func:`check_table_size` holds that table to the cap first.  ``bound``
+never builds a builtin's table.  A chain is handed on as its parsed spec.
+The cap (``max_table``) applies to every m^n table a run builds, the
+function's and a dense measure's; a chain builds none on those paths, so
+for a chain it caps the n x n mixing matrix instead.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ from .words import Builtin, TableFunction, WeightVector, Word
 
 _BUILTIN_NAMES = ("sum_of_symbols", "indicator", "hamming_to")
 
-# Table entries the bulk reader takes; every other spelling is parsed by rat().
-_INTEGER_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# What the bulk reader deletes from a table's joined text to leave its separators.
+_DELETE_DIGITS_AND_MINUS = str.maketrans("", "", "0123456789-")
 # A builtin word's symbols: ASCII digits only (int() would also take
 # whitespace, "_" separators and other scripts' digits).
 _SYMBOL = re.compile(r"[0-9]+")
@@ -148,55 +156,59 @@ def _parse_alphabet(value: Any) -> int:
     return size
 
 
-def _parse_ratios(entries: list, path: str, nonnegative: bool = False) -> list[tuple[int, int]]:
-    """The entries as integer pairs (p, q), q > 0, with value p / q.
+def _parse_ratios(entries: list, path: str, nonnegative: bool = False) -> tuple[list[int], list[int]]:
+    """The entries as two integer columns, numerators p and denominators q > 0, value p / q.
 
     A list of JSON ints, of "p" strings, or of "p/q" strings is read in
     bulk by :func:`_bulk_ratios`.  Any other list, or one the bulk reader
     refuses, is read entry by entry with :func:`_parse_rational`, which
     either returns the value or raises the field's error, naming the
-    entry's index.  Both readers give pairs of the same values.
+    entry's index.  Both readers give columns of the same values.
     """
-    # Lazy: parsed only when the bulk reader refuses the list.
-    per_entry = (_parse_rational(e, f"{path}[{i}]", nonnegative=nonnegative) for i, e in enumerate(entries))
-    return _bulk_ratios(entries, nonnegative) or [value.as_integer_ratio() for value in per_entry]
+    columns = _bulk_ratios(entries, nonnegative)
+    if columns is None:
+        values = [_parse_rational(e, f"{path}[{i}]", nonnegative=nonnegative) for i, e in enumerate(entries)]
+        columns = [v.numerator for v in values], [v.denominator for v in values]
+    return columns
 
 
-def _bulk_ratios(entries: list, nonnegative: bool) -> list[tuple[int, int]] | None:
-    """The pairs of a nonempty list of JSON ints, of ASCII "p" strings, or of
-    "p/q" strings, else None.
+def _bulk_ratios(entries: list, nonnegative: bool) -> tuple[list[int], list[int]] | None:
+    """The columns of a nonempty list of JSON ints, of ASCII "p" strings, or
+    of "p/q" strings, else None.
 
-    A string entry is matched on its own (one pattern over the joined table
-    backtracks through a stack as deep as the table), then the whole list
-    is converted by one ``int`` map over the joined text.  None (read the
-    entries one by one) when the list mixes the forms, holds anything
-    else, or has an entry the per-entry reader would refuse or report: a
-    zero denominator, a sign against the rule, a number past the digit
-    limit.
+    Strings are checked on their joined text: deleting its ASCII digits and
+    "-" (``str.translate``) must leave exactly the separators of the form,
+    "," between entries and one "/" in each for "p/q".  Each piece between
+    separators then holds only ASCII digits and "-", and ``int`` reads it
+    exactly when it is an optional "-" and at least one digit, so the list
+    is converted by one ``int`` map over the pieces, in O(len(text)) C-level
+    work.  None (read the entries one by one) when the list mixes the
+    forms, holds anything else, or has an entry the per-entry reader would
+    refuse or report: a denominator that is 0 or signed, a sign against the
+    rule, a number past the digit limit.
     """
     if entries and type(entries[0]) is int and all(type(p) is int for p in entries):
-        return [(p, 1) for p in entries] if not nonnegative or min(entries) >= 0 else None
+        return (entries, [1] * len(entries)) if not nonnegative or min(entries) >= 0 else None
     try:
-        if not all(map(_INTEGER_RATIO.fullmatch, entries)):
-            return None
+        text = ",".join(entries)
     except TypeError:  # an entry that is not a string
         return None
-    text = ",".join(entries)
-    slashes = text.count("/")
-    if slashes not in (0, len(entries)):
+    separators = text.translate(_DELETE_DIGITS_AND_MINUS)
+    ratios = separators == "/," * (len(entries) - 1) + "/"
+    if not ratios and separators != "," * (len(entries) - 1):
         return None
     try:
         values = list(map(int, text.replace("/", ",").split(",")))
-    except ValueError:  # past the int digit limit
+    except ValueError:  # an empty or misplaced "-" piece, or past the int digit limit
         return None
-    nums, dens = (values[::2], values[1::2]) if slashes else (values, [1] * len(values))
-    if not all(dens) or (nonnegative and min(nums) < 0):
+    nums, dens = (values[::2], values[1::2]) if ratios else (values, [1] * len(values))
+    if min(dens) < 1 or (nonnegative and min(nums) < 0):
         return None
-    return list(zip(nums, dens))
+    return nums, dens
 
 
 def _parse_table(table: Any, m: int, n: int, path: str, nonnegative: bool = False):
-    """A dense table's entries as integer pairs, after checking its length."""
+    """A dense table's entries as integer columns, after checking its length."""
     if not isinstance(table, list):
         raise ProblemFileError(path, "expected a list of rationals")
     if len(table) != _word_count(m, n, len(table)):
@@ -208,8 +220,7 @@ def _parse_function(
     value: Any, m: int, n: int, weights: WeightVector | None
 ) -> TableFunction | Builtin:
     if isinstance(value, dict) and "table" in value:
-        ratios = _parse_table(value["table"], m, n, "function.table")
-        return TableFunction.from_ratios(m, n, ratios)
+        return TableFunction.from_ratios(m, n, *_parse_table(value["table"], m, n, "function.table"))
     if isinstance(value, dict) and "builtin" in value:
         value = value["builtin"]
     if isinstance(value, str):
@@ -233,9 +244,9 @@ def _parse_measure(value: Any, m: int, n: int) -> Measure | MarkovSpec:
     if not isinstance(value, dict):
         raise ProblemFileError("measure", f"expected an object, got {value!r}")
     if "dense" in value:
-        ratios = _parse_table(value["dense"], m, n, "measure.dense", nonnegative=True)
+        columns = _parse_table(value["dense"], m, n, "measure.dense", nonnegative=True)
         try:
-            return Measure.from_ratios(m, n, ratios)
+            return Measure.from_ratios(m, n, *columns)
         except ValueError:  # the entries are nonnegative, so only sum(nums) == den can fail
             raise ProblemFileError("measure.dense", "entries must sum to exactly 1") from None
     if "markov" in value:
@@ -250,7 +261,7 @@ def _parse_measure(value: Any, m: int, n: int) -> Measure | MarkovSpec:
             raise ProblemFileError(
                 "measure.markov.transitions", f"expected {n - 1} transition matrices"
             )
-        init = _parse_ratios(init, "measure.markov.init", nonnegative=True)
+        init = list(zip(*_parse_ratios(init, "measure.markov.init", nonnegative=True)))
         mats = []
         for t, matrix in enumerate(transitions):
             path = f"measure.markov.transitions[{t}]"
@@ -260,7 +271,7 @@ def _parse_measure(value: Any, m: int, n: int) -> Measure | MarkovSpec:
             for a, row in enumerate(matrix):
                 if not isinstance(row, list) or len(row) != m:
                     raise ProblemFileError(f"{path}[{a}]", f"expected {m} entries")
-                rows.append(_parse_ratios(row, f"{path}[{a}]", nonnegative=True))
+                rows.append(list(zip(*_parse_ratios(row, f"{path}[{a}]", nonnegative=True))))
             mats.append(rows)
         try:
             return MarkovSpec.from_ratios(init, mats)
@@ -354,7 +365,7 @@ def resolve_function(
             raise ProblemFileError("function.builtin", "hamming_to requires a 'weights' section")
         if not table:
             return f
-    _check_table_size(problem.alphabet, problem.n, max_table)
+    check_table_size(problem.alphabet, problem.n, max_table)
     return f.table()
 
 
@@ -364,7 +375,7 @@ def resolve_measure(problem: ProblemFile, max_table: int = MAX_DENSE_TABLE) -> M
         raise ProblemFileError("measure", "this subcommand needs a 'measure' section")
     n = problem.n
     if not isinstance(problem.measure, MarkovSpec):
-        _check_table_size(problem.alphabet, n, max_table)
+        check_table_size(problem.alphabet, n, max_table)
     elif n * n > max_table:
         raise ProblemFileError(
             "n", f"mixing matrix of {n}^2 entries exceeds the cap of {max_table}"
@@ -379,7 +390,8 @@ def _word_count(m: int, n: int, cap: int) -> int:
     return min(m**n, cap + 1)
 
 
-def _check_table_size(m: int, n: int, max_table: int) -> None:
+def check_table_size(m: int, n: int, max_table: int) -> None:
+    """Refuse an m^n table larger than ``max_table``, naming the field n."""
     if _word_count(m, n, max_table) > max_table:
         raise ProblemFileError(
             "n", f"dense table of {m}^{n} entries exceeds the cap of {max_table}"

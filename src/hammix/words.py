@@ -129,11 +129,15 @@ class TableFunction:
 
     @classmethod
     def from_ratios(
-        cls, alphabet_size: int, arity: int, ratios: Sequence[tuple[int, int]]
+        cls, alphabet_size: int, arity: int, nums: Sequence[int], dens: Sequence[int]
     ) -> "TableFunction":
-        """The table with values p / q for the integer pairs (p, q), q > 0."""
-        den = lcm(*(q for _, q in ratios))
-        return cls.from_numerators(alphabet_size, arity, (p * (den // q) for p, q in ratios), den)
+        """The table with values nums[i] / dens[i] (integers, dens[i] > 0).
+
+        The numerators are scaled to the least common denominator in one
+        pass over the two columns.
+        """
+        den = lcm(*dens)
+        return cls.from_numerators(alphabet_size, arity, (p * (den // q) for p, q in zip(nums, dens)), den)
 
     @cached_property
     def values(self) -> tuple[Rational, ...]:

@@ -12,22 +12,35 @@ prefix-mass helpers, point masses and ``||Delta w||^2`` that the tests
 build their cases and checks from live here too, and so do the rational
 forms of :mod:`hammix.instances`' measure generators, which must build the
 same measures from the same draws, and :class:`SampleStream`, one sample's
-draws read one at a time, which :func:`hammix.montecarlo.empirical_tail`'s
-sliding window must reproduce.
+draws read one at a time by the word-at-a-time splitmix64 :func:`mix64`,
+which :func:`hammix.montecarlo.empirical_tail`'s list passes must
+reproduce.  Two integer kernels that the library replaced by whole-list
+passes stay here as oracles for them: the dense eta_bar row with one
+integer pass per past (:func:`eta_bar_row_per_past`) and the sampler with
+one bisection per symbol (:func:`sample_index_by_bisection`).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from numbers import Rational
-from typing import Sequence
+from operator import sub
+from typing import Iterable, Sequence
 
 from hammix.mixing import DeltaMatrix, MarkovSpec, Measure
-from hammix.montecarlo import _GAMMA, _MASK64, _mix64
+from hammix.montecarlo import _GAMMA, _MASK64
 from hammix.rational import rat
-from hammix.words import WeightVector, Word, word_index, words
+from hammix.words import WeightVector, Word, project_numerators, word_index, words
 
 _TWO64 = 1 << 64
+
+
+def mix64(z: int) -> int:
+    """splitmix64 output function, one word at a time."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
 
 
 class SampleStream:
@@ -45,7 +58,7 @@ class SampleStream:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
+        return mix64(self._state)
 
 
 def stream_draws(seed: int, index: int, n: int) -> list[int]:
@@ -63,6 +76,17 @@ def point_mass(m: int, n: int, word: Word) -> Measure:
     nums = [0] * m**n
     nums[word_index(word, m, n)] = 1
     return Measure.from_numerators(m, n, nums)
+
+
+def null_block_measure(rng: random.Random, m: int, n: int) -> Measure:
+    """A seeded dense measure with null cells and a null prefix block of lengths 1 and 2 (n >= 2)."""
+    nums = [rng.randint(0, 9) for _ in range(m**n)]
+    for block in (m ** (n - 1), m ** (n - 2)):
+        lo = rng.randrange(m**n // block) * block
+        nums[lo : lo + block] = [0] * block
+    if not any(nums):
+        nums[-1] = 1
+    return Measure.from_numerators(m, n, nums, sum(nums))
 
 
 def block_mass(P: Measure, lo: int, hi: int) -> Rational:
@@ -238,3 +262,67 @@ def sample_word(P: Measure, stream: SampleStream) -> Word:
         else:
             raise AssertionError("cumulative scan failed to select a symbol")
     return tuple(symbols)
+
+
+def eta_bar_row_per_past(P: Measure, i: int) -> list[Rational]:
+    """eta_bar(i, j) for j = i+1..n by one integer pass per past y.
+
+    Under each past, one difference vector c = a M_z' - b M_z per
+    admissible pair of blocks a, b of masses M_z, M_z', its absolute sum
+    over 2 M_z M_z' the TV distance, its m chunks summed for the next j;
+    the largest distance per j is kept as an integer pair.
+    """
+    m, n = P.alphabet_size, P.arity
+    if i == n:
+        return []
+    cells, cum = P.nums, P._cum
+    block = m ** (n - i)
+    best = [(0, 1)] * (n - i)
+    for lo in range(0, len(cells), m * block):
+        bounds = cum[lo : lo + m * block + 1 : block]
+        admissible = [
+            (mass, cells[z_lo : z_lo + block])
+            for mass, z_lo in zip(map(sub, bounds[1:], bounds), range(lo, lo + m * block, block))
+            if mass
+        ]
+        for a, (mass_a, law_a) in enumerate(admissible):
+            for mass_b, law_b in admissible[a + 1 :]:
+                den = 2 * mass_a * mass_b
+                diff = [p * mass_b - q * mass_a for p, q in zip(law_a, law_b)]
+                for k in range(n - i):
+                    if k:
+                        diff = project_numerators(diff, m)
+                    num = sum(map(abs, diff))
+                    best_num, best_den = best[k]
+                    if num * best_den > best_num * den:
+                        best[k] = (num, den)
+    return [rat(num, den) for num, den in best]
+
+
+def sample_index_by_bisection(P: Measure | MarkovSpec, draws: Iterable[int]) -> int:
+    """Table index of the word drawn from n 64-bit draws by one bisection per symbol.
+
+    Dense: the cell that ``bisect_right`` finds for base + floor(r M / 2^64)
+    in the current block's prefix sums (base the prefix sum at the block's
+    start, M its mass), and the sub-block holding it.  Chain: one
+    bisection of the current state's row thresholds
+    (``MarkovSpec.sampler_cuts``) per symbol, the index summed digit by
+    digit.
+    """
+    m, n = P.alphabet_size, P.arity
+    if isinstance(P, MarkovSpec):
+        index = state = 0
+        for i, (rows, r) in enumerate(zip(P.sampler_cuts, draws)):
+            state = bisect_right(rows[state], r)
+            index += state * m ** (n - 1 - i)
+        return index
+    cum = P._cum
+    size = len(cum) - 1
+    lo = 0
+    for r in draws:
+        hi = lo + size
+        base = cum[lo]
+        cell = bisect_right(cum, base + (r * (cum[hi] - base) >> 64), lo, hi) - 1
+        size //= m
+        lo = cell - cell % size
+    return lo

@@ -11,6 +11,7 @@ from hammix.lipschitz_lp import PhiPsiReport
 from hammix.martingale import SumViReport
 from hammix.rational import rat
 from hammix.simplex import CertificateError
+from hammix.words import Builtin
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -221,6 +222,45 @@ def test_indicator_chain_reads_its_table(capsys, chain_file, builds, command):
     code, _, _ = _run(capsys, [command, path])
     assert code == 0
     assert builds == {"expand_markov": 1, "conditional_sums": 1, "tables": ["TableFunction", "Measure"]}
+
+
+@pytest.mark.parametrize("command", ["martingale", "simulate"])
+def test_indicator_table_is_capped_before_any_table_is_built(capsys, tmp_path, builds, command):
+    # The chain's 3x3 Delta fits a cap of 20; indicator's 27-entry table does not.
+    uniform = ["1/3"] * 3
+    doc = {
+        "alphabet": 3,
+        "n": 3,
+        "weights": ["1", "1", "1"],
+        "function": "indicator:012",
+        "measure": {"markov": {"init": uniform, "transitions": [[uniform] * 3] * 2}},
+        "simulation": {"sample_count": 10, "seed": 1, "thresholds": [1.0]},
+    }
+    code, _, err = _run(capsys, [command, "--max-table", "20", _write(tmp_path, doc)])
+    assert code == 1 and "n: dense table of 3^3 entries exceeds the cap of 20" in err
+    assert builds == {"expand_markov": 0, "conditional_sums": 0, "tables": []}
+
+
+@pytest.mark.parametrize("command", ["martingale", "simulate"])
+def test_builtin_on_a_dense_measure_keeps_its_closed_form_lipschitz_constant(
+    capsys, tmp_path, builds, monkeypatch, command
+):
+    # The Lipschitz constant reads the builtin's oscillations, not a scan
+    # of its table; the profile and the sampler read one table.
+    calls = []
+    oscillations = Builtin.oscillations
+    monkeypatch.setattr(Builtin, "oscillations", lambda self: calls.append(self.name) or oscillations(self))
+    doc = {
+        "alphabet": 2,
+        "n": 2,
+        "weights": ["1/2", "3"],
+        "function": "hamming_to:01",
+        "measure": {"dense": ["1/4", "1/4", "0", "1/2"]},
+        "simulation": {"sample_count": 50, "seed": 1, "thresholds": [1.0]},
+    }
+    code, _, _ = _run(capsys, [command, _write(tmp_path, doc)])
+    assert code == 0 and calls == ["hamming_to"]
+    assert builds["tables"] == ["Measure", "TableFunction"]
 
 
 @pytest.mark.parametrize("function", ["sum_of_symbols", "indicator:10", "hamming_to:01"])

@@ -19,7 +19,11 @@ chain with a null initial state, zero transition entries and a state
 unreachable at the second position, under non-unit weights: with
 ``hamming_to`` they pin the kernel-only martingale profile, exact mean and
 sample values, and with ``indicator`` the table path and the closed-form
-Lipschitz constant of ``bound``.
+Lipschitz constant of ``bound``.  ``dense_m2n8.json`` is a seeded m = 2,
+n = 8 dense measure (cells 0-9 from ``random.Random(8)``, three blocks
+zeroed, so null prefixes sit at lengths 4, 6 and 7) under ``hamming_to``
+with non-unit weights: its later rows of ``delta_matrix`` have more pasts
+than block cells, and its 3000 samples walk eight levels of the table.
 
 ``selftest.stdout`` is the report of ``hammix selftest --instances 50
 --seed 3 --mc-samples 2000``; only its ``elapsed_seconds`` fields may
@@ -48,6 +52,7 @@ CASES = [
     (GOLDEN / "markov_zeros.json", ("eta", "martingale", "bound", "simulate")),
     (GOLDEN / "markov_hamming.json", ("eta", "martingale", "bound", "simulate")),
     (GOLDEN / "markov_indicator.json", ("martingale", "bound", "simulate")),
+    (GOLDEN / "dense_m2n8.json", ("eta", "martingale", "bound", "simulate")),
 ]
 
 

@@ -419,6 +419,33 @@ def test_dense_eta_bar_rows_match_rational_oracle(P):
         assert mixing._eta_bar_row(P, i) == expected
 
 
+NULL_BLOCK_CASES = [
+    (f"dense0-m{m}n{n}", mixing_oracle.null_block_measure(random.Random(10 * m + n), m, n))
+    for m, n in ((2, 2), (2, 7), (2, 9), (3, 4), (3, 5), (4, 3), (4, 4))
+]
+
+
+@pytest.mark.parametrize("P", [P for _, P in NULL_BLOCK_CASES], ids=[name for name, _ in NULL_BLOCK_CASES])
+def test_dense_rows_match_the_per_past_oracle(P):
+    # Rows with more pasts than block cells are read suffix-major, the
+    # others past by past; both give the per-past integer pass's rationals,
+    # on measures with null cells and null prefix blocks.
+    m, n = P.alphabet_size, P.arity
+    assert any(P._cum[lo] == P._cum[lo + m] for lo in range(0, len(P.nums), m))
+    if n >= 4:
+        assert any(m ** (i - 1) > m ** (n - i) for i in range(1, n))
+    for i in range(1, n + 1):
+        assert mixing._eta_bar_row(P, i) == mixing_oracle.eta_bar_row_per_past(P, i)
+
+
+def test_largest_ratio_breaks_float_ties_exactly():
+    # (2^60 + 1) / 2^60 and (2^60 + 2) / 2^60 are both the float 1.0.
+    big = 2**60
+    assert mixing._largest_ratio([big + 1, big + 2, 1], [big, big, 3]) == (big + 2, big)
+    assert mixing._largest_ratio([big + 2, big + 1], [big, big]) == (big + 2, big)
+    assert mixing._largest_ratio([0, 0], [5, 1]) == (0, 1)
+
+
 def test_product_with_null_symbols_has_identity_delta():
     P = _product_with_null_symbols()
     assert any(prefix_mass(P, prefix) == 0 for prefix in words(3, 2))

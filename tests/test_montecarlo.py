@@ -98,17 +98,82 @@ def test_sample_word_matches_rational_scan(name):
         assert stream.next_u64() == oracle_stream.next_u64()
 
 
+def _batch_indices(P, seed, count, samples):
+    """Table indices of samples 0..count-1 by the batch walk; ``samples`` sizes its whole levels."""
+    m, n = P.alphabet_size, P.arity
+    draws = montecarlo._draws(seed, 2, count + n - 1)
+    if isinstance(P, MarkovSpec):
+        return montecarlo._chain_values(P, montecarlo._index_digits(m, n), draws, count)
+    return montecarlo._dense_indices(P, draws, count, montecarlo._whole_levels(P, samples))
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
 def test_window_sampler_matches_rational_scan(name):
+    # Sample k reads u[k+2], ..., u[k+n+1] of one draw list; with one
+    # whole level or every level whole, the words are the oracle's.
     P = SAMPLER_CASES[name]
     table = expand_markov(P) if isinstance(P, MarkovSpec) else P
     m, n = P.alphabet_size, P.arity
     for seed in (2024, 2**64 - 1):
-        windows = montecarlo._sample_windows(seed, n)
-        for k, window in zip(range(250), windows):
-            assert len(window) == n
-            word = word_unindex(montecarlo._sample_index(P, window), m, n)
-            assert word == mixing_oracle.sample_word(table, SampleStream(seed, k))
+        for samples in (1, 250):
+            for k, index in enumerate(_batch_indices(P, seed, 250, samples)):
+                assert word_unindex(index, m, n) == mixing_oracle.sample_word(table, SampleStream(seed, k))
+
+
+BISECTION_CASES = [
+    *(
+        (f"dense0-m{m}n{n}", mixing_oracle.null_block_measure(random.Random(100 * m + n), m, n))
+        for m, n in ((2, 2), (2, 7), (3, 4), (4, 3), (4, 4))
+    ),
+    ("markov-m3n5", random_markov_spec(random.Random(71), 3, 5)),
+    ("markov-m4n4", random_markov_spec(random.Random(72), 4, 4)),
+    (
+        "markov0-m3n4",
+        MarkovSpec(("1/2", "0", "1/2"), ((("0", "1", "0"), ("1/3", "1/3", "1/3"), ("1/2", "0", "1/2")),) * 3),
+    ),
+]
+
+
+@pytest.mark.parametrize("P", [P for _, P in BISECTION_CASES], ids=[name for name, _ in BISECTION_CASES])
+def test_batch_walk_matches_the_bisection_oracle(P):
+    # Per-level threshold counts pick the cell (or kernel row entry) that
+    # one bisection per symbol picks, whether a level's thresholds are
+    # built for the whole level or per sample, and at the exact cut points.
+    count, n = 600, P.arity
+    if isinstance(P, Measure):
+        assert any(P._cum[lo] == P._cum[lo + P.alphabet_size] for lo in range(0, len(P.nums), P.alphabet_size))
+    expected = [
+        mixing_oracle.sample_index_by_bisection(P, mixing_oracle.stream_draws(9, k, n)) for k in range(count)
+    ]
+    for samples in (1, 40, count):
+        assert _batch_indices(P, 9, count, samples) == expected
+    for r in (0, 1, 2**63 - 1, 2**63, 2**64 - 1):
+        index = mixing_oracle.sample_index_by_bisection(P, [r] * n)
+        assert sample_word(P, [r] * n) == word_unindex(index, P.alphabet_size, n)
+
+
+def test_draws_are_the_word_at_a_time_splitmix():
+    for seed in (0, 5, 2**64 - 1):
+        for start in (0, 2, 1000):
+            states = [(seed + s * montecarlo._GAMMA) & montecarlo._MASK64 for s in range(start, start + 40)]
+            assert montecarlo._draws(seed, start, 40) == list(map(mixing_oracle.mix64, states))
+    assert montecarlo._draws(3, 2, 0) == []
+
+
+def test_batches_give_the_one_batch_report(monkeypatch):
+    # Batches draw consecutive stretches of one sequence, so the counts do
+    # not depend on the batch size, on the dense walk or the chain walk.
+    cases = [
+        (TableFunction(2, 7, range(128)), BISECTION_CASES[1][1], (5.0, 20.0, 40.0)),
+        (Builtin("sum_of_symbols", 3, 5), BISECTION_CASES[5][1], (0.5, 1.5, 3.0)),
+    ]
+    for f, P, thresholds in cases:
+        w, cfg = WeightVector([1] * P.arity), SimulationConfig(1000, 4, thresholds)
+        monkeypatch.setattr(montecarlo, "_BATCH", 1 << 14)
+        whole = empirical_tail(f, P, w, cfg)
+        assert 0 < whole.rows[0].exceed_count < 1000
+        monkeypatch.setattr(montecarlo, "_BATCH", 64)
+        assert empirical_tail(f, P, w, cfg) == whole
 
 
 def test_sample_word_consumes_exactly_n_draws():
@@ -357,7 +422,7 @@ def test_empirical_tail_checks_weights_before_sampling(monkeypatch):
     def sampled(*args):
         raise AssertionError("words were drawn before the weights were checked")
 
-    monkeypatch.setattr(montecarlo, "_sample_windows", sampled)
+    monkeypatch.setattr(montecarlo, "_draws", sampled)
     with pytest.raises(ValueError, match="weight length 1 != table arity 2"):
         empirical_tail(
             constant(2, 2, 0),

@@ -1,3 +1,4 @@
+import re
 from typing import Any
 
 import pytest
@@ -418,14 +419,65 @@ ascii_ratio_lists = st.one_of(
 @given(ascii_ratio_lists, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_bulk_reader_matches_per_entry_rational_parse(entries, nonnegative):
-    new = _outcome(lambda: [rat(p, q) for p, q in _parse_ratios(entries, "t", nonnegative)])
+    new = _outcome(lambda: [rat(p, q) for p, q in zip(*_parse_ratios(entries, "t", nonnegative))])
     old = _outcome(lambda: list(_per_entry(entries, "t", nonnegative)))
     assert new == old
 
 
+_REGEX_ENTRY = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _regex_bulk_ratios(entries, nonnegative):
+    """The string lists the bulk reader took when it matched each entry
+    against -?[0-9]+(?:/[0-9]+)?, as pairs (p, q), else None."""
+    try:
+        if not entries or not all(map(_REGEX_ENTRY.fullmatch, entries)):
+            return None
+    except TypeError:
+        return None
+    text = ",".join(entries)
+    slashes = text.count("/")
+    if slashes not in (0, len(entries)):
+        return None
+    try:
+        values = list(map(int, text.replace("/", ",").split(",")))
+    except ValueError:
+        return None
+    nums, dens = (values[::2], values[1::2]) if slashes else (values, [1] * len(values))
+    if not all(dens) or (nonnegative and min(nums) < 0):
+        return None
+    return list(zip(nums, dens))
+
+
+# Entries near the pattern: separators inside an entry, stray or doubled
+# signs, empty strings, "+", whitespace and non-ASCII digits.
+near_ratio_entries = st.one_of(
+    st.text(alphabet="0129/-,+ \u0663\uff11", max_size=6),
+    st.sampled_from(("1/2/3", "--1", "1-", "", "+1", "1,2", "1/-2", "-1/2", "1/0", "-0/3", "\u0663", "1/2,3")),
+    ascii_integers,
+    ascii_ratios,
+)
+
+
+@given(st.lists(near_ratio_entries, max_size=6), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_separator_check_accepts_what_the_entry_pattern_accepted(entries, nonnegative):
+    old = _regex_bulk_ratios(entries, nonnegative)
+    new = _bulk_ratios(entries, nonnegative)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert list(zip(*new)) == old
+
+
+def test_separator_check_refuses_the_near_misses():
+    for entries in (["1/2/3"], ["1/2/3", "4"], ["--1"], ["1-"], [""], ["", "1"], ["+1"], ["1,2"],
+                    ["1/2", "3,4"], ["1/-2"], ["\u0663"], ["1", "\uff11"], ["1/2", "3"], ["1 "]):
+        assert _bulk_ratios(entries, False) is None and _regex_bulk_ratios(entries, False) is None
+
+
 def test_bulk_reader_takes_uniform_lists_only():
-    assert _bulk_ratios(["1", "-2", "007"], False) == [(1, 1), (-2, 1), (7, 1)]
-    assert _bulk_ratios(["1/2", "-0/3", "2/4"], True) == [(1, 2), (0, 3), (2, 4)]
+    assert _bulk_ratios(["1", "-2", "007"], False) == ([1, -2, 7], [1, 1, 1])
+    assert _bulk_ratios(["1/2", "-0/3", "2/4"], True) == ([1, 0, 2], [2, 3, 4])
     # Mixed forms, other spellings and non-strings are read entry by entry;
     # so are lists holding an entry the per-entry reader reports.
     for entries in (["1", "1/2"], ["1/2", "0.5"], ["1", 2], [], ["1/0", "1/2"], ["1" * 5000]):
@@ -436,7 +488,7 @@ def test_bulk_reader_takes_uniform_lists_only():
 
 
 def test_bulk_reader_takes_json_int_lists():
-    assert _bulk_ratios([1, -2, 7], False) == [(1, 1), (-2, 1), (7, 1)]
+    assert _bulk_ratios([1, -2, 7], False) == ([1, -2, 7], [1, 1, 1])
     # A sign against the rule, or a non-int entry, leaves the list to the
     # per-entry reader, which names the entry.
     assert _bulk_ratios([1, -2, 7], True) is None
