@@ -112,15 +112,16 @@ class Measure(TableFunction):
         return cls.from_numerators(alphabet_size, arity, (1,) * count, count)
 
 
-def _ratio(value: RationalLike) -> tuple[int, int]:
-    value = rat(value)
-    return value.numerator, value.denominator
+def _columns(values: Sequence[RationalLike]) -> tuple[list[int], list[int]]:
+    """The values as two integer columns, numerators and denominators."""
+    values = [rat(v) for v in values]
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
-def _distribution(pairs: Sequence[tuple[int, int]], what: str) -> tuple[list[int], int]:
-    """A law given as pairs (p, q), checked, over its least common denominator."""
-    den = lcm(*(q for _, q in pairs))
-    nums = [p * (den // q) for p, q in pairs]
+def _distribution(nums: Sequence[int], dens: Sequence[int], what: str) -> tuple[list[int], int]:
+    """A law given as columns (value nums[i] / dens[i]), checked, over its least common denominator."""
+    den = lcm(*dens)
+    nums = [p * (den // q) for p, q in zip(nums, dens)]
     if any(x < 0 for x in nums):
         raise ValueError(f"{what} has a negative entry")
     if sum(nums) != den:
@@ -145,31 +146,36 @@ class MarkovSpec:
     dens: tuple[int, ...]
 
     def __init__(self, initial: Sequence[RationalLike], transitions: Sequence) -> None:
-        self._set_laws(initial, transitions, _ratio)
+        self._set_laws(initial, transitions, _columns)
 
     @classmethod
     def from_ratios(cls, initial: Sequence, transitions: Sequence) -> "MarkovSpec":
-        """The chain whose entries are the integer pairs (p, q), q > 0, with value p / q."""
+        """The chain whose laws are given as integer columns (nums, dens), dens > 0.
+
+        ``initial`` is one pair of columns and each matrix of
+        ``transitions`` one pair per row; entry i has value nums[i] / dens[i].
+        """
         spec = cls.__new__(cls)
         spec._set_laws(initial, transitions, tuple)
         return spec
 
-    def _set_laws(self, initial, transitions, ratio: Callable[..., tuple[int, int]]) -> None:
-        """Validate the chain in integers and store its laws; ``ratio`` reads one entry."""
-        init = [ratio(p) for p in initial]
-        m = len(init)
+    def _set_laws(self, initial, transitions, columns: Callable[..., tuple[Sequence[int], ...]]) -> None:
+        """Validate the chain in integers and store its laws; ``columns`` reads one law's row."""
+        init_nums, init_dens = columns(initial)
+        m = len(init_nums)
         if m < 1:
             raise ValueError("initial distribution must be nonempty")
-        nums, den = _distribution(init, "initial distribution")
+        nums, den = _distribution(init_nums, init_dens, "initial distribution")
         laws, dens = [(tuple(nums),)], [den]
         for t, matrix in enumerate(transitions):
             if len(matrix) != m:
                 raise ValueError(f"transition matrix {t} must have {m} rows")
             rows = []
             for a, row in enumerate(matrix):
-                if len(row) != m:
+                row_nums, row_dens = columns(row)
+                if len(row_nums) != m:
                     raise ValueError(f"transition matrix {t} row {a} must have {m} entries")
-                rows.append(_distribution([ratio(p) for p in row], f"transition matrix {t} row {a}"))
+                rows.append(_distribution(row_nums, row_dens, f"transition matrix {t} row {a}"))
             den = lcm(*(d for _, d in rows))
             laws.append(tuple(tuple(x * (den // d) for x in nums) for nums, d in rows))
             dens.append(den)

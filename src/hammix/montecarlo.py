@@ -29,8 +29,8 @@ the symbols of each word: the draws are splitmix64 in list passes
 a time (:func:`_dense_indices`, :func:`_chain_values`), and the
 exceedances are counted with list passes.  A level costs m - 1 passes
 over the batch plus one, so a word costs O(n m) integer steps; a dense
-level's thresholds are built once for all its prefixes when it has no
-more of them than samples (O(m^n) in all), else per sample.
+measure's thresholds are built once per call for every prefix of every
+level (m^n - 1 of them, :func:`_level_cuts`).
 
 :func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
 reports the Azuma and mixing-matrix bounds next to each estimated
@@ -106,17 +106,17 @@ def _advance(
     """Per sample k, base[k] plus the number of its thresholds at or below its draw.
 
     ``cuts`` holds one list per child c = 1..m-1, indexed by ``keys[k]``
-    (a prefix, a state or k itself).  One sample's thresholds are
-    nondecreasing, so the count is what ``bisect_right`` of the draw in
-    them gives: the sampled symbol.
+    (a prefix or a state).  One sample's thresholds are nondecreasing, so
+    the count is what ``bisect_right`` of the draw in them gives: the
+    sampled symbol.
     """
     for cut in cuts:
         base = [b + (cut[key] <= r) for b, key, r in zip(base, keys, draws)]
     return base
 
 
-def _block_cuts(cum: Sequence[int], starts: Sequence[int], block: int, m: int) -> list[list[int]]:
-    """Per child c = 1..m-1, the draw threshold of c in each block starting at ``starts``.
+def _block_cuts(cum: Sequence[int], block: int, m: int) -> list[list[int]]:
+    """Per child c = 1..m-1, the draw threshold of c in each block of ``block`` cells.
 
     A draw r < 2^64 selects, in a block of mass M = cum[lo + block] - cum[lo],
     the first sub-block whose cumulative mass C satisfies r M < C 2^64
@@ -126,6 +126,7 @@ def _block_cuts(cum: Sequence[int], starts: Sequence[int], block: int, m: int) -
     sub-block's threshold equals the next one, so it is never selected.  A
     null block, which no draw reaches, is divided by 1.
     """
+    starts = range(0, len(cum) - 1, block)
     base = [cum[lo] for lo in starts]
     mass = [cum[lo + block] - below or 1 for lo, below in zip(starts, base)]
     step = block // m
@@ -135,36 +136,28 @@ def _block_cuts(cum: Sequence[int], starts: Sequence[int], block: int, m: int) -
     ]
 
 
-def _whole_levels(P: Measure, samples: int) -> list[list[list[int]] | None]:
-    """Per level i, :func:`_block_cuts` of all m^i prefix blocks, or None past ``samples`` blocks.
+def _level_cuts(P: Measure) -> list[list[list[int]]]:
+    """Per level i, :func:`_block_cuts` of all m^i prefix blocks.
 
-    Up to that size a level's thresholds cost no more than one per sample,
-    and every batch of samples reads them.
+    That is m^n - 1 thresholds in all, one integer division each, built
+    once per call and read by every batch of samples: work and memory of
+    the order of the m^n conditional sums the exact mean already takes.
     """
-    m, cum, size = P.alphabet_size, P._cum, len(P.nums)
-    blocks = (size // m**i for i in range(P.arity))
-    return [_block_cuts(cum, range(0, size, b), b, m) if size // b <= samples else None for b in blocks]
+    m, size = P.alphabet_size, len(P.nums)
+    return [_block_cuts(P._cum, size // m**i, m) for i in range(P.arity)]
 
 
-def _dense_indices(P: Measure, draws: Sequence[int], count: int, levels: list) -> list[int]:
+def _dense_indices(levels: list[list[list[int]]], m: int, draws: Sequence[int], count: int) -> list[int]:
     """Table indices of ``count`` samples; sample k's symbol i reads draws[k + i].
 
     The walk runs level by level over every sample at once: each sample's
     prefix index p becomes p m + its symbol, the number of its block's
-    child thresholds at or below its draw.  The thresholds come from
-    ``levels[i]`` (:func:`_whole_levels`), or, where that is None, from
-    each sample's own block.
+    child thresholds (``levels[i]``, :func:`_level_cuts`) at or below its
+    draw.
     """
-    m, cum = P.alphabet_size, P._cum
-    block = len(P.nums)
     prefixes = [0] * count
-    for i, whole in enumerate(levels):
-        if whole is None:
-            cuts, keys = _block_cuts(cum, [p * block for p in prefixes], block, m), range(count)
-        else:
-            cuts, keys = whole, prefixes
-        prefixes = _advance([p * m for p in prefixes], cuts, keys, draws[i : i + count])
-        block //= m
+    for i, cuts in enumerate(levels):
+        prefixes = _advance([p * m for p in prefixes], cuts, prefixes, draws[i : i + count])
     return prefixes
 
 
@@ -209,7 +202,7 @@ def sample_word(P: Measure | MarkovSpec, draws: Sequence[int]) -> Word:
     if isinstance(P, MarkovSpec):
         (index,) = _chain_values(P, _index_digits(m, n), draws, 1)
     else:
-        (index,) = _dense_indices(P, draws, 1, _whole_levels(P, 1))
+        (index,) = _dense_indices(_level_cuts(P), m, draws, 1)
     return word_unindex(index, m, n)
 
 
@@ -260,7 +253,7 @@ def empirical_tail(
     limits = [(t.denominator, t.numerator * den * q) for t in exact_thresholds]
     counts = [0] * len(limits)
     if isinstance(P, Measure):
-        levels = _whole_levels(P, cfg.sample_count)
+        levels = _level_cuts(P)
     else:  # a chain walk sums f's terms, or the table index's digits
         g = _index_digits(P.alphabet_size, n) if terms is None else terms[0]
     for start in range(0, cfg.sample_count, _BATCH):
@@ -268,7 +261,7 @@ def empirical_tail(
         # Sample k reads u[k+2], ..., u[k+n+1].
         draws = _draws(cfg.seed, start + 2, count + n - 1)
         if isinstance(P, Measure):
-            values = _dense_indices(P, draws, count, levels)
+            values = _dense_indices(levels, P.alphabet_size, draws, count)
         else:
             values = _chain_values(P, g, draws, count)
         if table is not None:  # values are table indices

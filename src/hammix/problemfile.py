@@ -261,7 +261,7 @@ def _parse_measure(value: Any, m: int, n: int) -> Measure | MarkovSpec:
             raise ProblemFileError(
                 "measure.markov.transitions", f"expected {n - 1} transition matrices"
             )
-        init = list(zip(*_parse_ratios(init, "measure.markov.init", nonnegative=True)))
+        init = _parse_ratios(init, "measure.markov.init", nonnegative=True)
         mats = []
         for t, matrix in enumerate(transitions):
             path = f"measure.markov.transitions[{t}]"
@@ -271,7 +271,7 @@ def _parse_measure(value: Any, m: int, n: int) -> Measure | MarkovSpec:
             for a, row in enumerate(matrix):
                 if not isinstance(row, list) or len(row) != m:
                     raise ProblemFileError(f"{path}[{a}]", f"expected {m} entries")
-                rows.append(list(zip(*_parse_ratios(row, f"{path}[{a}]", nonnegative=True))))
+                rows.append(_parse_ratios(row, f"{path}[{a}]", nonnegative=True))
             mats.append(rows)
         try:
             return MarkovSpec.from_ratios(init, mats)

@@ -72,6 +72,16 @@ def test_markov_spec_validation():
             MarkovSpec(init, (rows,) if rows else ())
 
 
+def test_markov_spec_from_ratio_columns():
+    # One (nums, dens) pair per law row, as the problem-file reader gives.
+    spec = MarkovSpec.from_ratios(([1, 2], [3, 3]), [[([1, 1], [2, 2]), ([0, 5], [1, 5])]])
+    assert spec == MarkovSpec(("1/3", "2/3"), ((("1/2", "1/2"), ("0", "1")),))
+    with pytest.raises(ValueError, match="transition matrix 0 row 1 must have 2 entries"):
+        MarkovSpec.from_ratios(([1, 1], [2, 2]), [[([1, 0], [1, 1]), ([1], [1])]])
+    with pytest.raises(ValueError, match="transition matrix 0 row 0 must sum"):
+        MarkovSpec.from_ratios(([1, 1], [2, 2]), [[([1, 1], [2, 4]), ([1, 0], [1, 1])]])
+
+
 def test_expand_markov_n1_is_initial():
     spec = MarkovSpec((rat(1, 4), rat(3, 4)), ())
     assert expand_markov(spec).probabilities == (rat(1, 4), rat(3, 4))

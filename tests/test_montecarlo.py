@@ -98,26 +98,25 @@ def test_sample_word_matches_rational_scan(name):
         assert stream.next_u64() == oracle_stream.next_u64()
 
 
-def _batch_indices(P, seed, count, samples):
-    """Table indices of samples 0..count-1 by the batch walk; ``samples`` sizes its whole levels."""
+def _batch_indices(P, seed, count):
+    """Table indices of samples 0..count-1 by the batch walk."""
     m, n = P.alphabet_size, P.arity
     draws = montecarlo._draws(seed, 2, count + n - 1)
     if isinstance(P, MarkovSpec):
         return montecarlo._chain_values(P, montecarlo._index_digits(m, n), draws, count)
-    return montecarlo._dense_indices(P, draws, count, montecarlo._whole_levels(P, samples))
+    return montecarlo._dense_indices(montecarlo._level_cuts(P), m, draws, count)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
 def test_window_sampler_matches_rational_scan(name):
-    # Sample k reads u[k+2], ..., u[k+n+1] of one draw list; with one
-    # whole level or every level whole, the words are the oracle's.
+    # Sample k reads u[k+2], ..., u[k+n+1] of one draw list, and the words
+    # are the oracle's.
     P = SAMPLER_CASES[name]
     table = expand_markov(P) if isinstance(P, MarkovSpec) else P
     m, n = P.alphabet_size, P.arity
     for seed in (2024, 2**64 - 1):
-        for samples in (1, 250):
-            for k, index in enumerate(_batch_indices(P, seed, 250, samples)):
-                assert word_unindex(index, m, n) == mixing_oracle.sample_word(table, SampleStream(seed, k))
+        for k, index in enumerate(_batch_indices(P, seed, 250)):
+            assert word_unindex(index, m, n) == mixing_oracle.sample_word(table, SampleStream(seed, k))
 
 
 BISECTION_CASES = [
@@ -137,16 +136,14 @@ BISECTION_CASES = [
 @pytest.mark.parametrize("P", [P for _, P in BISECTION_CASES], ids=[name for name, _ in BISECTION_CASES])
 def test_batch_walk_matches_the_bisection_oracle(P):
     # Per-level threshold counts pick the cell (or kernel row entry) that
-    # one bisection per symbol picks, whether a level's thresholds are
-    # built for the whole level or per sample, and at the exact cut points.
+    # one bisection per symbol picks, also at the exact cut points.
     count, n = 600, P.arity
     if isinstance(P, Measure):
         assert any(P._cum[lo] == P._cum[lo + P.alphabet_size] for lo in range(0, len(P.nums), P.alphabet_size))
     expected = [
         mixing_oracle.sample_index_by_bisection(P, mixing_oracle.stream_draws(9, k, n)) for k in range(count)
     ]
-    for samples in (1, 40, count):
-        assert _batch_indices(P, 9, count, samples) == expected
+    assert _batch_indices(P, 9, count) == expected
     for r in (0, 1, 2**63 - 1, 2**63, 2**64 - 1):
         index = mixing_oracle.sample_index_by_bisection(P, [r] * n)
         assert sample_word(P, [r] * n) == word_unindex(index, P.alphabet_size, n)
