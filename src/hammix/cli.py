@@ -234,8 +234,8 @@ def _cmd_simulate(problem: ProblemFile, args) -> tuple[dict, int, str]:
         cfg = SimulationConfig(cfg.sample_count, args.seed, cfg.thresholds)
     report = empirical_tail(f, P, w, cfg)
     payload = {
-        "sample_count": report.sample_count,
         "seed": report.seed,
+        "sample_count": report.sample_count,
         "mean": rat_str(report.mean),
         "d_squared": rat_str(report.d_squared),
         "per_t": [
@@ -305,10 +305,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             problem, digest = _load(args)
             envelope["input_digest"] = digest
-            if args.command == "simulate" and problem.simulation is not None:
-                envelope["seed"] = (
-                    args.seed if args.seed is not None else problem.simulation.seed
-                )
             payload, code, summary = _COMMANDS[args.command][0](problem, args)
             envelope.update(payload)
     except ProblemFileError as exc:

@@ -40,11 +40,12 @@ evaluates the resulting closed-form tail bound
 2 exp(-t^2 / (2 ||f||^2 ||w||^2 ||Delta_n||_2^2)) -- Azuma's bound with that
 d_squared -- for a list of thresholds; it reads a chain's kernels, not its
 table, and a builtin's closed-form oscillations, not its table.  Floats
-enter there, each rounded to nearest: the operator norm, the float of the
-exact ||f||^2 ||w||^2 and its product with the norm's square, the exponent
-and exp.  :func:`hammix.montecarlo.empirical_tail` also rounds the exact
-d_squared to a float for Azuma's bound.  So every reported tail bound is
-an estimate, not a certified upper bound.
+enter there.  The operator norm is a certified upper bound, rounded up
+(:func:`hammix.mixing.operator_norm_2`); the float of the exact
+||f||^2 ||w||^2, its product with the norm's square, the exponent and exp
+each round to nearest.  :func:`hammix.montecarlo.empirical_tail` also
+rounds the exact d_squared to a float for Azuma's bound.  So every
+reported tail bound is an estimate, not a certified upper bound.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class ConcentrationReport:
 
     bounds[i] = 2 exp(-t_i^2 / (2 lipschitz^2 w_norm_sq
     delta_operator_norm^2)); lipschitz and w_norm_sq are exact, the
-    operator norm and the bounds are floats.
+    operator norm (a certified upper bound) and the bounds are floats.
     """
 
     lipschitz: Rational
@@ -274,9 +275,12 @@ def concentration_bound(
 
     The Lipschitz constant, ||w||_2^2 and ||Delta_n||_2 are computed once
     for all thresholds; each bound is Azuma's bound with that product as
-    d_squared.  Constant f (Lipschitz constant 0) gets 0.0 for every t: its
-    deviation probability is 0 and the formula's limit as the denominator
-    vanishes is the correct bound.
+    d_squared.  The first two are exact and the norm is a certified upper
+    bound, rounded up, but the float of ||f||^2 ||w||^2, its product with
+    the norm's square, the exponent and exp round to nearest, so each bound
+    is an estimate.  Constant f (Lipschitz constant 0) gets 0.0 for every
+    t: its deviation probability is 0 and the formula's limit as the
+    denominator vanishes is the correct bound.
     """
     if any(not 0 < t <= sys.float_info.max for t in thresholds):
         raise ValueError(f"thresholds must be finite and positive, got {tuple(thresholds)}")

@@ -61,6 +61,13 @@ on one of two paths, chosen by the argument's type:
   O(n^2 m^3) and reads no table.
 
 Both paths return the same rationals.
+
+:func:`operator_norm_2` bounds ||Delta||_2 from above with a certificate:
+a float power iteration on Delta^T (Delta x) only chooses a positive x,
+and the Collatz-Wielandt quotient max_j (Delta^T Delta x)_j / x_j, which
+bounds the largest eigenvalue of Delta^T Delta from above, is evaluated
+exactly for it.  The norm is that quotient's square root, rounded up to a
+float.
 """
 
 from __future__ import annotations
@@ -453,63 +460,53 @@ def delta_matrix(P: Measure | MarkovSpec) -> DeltaMatrix:
     return DeltaMatrix(tuple(rows))
 
 
-_OPNORM_REL_TOL = 1e-12
-_OPNORM_MAX_ITERATIONS = 100_000
-
-
-def _dot(u: Sequence[float], v: Sequence[float]) -> float:
-    """sum u_i v_i, added left to right in plain float arithmetic.
-
-    Builtin ``sum`` compensates its float rounding since Python 3.12, which
-    would move the last bit of a norm between Python versions.
-    """
-    return reduce(add, map(mul, u, v), 0.0)
+_OPNORM_REL_GAP = 1e-10
+_OPNORM_MAX_STEPS = 1_000
 
 
 def operator_norm_2(D: DeltaMatrix) -> float:
-    """l2 operator norm (largest singular value) as a float estimate.
+    """l2 operator norm (largest singular value) as a certified upper bound.
 
-    Power iteration on A = D^T D from the all-ones vector (never orthogonal
-    to the dominant eigenvector: A is entrywise nonnegative).  Iterates
-    until the residual ||A x - rho x|| drops below _OPNORM_REL_TOL * rho,
-    where rho is the Rayleigh quotient of the unit iterate, then returns
-    sqrt(rho + residual).  The residual pads the estimate upward, but float
-    rounding can still leave it below the norm (0.9999999999999999 for the
-    2x2 identity), so tail bounds computed from it are estimates too;
-    ROADMAP item 4 replaces it with an exact bound.  If
-    _OPNORM_MAX_ITERATIONS pass without convergence, the exact Schur bound
-    sqrt(||D||_1 ||D||_inf) is returned instead, as the float square root
-    stepped up with math.nextafter until its exact square reaches it.
-    :func:`hammix.martingale.concentration_bound` multiplies the square of
-    the result by another rounded float before it reaches exp().  The
-    0x0 matrix (arity 0) has norm 0.0.
+    D^T D is entrywise nonnegative, so for every entrywise positive x its
+    largest eigenvalue is at most max_j (D^T D x)_j / x_j (Collatz and
+    Wielandt).  A float power iteration on D^T (D x) from the all-ones
+    vector only chooses x.  It stops once that quotient is within a relative
+    _OPNORM_REL_GAP of the Rayleigh quotient |D x|^2 / |x|^2, a lower bound,
+    or after _OPNORM_MAX_STEPS steps; each new x gets 2^-64 added, since an
+    entry that reached 0.0 would void the bound.  So every stop leaves a
+    valid x, whose quotient is then evaluated once, exactly, in D's integer
+    numerators over their common denominator.  The result is the float
+    square root of that quotient, stepped up with math.nextafter until its
+    exact square reaches it; the identity gives 1.0.
+
+    A step costs O(n^2) float products: D's rows from their last entry back
+    to the diagonal against x reversed, and its columns down to the
+    diagonal.  They are added left to right in plain float arithmetic:
+    builtin ``sum`` compensates its rounding since Python 3.12, which would
+    make the chosen x depend on the version, and ``math.fsum`` is slower on
+    a long chain's rows, whose entries span hundreds of orders of
+    magnitude.  The 0x0 matrix (arity 0) has norm 0.0.
     """
     n = D.size
     if n == 0:
         return 0.0
-    # A = D^T D, symmetric PSD, from inner products of D's columns.  D is
-    # upper triangular, so column j is 0 below row j: A[i][j] sums the
-    # first min(i, j) + 1 products, and every product dropped is an exact
-    # +0.0 that would be added to a nonnegative sum, so the float is the
-    # full dot product's.  A[j][i] is the same float, so the lower
-    # triangle is a mirror.
-    cols = list(zip(*([float(v) for v in row] for row in D.entries)))
-    a = [[0.0] * n for _ in range(n)]
-    for j, cj in enumerate(cols):
-        for i in range(j + 1):
-            a[i][j] = a[j][i] = _dot(cols[i][: i + 1], cj)
-
-    x = [1.0 / math.sqrt(n)] * n
-    for _ in range(_OPNORM_MAX_ITERATIONS):
-        ax = [_dot(row, x) for row in a]
-        rho = _dot(ax, x)
-        resid = math.sqrt(reduce(add, [(v - rho * xi) ** 2 for v, xi in zip(ax, x)], 0.0))
-        if resid <= _OPNORM_REL_TOL * rho:
-            return math.sqrt(rho + resid)
-        norm = math.sqrt(_dot(ax, ax))
-        x = [v / norm for v in ax]
-    # Largest column sum times largest row sum; D is nonnegative.
-    bound = max(map(sum, zip(*D.entries))) * max(map(sum, D.entries))
+    nums, den = over_common_denominator([v for row in D.entries for v in row])
+    rows = [nums[i * n : (i + 1) * n] for i in range(n)]
+    row_floats = [[v / den for v in reversed(row[i:])] for i, row in enumerate(rows)]
+    col_floats = [[v / den for v in col[: j + 1]] for j, col in enumerate(zip(*rows))]
+    x = [1.0] * n
+    for _ in range(_OPNORM_MAX_STEPS):
+        back = x[::-1]
+        dx = [reduce(add, map(mul, row, back), 0.0) for row in row_floats]
+        y = [reduce(add, map(mul, col, dx), 0.0) for col in col_floats]
+        cw = max(map(truediv, y, x))
+        rayleigh = reduce(add, map(mul, dx, dx), 0.0) / reduce(add, map(mul, x, x), 0.0)
+        if cw - rayleigh <= _OPNORM_REL_GAP * cw:
+            break
+        x = [v / cw + 2.0**-64 for v in y]
+    xs, _ = over_common_denominator(list(map(rat_from_float, x)))
+    dxs = [sum(map(mul, row, xs)) for row in rows]
+    bound = max(map(rat, [sum(map(mul, col, dxs)) for col in zip(*rows)], xs)) / den**2
     root = math.sqrt(float_from_rat(bound))
     while rat_from_float(root) ** 2 < bound:
         root = math.nextafter(root, math.inf)

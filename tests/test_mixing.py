@@ -1,6 +1,8 @@
+import functools
 import math
 import random
 import time
+from operator import mul
 
 import pytest
 
@@ -284,8 +286,8 @@ def test_delta_apply_and_norm_sq():
 
 
 def test_operator_norm_identity():
-    for n in (1, 2, 4, 7):
-        assert abs(operator_norm_2(DeltaMatrix.identity(n)) - 1.0) <= 1e-12
+    for n in (1, 2, 3, 4, 7):
+        assert operator_norm_2(DeltaMatrix.identity(n)) == 1.0
 
 
 def test_operator_norm_of_the_empty_matrix_is_zero():
@@ -304,18 +306,112 @@ def test_operator_norm_2x2_quadratic_oracle():
     assert abs(operator_norm_2(d) - math.sqrt(lam_max)) <= 1e-9
 
 
-def test_operator_norm_falls_back_to_the_schur_bound_at_the_cap():
-    # The power iteration does not settle on this matrix within the cap, so
-    # the exact Schur bound sqrt(||D||_1 ||D||_inf) = 1 + e comes back as the
-    # smallest float at or above it.
-    e = rat(1, 10**7)
-    d = DeltaMatrix(((1, 0, 0), (0, 1, e), (0, 0, 1)))
-    expected = float(1 + e)
-    if rat_from_float(expected) < 1 + e:
-        expected = math.nextafter(expected, math.inf)
-    got = operator_norm_2(d)
-    assert got == expected
-    assert got >= np.linalg.norm(np.array([[float(v) for v in row] for row in d.entries]), 2)
+def _is_psd(a):
+    """Whether the symmetric rational matrix a is positive semidefinite.
+
+    Symmetric elimination (LDL^T) in exact arithmetic: every pivot must be
+    nonnegative, and a zero pivot needs a zero rest of its row.
+    """
+    a = [list(row) for row in a]
+    n = len(a)
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 :])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            for j in range(k + 1, n):
+                a[i][j] -= factor * a[k][j]
+    return True
+
+
+def _certifies(d, r):
+    """Whether r^2 I - D^T D is positive semidefinite, that is r >= ||D||_2, exactly."""
+    cols = list(zip(*d.entries))
+    r_sq = rat_from_float(r) ** 2
+    return _is_psd(
+        [
+            [(r_sq if i == j else 0) - sum(map(mul, ci, cj), rat(0)) for j, cj in enumerate(cols)]
+            for i, ci in enumerate(cols)
+        ]
+    )
+
+
+def _null_block_measure(rng, m, n):
+    """A random dense measure with one prefix block (length 1..n-1) zeroed."""
+    nums = [rng.randint(0, 9) for _ in range(m**n)]
+    block = m ** (n - rng.randint(1, n - 1))
+    lo = block * rng.randrange(m**n // block)
+    nums[lo : lo + block] = [0] * block
+    nums[0 if lo else -1] += 1  # keep the total positive
+    return Measure.from_numerators(m, n, nums, sum(nums))
+
+
+def _norm_cases():
+    rng = random.Random(22)
+    for _ in range(12):
+        yield delta_matrix(_null_block_measure(rng, rng.choice((2, 3)), rng.randint(2, 5)))
+    for _ in range(6):
+        yield delta_matrix(random_product_measure(rng, rng.choice((2, 3)), rng.randint(1, 5)))
+    for _ in range(12):
+        yield delta_matrix(random_markov_spec(rng, rng.choice((2, 3, 4)), rng.randint(2, 8)))
+    for n in (1, 2, 5):
+        yield DeltaMatrix.identity(n)
+    yield DeltaMatrix(((1, 0, 0), (0, 1, rat(1, 10**7)), (0, 0, 1)))
+
+
+def test_operator_norm_is_certified_in_exact_arithmetic():
+    for d in _norm_cases():
+        r = operator_norm_2(d)
+        svd = np.linalg.norm(np.array([[float(v) for v in row] for row in d.entries]), 2)
+        assert _certifies(d, r)
+        assert abs(r - svd) <= 1e-9
+        # The check can fail: a value just below the norm is refused.
+        assert not _certifies(d, svd * (1 - 1e-6))
+
+
+def _two_blocks_and_a_free_coordinate():
+    """Two 5x5 all-ones triangles, one entry of the second lowered by 1e-9, then a 1."""
+    entries = [[0] * 11 for _ in range(11)]
+    for lo in (0, 5):
+        for i in range(lo, lo + 5):
+            entries[i][i : lo + 5] = [1] * (lo + 5 - i)
+    entries[5][9] = 1 - rat(1, 10**9)
+    entries[10][10] = 1
+    return DeltaMatrix(tuple(map(tuple, entries)))
+
+
+def test_operator_norm_at_the_step_cap_is_certified_and_within_the_schur_bound(monkeypatch):
+    # D^T D has nearly equal top eigenvalues on each matrix, so the float
+    # iteration does not meet its gap and stops at the cap; the bound for
+    # the x it reached is still certified.  On the last one the free
+    # coordinate's entry of x shrinks about twelvefold a step and would
+    # reach 0.0, voiding the bound, without the floor.
+    half, e = rat(1, 2), rat(1, 2_000_000)
+    rows = ((half + e, half - e), (half - e, half + e))
+    near_independent = MarkovSpec((half, half), tuple(rows for _ in range(19)))
+    cases = (
+        DeltaMatrix(((1, 0, 0), (0, 1, rat(1, 10**7)), (0, 0, 1))),
+        delta_matrix(near_independent),
+        _two_blocks_and_a_free_coordinate(),
+    )
+    for d in cases:
+        sums = []
+        monkeypatch.setattr(mixing, "reduce", lambda *args: sums.append(1) or functools.reduce(*args))
+        r = operator_norm_2(d)
+        monkeypatch.undo()
+        # A float step is 2n + 2 sums: D x, D^T (D x) and the Rayleigh quotient.
+        assert len(sums) <= mixing._OPNORM_MAX_STEPS * (2 * d.size + 2)
+        assert _certifies(d, r)
+        # No larger than the exact Schur bound sqrt(||D||_1 ||D||_inf),
+        # rounded up to a float.
+        schur = max(map(sum, zip(*d.entries))) * max(map(sum, d.entries))
+        schur_root = math.sqrt(float(schur))
+        while rat_from_float(schur_root) ** 2 < schur:
+            schur_root = math.nextafter(schur_root, math.inf)
+        assert r <= schur_root
 
 
 def test_operator_norm_dominates_weighted_action():
