@@ -232,7 +232,8 @@ def _cmd_simulate(problem: ProblemFile, args) -> tuple[dict, int, str]:
     cfg = problem.simulation
     if args.seed is not None:
         cfg = SimulationConfig(cfg.sample_count, args.seed, cfg.thresholds)
-    report = empirical_tail(f, P, w, cfg)
+    corollary = concentration_bound(f, P, w, cfg.thresholds).bounds
+    report = empirical_tail(f, P, cfg)
     payload = {
         "seed": report.seed,
         "sample_count": report.sample_count,
@@ -244,9 +245,9 @@ def _cmd_simulate(problem: ProblemFile, args) -> tuple[dict, int, str]:
                 "exceed_count": row.exceed_count,
                 "frequency": row.frequency,
                 "azuma": row.azuma,
-                "corollary": row.corollary,
+                "corollary": bound,
             }
-            for row in report.rows
+            for row, bound in zip(report.rows, corollary)
         ],
     }
     return payload, _EXIT_OK, f"simulate: {report.sample_count} samples, seed {report.seed}"

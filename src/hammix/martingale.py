@@ -9,7 +9,10 @@ v_bar_i, entry i of :func:`martingale_profile`'s ``v_bars``, is the largest
 |v_i| over positive-probability prefixes (conditioning on a null prefix is
 undefined, mirroring the exclusion rule in :mod:`hammix.mixing`), and the
 profile's d_squared = sum_i v_bar_i^2 feeds Azuma's tail bound
-P(|f - Ef| > t) <= 2 exp(-t^2 / (2 d_squared)).
+P(|f - Ef| > t) <= 2 exp(-t^2 / (2 d_squared)).  The profile also carries
+E f, the conditional mean of the empty prefix, which its pass computes
+anyway; :func:`martingale_profile` is the one entry point for both, and
+the sampler (:mod:`hammix.montecarlo`) reads E f and d_squared from it.
 
 The profile has two paths, chosen by :func:`kernel_terms`:
 
@@ -26,8 +29,8 @@ The profile has two paths, chosen by :func:`kernel_terms`:
   E[f | y] is an integer sum of f_num * p_num over y's block, divided by
   f.den times y's integer mass.
 
-Both paths compare differences of means as integers, and only the n
-maxima v_bar_i become rationals; they give the same rationals.
+Both paths compare differences of means as integers, and only E f and the
+n maxima v_bar_i become rationals; they give the same rationals.
 
 :func:`verify_sumvi` checks, entirely in exact arithmetic, that the
 martingale spread is controlled by smoothness times mixing:
@@ -43,7 +46,9 @@ table, and a builtin's closed-form oscillations, not its table.  Floats
 enter there.  The operator norm is a certified upper bound, rounded up
 (:func:`hammix.mixing.operator_norm_2`); the float of the exact
 ||f||^2 ||w||^2, its product with the norm's square, the exponent and exp
-each round to nearest.  :func:`hammix.montecarlo.empirical_tail` also
+each round to nearest.  It is the one place the corollary bound is
+computed: the CLI's ``bound`` reports it, and ``simulate`` reports it
+next to the sampled frequencies.  :func:`hammix.montecarlo.empirical_tail`
 rounds the exact d_squared to a float for Azuma's bound.  So every
 reported tail bound is an estimate, not a certified upper bound.
 """
@@ -111,8 +116,12 @@ def _profile_level(f: TableFunction, parents: tuple, children: tuple) -> Rationa
 
 @dataclass(frozen=True)
 class MartingaleProfile:
-    """Per-coordinate worst-case martingale differences; d_squared, their square sum, is derived."""
+    """E f and the per-coordinate worst-case martingale differences.
 
+    d_squared, the square sum of the differences, is derived.
+    """
+
+    mean: Rational
     v_bars: tuple[Rational, ...]
     d_squared: Rational = field(init=False)
 
@@ -120,11 +129,6 @@ class MartingaleProfile:
         if any(v < 0 for v in self.v_bars):
             raise ValueError("v_bars must be nonnegative")
         object.__setattr__(self, "d_squared", sum((v * v for v in self.v_bars), rat(0)))
-
-
-def martingale_profile(f: Function, P: Measure | MarkovSpec) -> MartingaleProfile:
-    """All v_bars plus d_squared, from the kernels or from one set of conditional sums."""
-    return mean_and_profile(f, P)[1]
 
 
 def kernel_terms(f: Function, P: Measure | MarkovSpec) -> tuple[list[tuple[int, ...]], int] | None:
@@ -136,7 +140,7 @@ def kernel_terms(f: Function, P: Measure | MarkovSpec) -> tuple[list[tuple[int, 
     return f.terms() if isinstance(f, Builtin) and isinstance(P, MarkovSpec) else None
 
 
-def mean_and_profile(f: Function, P: Measure | MarkovSpec) -> tuple[Rational, MartingaleProfile]:
+def martingale_profile(f: Function, P: Measure | MarkovSpec) -> MartingaleProfile:
     """E f and the martingale profile of f under P.
 
     Read from the kernels (:func:`_chain_profile`) where :func:`kernel_terms`
@@ -151,12 +155,10 @@ def mean_and_profile(f: Function, P: Measure | MarkovSpec) -> tuple[Rational, Ma
     levels = conditional_sums(f, P)
     ((weighted,), (mass,)) = levels[0]
     bars = tuple(_profile_level(f, parent, child) for parent, child in zip(levels, levels[1:]))
-    return rat(weighted, f.den * mass), MartingaleProfile(bars)
+    return MartingaleProfile(rat(weighted, f.den * mass), bars)
 
 
-def _chain_profile(
-    g: list[tuple[int, ...]], den: int, chain: MarkovSpec
-) -> tuple[Rational, MartingaleProfile]:
+def _chain_profile(g: list[tuple[int, ...]], den: int, chain: MarkovSpec) -> MartingaleProfile:
     """E f and the profile of f(x) = sum_i g[i][x_i] / den under a chain, in O(n m^2).
 
     Given X_1..i = y, the rest of the chain depends on y_i alone, so
@@ -186,7 +188,7 @@ def _chain_profile(
         bars.append(rat(best, den * scale))
     bars.reverse()
     (mean,) = h
-    return rat(mean, den * scale), MartingaleProfile(tuple(bars))
+    return MartingaleProfile(rat(mean, den * scale), tuple(bars))
 
 
 def azuma_bound(t: float, d_squared: float) -> float:

@@ -6,11 +6,15 @@ table's integer numerators over its denominator.  Because the first symbol
 is most significant, the words sharing a prefix form one contiguous index
 block, so prefix masses and conditional laws are block sums over the
 measure's prefix sums of those numerators.  A Markov chain has one type,
-:class:`MarkovSpec`, which holds its laws as integer kernels.  A chain is
-passed to :func:`delta_matrix` and :func:`eta_bar` as its spec, which
-read the kernels alone; :func:`expand_markov` builds its dense measure,
-in integers too (each level multiplies numerators by a transition
-matrix's numerators), only for a layer that reads a table.
+:class:`MarkovSpec`, which holds its laws as integer kernels: both of its
+constructors turn each law into integer columns and share one validation.
+A chain is passed to :func:`delta_matrix` and :func:`eta_bar` as its
+spec, which read the kernels alone; :func:`expand_markov` builds its
+dense measure, in integers too (each level multiplies numerators by a
+transition matrix's numerators), only for a layer that reads a table.
+This module holds measures and their mixing coefficients only; how a
+sampler draws from them (its 64-bit thresholds) is
+:mod:`hammix.montecarlo`'s.
 
 The eta coefficient for positions i < j measures how much the conditional
 law of the tail X_j..n moves when the i-th symbol is swapped under a common
@@ -66,8 +70,9 @@ Both paths return the same rationals.
 a float power iteration on Delta^T (Delta x) only chooses a positive x,
 and the Collatz-Wielandt quotient max_j (Delta^T Delta x)_j / x_j, which
 bounds the largest eigenvalue of Delta^T Delta from above, is evaluated
-exactly for it.  The norm is that quotient's square root, rounded up to a
-float.
+exactly for it, in the integer numerators of Delta's upper triangle
+(its zeros below the diagonal are never read).  The norm is that
+quotient's square root, rounded up to a float.
 """
 
 from __future__ import annotations
@@ -75,11 +80,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations, compress, cycle, repeat
+from itertools import accumulate, chain, combinations, compress, cycle, islice, repeat
 from math import gcd, lcm
 from numbers import Rational
 from operator import add, eq, mul, sub, truediv
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .rational import RationalLike, float_from_rat, over_common_denominator, rat, rat_from_float
 from .words import TableFunction, WeightVector, project_numerators
@@ -153,7 +158,8 @@ class MarkovSpec:
     dens: tuple[int, ...]
 
     def __init__(self, initial: Sequence[RationalLike], transitions: Sequence) -> None:
-        self._set_laws(initial, transitions, _columns)
+        # Each row is converted as it is validated: a faulty row is reported before later rows are read.
+        self._set_laws(_columns(initial), [map(_columns, matrix) for matrix in transitions])
 
     @classmethod
     def from_ratios(cls, initial: Sequence, transitions: Sequence) -> "MarkovSpec":
@@ -163,26 +169,25 @@ class MarkovSpec:
         ``transitions`` one pair per row; entry i has value nums[i] / dens[i].
         """
         spec = cls.__new__(cls)
-        spec._set_laws(initial, transitions, tuple)
+        spec._set_laws(initial, transitions)
         return spec
 
-    def _set_laws(self, initial, transitions, columns: Callable[..., tuple[Sequence[int], ...]]) -> None:
-        """Validate the chain in integers and store its laws; ``columns`` reads one law's row."""
-        init_nums, init_dens = columns(initial)
+    def _set_laws(self, initial, transitions) -> None:
+        """Validate the chain, one (nums, dens) pair of integer columns per row, and store its laws."""
+        init_nums, init_dens = initial
         m = len(init_nums)
         if m < 1:
             raise ValueError("initial distribution must be nonempty")
         nums, den = _distribution(init_nums, init_dens, "initial distribution")
         laws, dens = [(tuple(nums),)], [den]
         for t, matrix in enumerate(transitions):
-            if len(matrix) != m:
-                raise ValueError(f"transition matrix {t} must have {m} rows")
             rows = []
-            for a, row in enumerate(matrix):
-                row_nums, row_dens = columns(row)
+            for a, (row_nums, row_dens) in enumerate(matrix):
                 if len(row_nums) != m:
                     raise ValueError(f"transition matrix {t} row {a} must have {m} entries")
                 rows.append(_distribution(row_nums, row_dens, f"transition matrix {t} row {a}"))
+            if len(rows) != m:
+                raise ValueError(f"transition matrix {t} must have {m} rows")
             den = lcm(*(d for _, d in rows))
             laws.append(tuple(tuple(x * (den // d) for x in nums) for nums, d in rows))
             dens.append(den)
@@ -224,22 +229,6 @@ class MarkovSpec:
         for rows in self.laws[:-1]:
             reach.append(tuple(b for b in range(m) if any(rows[a][b] for a in reach[-1])))
         return tuple(reach)
-
-    @cached_property
-    def sampler_cuts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per position and current state: the row's draw thresholds.
-
-        A draw r < 2^64 selects the first symbol b whose cumulative row
-        c_b / d satisfies r * d < c_b * 2^64; for an integer r that is
-        r < ceil(c_b * 2^64 / d), so the row is kept as those ceilings and
-        a symbol is one ``bisect_right``.  Position 1 has the single entry
-        for the initial law (its "state" is 0); position t+1 has one entry
-        per state a, for row a of ``laws[t]``.
-        """
-        return tuple(
-            tuple(tuple(-((-c << 64) // den) for c in accumulate(row)) for row in rows)
-            for rows, den in zip(self.laws, self.dens)
-        )
 
 
 def expand_markov(spec: MarkovSpec) -> Measure:
@@ -474,8 +463,10 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     _OPNORM_REL_GAP of the Rayleigh quotient |D x|^2 / |x|^2, a lower bound,
     or after _OPNORM_MAX_STEPS steps; each new x gets 2^-64 added, since an
     entry that reached 0.0 would void the bound.  So every stop leaves a
-    valid x, whose quotient is then evaluated once, exactly, in D's integer
-    numerators over their common denominator.  The result is the float
+    valid x, whose quotient is then evaluated once, exactly, in the integer
+    numerators of D's upper triangle over their common denominator (the
+    zeros below the diagonal have denominator 1, so leaving them out
+    changes neither).  The result is the float
     square root of that quotient, stepped up with math.nextafter until its
     exact square reaches it; the identity gives 1.0.
 
@@ -490,10 +481,12 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     n = D.size
     if n == 0:
         return 0.0
-    nums, den = over_common_denominator([v for row in D.entries for v in row])
-    rows = [nums[i * n : (i + 1) * n] for i in range(n)]
-    row_floats = [[v / den for v in reversed(row[i:])] for i, row in enumerate(rows)]
-    col_floats = [[v / den for v in col[: j + 1]] for j, col in enumerate(zip(*rows))]
+    nums, den = over_common_denominator([v for i, row in enumerate(D.entries) for v in row[i:]])
+    cells = iter(nums)
+    rows = [list(islice(cells, n - i)) for i in range(n)]  # row i from the diagonal on
+    cols = [[rows[i][j - i] for i in range(j + 1)] for j in range(n)]  # column j down to it
+    row_floats = [[v / den for v in reversed(row)] for row in rows]
+    col_floats = [[v / den for v in col] for col in cols]
     x = [1.0] * n
     for _ in range(_OPNORM_MAX_STEPS):
         back = x[::-1]
@@ -505,8 +498,8 @@ def operator_norm_2(D: DeltaMatrix) -> float:
             break
         x = [v / cw + 2.0**-64 for v in y]
     xs, _ = over_common_denominator(list(map(rat_from_float, x)))
-    dxs = [sum(map(mul, row, xs)) for row in rows]
-    bound = max(map(rat, [sum(map(mul, col, dxs)) for col in zip(*rows)], xs)) / den**2
+    dxs = [sum(map(mul, row, xs[i:])) for i, row in enumerate(rows)]
+    bound = max(map(rat, [sum(map(mul, col, dxs)) for col in cols], xs)) / den**2
     root = math.sqrt(float_from_rat(bound))
     while rat_from_float(root) ** 2 < bound:
         root = math.nextafter(root, math.inf)

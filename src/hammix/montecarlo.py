@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo checks of the proved tail bounds.
+"""Seeded Monte Carlo samples of the deviation |f - E f|.
 
 Sampling is exact: a word is drawn symbol by symbol from its conditional
 distribution given the sampled prefix, and every comparison against the
@@ -8,11 +8,13 @@ their common denominator), so a run is a pure function of
 (measure, seed, sample count) -- bit-identical across platforms and
 schedules.  A block of mass M selects child c or a later one when
 r >= ceil(C 2^64 / M), C the mass of the children before c, so each symbol
-is the number of its block's child thresholds at or below its draw: of a
-dense measure's prefix block (:func:`_block_cuts`), or, for a chain passed
-as its :class:`~hammix.mixing.MarkovSpec`, of the current state's kernel
-row (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`), with the same draws
-as its expanded table.
+is the number of its block's child thresholds at or below its draw.  One
+function builds those thresholds (:func:`_block_cuts`), once per call: for
+a dense measure, of every prefix block of every level
+(:func:`_level_cuts`); for a chain passed as its
+:class:`~hammix.mixing.MarkovSpec`, of every row of every kernel, each
+row one block (:func:`_chain_cuts`), which gives the draws of its
+expanded table.
 
 Randomness comes from one sequence per seed, u[s] = mix64(seed + s * GAMMA
 mod 2^64) with mix64 the splitmix64 output function.  Sample k reads the
@@ -29,33 +31,36 @@ the symbols of each word: the draws are splitmix64 in list passes
 a time (:func:`_dense_indices`, :func:`_chain_values`), and the
 exceedances are counted with list passes.  A level costs m - 1 passes
 over the batch plus one, so a word costs O(n m) integer steps; a dense
-measure's thresholds are built once per call for every prefix of every
-level (m^n - 1 of them, :func:`_level_cuts`).
+measure has m^n - 1 thresholds, a chain m - 1 per kernel row.
 
 :func:`empirical_tail` estimates P(|f - E f| > t) by simulation and
-reports the Azuma and mixing-matrix bounds next to each estimated
-frequency.  E f is exact (removing one noise source): it comes with
-d_squared from :func:`~hammix.martingale.mean_and_profile`, and each
-sample's test |f(x) - E f| > t runs on f's integer numerator at x against
-the exact value of the float t, scaled to integers.  For ``sum_of_symbols``
-or ``hamming_to`` on a chain that numerator is summed from the builtin's
-per-coordinate terms as the symbols are drawn, and neither f nor the
-chain is expanded to a table; otherwise it is read from f's table at the
-drawn word's index.
+reports Azuma's bound on the exact d_squared next to each estimated
+frequency; it only samples.  E f is exact (removing one noise source):
+it comes with d_squared from :func:`~hammix.martingale.martingale_profile`,
+and each sample's test |f(x) - E f| > t runs on f's integer numerator at
+x against the exact value of the float t, scaled to integers.  For
+``sum_of_symbols`` or ``hamming_to`` on a chain that numerator is summed
+from the builtin's per-coordinate terms as the symbols are drawn, and
+neither f nor the chain is expanded to a table; otherwise the walk gives
+the drawn word's index in f's table, and the numerator is read there.
+The corollary bound from ||Delta_n||_2 is computed in
+:mod:`hammix.martingale`, and the CLI's ``simulate`` reports it next to
+these rows.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate, chain
 from numbers import Rational
 from typing import Sequence
 
-from .martingale import Function, azuma_bound, concentration_bound, kernel_terms, mean_and_profile
+from .martingale import Function, azuma_bound, kernel_terms, martingale_profile
 from .mixing import MarkovSpec, Measure
 from .rational import float_from_rat, rat_from_float
-from .words import WeightVector, Word, word_unindex
+from .words import Word, word_unindex
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -121,10 +126,12 @@ def _block_cuts(cum: Sequence[int], block: int, m: int) -> list[list[int]]:
     A draw r < 2^64 selects, in a block of mass M = cum[lo + block] - cum[lo],
     the first sub-block whose cumulative mass C satisfies r M < C 2^64
     (that is, r / 2^64 < C / M); for an integer r, child c or a later one
-    is selected when r >= ceil((cum[lo + c block / m] - cum[lo]) 2^64 / M),
-    the rule of :attr:`~hammix.mixing.MarkovSpec.sampler_cuts`.  A null
-    sub-block's threshold equals the next one, so it is never selected.  A
-    null block, which no draw reaches, is divided by 1.
+    is selected when r >= ceil((cum[lo + c block / m] - cum[lo]) 2^64 / M).
+    A null sub-block's threshold equals the next one, so it is never
+    selected.  A null block, which no draw reaches, is divided by 1.  This
+    is the one place the rule is written: a dense measure's prefix blocks
+    (:func:`_level_cuts`) and a chain's kernel rows (:func:`_chain_cuts`)
+    both get their thresholds here.
     """
     starts = range(0, len(cum) - 1, block)
     base = [cum[lo] for lo in starts]
@@ -161,6 +168,16 @@ def _dense_indices(levels: list[list[list[int]]], m: int, draws: Sequence[int], 
     return prefixes
 
 
+def _chain_cuts(spec: MarkovSpec) -> list[list[list[int]]]:
+    """Per law t, :func:`_block_cuts` of its rows laid end to end, one block per state.
+
+    Each row sums to the law's denominator, so the blocks are the rows'
+    own masses.  The initial law is one row, read under the state 0.
+    """
+    m = spec.alphabet_size
+    return [_block_cuts((0, *accumulate(chain.from_iterable(rows))), m, m) for rows in spec.laws]
+
+
 @lru_cache
 def _index_digits(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Per position i, symbol a's digit a * m^(n-1-i) of the table index."""
@@ -168,22 +185,19 @@ def _index_digits(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _chain_values(
-    chain: MarkovSpec, terms: Sequence[Sequence[int]], draws: Sequence[int], count: int
+    levels: list[list[list[int]]], terms: Sequence[Sequence[int]], draws: Sequence[int], count: int
 ) -> list[int]:
     """sum_i terms[i][x_i] of ``count`` chain samples; sample k's symbol i reads draws[k + i].
 
     Level by level over every sample at once: the next state is the number
-    of the current state's row thresholds
-    (:attr:`~hammix.mixing.MarkovSpec.sampler_cuts`) at or below the draw.
-    With the table index's digits (:func:`_index_digits`) as terms, the
-    sum is the index of the word the chain's table would give.
+    of the current state's row thresholds (``levels[i]``,
+    :func:`_chain_cuts`) at or below the draw.  With the table index's
+    digits (:func:`_index_digits`) as terms, the sum is the index of the
+    word the chain's table would give.
     """
     states = [0] * count
     values = [0] * count
-    for i, (rows, g) in enumerate(zip(chain.sampler_cuts, terms)):
-        # Per child, its threshold in each state's row; the last child's
-        # is 2^64, above every draw.
-        cuts = list(zip(*rows))[:-1]
+    for i, (cuts, g) in enumerate(zip(levels, terms)):
         states = _advance([0] * count, cuts, states, draws[i : i + count])
         values = [v + g[s] for v, s in zip(values, states)]
     return values
@@ -200,7 +214,7 @@ def sample_word(P: Measure | MarkovSpec, draws: Sequence[int]) -> Word:
     if len(draws) != n:
         raise ValueError(f"need exactly {n} draws, one per symbol, got {len(draws)}")
     if isinstance(P, MarkovSpec):
-        (index,) = _chain_values(P, _index_digits(m, n), draws, 1)
+        (index,) = _chain_values(_chain_cuts(P), _index_digits(m, n), draws, 1)
     else:
         (index,) = _dense_indices(_level_cuts(P), m, draws, 1)
     return word_unindex(index, m, n)
@@ -208,13 +222,12 @@ def sample_word(P: Measure | MarkovSpec, draws: Sequence[int]) -> Word:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Simulation outcome for one threshold t, next to the proved bounds."""
+    """Simulation outcome for one threshold t, next to Azuma's bound on the exact d_squared."""
 
     threshold: float
     exceed_count: int
     frequency: float
     azuma: float
-    corollary: float
 
 
 @dataclass(frozen=True)
@@ -226,69 +239,58 @@ class TailReport:
     rows: tuple[ThresholdReport, ...]
 
 
-def empirical_tail(
-    f: Function, P: Measure | MarkovSpec, w: WeightVector, cfg: SimulationConfig
-) -> TailReport:
+def empirical_tail(f: Function, P: Measure | MarkovSpec, cfg: SimulationConfig) -> TailReport:
     """Estimate P(|f - E f| > t) for each configured t.
 
     E f and the per-sample comparisons are exact (thresholds enter as the
     exact rational values of their floats); only the reported frequency and
-    bounds are floating point.  Identical (f, P, w, cfg) give bit-identical
-    reports.  The weights are checked before any word is drawn.  Where
-    :func:`~hammix.martingale.kernel_terms` allows it, a sample's value is
-    summed from its terms as its symbols are drawn, and no table is built.
+    Azuma's bound are floating point.  Identical (f, P, cfg) give
+    bit-identical reports.  Where :func:`~hammix.martingale.kernel_terms`
+    allows it, a sample's value is summed from its terms as its symbols are
+    drawn, and no table is built; otherwise the walk gives table indices,
+    at which f's numerators are read.
     """
-    if len(w) != f.arity:
-        raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
     n = P.arity
     terms = kernel_terms(f, P)
-    table = f.table() if terms is None else None
-    mean, profile = mean_and_profile(f if table is None else table, P)
+    if terms is None:  # the walk gives table indices, at which f's numerators are read
+        f = f.table()
+        g, den, read = _index_digits(P.alphabet_size, n), f.den, partial(map, f.nums.__getitem__)
+    else:  # a chain walk sums f's terms into each sample's numerator
+        (g, den), read = terms, iter
+    profile = martingale_profile(f, P)
+    if isinstance(P, Measure):
+        walk = partial(_dense_indices, _level_cuts(P), P.alphabet_size)
+    else:
+        walk = partial(_chain_values, _chain_cuts(P), g)
     # A sample's value is value / den; |value / den - E f| > t, with
     # E f = p / q in lowest terms and t = t_num / t_den the exact value of
     # the float, is |value * q - p * den| * t_den > t_num * den * q.
-    den = terms[1] if table is None else table.den
-    q, weighted = mean.denominator, mean.numerator * den
+    q, weighted = profile.mean.denominator, profile.mean.numerator * den
     exact_thresholds = [rat_from_float(t) for t in cfg.thresholds]
     limits = [(t.denominator, t.numerator * den * q) for t in exact_thresholds]
     counts = [0] * len(limits)
-    if isinstance(P, Measure):
-        levels = _level_cuts(P)
-    else:  # a chain walk sums f's terms, or the table index's digits
-        g = _index_digits(P.alphabet_size, n) if terms is None else terms[0]
     for start in range(0, cfg.sample_count, _BATCH):
         count = min(_BATCH, cfg.sample_count - start)
         # Sample k reads u[k+2], ..., u[k+n+1].
         draws = _draws(cfg.seed, start + 2, count + n - 1)
-        if isinstance(P, Measure):
-            values = _dense_indices(levels, P.alphabet_size, draws, count)
-        else:
-            values = _chain_values(P, g, draws, count)
-        if table is not None:  # values are table indices
-            nums = table.nums
-            values = [nums[x] for x in values]
-        deviations = [abs(v * q - weighted) for v in values]
+        deviations = [abs(v * q - weighted) for v in read(walk(draws, count))]
         for idx, (t_den, limit) in enumerate(limits):
             counts[idx] += sum([d * t_den > limit for d in deviations])
 
     d2 = float_from_rat(profile.d_squared)
-    corollary_bounds = concentration_bound(f, P, w, cfg.thresholds).bounds
-    rows = []
-    for t, count, corollary in zip(cfg.thresholds, counts, corollary_bounds):
-        azuma = azuma_bound(t, d2) if d2 > 0 else 0.0
-        rows.append(
-            ThresholdReport(
-                threshold=t,
-                exceed_count=count,
-                frequency=count / cfg.sample_count,
-                azuma=azuma,
-                corollary=corollary,
-            )
+    rows = tuple(
+        ThresholdReport(
+            threshold=t,
+            exceed_count=count,
+            frequency=count / cfg.sample_count,
+            azuma=azuma_bound(t, d2) if d2 > 0 else 0.0,
         )
+        for t, count in zip(cfg.thresholds, counts)
+    )
     return TailReport(
         sample_count=cfg.sample_count,
         seed=cfg.seed,
-        mean=mean,
+        mean=profile.mean,
         d_squared=profile.d_squared,
-        rows=tuple(rows),
+        rows=rows,
     )

@@ -45,7 +45,6 @@ from .rational import rat, rat_str
 from .words import (
     Builtin,
     TableFunction,
-    WeightVector,
     marginal_projection,
     y_section,
 )
@@ -325,12 +324,11 @@ def montecarlo_criterion(seed: int, sample_count: int = 100_000) -> CriterionRes
     n = 8
     P = _binary_chain(n)
     f = Builtin("sum_of_symbols", 2, n).table()
-    w = WeightVector((1,) * n)
     cfg = SimulationConfig(sample_count, seed, (1.0, 2.0, 3.0, 4.0))
     started = time.monotonic()
-    report = empirical_tail(f, P, w, cfg)
+    report = empirical_tail(f, P, cfg)
     elapsed = time.monotonic() - started
-    report_again = empirical_tail(f, P, w, cfg)
+    report_again = empirical_tail(f, P, cfg)
 
     failures = []
     if report != report_again:

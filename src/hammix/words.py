@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd, lcm
 from numbers import Rational
 from operator import add
@@ -173,11 +172,6 @@ class TableFunction:
     def table(self) -> "TableFunction":
         """The table itself; a :class:`Builtin` builds its own."""
         return self
-
-
-def words(m: int, n: int) -> Iterator[Word]:
-    """All words of S^n in lexicographic (index) order."""
-    return product(range(m), repeat=n)
 
 
 def word_index(x: Sequence[int], m: int, n: int | None = None) -> int:

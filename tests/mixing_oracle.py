@@ -22,18 +22,25 @@ one bisection per symbol (:func:`sample_index_by_bisection`).
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
+from itertools import accumulate, product
 from numbers import Rational
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hammix.mixing import DeltaMatrix, MarkovSpec, Measure
 from hammix.montecarlo import _GAMMA, _MASK64
 from hammix.rational import rat
-from hammix.words import WeightVector, Word, project_numerators, word_index, words
+from hammix.words import WeightVector, Word, project_numerators, word_index
 
 _TWO64 = 1 << 64
+
+
+def words(m: int, n: int) -> Iterator[Word]:
+    """All words of S^n in lexicographic (index) order."""
+    return product(range(m), repeat=n)
 
 
 def mix64(z: int) -> int:
@@ -304,16 +311,19 @@ def sample_index_by_bisection(P: Measure | MarkovSpec, draws: Iterable[int]) -> 
 
     Dense: the cell that ``bisect_right`` finds for base + floor(r M / 2^64)
     in the current block's prefix sums (base the prefix sum at the block's
-    start, M its mass), and the sub-block holding it.  Chain: one
-    bisection of the current state's row thresholds
-    (``MarkovSpec.sampler_cuts``) per symbol, the index summed digit by
-    digit.
+    start, M its mass), and the sub-block holding it.  Chain: per symbol,
+    one bisection of the draw in the ceilings ceil(c_b 2^64) of the
+    current state's rational law, c_b its cumulative sums in Fractions
+    (``initial`` for the first symbol, then row ``state`` of the next
+    transition matrix), the index summed digit by digit.  The library's
+    thresholds are not read.
     """
     m, n = P.alphabet_size, P.arity
     if isinstance(P, MarkovSpec):
         index = state = 0
-        for i, (rows, r) in enumerate(zip(P.sampler_cuts, draws)):
-            state = bisect_right(rows[state], r)
+        laws = ((P.initial,), *P.transitions)
+        for i, (rows, r) in enumerate(zip(laws, draws)):
+            state = bisect_right([math.ceil(c * _TWO64) for c in accumulate(rows[state])], r)
             index += state * m ** (n - 1 - i)
         return index
     cum = P._cum

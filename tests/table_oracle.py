@@ -24,8 +24,8 @@ from hammix.mixing import Measure
 from hammix.montecarlo import SimulationConfig, sample_word
 from hammix.psi import ramp
 from hammix.rational import RationalLike, rat, rat_from_float
-from hammix.words import TableFunction, WeightVector, Word, word_index, words
-from mixing_oracle import ZeroPrefixProbability, block_mass, prefix_block, stream_draws
+from hammix.words import TableFunction, WeightVector, Word, word_index
+from mixing_oracle import ZeroPrefixProbability, block_mass, prefix_block, stream_draws, words
 
 
 def hamming_distance(x: Sequence[int], y: Sequence[int], w: WeightVector) -> Rational:
@@ -172,10 +172,10 @@ def _profile_level(f: TableFunction, P: Measure, fp_cum: Sequence[Rational], i: 
 
 
 def martingale_profile(f: TableFunction, P: Measure) -> MartingaleProfile:
-    """Every v_bar level from rational f * P prefix sums."""
+    """E f, the sum of every f * P term, and every v_bar level from rational f * P prefix sums."""
     fp_cum = _weighted_cum(f, P)
     bars = tuple(_profile_level(f, P, fp_cum, i) for i in range(1, f.arity + 1))
-    return MartingaleProfile(bars)
+    return MartingaleProfile(fp_cum[-1], bars)
 
 
 def tail_mean_and_counts(

@@ -150,6 +150,24 @@ def test_simulate_subcommand_and_seed_override(capsys, chain_file):
     assert payload3["seed"] == 99
 
 
+@pytest.mark.parametrize(
+    "name", ["markov_indicator", "markov_hamming", "dense_m2n8", "constant_function", "chain_simulate"]
+)
+def test_simulate_reports_the_bound_subcommand_corollary(capsys, name):
+    # Each file simulates at its own thresholds, so simulate's corollary
+    # column is bound's report: a chain on the table path and on the kernel
+    # path, a dense measure, and a constant function (every bound 0).
+    path = GOLDEN / f"{name}.json"
+    if not path.exists():
+        path = GOLDEN.parent.parent / "sample_problems" / f"{name}.json"
+    doc = json.loads(path.read_text())
+    assert doc["thresholds"] == doc["simulation"]["thresholds"]
+    _, bound, _ = _run(capsys, ["bound", str(path)])
+    _, simulated, _ = _run(capsys, ["simulate", str(path)])
+    assert [row["corollary"] for row in simulated["per_t"]] == [row["bound"] for row in bound["per_t"]]
+    assert [row["t"] for row in simulated["per_t"]] == doc["thresholds"]
+
+
 def test_one_parser_per_process_keeps_no_state_between_calls(capsys, chain_file):
     assert cli._parser() is cli._parser()
     code, payload, _ = _run(capsys, ["simulate", "--seed", "5", "--max-table", "4", chain_file])

@@ -24,8 +24,8 @@ from hammix.words import (
     TableFunction,
     WeightVector,
     word_unindex,
-    words,
 )
+from mixing_oracle import words
 from table_oracle import constant, from_callable, hamming_distance, scale
 
 

@@ -23,14 +23,13 @@ from hammix.martingale import (
     conditional_sums,
     kernel_terms,
     martingale_profile,
-    mean_and_profile,
     verify_sumvi,
 )
 from hammix.lipschitz_lp import lipschitz_constant
 from hammix.mixing import MarkovSpec, Measure, expand_markov
 from hammix.rational import rat
-from hammix.words import Builtin, TableFunction, WeightVector, words
-from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass
+from hammix.words import Builtin, TableFunction, WeightVector
+from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass, words
 from table_oracle import conditional_expectation, constant, from_callable, hamming_distance, scale, v_i
 
 
@@ -190,8 +189,8 @@ def test_martingale_profile_dominates_each_level():
 
 def test_martingale_profile_validation():
     with pytest.raises(ValueError):
-        MartingaleProfile((rat(-1),))
-    assert MartingaleProfile((rat(1, 2), rat(1, 3))).d_squared == rat(13, 36)
+        MartingaleProfile(rat(0), (rat(-1),))
+    assert MartingaleProfile(rat(0), (rat(1, 2), rat(1, 3))).d_squared == rat(13, 36)
 
 
 def test_translation_invariance_and_homogeneity():
@@ -312,10 +311,10 @@ def test_kernel_profile_matches_the_table_path_on_chains():
     zero_init = zero_entries = unreachable = 0
     for f, table, chain, w in additive_chain_cases(16, 150):
         assert kernel_terms(f, chain) is not None and kernel_terms(table, chain) is None
-        mean, profile = mean_and_profile(f, chain)
-        assert (mean, profile) == mean_and_profile(table, chain)
+        profile = martingale_profile(f, chain)
+        assert profile == martingale_profile(table, chain)
         P = expand_markov(chain)
-        assert mean == sum(map(mul, P.values, table.values), rat(0))
+        assert profile.mean == sum(map(mul, P.values, table.values), rat(0))
         assert lipschitz_constant(f, w) == lipschitz_constant(table, w)
         assert verify_sumvi(f, chain, w) == verify_sumvi(table, P, w)
         zero_init += 0 in chain.laws[0][0]

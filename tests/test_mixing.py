@@ -34,9 +34,10 @@ from mixing_oracle import (
     prefix_mass,
     tv_distance,
     weighted_norm_sq,
+    words,
 )
 from hammix.rational import rat, rat_from_float
-from hammix.words import TableFunction, WeightVector, words
+from hammix.words import TableFunction, WeightVector
 
 
 def _chain(n):

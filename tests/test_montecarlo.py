@@ -103,7 +103,8 @@ def _batch_indices(P, seed, count):
     m, n = P.alphabet_size, P.arity
     draws = montecarlo._draws(seed, 2, count + n - 1)
     if isinstance(P, MarkovSpec):
-        return montecarlo._chain_values(P, montecarlo._index_digits(m, n), draws, count)
+        levels = montecarlo._chain_cuts(P)
+        return montecarlo._chain_values(levels, montecarlo._index_digits(m, n), draws, count)
     return montecarlo._dense_indices(montecarlo._level_cuts(P), m, draws, count)
 
 
@@ -165,12 +166,12 @@ def test_batches_give_the_one_batch_report(monkeypatch):
         (Builtin("sum_of_symbols", 3, 5), BISECTION_CASES[5][1], (0.5, 1.5, 3.0)),
     ]
     for f, P, thresholds in cases:
-        w, cfg = WeightVector([1] * P.arity), SimulationConfig(1000, 4, thresholds)
+        cfg = SimulationConfig(1000, 4, thresholds)
         monkeypatch.setattr(montecarlo, "_BATCH", 1 << 14)
-        whole = empirical_tail(f, P, w, cfg)
+        whole = empirical_tail(f, P, cfg)
         assert 0 < whole.rows[0].exceed_count < 1000
         monkeypatch.setattr(montecarlo, "_BATCH", 64)
-        assert empirical_tail(f, P, w, cfg) == whole
+        assert empirical_tail(f, P, cfg) == whole
 
 
 def test_sample_word_consumes_exactly_n_draws():
@@ -204,9 +205,8 @@ def test_empirical_tail_counts_match_one_stream_per_sample(seed, samples):
     # sample draws; the oracle samples each chain's expanded table.
     for f, P in _tail_cases():
         cfg = SimulationConfig(samples, seed, (0.5, 1.0, 1.5))
-        w = WeightVector((1,) * P.arity)
         table = expand_markov(P) if isinstance(P, MarkovSpec) else P
-        report = empirical_tail(f, P, w, cfg)
+        report = empirical_tail(f, P, cfg)
         mean, counts = table_oracle.tail_mean_and_counts(f, table, cfg)
         assert report.mean == mean
         assert [row.exceed_count for row in report.rows] == counts
@@ -217,10 +217,10 @@ def test_additive_chain_samples_match_the_table_path():
     # its table counts, on the same draws, and match the oracle's counts.
     rng = random.Random(17)
     exceeded = 0
-    for f, table, chain, w in additive_chain_cases(18, 60):
+    for f, table, chain, _ in additive_chain_cases(18, 60):
         cfg = SimulationConfig(120, rng.getrandbits(64), (0.25, 0.5, 1.0, 2.0))
-        report = empirical_tail(f, chain, w, cfg)
-        assert report == empirical_tail(table, chain, w, cfg)
+        report = empirical_tail(f, chain, cfg)
+        assert report == empirical_tail(table, chain, cfg)
         mean, counts = table_oracle.tail_mean_and_counts(table, expand_markov(chain), cfg)
         assert report.mean == mean
         assert [row.exceed_count for row in report.rows] == counts
@@ -355,15 +355,15 @@ def test_empirical_tail_reproducible_and_bounded():
     f = from_callable(2, n, lambda x: sum(x))
     w = WeightVector((1,) * n)
     cfg = SimulationConfig(5_000, 424242, (1.0, 2.0, 3.0, 4.0))
-    report = empirical_tail(f, P, w, cfg)
-    assert report == empirical_tail(f, P, w, cfg)
+    report = empirical_tail(f, P, cfg)
+    assert report == empirical_tail(f, P, cfg)
 
     assert report.mean == 4  # symmetric chain, E sum = n/2
     assert report.d_squared == martingale_profile(f, P).d_squared
     for row in report.rows:
         sigma = math.sqrt(row.frequency * (1 - row.frequency) / cfg.sample_count)
         assert row.frequency <= min(1.0, row.azuma) + 3 * sigma
-        assert row.corollary > 0
+    assert all(bound > 0 for bound in concentration_bound(f, P, w, cfg.thresholds).bounds)
 
 
 def test_empirical_tail_against_midrange_corollary_bound():
@@ -378,19 +378,18 @@ def test_empirical_tail_against_midrange_corollary_bound():
     op = operator_norm_2(delta_matrix(P))
     t = math.sqrt(2.0 * n * op * op * math.log(4.0))  # makes the bound 1/2
     cfg = SimulationConfig(20_000, 3131, (t,))
-    report = empirical_tail(f, P, w, cfg)
-    row = report.rows[0]
-    assert row.corollary == pytest.approx(0.5, rel=1e-9)
+    (corollary,) = concentration_bound(f, P, w, cfg.thresholds).bounds
+    assert corollary == pytest.approx(0.5, rel=1e-9)
+    row = empirical_tail(f, P, cfg).rows[0]
     sigma = math.sqrt(row.frequency * (1 - row.frequency) / cfg.sample_count)
-    assert row.frequency <= row.corollary + 3 * sigma
+    assert row.frequency <= corollary + 3 * sigma
 
 
 def test_empirical_tail_threshold_beyond_range_is_zero():
     P = Measure.uniform(2, 2)
     f = from_callable(2, 2, lambda x: sum(x))
-    w = WeightVector((1, 1))
     cfg = SimulationConfig(2_000, 9, (10.0,))
-    report = empirical_tail(f, P, w, cfg)
+    report = empirical_tail(f, P, cfg)
     assert report.rows[0].exceed_count == 0
     assert report.rows[0].frequency == 0.0
 
@@ -400,30 +399,11 @@ def test_arity_zero_tail_bounds_are_zero():
     P, w = Measure.uniform(2, 0), WeightVector(())
     for f in (TableFunction(2, 0, ("7/2",)), Builtin("sum_of_symbols", 2, 0)):
         assert concentration_bound(f, P, w, [0.5, 1.0]).bounds == (0.0, 0.0)
-        report = empirical_tail(f, P, w, SimulationConfig(20, 3, (0.5, 1.0)))
+        report = empirical_tail(f, P, SimulationConfig(20, 3, (0.5, 1.0)))
         assert report.d_squared == 0
-        assert [(r.exceed_count, r.azuma, r.corollary) for r in report.rows] == [(0, 0.0, 0.0)] * 2
+        assert [(r.exceed_count, r.azuma) for r in report.rows] == [(0, 0.0)] * 2
 
 
 def test_empirical_tail_shape_mismatch():
     with pytest.raises(ValueError):
-        empirical_tail(
-            constant(2, 2, 0),
-            Measure.uniform(2, 3),
-            WeightVector((1, 1)),
-            SimulationConfig(10, 0, (1.0,)),
-        )
-
-
-def test_empirical_tail_checks_weights_before_sampling(monkeypatch):
-    def sampled(*args):
-        raise AssertionError("words were drawn before the weights were checked")
-
-    monkeypatch.setattr(montecarlo, "_draws", sampled)
-    with pytest.raises(ValueError, match="weight length 1 != table arity 2"):
-        empirical_tail(
-            constant(2, 2, 0),
-            Measure.uniform(2, 2),
-            WeightVector((1,)),
-            SimulationConfig(10, 0, (1.0,)),
-        )
+        empirical_tail(constant(2, 2, 0), Measure.uniform(2, 3), SimulationConfig(10, 0, (1.0,)))

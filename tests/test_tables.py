@@ -28,8 +28,8 @@ from hammix.mixing import Measure, expand_markov
 from hammix.montecarlo import SimulationConfig, empirical_tail
 from hammix.psi import psi, psi_decomposition_rhs
 from hammix.rational import rat
-from hammix.words import TableFunction, marginal_projection, words, y_section
-from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass
+from hammix.words import TableFunction, marginal_projection, y_section
+from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass, words
 
 SHAPES = [(1, 0), (1, 3), (2, 0), (2, 1), (2, 4), (3, 0), (3, 3), (4, 2)]
 
@@ -144,11 +144,10 @@ def test_empirical_tail_mean_and_counts_match_oracle():
     for m, n in [(1, 2), (2, 3), (3, 2)]:
         for P in _measures(rng, m, n):
             f = random_table(rng, m, n, max_denominator=2)
-            w = random_weights(rng, n)
             # Half-integer thresholds meet deviations exactly, so the strict
             # comparison is exercised.
             cfg = SimulationConfig(300, rng.randrange(2**64), (0.5, 1.0, 1.5, 2.5))
-            report = empirical_tail(f, P, w, cfg)
+            report = empirical_tail(f, P, cfg)
             mean, counts = oracle.tail_mean_and_counts(f, P, cfg)
             assert report.mean == mean
             assert [row.exceed_count for row in report.rows] == counts

@@ -16,9 +16,9 @@ from hammix.words import (
     marginal_projection,
     word_index,
     word_unindex,
-    words,
     y_section,
 )
+from mixing_oracle import words
 from table_oracle import constant, from_callable, hamming_distance, prefix_restrict
 
 
