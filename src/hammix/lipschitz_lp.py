@@ -34,7 +34,7 @@ see :mod:`hammix.simplex`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Rational
 from operator import sub
@@ -153,15 +153,22 @@ class PhiPsiReport:
     lhs = phi_sup(k, w, v), rhs = psi(w, k) + v * ramp(total(k)).  When
     v = 0 the report also compares the norms (norm_lhs = phi_norm =
     lhs + norm_shift, norm_rhs = psi_norm = rhs + norm_shift); for v > 0
-    those fields are None.
+    those fields are None.  The verdicts are derived from these numbers:
+    holds is lhs <= rhs, and norm_holds is norm_lhs <= norm_rhs, or None
+    when the report has no norms.
     """
 
     lhs: Rational
     rhs: Rational
-    holds: bool
+    holds: bool = field(init=False)
     norm_lhs: Rational | None = None
     norm_rhs: Rational | None = None
-    norm_holds: bool | None = None
+    norm_holds: bool | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "holds", self.lhs <= self.rhs)
+        norm_holds = None if self.norm_lhs is None else self.norm_lhs <= self.norm_rhs
+        object.__setattr__(self, "norm_holds", norm_holds)
 
 
 def verify_phi_psi(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> PhiPsiReport:
@@ -170,10 +177,9 @@ def verify_phi_psi(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Ph
     lhs = phi_sup(k, w, v)
     rhs = psi(w, k) + v * ramp(k.total())
     if v != 0:
-        return PhiPsiReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+        return PhiPsiReport(lhs, rhs)
     shift = norm_shift(w, k)
-    norm_lhs, norm_rhs = lhs + shift, rhs + shift
-    return PhiPsiReport(lhs, rhs, lhs <= rhs, norm_lhs, norm_rhs, norm_lhs <= norm_rhs)
+    return PhiPsiReport(lhs, rhs, lhs + shift, rhs + shift)
 
 
 def oscillations(f: TableFunction | Builtin) -> tuple[Rational, ...]:

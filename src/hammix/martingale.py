@@ -195,15 +195,20 @@ def azuma_bound(t: float, d_squared: float) -> float:
     """Sub-Gaussian tail bound 2 exp(-t^2 / (2 d_squared)).
 
     Exceeds 1 for small t; callers may clamp at 1 when reporting since any
-    probability bound above 1 is vacuous.  An infinite d_squared (an exact
-    one past the float range) gives the vacuous 2.0 for every t.  When t^2
-    and 2 d_squared both overflow, the exponent is taken as z^2 / 2 with
+    probability bound above 1 is vacuous.  A zero d_squared means f is
+    constant almost surely, so its tail is 0 and the bound is 0.0 for
+    every t (the formula's limit as d_squared falls to 0); a negative one
+    raises.  An infinite d_squared (an exact one past the float range)
+    gives the vacuous 2.0 for every t.  When t^2 and 2 d_squared both
+    overflow, the exponent is taken as z^2 / 2 with
     z = t / sqrt(d_squared), so the bound is a number, never NaN.
     """
     if t <= 0:
         raise ValueError(f"threshold t must be positive, got {t}")
-    if d_squared <= 0:
-        raise ValueError(f"d_squared must be positive, got {d_squared}")
+    if d_squared < 0:
+        raise ValueError(f"d_squared must be nonnegative, got {d_squared}")
+    if d_squared == 0:
+        return 0.0
     if d_squared == math.inf:
         return 2.0
     exponent = -(t * t) / (2.0 * d_squared)
@@ -217,8 +222,10 @@ def azuma_bound(t: float, d_squared: float) -> float:
 class SumViReport:
     """Exact verdict on the mixing bound for martingale differences.
 
-    lhs = d_squared, rhs = lipschitz^2 * ||Delta w||_2^2; per_i_holds[i]
-    records the per-coordinate comparison v_bar_i <= lipschitz * (Delta w)_i.
+    lhs = d_squared, rhs = lipschitz^2 * ||Delta w||_2^2.  The verdicts are
+    derived: per_i_holds[i] is v_bar_i <= lipschitz * (Delta w)_i, and
+    holds is lhs <= rhs.  lhs and rhs are stored, not recomputed from
+    v_bars and delta_w.
     """
 
     v_bars: tuple[Rational, ...]
@@ -226,8 +233,13 @@ class SumViReport:
     rhs: Rational
     lipschitz: Rational
     delta_w: tuple[Rational, ...]
-    per_i_holds: tuple[bool, ...]
-    holds: bool
+    per_i_holds: tuple[bool, ...] = field(init=False)
+    holds: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        per_i = tuple(v <= self.lipschitz * dw for v, dw in zip(self.v_bars, self.delta_w, strict=True))
+        object.__setattr__(self, "per_i_holds", per_i)
+        object.__setattr__(self, "holds", self.lhs <= self.rhs)
 
 
 def verify_sumvi(f: Function, P: Measure | MarkovSpec, w: WeightVector) -> SumViReport:
@@ -237,19 +249,9 @@ def verify_sumvi(f: Function, P: Measure | MarkovSpec, w: WeightVector) -> SumVi
         raise ValueError(f"weight length {len(w)} != arity {f.arity}")
     profile = martingale_profile(f, P)
     lip = lipschitz_constant(f, w)
-    delta = delta_matrix(P)
-    dw = delta.apply(w)
+    dw = delta_matrix(P).apply(w)
     rhs = lip * lip * sum((x * x for x in dw), rat(0))
-    per_i = tuple(profile.v_bars[i] <= lip * dw[i] for i in range(f.arity))
-    return SumViReport(
-        v_bars=profile.v_bars,
-        lhs=profile.d_squared,
-        rhs=rhs,
-        lipschitz=lip,
-        delta_w=dw,
-        per_i_holds=per_i,
-        holds=profile.d_squared <= rhs,
-    )
+    return SumViReport(profile.v_bars, profile.d_squared, rhs, lip, dw)
 
 
 @dataclass(frozen=True)
@@ -280,9 +282,11 @@ def concentration_bound(
     d_squared.  The first two are exact and the norm is a certified upper
     bound, rounded up, but the float of ||f||^2 ||w||^2, its product with
     the norm's square, the exponent and exp round to nearest, so each bound
-    is an estimate.  Constant f (Lipschitz constant 0) gets 0.0 for every
-    t: its deviation probability is 0 and the formula's limit as the
-    denominator vanishes is the correct bound.
+    is an estimate.  Constant f has Lipschitz constant 0, so that product
+    is exactly 0.0 and Azuma's bound gives 0.0 for every t: its deviation
+    probability is 0.  A positive product stays positive as a float,
+    because :func:`~hammix.rational.float_from_rat` never rounds a positive
+    value to 0.0 and the norm is at least 1.
     """
     if any(not 0 < t <= sys.float_info.max for t in thresholds):
         raise ValueError(f"thresholds must be finite and positive, got {tuple(thresholds)}")
@@ -290,9 +294,6 @@ def concentration_bound(
     lip = lipschitz_constant(f, w)
     w_norm_sq = sum((x * x for x in w), rat(0))
     op = operator_norm_2(delta_matrix(P))
-    if lip == 0:
-        bounds = tuple(0.0 for _ in thresholds)
-    else:
-        d_squared = float_from_rat(lip * lip * w_norm_sq) * op * op
-        bounds = tuple(azuma_bound(t, d_squared) for t in thresholds)
+    d_squared = float_from_rat(lip * lip * w_norm_sq) * op * op
+    bounds = tuple(azuma_bound(t, d_squared) for t in thresholds)
     return ConcentrationReport(lip, w_norm_sq, op, bounds)

@@ -244,7 +244,8 @@ def empirical_tail(f: Function, P: Measure | MarkovSpec, cfg: SimulationConfig) 
 
     E f and the per-sample comparisons are exact (thresholds enter as the
     exact rational values of their floats); only the reported frequency and
-    Azuma's bound are floating point.  Identical (f, P, cfg) give
+    Azuma's bound are floating point.  The float of d_squared is 0.0 only
+    when d_squared is 0, and Azuma's bound is then 0.0.  Identical (f, P, cfg) give
     bit-identical reports.  Where :func:`~hammix.martingale.kernel_terms`
     allows it, a sample's value is summed from its terms as its symbols are
     drawn, and no table is built; otherwise the walk gives table indices,
@@ -283,7 +284,7 @@ def empirical_tail(f: Function, P: Measure | MarkovSpec, cfg: SimulationConfig) 
             threshold=t,
             exceed_count=count,
             frequency=count / cfg.sample_count,
-            azuma=azuma_bound(t, d2) if d2 > 0 else 0.0,
+            azuma=azuma_bound(t, d2),
         )
         for t, count in zip(cfg.thresholds, counts)
     )

@@ -37,18 +37,11 @@ digit strings ("0,1,1,0"); the comma form is required when the alphabet
 has more than ten symbols, except for a one-symbol word (n = 1), whose
 whole text is its symbol ("11").  The word is parsed once, here, into a
 :class:`~hammix.words.Builtin`, which builds its m^n table only when a
-stage reads one.  :func:`resolve_function` builds it for ``psi``,
-``phi``, ``verify-lp`` and ``decompose``; ``martingale``, ``simulate`` and
-``bound`` take the builtin as parsed, so its Lipschitz constant comes from
-its closed-form oscillations.  ``martingale`` and ``simulate`` build its
-table once (the profile and the sampler read that one table) unless the
-function is ``sum_of_symbols`` or ``hamming_to`` and the measure a chain
-(they then read its kernels and the builtin's per-coordinate terms), and
-:func:`check_table_size` holds that table to the cap first.  ``bound``
-never builds a builtin's table.  A chain is handed on as its parsed spec.
-The cap (``max_table``) applies to every m^n table a run builds, the
-function's and a dense measure's; a chain builds none on those paths, so
-for a chain it caps the n x n mixing matrix instead.
+stage reads one.  :func:`resolve_function`, :func:`resolve_measure` and
+:func:`check_table_size` hold the tables a caller asks for to the cap
+(``max_table``); a chain's spec is handed on as parsed, so for a chain the
+cap is on the n x n mixing matrix.  Which tables each subcommand builds is
+the CLI's policy (see :func:`hammix.cli._function_and_measure`).
 """
 
 from __future__ import annotations

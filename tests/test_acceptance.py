@@ -14,7 +14,7 @@ are exact rational comparisons with zero tolerated violations.
   7  sum V_i^2 mixing bound              300 instances, per-coordinate too
   8  conditional-mean-zero, translation  same instances
   9  Monte Carlo tails under bounds      1e5 samples, < 30 s, reproducible
- 10  spot values vs independent oracles  1e-12 / 1e-9
+ 10  spot values vs independent oracles  exact / 1e-9 above, 4 ulps below
 """
 
 import random
@@ -23,6 +23,8 @@ import pytest
 
 from hammix.selftest import (
     DEFAULT_SEED,
+    CriterionResult,
+    SelftestReport,
     _draw_lp_instance,
     commutation_criterion,
     decomposition_criterion,
@@ -114,3 +116,15 @@ def test_criterion_09_monte_carlo_sanity():
 
 def test_criterion_10_spot_values():
     _report(spot_values_criterion())
+
+
+def test_selftest_reports_derive_their_verdicts():
+    clean = CriterionResult(3, "clean", checked=4, failures=0)
+    failed = CriterionResult(4, "failed", checked=4, failures=1, detail={"case": 1})
+    assert clean.passed and not failed.passed
+    assert SelftestReport((clean,), seed=1, instance_count=4, elapsed_seconds=0.0).all_passed
+    assert not SelftestReport((clean, failed), seed=1, instance_count=4, elapsed_seconds=0.0).all_passed
+    with pytest.raises(TypeError):
+        CriterionResult(3, "claims", passed=True, checked=4, failures=1)
+    with pytest.raises(TypeError):
+        SelftestReport((failed,), all_passed=True, seed=1, instance_count=4, elapsed_seconds=0.0)

@@ -57,10 +57,17 @@ def chain_file(tmp_path):
     )
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
-    payload = json.loads(captured.out) if captured.out else None
+    payload = _strict_json(captured.out) if captured.out else None
     return code, payload, captured.err
 
 
@@ -390,31 +397,39 @@ def test_max_table_flag(capsys, psi_file):
 def test_violation_exits_3(capsys, psi_file, monkeypatch):
     # The verified inequality cannot actually fail, so fake a violating
     # report to pin the exit-code contract for CI gating.
-    fake = PhiPsiReport(lhs=rat(2), rhs=rat(1), holds=False)
+    fake = PhiPsiReport(lhs=rat(2), rhs=rat(1))
     monkeypatch.setattr(cli, "verify_phi_psi", lambda *a, **k: fake)
     code, payload, _ = _run(capsys, ["verify-lp", psi_file])
     assert code == 3
     assert payload["holds"] is False
 
 
-@pytest.mark.parametrize("holds,per_i_holds", [(False, (True, True)), (True, (True, False))])
-def test_martingale_violation_exits_3(capsys, chain_file, monkeypatch, holds, per_i_holds):
+@pytest.mark.parametrize(
+    "v_bars,delta_w,lhs,rhs,holds,per_i_holds",
+    [
+        ((2, 1), (1, 1), 5, 2, False, (False, True)),
+        ((1, 1), (2, rat(1, 2)), 2, rat(17, 4), True, (True, False)),
+    ],
+    ids=["sum-and-one-coordinate", "one-coordinate"],
+)
+def test_martingale_violation_exits_3(capsys, chain_file, monkeypatch, v_bars, delta_w, lhs, rhs, holds, per_i_holds):
     # As for verify-lp, the exact check cannot fail on real input, so a
-    # violating report is faked: either the summed or one per-coordinate
-    # comparison fails.
+    # violating report is faked from numbers that violate it, with
+    # lhs = sum v_bar_i^2 and rhs = lipschitz^2 sum (Delta w)_i^2.  The
+    # per-coordinate bounds imply the summed one, so a failed sum comes
+    # with a failed coordinate.
     fake = SumViReport(
-        v_bars=(rat(1), rat(1)),
-        lhs=rat(2),
-        rhs=rat(1),
+        v_bars=tuple(map(rat, v_bars)),
+        lhs=rat(lhs),
+        rhs=rat(rhs),
         lipschitz=rat(1),
-        delta_w=(rat(1), rat(1)),
-        per_i_holds=per_i_holds,
-        holds=holds,
+        delta_w=tuple(map(rat, delta_w)),
     )
     monkeypatch.setattr(cli, "verify_sumvi", lambda *a, **k: fake)
     code, payload, err = _run(capsys, ["martingale", chain_file])
     assert code == 3
     assert payload["holds"] is holds
+    assert payload["per_coordinate_holds"] == list(per_i_holds)
     assert "VIOLATED" in err
 
 
@@ -489,13 +504,6 @@ def test_selftest_rejects_nonpositive_counts(capsys, flag, value):
     assert code == 1
     assert payload is None
     assert flag in err
-
-
-def _strict_json(text):
-    def refuse(name):
-        raise ValueError(f"not strict JSON: {name}")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 def _extreme_doc(scale, table_value):

@@ -30,11 +30,13 @@ than block cells, and its 3000 samples walk eight levels of the table.
 differ.
 """
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+import hammix
 import hammix.cli as cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,3 +79,20 @@ def test_selftest_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _without_elapsed(out) == _without_elapsed((GOLDEN / "selftest.stdout").read_text())
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("*.stdout")), ids=lambda path: path.stem)
+def test_golden_is_strict_json_with_the_envelope(golden):
+    report = json.loads(golden.read_text(), parse_constant=_refuse_constant)
+    command = golden.stem.partition(".")[2] or golden.stem
+    envelope = {"tool": "hammix", "version": hammix.__version__, "command": command}
+    assert list(report.items())[:3] == list(envelope.items())
+    if command == "selftest":
+        assert "input_digest" not in report
+    else:
+        assert list(report)[3] == "input_digest"
+        assert re.fullmatch("sha256:[0-9a-f]{64}", report["input_digest"])

@@ -9,6 +9,7 @@ import hammix.selftest as selftest
 from hammix.instances import random_table, random_weights
 from hammix.lipschitz_lp import (
     LpProblem,
+    PhiPsiReport,
     build_polytope_lp,
     lipschitz_constant,
     oscillations,
@@ -213,6 +214,17 @@ def test_verify_phi_psi_positive_v_skips_norms():
     report = verify_phi_psi(k, WeightVector((1,)), "1/2")
     assert report.holds
     assert report.norm_lhs is None and report.norm_holds is None
+
+
+def test_phi_psi_report_derives_its_verdicts():
+    report = PhiPsiReport(rat(2), rat(1))
+    assert report.holds is False and report.norm_holds is None
+    report = PhiPsiReport(rat(1), rat(1), norm_lhs=rat(3), norm_rhs=rat(5, 2))
+    assert report.holds is True and report.norm_holds is False
+    with pytest.raises(TypeError):
+        PhiPsiReport(rat(2), rat(1), holds=True)
+    with pytest.raises(TypeError):
+        PhiPsiReport(rat(1), rat(1), norm_lhs=rat(3), norm_rhs=rat(1), norm_holds=True)
 
 
 def test_n1_supremum_is_tight():

@@ -18,6 +18,7 @@ from hammix.instances import (
 )
 from hammix.martingale import (
     MartingaleProfile,
+    SumViReport,
     azuma_bound,
     concentration_bound,
     conditional_sums,
@@ -219,8 +220,10 @@ def test_azuma_bound_values():
     assert b2 == pytest.approx(2.0 * (b1 / 2.0) ** 4, rel=1e-12)
     with pytest.raises(ValueError):
         azuma_bound(0.0, 1.0)
+    # d^2 = 0: f is constant almost surely, so its tail is 0.
+    assert azuma_bound(1.0, 0.0) == 0.0
     with pytest.raises(ValueError):
-        azuma_bound(1.0, 0.0)
+        azuma_bound(1.0, -1.0)
 
 
 def test_azuma_bound_when_both_squares_overflow():
@@ -228,6 +231,31 @@ def test_azuma_bound_when_both_squares_overflow():
     assert azuma_bound(1e200, 1e308) == 0.0
     # z = t / sqrt(d^2) is finite, z^2 is not: the bound is still a number.
     assert azuma_bound(sys.float_info.max, 1e308) == 0.0
+
+
+@pytest.mark.parametrize(
+    "v_bars,delta_w,lhs,rhs,holds,per_i_holds",
+    [
+        ((2, 1), (1, 1), 5, 2, False, (False, True)),
+        ((1, 1), (2, rat(1, 2)), 2, rat(17, 4), True, (True, False)),
+        ((2, rat(1, 2)), (2, rat(1, 2)), rat(17, 4), rat(17, 4), True, (True, True)),
+    ],
+)
+def test_sumvi_report_derives_its_verdicts(v_bars, delta_w, lhs, rhs, holds, per_i_holds):
+    # lhs = sum v_bar_i^2 and rhs = lipschitz^2 sum (Delta w)_i^2, lipschitz 1.
+    numbers = {
+        "v_bars": tuple(map(rat, v_bars)),
+        "lhs": rat(lhs),
+        "rhs": rat(rhs),
+        "lipschitz": rat(1),
+        "delta_w": tuple(map(rat, delta_w)),
+    }
+    report = SumViReport(**numbers)
+    assert report.holds is holds and report.per_i_holds == per_i_holds
+    with pytest.raises(TypeError):
+        SumViReport(**numbers, holds=not holds)
+    with pytest.raises(TypeError):
+        SumViReport(**numbers, per_i_holds=(True, True))
 
 
 def test_verify_sumvi_constant_function():
