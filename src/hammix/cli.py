@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
@@ -253,6 +254,30 @@ def _cmd_simulate(problem: ProblemFile, args) -> tuple[dict, int, str]:
     return payload, _EXIT_OK, f"simulate: {report.sample_count} samples, seed {report.seed}"
 
 
+def _json_text(value: Any, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)``, written without its encoder.
+
+    json's indented output comes from its pure-Python encoder, whose
+    closures leave reference cycles behind on every call.  Strings (keys
+    included) are encoded by the C-level ``encode_basestring_ascii``, ints
+    by ``int.__repr__`` as json does, and the other scalars by
+    ``json.dumps``, which takes the C path when no indent is asked for.
+    ``indent`` is the newline and the indent of the enclosing level.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if value else "[]"
+    return json.dumps(value)
+
+
 def _weights(problem: ProblemFile):
     if problem.weights is None:
         raise ProblemFileError("weights", "this subcommand needs a 'weights' section")
@@ -318,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot write the report: {exc}", file=sys.stderr)
         return _EXIT_INVALID_INPUT
 
-    print(json.dumps(envelope, indent=2))
+    print(_json_text(envelope))
     print(summary, file=sys.stderr)
     return code
 

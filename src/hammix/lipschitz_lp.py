@@ -24,12 +24,18 @@ The central quantities:
   v = 0 polytope onto itself, so that max is one LP plus
   :func:`~hammix.psi.norm_shift`.
 
-:func:`solve_lp` hands the simplex rows of int coefficients, a totally
-unimodular matrix, which is what the simplex requires: every pivot
-element is 1, so every pivot is an integer subtraction.  Every solve
-returns the :class:`~hammix.simplex.SimplexResult` whose strong-duality
-certificate the simplex's integer checker has verified against those rows;
-see :mod:`hammix.simplex`.
+An :class:`LpProblem` is integers from the start: the table's numerators
+over its denominator as the objective, and every right-hand side as a
+numerator over D, the lcm of the denominators of v and of the weights.
+Its difference rows are generated from index strides when the LP is
+solved, never stored.  :func:`solve_lp` hands the simplex these rows of
+int coefficients, a totally unimodular matrix, which is what the simplex
+requires: every pivot element is 1, so every pivot is an integer
+subtraction.  Every solve returns the
+:class:`~hammix.simplex.SimplexResult` whose integer certificate (the
+vertex over D, the duals over the objective denominator, the value) the
+simplex's checker has verified against those rows; the rationals are
+built only when read.  See :mod:`hammix.simplex`.
 """
 
 from __future__ import annotations
@@ -41,56 +47,92 @@ from operator import sub
 from typing import Iterator, Literal
 
 from .psi import norm_shift, psi, ramp
-from .rational import RationalLike, rat
-from .simplex import SimplexResult, simplex_max
+from .rational import RationalLike, over_common_denominator, rat
+from .simplex import IntegerLp, SimplexResult, solve
 from .words import Builtin, TableFunction, WeightVector, word_unindex
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Maximize <objective, phi> over the 1-Lipschitz polytope.
+    """Maximize <objective, phi> over the 1-Lipschitz polytope, in integers.
 
-    ``upper_bound`` (= v + sum w, shared by all variables) is the box
-    ceiling; each difference constraint (x, y, rhs) encodes
-    phi[x] - phi[y] <= rhs for one ordered pair at Hamming distance 1
-    (or an arbitrary ordered pair in the all-pairs cross-check build).
+    The objective is the table numerators ``nums`` over ``den``.  Every
+    right-hand side is an integer over ``rhs_den``: the box ceiling
+    ``upper`` (= (v + sum w) * rhs_den, shared by all variables) and, per
+    coordinate i, ``costs[i]`` = w_i * rhs_den.  Difference rows read
+    phi[x] - phi[y] <= d_w(x, y) for each ordered pair at Hamming distance
+    1 (pairs="adjacent", rhs the cost of the one coordinate where they
+    differ) or for every ordered pair (pairs="all", the cross-check build);
+    :meth:`difference_rows` generates them, none is stored.
+
+    ``num_vars``, ``objective``, ``upper_bound`` and
+    ``difference_constraints`` are the same problem as rationals, built
+    when read: the objective in word order, and the triples (x, y, rhs) in
+    the order of :meth:`difference_rows`.
     """
 
-    num_vars: int
-    objective: tuple[Rational, ...]
-    upper_bound: Rational
-    difference_constraints: tuple[tuple[int, int, Rational], ...]
+    alphabet_size: int
+    arity: int
+    nums: tuple[int, ...]
+    den: int
+    upper: int
+    costs: tuple[int, ...]
+    rhs_den: int
+    pairs: Literal["adjacent", "all"] = "adjacent"
 
     def __post_init__(self) -> None:
-        if len(self.objective) != self.num_vars:
-            raise ValueError(
-                f"objective length {len(self.objective)} != num_vars {self.num_vars}"
-            )
-        if self.upper_bound.numerator <= 0:
+        if len(self.nums) != self.num_vars:
+            raise ValueError(f"objective length {len(self.nums)} != num_vars {self.num_vars}")
+        if self.upper <= 0:
             raise ValueError(f"box upper bound must be positive, got {self.upper_bound}")
-        for x, y, rhs in self.difference_constraints:
-            if not (0 <= x < self.num_vars and 0 <= y < self.num_vars) or x == y:
-                raise ValueError(f"bad difference constraint pair ({x}, {y})")
-            if rhs.numerator <= 0:
-                raise ValueError(f"difference constraint rhs must be positive, got {rhs}")
+        if len(self.costs) != self.arity:
+            raise ValueError(f"{len(self.costs)} coordinate costs for arity {self.arity}")
+        for c in self.costs:
+            if c <= 0:
+                raise ValueError(f"difference constraint rhs must be positive, got {rat(c, self.rhs_den)}")
+        if self.pairs not in ("adjacent", "all"):
+            raise ValueError(f"unknown pair mode {self.pairs!r}")
 
+    @property
+    def num_vars(self) -> int:
+        return self.alphabet_size**self.arity
 
-def _adjacent_pairs(m: int, n: int) -> Iterator[tuple[int, int, int]]:
-    """Ordered index pairs of words differing in exactly one coordinate.
+    @property
+    def objective(self) -> tuple[Rational, ...]:
+        return tuple(rat(x, self.den) for x in self.nums)
 
-    Yields (x_index, y_index, coordinate); coordinate 0 is the first (most
-    significant) symbol.
-    """
-    size = m**n
-    for idx in range(size):
-        stride = size
-        for pos in range(n):
-            stride //= m
-            digit = (idx // stride) % m
-            for other in range(m):
-                if other == digit:
-                    continue
-                yield idx, idx + (other - digit) * stride, pos
+    @property
+    def upper_bound(self) -> Rational:
+        return rat(self.upper, self.rhs_den)
+
+    @property
+    def difference_constraints(self) -> tuple[tuple[int, int, Rational], ...]:
+        return tuple((x, y, rat(b, self.rhs_den)) for x, y, b in self.difference_rows())
+
+    def difference_rows(self) -> Iterator[tuple[int, int, int]]:
+        """(x, y, b): the row phi[x] - phi[y] <= b / rhs_den, in build order.
+
+        Adjacent pairs come from index strides: for each word x, each
+        coordinate (the first, most significant, first) and each other
+        symbol there.  All pairs read d_w(x, .) as the ``hamming_to``
+        table of x, its numerators brought over rhs_den.
+        """
+        m, n, size = self.alphabet_size, self.arity, self.num_vars
+        if self.pairs == "all":
+            w = WeightVector(rat(c, self.rhs_den) for c in self.costs)
+            for x in range(size):
+                dist = Builtin("hamming_to", m, n, word_unindex(x, m, n), w).table()
+                scale = self.rhs_den // dist.den
+                yield from ((x, y, d * scale) for y, d in enumerate(dist.nums) if y != x)
+            return
+        for x in range(size):
+            stride = size
+            for cost in self.costs:
+                stride //= m
+                digit = (x // stride) % m
+                for other in range(m):
+                    if other != digit:
+                        yield x, x + (other - digit) * stride, cost
 
 
 def build_polytope_lp(
@@ -101,44 +143,34 @@ def build_polytope_lp(
 ) -> LpProblem:
     """Construct the LP for sup <k, phi> over the polytope with slack v.
 
-    pairs="all" emits one constraint per arbitrary ordered word pair with
-    rhs d_w(x, y), read from the ``hamming_to`` table of x; it is
-    exponentially larger and exists only as the oracle for the
-    adjacent-pair reduction.
+    The right-hand sides go over D, the lcm of the denominators of v and
+    of the weights.  pairs="all" has one difference row per ordered word
+    pair; it is exponentially larger and exists only as the oracle for
+    the adjacent-pair reduction.
     """
     if len(w) != k.arity:
         raise ValueError(f"weight length {len(w)} != table arity {k.arity}")
     v = rat(v)
     if v < 0:
         raise ValueError(f"box slack v must be >= 0, got {v}")
-    m, n = k.alphabet_size, k.arity
-    upper = v + w.total()
-    constraints: list[tuple[int, int, Rational]] = []
-    if pairs == "adjacent":
-        for x, y, pos in _adjacent_pairs(m, n):
-            constraints.append((x, y, w[pos]))
-    elif pairs == "all":
-        for x in range(m**n):
-            dist = Builtin("hamming_to", m, n, word_unindex(x, m, n), w).table().values
-            constraints.extend((x, y, d) for y, d in enumerate(dist) if y != x)
-    else:
-        raise ValueError(f"unknown pair mode {pairs!r}")
-    return LpProblem(m**n, k.values, upper, tuple(constraints))
+    nums, den = over_common_denominator((v, *w))
+    return LpProblem(k.alphabet_size, k.arity, k.nums, k.den, sum(nums), tuple(nums[1:]), den, pairs)
 
 
 def solve_lp(p: LpProblem) -> SimplexResult:
     """Exact simplex solve of the problem, its certificate checked.
 
-    Box row j reads x_j <= upper_bound and the difference constraint
-    (x, y, b) reads x - y <= b: int rows of a totally unimodular (network)
-    matrix, the only kind the simplex accepts, so every pivot element is 1.
-    The dual vector is indexed by constraint rows in build order: first
-    the num_vars box rows, then the difference rows.
+    Box row j reads x_j <= upper and each difference row (x, y, b) reads
+    x - y <= b, all over rhs_den: int rows of a totally unimodular
+    (network) matrix, the only kind the simplex accepts, so every pivot
+    element is 1.  The dual vector is indexed by constraint rows in build
+    order: first the num_vars box rows, then the difference rows.
     """
-    nv, pairs = p.num_vars, p.difference_constraints
-    rows = [{j: 1} for j in range(nv)] + [{x: 1, y: -1} for x, y, _ in pairs]
-    rhs = [p.upper_bound] * nv + [b for _, _, b in pairs]
-    return simplex_max(p.objective, rows, rhs)
+    nv, upper = p.num_vars, p.upper
+    rows = [({j: 1}, upper) for j in range(nv)]
+    rows += [({x: 1, y: -1}, b) for x, y, b in p.difference_rows()]
+    objective = {j: c for j, c in enumerate(p.nums) if c}
+    return solve(IntegerLp(nv, objective, p.den, rows, p.rhs_den))
 
 
 def phi_sup(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Rational:

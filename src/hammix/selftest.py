@@ -10,8 +10,8 @@ count, and the report's ``all_passed`` from its criteria.
 
 The LP-based criteria read ``verify_phi_psi`` reports: one per random
 (k, w, v), plus one at v = 0 for the norms when v != 0.  Every certificate
-is verified once, inside ``simplex_max``, against the original constraint
-data.
+is verified once, inside the simplex's solve, in integers against the
+LP's own rows.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def lp_criteria(
     """Criteria 1, 2 and 5: supremum bound, norm bound, certificates.
 
     Returns (lp_inequality, norm_inequality, certificates) results.  Each
-    solve's certificate is verified inside ``simplex_max`` (a failure raises
-    CertificateError) and counted once; the adjacent-pair constraint
+    solve's certificate is verified inside the simplex's solve (a failure
+    raises CertificateError) and counted once; the adjacent-pair constraint
     reduction is cross-checked against the all-pairs build on m=2, n=2.
     """
     rng = random.Random(seed)

@@ -1,4 +1,4 @@
-"""Exact primal simplex for totally unimodular LPs, with optimality certificates.
+"""Exact primal simplex for totally unimodular LPs, with integer certificates.
 
 Solves the standard form
 
@@ -9,27 +9,32 @@ where A is an integer matrix met with unit pivots only, as a totally
 unimodular (TU) matrix is: every square submatrix has determinant 0, 1 or
 -1 (Hoffman-Kruskal).  The box rows ``x_j <= U`` and difference rows
 ``x - y <= b`` that :func:`hammix.lipschitz_lp.solve_lp` builds form such
-a (network) matrix.  The sparse tableau holds Python ints: row i maps each
-column to its nonzero coefficient, and its rhs is a numerator over the
-LP's one rhs denominator D.  A pivot element is 1, so a pivot subtracts
-multiples of the pivot row in place from the rows holding its column and
-the tableau stays the rational one.  A pivot element other than 1, which
-no TU matrix yields, raises ValueError, as does a coefficient that is not
-an integer: an LP is solved exactly or refused, never solved wrongly.
+a (network) matrix.  An :class:`IntegerLp` holds the problem in integers:
+c as numerators over one objective denominator, each row as its nonzero
+int coefficients and its rhs's numerator over one rhs denominator D.
+The sparse tableau holds Python ints.  A pivot element is 1, so a pivot
+subtracts multiples of the pivot row in place from the rows holding its
+column and the tableau stays the rational one.  A pivot element other
+than 1, which no TU matrix yields, raises ValueError, as does a
+coefficient that :func:`simplex_max` cannot read as an integer: an LP is
+solved exactly or refused, never solved wrongly.
 
 Nonnegative right-hand sides make the all-slack basis feasible, so no
 phase-1 is needed.  Pivoting uses Bland's anti-cycling rule (smallest-index
 entering column with positive reduced cost; ratio ties broken by smallest
-basic variable index), which terminates on degenerate polytopes.  Only the
-final vertex, duals and value are rationals.
+basic variable index), which terminates on degenerate polytopes.
 
-Every solve returns a :class:`SimplexResult` carrying the optimal vertex
-and the dual multipliers read off the final tableau, and one integer
-checker re-checks primal feasibility, dual feasibility and equality of the
-two objectives exactly, against the integer rows rather than the tableau;
-:func:`verify_certificate` converts the rows and runs it.  A certificate
-failure means a solver bug, never a caller error, hence the dedicated
-exception type.
+Every solve (:func:`solve`) returns a :class:`SimplexResult` whose
+certificate is integer too: the vertex's numerators over D, the duals'
+numerators over the objective denominator and the value's numerator.
+Before it is returned, :func:`verify_certificate` re-checks primal
+feasibility, dual feasibility and equality of the two objectives exactly,
+on those integers against the problem's rows rather than the tableau.
+The rationals are built only when ``primal``, ``dual`` or
+``objective_value`` is read.  :func:`simplex_max` is the entry point for
+rational input: it puts the problem over common denominators, then runs
+the same solve.  A certificate failure means a solver bug, never a caller
+error, hence the dedicated exception type.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .rational import over_common_denominator, rat
 
@@ -46,10 +51,6 @@ _EXACT = frozenset({int, Fraction})
 
 # Bland's rule terminates; this cap only trips on an implementation bug.
 _MAX_PIVOTS = 200_000
-
-#: Nonzero int coefficients by column, and the rhs's numerator over the
-#: LP's rhs denominator.
-_IntegerRow = tuple[dict[int, int], int]
 
 
 class SimplexError(RuntimeError):
@@ -60,14 +61,49 @@ class CertificateError(SimplexError):
     """An optimality certificate failed exact re-verification."""
 
 
+class IntegerLp(NamedTuple):
+    """max (c . x) / objective_den over {x >= 0 : A x <= b / rhs_den}, in integers.
+
+    ``objective`` maps each column with a nonzero c_j to its numerator;
+    ``rows`` holds, per constraint, its nonzero int coefficients by column
+    and the numerator of its rhs.
+    """
+
+    num_vars: int
+    objective: dict[int, int]
+    objective_den: int
+    rows: list[tuple[dict[int, int], int]]
+    rhs_den: int
+
+
 @dataclass(frozen=True)
 class SimplexResult:
-    """Optimal vertex, dual multipliers and their common objective value."""
+    """Optimal vertex, dual multipliers and their common objective value.
 
-    primal: tuple[Rational, ...]
-    dual: tuple[Rational, ...]
-    objective_value: Rational
+    The certificate is integer: the vertex is ``primal_nums`` over
+    ``rhs_den``, the duals are ``dual_nums`` over ``objective_den`` and the
+    value is ``value_num`` over ``objective_den * rhs_den``.  ``primal``,
+    ``dual`` and ``objective_value`` are those rationals, built when read.
+    """
+
+    primal_nums: tuple[int, ...]
+    dual_nums: tuple[int, ...]
+    value_num: int
+    rhs_den: int
+    objective_den: int
     pivots: int
+
+    @property
+    def primal(self) -> tuple[Fraction, ...]:
+        return tuple(rat(x, self.rhs_den) for x in self.primal_nums)
+
+    @property
+    def dual(self) -> tuple[Fraction, ...]:
+        return tuple(rat(y, self.objective_den) for y in self.dual_nums)
+
+    @property
+    def objective_value(self) -> Fraction:
+        return rat(self.value_num, self.objective_den * self.rhs_den)
 
 
 def simplex_max(
@@ -79,44 +115,22 @@ def simplex_max(
 
     ``rows`` holds one sparse coefficient mapping per constraint, of ints
     or of rationals with denominator 1, forming a totally unimodular
-    matrix.  Raises ValueError if some rhs entry is negative (the
-    all-slack start would be infeasible), if a coefficient is not an
-    integer or if a pivot element is not 1 (the matrix is not totally
-    unimodular), and SimplexError on unboundedness, which cannot happen
-    for the box-bounded polytopes built here.
+    matrix.  Puts the problem in integers (:func:`integer_lp`) and runs
+    :func:`solve`, so it raises what those raise.
     """
-    nv = len(objective)
-    c, c_den, integer_rows, rhs_den = _integer_lp(objective, rows, rhs)
-    for i, (_, b) in enumerate(integer_rows):
-        if b < 0:
-            raise ValueError(f"negative right-hand side {rhs[i]} in row {i}")
-    result = _pivot(nv, c, c_den, integer_rows, rhs_den)
-    _check(nv, c, c_den, integer_rows, rhs_den, result)
-    return result
+    return solve(integer_lp(objective, rows, rhs))
 
 
-def verify_certificate(
+def integer_lp(
     objective: Sequence[Rational],
     rows: Sequence[Mapping[int, Rational]],
     rhs: Sequence[Rational],
-    result: SimplexResult,
-) -> None:
-    """Exact strong-duality check against the original problem data.
+) -> IntegerLp:
+    """The rational problem over its least common denominators.
 
-    Converts the rows to integers as :func:`simplex_max` does (ValueError
-    on a coefficient that is not an integer) and runs the checker every
-    solve runs; raises CertificateError unless x >= 0, Ax <= b, y >= 0,
-    A^T y >= c and c.x == b.y == the reported value.
+    Raises ValueError if the row and rhs counts differ, a variable index is
+    out of range or a coefficient is not an integer.
     """
-    _check(len(objective), *_integer_lp(objective, rows, rhs), result)
-
-
-def _integer_lp(
-    objective: Sequence[Rational],
-    rows: Sequence[Mapping[int, Rational]],
-    rhs: Sequence[Rational],
-) -> tuple[dict[int, int], int, list[_IntegerRow], int]:
-    """Objective numerators and denominator, the integer rows, the rhs denominator."""
     nv = len(objective)
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} constraint rows but {len(rhs)} right-hand sides")
@@ -136,23 +150,35 @@ def _integer_lp(
         int_rows.append(row)
     b_nums, rhs_den = over_common_denominator([b if type(b) in _EXACT else rat(b) for b in rhs])
     nums, c_den = over_common_denominator([c if type(c) in _EXACT else rat(c) for c in objective])
-    return {j: c for j, c in enumerate(nums) if c}, c_den, list(zip(int_rows, b_nums)), rhs_den
+    c = {j: a for j, a in enumerate(nums) if a}
+    return IntegerLp(nv, c, c_den, list(zip(int_rows, b_nums)), rhs_den)
 
 
-def _pivot(
-    nv: int,
-    objective: dict[int, int],
-    objective_den: int,
-    rows: Sequence[_IntegerRow],
-    rhs_den: int,
-) -> SimplexResult:
+def solve(lp: IntegerLp) -> SimplexResult:
+    """The optimal vertex of ``lp``, its certificate checked.
+
+    Raises ValueError if some rhs is negative (the all-slack start would
+    be infeasible) or a pivot element is not 1 (the matrix is not totally
+    unimodular), and SimplexError on unboundedness, which cannot happen
+    for the box-bounded polytopes built here.
+    """
+    for i, (_, b) in enumerate(lp.rows):
+        if b < 0:
+            raise ValueError(f"negative right-hand side {rat(b, lp.rhs_den)} in row {i}")
+    result = _pivot(lp)
+    verify_certificate(lp, result)
+    return result
+
+
+def _pivot(lp: IntegerLp) -> SimplexResult:
     """The simplex itself: Bland's unit pivots, then the vertex, duals and value."""
+    nv, rows = lp.num_vars, lp.rows
     # Row i is tab[i][j] in column j (its slack is column nv + i) and
     # b[i] / rhs_den on the right; zeros are not stored.  The last row
     # holds the reduced costs times objective_den, and in b -(objective
     # value) times objective_den * rhs_den.
     tab = [{**coeffs, nv + i: 1} for i, (coeffs, _) in enumerate(rows)]
-    tab.append(dict(objective))
+    tab.append(dict(lp.objective))
     b = [rhs for _, rhs in rows] + [0]
 
     basis = list(range(nv, nv + len(rows)))
@@ -199,73 +225,65 @@ def _pivot(
                 b[i] -= f * best_b
         basis[leave] = enter
 
-    zero = rat(0)
-    primal = [zero] * nv
+    primal = [0] * nv
     for i, bvar in enumerate(basis):
-        if bvar < nv and b[i]:
-            primal[bvar] = rat(b[i], rhs_den)
+        if bvar < nv:
+            primal[bvar] = b[i]
     # At optimality the slack column nv + i of the objective row holds -y_i.
     obj = tab[-1]
-    dual = tuple(rat(-obj[nv + i], objective_den) if nv + i in obj else zero for i in range(len(rows)))
-    return SimplexResult(tuple(primal), dual, rat(-b[-1], objective_den * rhs_den), pivots)
+    dual = tuple(-obj.get(nv + i, 0) for i in range(len(rows)))
+    return SimplexResult(tuple(primal), dual, -b[-1], lp.rhs_den, lp.objective_den, pivots)
 
 
-def _check(
-    nv: int,
-    objective: dict[int, int],
-    objective_den: int,
-    rows: Sequence[_IntegerRow],
-    rhs_den: int,
-    result: SimplexResult,
-) -> None:
-    """Exact strong-duality check of ``result`` against integer rows.
+def verify_certificate(lp: IntegerLp, result: SimplexResult) -> None:
+    """Exact strong-duality check of ``result`` against the problem's rows.
 
     Confirms primal feasibility (x >= 0, Ax <= b), dual feasibility
     (y >= 0, A^T y >= c) and objective equality (c.x == b.y == value);
-    raises CertificateError otherwise.  x and y are put over common
-    denominators X and Y, and every comparison is one between integers
-    multiplied by positive factors.
+    raises CertificateError otherwise.  x is the result's numerators over
+    X = ``result.rhs_den`` and y over Y = ``result.objective_den``, so
+    every comparison is one between integers multiplied by positive
+    denominators; when X and Y are the problem's own, as for every
+    :func:`solve`, each side's factor is the same.
     """
-    x, y = result.primal, result.dual
+    nv, c, c_den, rows, rhs_den = lp
+    x, y = result.primal_nums, result.dual_nums
+    x_den, y_den = result.rhs_den, result.objective_den
     if len(x) != nv or len(y) != len(rows):
         raise CertificateError("certificate dimensions do not match the problem")
-    x_nums, x_den = over_common_denominator(x)
-    for j, a in enumerate(x_nums):
+    for j, a in enumerate(x):
         if a < 0:
-            raise CertificateError(f"primal variable {j} negative: {x[j]}")
+            raise CertificateError(f"primal variable {j} negative: {rat(a, x_den)}")
     for i, (coeffs, b) in enumerate(rows):
-        lhs = sum(a * x_nums[j] for j, a in coeffs.items())
+        lhs = sum(a * x[j] for j, a in coeffs.items())
         if lhs * rhs_den > b * x_den:
             raise CertificateError(
                 f"primal row {i} violated: {rat(lhs, x_den)} > {rat(b, rhs_den)}"
             )
 
-    y_nums, y_den = over_common_denominator(y)
     columns = [0] * nv
     dual_num = 0
-    for i, (z, (coeffs, b)) in enumerate(zip(y_nums, rows)):
+    for i, (z, (coeffs, b)) in enumerate(zip(y, rows)):
         if z < 0:
-            raise CertificateError(f"dual multiplier {i} negative: {y[i]}")
+            raise CertificateError(f"dual multiplier {i} negative: {rat(z, y_den)}")
         if z:
             dual_num += b * z
             for j, a in coeffs.items():
                 columns[j] += a * z
     for j, total in enumerate(columns):
-        c = objective.get(j, 0)
-        if total * objective_den < c * y_den:
+        cj = c.get(j, 0)
+        if total * c_den < cj * y_den:
             raise CertificateError(
                 f"dual row for variable {j} violated: "
-                f"{rat(total, y_den)} < {rat(c, objective_den)}"
+                f"{rat(total, y_den)} < {rat(cj, c_den)}"
             )
 
-    value = result.objective_value
-    primal_num = sum(c * x_nums[j] for j, c in objective.items())
-    primal_den = objective_den * x_den
-    if (
-        primal_num * value.denominator != value.numerator * primal_den
-        or dual_num * value.denominator != value.numerator * y_den * rhs_den
-    ):
+    # The value is value_num / (Y X), c.x is primal_num / (c_den X) and b.y
+    # is dual_num / (rhs_den Y).
+    primal_num = sum(cj * x[j] for j, cj in c.items())
+    value = result.value_num
+    if primal_num * y_den != value * c_den or dual_num * x_den != value * rhs_den:
         raise CertificateError(
-            f"objective mismatch: primal {rat(primal_num, primal_den)}, "
-            f"dual {rat(dual_num, y_den * rhs_den)}, reported {value}"
+            f"objective mismatch: primal {rat(primal_num, c_den * x_den)}, "
+            f"dual {rat(dual_num, rhs_den * y_den)}, reported {result.objective_value}"
         )

@@ -9,8 +9,8 @@ its rationals are built only when ``values`` is read.  Tables and
 measures (a :class:`~hammix.mixing.Measure` is a table) get that form
 here.  Two other places put values over a common denominator of their
 own: a chain's laws (``MarkovSpec._set_laws`` through
-``mixing._distribution``) and the simplex's objective and right-hand
-sides (``simplex._integer_lp``).  Every table layer (psi, the Lipschitz
+``mixing._distribution``) and the polytope LP's right-hand sides
+(``lipschitz_lp.build_polytope_lp``).  Every table layer (psi, the Lipschitz
 constant, the measures of :mod:`hammix.mixing`, the martingale and Monte
 Carlo layers) computes on the integers.  The index order makes the two
 structural operators strided integer sums:

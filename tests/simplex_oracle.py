@@ -4,12 +4,14 @@ This is the straightforward textbook form of :func:`hammix.simplex.simplex_max`:
 one dense row of Fractions per constraint, the same Bland rule
 (smallest-index entering column with a positive reduced cost; ratio ties go
 to the smallest basic index) and the same read-out of the primal vertex,
-the duals and the objective.  The library's sparse integer tableau
-must return a :class:`~hammix.simplex.SimplexResult` equal to this one,
-``pivots`` included.  No certificate check is done here.
+the duals and the objective.  It returns them as rationals,
+``(primal, dual, objective_value, pivots)``, and the library's sparse
+integer tableau must return a :class:`~hammix.simplex.SimplexResult`
+whose :func:`rational_view` equals them, ``pivots`` included.  No
+certificate check is done here.
 
-:func:`standard_form` gives a polytope LP's rows with rational
-coefficients, the oracle for ``solve_lp``'s int-coefficient rows.
+:func:`standard_form` gives a polytope LP's objective and rows with
+rational coefficients, the oracle for ``solve_lp``'s integer rows.
 """
 
 from __future__ import annotations
@@ -21,25 +23,33 @@ from hammix.lipschitz_lp import LpProblem
 from hammix.rational import rat
 from hammix.simplex import SimplexError, SimplexResult
 
+#: A solve's primal vertex, duals, objective value and pivot count.
+RationalResult = tuple[tuple[Rational, ...], tuple[Rational, ...], Rational, int]
+
+
+def rational_view(result: SimplexResult) -> RationalResult:
+    """The rationals of a library solve, in the form the oracle returns."""
+    return result.primal, result.dual, result.objective_value, result.pivots
+
 
 def standard_form(
     problem: LpProblem,
-) -> tuple[list[dict[int, Rational]], list[Rational]]:
-    """Rational rows and right-hand sides of an LpProblem: box rows, then difference rows."""
+) -> tuple[tuple[Rational, ...], list[dict[int, Rational]], list[Rational]]:
+    """Rational objective, rows and right-hand sides of an LpProblem: box rows, then difference rows."""
     one = rat(1)
     rows: list[dict[int, Rational]] = [{j: one} for j in range(problem.num_vars)]
     rhs = [problem.upper_bound] * problem.num_vars
     for x, y, bound in problem.difference_constraints:
         rows.append({x: one, y: -one})
         rhs.append(bound)
-    return rows, rhs
+    return problem.objective, rows, rhs
 
 
 def dense_simplex_max(
     objective: Sequence[Rational],
     rows: Sequence[Mapping[int, Rational]],
     rhs: Sequence[Rational],
-) -> SimplexResult:
+) -> RationalResult:
     """Maximize objective . x over {x >= 0 : rows x <= rhs} on a dense tableau."""
     nv = len(objective)
     nr = len(rows)
@@ -111,4 +121,4 @@ def dense_simplex_max(
             primal[bvar] = tableau[i][-1]
     # At optimality the slack column j of the objective row holds -y_j.
     dual = tuple(-obj[nv + i] for i in range(nr))
-    return SimplexResult(tuple(primal), dual, -obj[-1], pivots)
+    return tuple(primal), dual, -obj[-1], pivots

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hammix.words import Builtin
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SAMPLES = GOLDEN.parent.parent / "sample_problems"
 
 
 def _write(tmp_path, doc, name="problem.json"):
@@ -185,6 +187,48 @@ def test_one_parser_per_process_keeps_no_state_between_calls(capsys, chain_file)
     assert code == 1 and "exceeds" in err
     code, payload, _ = _run(capsys, ["bound", chain_file])
     assert code == 0 and payload["lipschitz"] == "1/1"
+
+
+def test_report_text_is_json_dumps_with_indent_2():
+    doc = {
+        "tool": "hammix",
+        "rows": [{"i": 1, "j": 2, "value": "3/4"}, {"i": -5, "j": 10**30, "value": "0/1"}],
+        "delta": [["1/2", "1/3"], [], ["\u00e9\n\"\\"]],
+        "floats": [0.1, 1e300, 5e-324, -0.0, float("inf"), float("nan"), 2.0],
+        "flags": [True, False, None],
+        "empty": {},
+        "nested": {"a": {"b": [[{}], ()]}},
+    }
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+    assert cli._json_text([]) == "[]" and cli._json_text("x") == '"x"'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, str(GOLDEN / "dense_m2n8.json")] for command in ("psi", "decompose", "eta", "martingale", "bound", "simulate")]
+    + [[command, str(SAMPLES / "lp_small.json")] for command in ("phi", "verify-lp")]
+    + [["selftest", "--instances", "3", "--mc-samples", "100"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_cli_call_leaves_no_cyclic_garbage(capsys, argv):
+    # Reference cycles outlive the call until the cyclic collector runs.  The
+    # first call builds what the process keeps (the parser, imports); the
+    # second must leave nothing for the collector.
+    cli.main(argv)
+    gc.collect()
+    flags = gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = cli.main(argv)
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert code == 0
+    assert garbage == []
 
 
 def test_chain_past_the_dense_cap_runs_the_kernel_stages(capsys, tmp_path):

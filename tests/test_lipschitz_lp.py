@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -19,7 +20,7 @@ from hammix.lipschitz_lp import (
 )
 from hammix.psi import norm_shift, psi, ramp
 from hammix.rational import rat
-from hammix.simplex import verify_certificate
+from hammix.simplex import integer_lp, verify_certificate
 from hammix.words import (
     Builtin,
     TableFunction,
@@ -311,21 +312,58 @@ def test_certificates_survive_reverification():
         result = solve_lp(problem)
         # Rational rows rebuilt from the public LpProblem fields: the box
         # rows first, then one row per difference constraint.
-        rows, rhs = standard_form(problem)
-        verify_certificate(problem.objective, rows, rhs, result)
+        verify_certificate(integer_lp(*standard_form(problem)), result)
         assert all(y >= 0 for y in result.dual)
         assert all(0 <= x <= problem.upper_bound for x in result.primal)
 
 
 def test_lp_problem_validation():
-    with pytest.raises(ValueError):
-        LpProblem(2, (rat(1),), rat(1), ())
-    with pytest.raises(ValueError):
-        LpProblem(2, (rat(1), rat(0)), rat(0), ())
-    with pytest.raises(ValueError):
-        LpProblem(2, (rat(1), rat(0)), rat(1), ((0, 0, rat(1)),))
-    with pytest.raises(ValueError):
-        LpProblem(2, (rat(1), rat(0)), rat(1), ((0, 1, rat(0)),))
+    # LpProblem(m, n, nums, den, upper, costs, rhs_den, pairs): an objective
+    # of the wrong length, an empty box, a pair rule that names no word
+    # pairs and a zero difference rhs.
+    LpProblem(2, 1, (1, 0), 1, 1, (1,), 1)
+    with pytest.raises(ValueError, match="objective length"):
+        LpProblem(2, 1, (1,), 1, 1, (1,), 1)
+    with pytest.raises(ValueError, match="box upper bound"):
+        LpProblem(2, 1, (1, 0), 1, 0, (1,), 1)
+    with pytest.raises(ValueError, match="unknown pair mode"):
+        LpProblem(2, 1, (1, 0), 1, 1, (1,), 1, "diagonal")
+    with pytest.raises(ValueError, match="difference constraint rhs"):
+        LpProblem(2, 1, (1, 0), 1, 1, (0,), 1)
+    with pytest.raises(ValueError, match="coordinate costs"):
+        LpProblem(2, 1, (1, 0), 1, 1, (1, 1), 1)
+
+
+def _rational_polytope(k, w, v, pairs):
+    """The LP's objective, box bound and difference triples as Fractions, built pair by pair."""
+    m, n = k.alphabet_size, k.arity
+    all_words = list(words(m, n))
+    triples = []
+    for x, wx in enumerate(all_words):
+        if pairs == "all":
+            triples += [(x, y, hamming_distance(wx, wy, w)) for y, wy in enumerate(all_words) if y != x]
+            continue
+        for pos in range(n):
+            for other in range(m):
+                if other != wx[pos]:
+                    y = all_words.index(wx[:pos] + (other,) + wx[pos + 1 :])
+                    triples.append((x, y, w[pos]))
+    return k.values, v + w.total(), tuple(triples)
+
+
+def test_rational_views_keep_the_rational_build():
+    # The problem holds integers; the public views it derives are the
+    # Fractions of a pair-by-pair build, in its order.
+    rng = random.Random(71)
+    for m, n in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+        for v in ("0", "1/2", "5/7"):
+            for pairs in ("adjacent", "all"):
+                k, w = random_table(rng, m, n), random_weights(rng, n)
+                problem = build_polytope_lp(k, w, v, pairs)
+                views = (problem.objective, problem.upper_bound, problem.difference_constraints)
+                assert views == _rational_polytope(k, w, rat(v), pairs)
+                assert problem.num_vars == m**n
+                assert all(type(x) is Fraction for x in problem.objective + (problem.upper_bound,))
 
 
 def _lipschitz_all_pairs_oracle(f, w):

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from scipy.optimize import linprog
-from simplex_oracle import dense_simplex_max, standard_form
+from simplex_oracle import dense_simplex_max, rational_view, standard_form
 
 import hammix.simplex
 from hammix import instances
@@ -13,8 +14,9 @@ from hammix.rational import rat
 from hammix.simplex import (
     CertificateError,
     SimplexError,
-    SimplexResult,
+    integer_lp,
     simplex_max,
+    solve,
     verify_certificate,
 )
 from hammix.words import WeightVector
@@ -104,53 +106,54 @@ def test_non_integer_coefficient_rejected():
     objective, rows, rhs = [rat(1), rat(1)], [{0: 1}, {1: rat(1, 2)}], [rat(1), rat(1)]
     with pytest.raises(ValueError, match="coefficient 1/2 of variable 1 in row 1"):
         simplex_max(objective, rows, rhs)
-    result = SimplexResult((rat(1), rat(2)), (rat(1), rat(2)), rat(3), 2)
     with pytest.raises(ValueError, match="coefficient 1/2 of variable 1 in row 1"):
-        verify_certificate(objective, rows, rhs, result)
+        integer_lp(objective, rows, rhs)
 
 
-def _tampered(result, **kwargs):
-    fields = {
-        "primal": result.primal,
-        "dual": result.dual,
-        "objective_value": result.objective_value,
-        "pivots": result.pivots,
-    }
-    fields.update(kwargs)
-    return SimplexResult(**fields)
+def _tampered(result, **fields):
+    """``result`` with some of its integer fields replaced."""
+    return dataclasses.replace(result, **fields)
 
 
 def test_certificate_rejects_tampering():
-    objective = [rat(1), rat(1)]
-    rows = [{0: rat(1)}, {1: rat(1)}]
-    rhs = [rat(1), rat(2)]
-    good = simplex_max(objective, rows, rhs)
-    verify_certificate(objective, rows, rhs, good)
+    lp = integer_lp([rat(1), rat(1)], [{0: rat(1)}, {1: rat(1)}], [rat(1), rat(2)])
+    good = solve(lp)
+    assert (good.primal_nums, good.dual_nums, good.value_num) == ((1, 2), (1, 1), 3)
+    verify_certificate(lp, good)
 
-    bad_primal = _tampered(good, primal=(rat(2), rat(2)))
+    bad_primal = _tampered(good, primal_nums=(2, 2))
     with pytest.raises(CertificateError):
-        verify_certificate(objective, rows, rhs, bad_primal)
+        verify_certificate(lp, bad_primal)
 
-    bad_dual = _tampered(good, dual=(rat(-1), good.dual[1]))
+    bad_dual = _tampered(good, dual_nums=(-1, good.dual_nums[1]))
     with pytest.raises(CertificateError):
-        verify_certificate(objective, rows, rhs, bad_dual)
+        verify_certificate(lp, bad_dual)
 
-    bad_value = _tampered(good, objective_value=good.objective_value + 1)
+    bad_value = _tampered(good, value_num=good.value_num + 1)
     with pytest.raises(CertificateError):
-        verify_certificate(objective, rows, rhs, bad_value)
+        verify_certificate(lp, bad_value)
 
-    low_dual = _tampered(good, dual=(rat(0), rat(0)), objective_value=rat(0))
+    low_dual = _tampered(good, dual_nums=(0, 0), value_num=0)
     with pytest.raises(CertificateError):
-        verify_certificate(objective, rows, rhs, low_dual)
+        verify_certificate(lp, low_dual)
+
+    # A feasible dual that is not optimal: b.y = 4 while c.x = value = 3.
+    loose_dual = _tampered(good, dual_nums=(2, 1))
+    with pytest.raises(CertificateError, match="objective mismatch"):
+        verify_certificate(lp, loose_dual)
 
     # Objectives still agree (c.x == b.y == 3); only one inequality fails.
-    infeasible_primal = _tampered(good, primal=(rat(2), rat(1)))
+    infeasible_primal = _tampered(good, primal_nums=(2, 1))
     with pytest.raises(CertificateError, match="primal row 0 violated"):
-        verify_certificate(objective, rows, rhs, infeasible_primal)
+        verify_certificate(lp, infeasible_primal)
 
-    infeasible_dual = _tampered(good, dual=(rat(0), rat(3, 2)))
+    # y = (0, 3/2) over a denominator of its own: b.y = 3 = value, but
+    # column 0 gets 0 < 1.
+    infeasible_dual = _tampered(good, dual_nums=(0, 3), objective_den=2, value_num=6)
+    assert infeasible_dual.dual == (0, rat(3, 2)) and infeasible_dual.objective_value == 3
     with pytest.raises(CertificateError, match="dual row for variable 0 violated"):
-        verify_certificate(objective, rows, rhs, infeasible_dual)
+        verify_certificate(lp, infeasible_dual)
+
 
 
 def _network_lp(rng):
@@ -201,8 +204,8 @@ def test_matches_dense_oracle_on_network_lps():
     for _ in range(200):
         objective, rows, rhs = _network_lp(rng)
         expected = dense_simplex_max(objective, rows, rhs)
-        assert simplex_max(objective, rows, rhs) == expected
-        degenerate += any(b == 0 for b in rhs) and expected.pivots > 0
+        assert rational_view(simplex_max(objective, rows, rhs)) == expected
+        degenerate += any(b == 0 for b in rhs) and expected[3] > 0
     assert degenerate > 50
 
 
@@ -227,10 +230,25 @@ def test_matches_dense_oracle_on_polytope_lps(m, n, v):
             k = instances.random_table(rng, m, n)
             w = weights(rng, n)
             problem = build_polytope_lp(k, w, v, pairs=pairs)
-            rows, rhs = standard_form(problem)
-            result = solve_lp(problem)
-            assert result == simplex_max(problem.objective, rows, rhs)
-            assert result == dense_simplex_max(problem.objective, rows, rhs)
+            result = rational_view(solve_lp(problem))
+            assert result == rational_view(simplex_max(*standard_form(problem)))
+            assert result == dense_simplex_max(*standard_form(problem))
+
+
+@pytest.mark.parametrize("pairs", ["adjacent", "all"])
+@pytest.mark.parametrize("v", ["0", "1/2", "1"])
+def test_solve_lp_matches_simplex_max_on_the_rational_rows(pairs, v):
+    # The integer rows solve_lp builds and the rational rows rebuilt from the
+    # problem's public fields give one result: the same integers over the
+    # same denominators, so the same pivots, vertex, duals and value.
+    rng = random.Random(f"integer:{pairs}:{v}")
+    for m in (2, 3):
+        for n in (1, 2, 3):
+            for weights in (instances.random_weights, _distinct_denominator_weights):
+                problem = build_polytope_lp(instances.random_table(rng, m, n), weights(rng, n), v, pairs)
+                result, rational = solve_lp(problem), simplex_max(*standard_form(problem))
+                assert result == rational
+                assert rational_view(result) == rational_view(rational)
 
 
 @pytest.mark.parametrize(
@@ -267,6 +285,8 @@ def _replace(values, index, value):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_integer_checker_rejects_tampering_on_the_solve_lp_path(monkeypatch, m):
+    # The tampered fields are the certificate's integers: the vertex over the
+    # rhs denominator, the duals over the objective denominator and the value.
     rng = random.Random(f"tamper:{m}")
     tested = 0
     while tested < 4:
@@ -274,8 +294,9 @@ def test_integer_checker_rejects_tampering_on_the_solve_lp_path(monkeypatch, m):
         w = _distinct_denominator_weights(rng, 2)
         problem = build_polytope_lp(k, w, "1/2")
         good = solve_lp(problem)
-        nv, upper = problem.num_vars, problem.upper_bound
-        positive = [i for i, y in enumerate(good.dual) if y > 0]
+        assert (good.rhs_den, good.objective_den) == (problem.rhs_den, problem.den)
+        nv, upper = problem.num_vars, problem.upper
+        positive = [i for i, y in enumerate(good.dual_nums) if y > 0]
         if not positive:
             continue
         tested += 1
@@ -286,35 +307,38 @@ def test_integer_checker_rejects_tampering_on_the_solve_lp_path(monkeypatch, m):
 
         # A primal entry over the box breaks box row j.
         j = rng.randrange(nv)
-        check(lambda r: _tampered(r, primal=_replace(r.primal, j, upper + rat(1, 3))),
+        check(lambda r: _tampered(r, primal_nums=_replace(r.primal_nums, j, upper + 1)),
               f"primal row {j} violated")
 
-        check(lambda r: _tampered(r, primal=_replace(r.primal, j, rat(-1, 2))),
+        check(lambda r: _tampered(r, primal_nums=_replace(r.primal_nums, j, -1)),
               f"primal variable {j} negative")
 
         # x[a] = U, x[b] = 0 stays in the box and breaks (a, b, d) since d < U.
-        row = rng.randrange(len(problem.difference_constraints))
-        a, b, _ = problem.difference_constraints[row]
+        differences = list(problem.difference_rows())
+        a, b, _ = differences[rng.randrange(len(differences))]
 
         def break_difference(r):
-            return _tampered(r, primal=_replace(_replace(r.primal, a, upper), b, rat(0)))
+            return _tampered(r, primal_nums=_replace(_replace(r.primal_nums, a, upper), b, 0))
 
         with pytest.raises(CertificateError, match=r"primal row \d+ violated") as err:
             _solved_with_tampering(monkeypatch, problem, break_difference)
         assert int(err.value.args[0].split()[2]) >= nv
 
-        i = rng.randrange(len(good.dual))
-        check(lambda r: _tampered(r, dual=_replace(r.dual, i, rat(-1, 2))),
+        i = rng.randrange(len(good.dual_nums))
+        check(lambda r: _tampered(r, dual_nums=_replace(r.dual_nums, i, -1)),
               f"dual multiplier {i} negative")
 
         # A positive dual sits on a tight row whose positive coefficient is on
         # a variable x > 0, so that variable's dual row is tight: lowering
         # the multiplier to 0 breaks it.
         i = rng.choice(positive)
-        column = i if i < nv else problem.difference_constraints[i - nv][0]
-        check(lambda r: _tampered(r, dual=_replace(r.dual, i, rat(0))),
+        column = i if i < nv else differences[i - nv][0]
+        check(lambda r: _tampered(r, dual_nums=_replace(r.dual_nums, i, 0)),
               f"dual row for variable {column} violated")
 
-        check(lambda r: _tampered(
-            r, objective_value=r.objective_value + rat(1, r.objective_value.denominator)),
-            "objective mismatch")
+        check(lambda r: _tampered(r, value_num=r.value_num + 1), "objective mismatch")
+
+        # Raising box row j's multiplier keeps y >= 0 and A^T y >= c, and
+        # adds U to b.y alone.
+        check(lambda r: _tampered(r, dual_nums=_replace(r.dual_nums, j, r.dual_nums[j] + 1)),
+              "objective mismatch")
