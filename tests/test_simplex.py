@@ -155,7 +155,6 @@ def test_certificate_rejects_tampering():
         verify_certificate(lp, infeasible_dual)
 
 
-
 def _network_lp(rng):
     """A bounded LP on a network matrix: difference rows x - y, unit rows +-x
     and box rows x, with rational objectives and rational or zero rhs."""
