@@ -41,10 +41,10 @@ on one of two paths, chosen by the argument's type:
   difference vector, its two blocks cross-scaled by each other's mass;
   its absolute sum is the TV numerator for j = i+1, and summing its m
   equal chunks (marginalizing is linear) gives the vector for the next j.
-  The numerators are compared by cross-products, and only the n - i
-  maxima are converted to rationals.  A row costs O(m^(n+1)) integer
-  operations (m^2 / 2 pairs under each of m^(i-1) pasts, m^(n-i) entries
-  each), so delta_matrix costs O(n m^(n+1)).  They run as whole-list
+  The numerators are compared by cross-products, and the n - i maxima
+  are put over their least common denominator.  A row costs O(m^(n+1))
+  integer operations (m^2 / 2 pairs under each of m^(i-1) pasts, m^(n-i)
+  entries each), so delta_matrix costs O(n m^(n+1)).  They run as whole-list
   passes (slices, ``map`` and comprehensions): a row with no more pasts
   than block cells keeps one vector per past and pair, and a row with
   more pasts lays its cells out suffix-major, so one vector per pair
@@ -58,20 +58,27 @@ on one of two paths, chosen by the argument's type:
   distance between rows z and z' of that product (Kontorovich and
   Ramanan, Ann. Probab. 36(6), 2008, whose Dobrushin product
   theta_i...theta_j-1 bounds it).  The rows are multiplied in integers
-  over the product of the kernels' denominators.  A pair z < z' is
+  over the product of the kernels' denominators, and each maximum is
+  scaled by the later kernels' denominators, which puts the whole row
+  over 2 dens[i]...dens[n-1].  A pair z < z' is
   admissible when some state reachable at position i-1 moves to both with
   positive probability (for i = 1: when the initial law charges both).  A
   row costs O(n m^3) integer operations, so delta_matrix costs
   O(n^2 m^3) and reads no table.
 
-Both paths return the same rationals.
+Both paths return a row as integer numerators over one denominator,
+reduced by the row's gcd, and the same rationals.  :class:`DeltaMatrix`
+holds the matrix in the table's form, integer numerators over one
+denominator in lowest terms; :func:`delta_matrix` gets that denominator as
+the lcm of its rows' and builds no Fraction, and ``entries`` builds the
+rationals when read.
 
 :func:`operator_norm_2` bounds ||Delta||_2 from above with a certificate:
 a float power iteration on Delta^T (Delta x) only chooses a positive x,
 and the Collatz-Wielandt quotient max_j (Delta^T Delta x)_j / x_j, which
 bounds the largest eigenvalue of Delta^T Delta from above, is evaluated
-exactly for it, in the integer numerators of Delta's upper triangle
-(its zeros below the diagonal are never read).  The norm is that
+exactly for it, in the integer numerators that :class:`DeltaMatrix`
+holds (its zeros below the diagonal are never read).  The norm is that
 quotient's square root, rounded up to a float.
 """
 
@@ -80,13 +87,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations, compress, cycle, islice, repeat
+from itertools import accumulate, chain, combinations, compress, cycle, repeat
 from math import gcd, lcm
 from numbers import Rational
 from operator import add, eq, mul, sub, truediv
 from typing import Sequence
 
-from .rational import RationalLike, float_from_rat, over_common_denominator, rat, rat_from_float
+from .rational import RationalLike, over_common_denominator, rat
 from .words import TableFunction, WeightVector, project_numerators
 
 # Dense tables beyond this size are refused at the CLI boundary; library
@@ -130,6 +137,12 @@ def _columns(values: Sequence[RationalLike]) -> tuple[list[int], list[int]]:
     return [v.numerator for v in values], [v.denominator for v in values]
 
 
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums over den divided by their gcd, which puts them in lowest terms."""
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
 def _distribution(nums: Sequence[int], dens: Sequence[int], what: str) -> tuple[list[int], int]:
     """A law given as columns (value nums[i] / dens[i]), checked, over its least common denominator."""
     den = lcm(*dens)
@@ -138,8 +151,7 @@ def _distribution(nums: Sequence[int], dens: Sequence[int], what: str) -> tuple[
         raise ValueError(f"{what} has a negative entry")
     if sum(nums) != den:
         raise ValueError(f"{what} must sum to exactly 1")
-    g = gcd(den, *nums)
-    return [x // g for x in nums], den // g
+    return _reduced(nums, den)
 
 
 @dataclass(frozen=True, init=False)
@@ -244,7 +256,7 @@ def expand_markov(spec: MarkovSpec) -> Measure:
     return Measure.from_numerators(spec.alphabet_size, spec.arity, nums, math.prod(spec.dens))
 
 
-def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
+def _eta_bar_row(P: Measure, i: int) -> tuple[list[int], int]:
     """eta_bar(i, j) for j = i+1..n, from whole-list integer passes over row i.
 
     For each past y, the block of y z holds the unnormalized law of
@@ -269,11 +281,13 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
     one side's block is null gets c = 0 (that block's cells are 0, and so
     is its mass, which scales the other block) and denominator 1, so its
     distance 0 never raises the maximum.  The largest distance per j is
-    kept as an integer pair compared by cross-products.
+    kept as an integer pair compared by cross-products, and the row is
+    returned as the maxima's numerators over their least common
+    denominator.
     """
     m, n = P.alphabet_size, P.arity
     if i == n:
-        return []
+        return [], 1
     cells, cum = P.nums, P._cum
     block = m ** (n - i)
     span = m * block
@@ -298,27 +312,28 @@ def _eta_bar_row(P: Measure, i: int) -> list[Rational]:
                         best_num, best_den = best[k]
                         if num * best_den > best_num * den:
                             best[k] = (num, den)
-        return [rat(num, den) for num, den in best]
-    # Suffix-major: entry s * pasts + y of laws[z] is cell s of past y's block y z.
-    laws = [
-        list(chain.from_iterable(cells[s::span] for s in range(z * block, (z + 1) * block))) for z in range(m)
-    ]
-    masses = [list(map(sub, cum[(z + 1) * block :: span], cum[z * block :: span])) for z in range(m)]
-    for a, b in combinations(range(m), 2):
-        dens = list(map(mul, masses[a], masses[b]))
-        if not any(dens):
-            continue
-        dens = [d or 1 for d in dens]  # M_a M_b, or 1 where a block is null
-        diff = [p * y - q * x for p, q, x, y in zip(laws[a], laws[b], masses[a] * block, masses[b] * block)]
-        for k in range(n - i):
-            if k:
-                diff = project_numerators(diff, m)
-            num, den = _largest_ratio(project_numerators(list(map(abs, diff)), len(diff) // pasts), dens)
-            den *= 2
-            best_num, best_den = best[k]
-            if num * best_den > best_num * den:
-                best[k] = (num, den)
-    return [rat(num, den) for num, den in best]
+    else:
+        # Suffix-major: entry s * pasts + y of laws[z] is cell s of past y's block y z.
+        laws = [
+            list(chain.from_iterable(cells[s::span] for s in range(z * block, (z + 1) * block))) for z in range(m)
+        ]
+        masses = [list(map(sub, cum[(z + 1) * block :: span], cum[z * block :: span])) for z in range(m)]
+        for a, b in combinations(range(m), 2):
+            dens = list(map(mul, masses[a], masses[b]))
+            if not any(dens):
+                continue
+            dens = [d or 1 for d in dens]  # M_a M_b, or 1 where a block is null
+            diff = [p * y - q * x for p, q, x, y in zip(laws[a], laws[b], masses[a] * block, masses[b] * block)]
+            for k in range(n - i):
+                if k:
+                    diff = project_numerators(diff, m)
+                num, den = _largest_ratio(project_numerators(list(map(abs, diff)), len(diff) // pasts), dens)
+                den *= 2
+                best_num, best_den = best[k]
+                if num * best_den > best_num * den:
+                    best[k] = (num, den)
+    den = lcm(*[d for _, d in best])
+    return _reduced([num * (den // d) for num, d in best], den)
 
 
 def _largest_ratio(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
@@ -351,26 +366,26 @@ def _admissible_pairs(chain: MarkovSpec, i: int) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _chain_eta_row(chain: MarkovSpec, i: int) -> list[Rational]:
+def _chain_eta_row(chain: MarkovSpec, i: int) -> tuple[list[int], int]:
     """eta_bar(i, j) for j = i+1..n from the kernels T_i, ..., T_n-1 alone.
 
-    Row z of T_i...T_j-1 is kept in integers over the product D of those
+    Row z of T_i...T_j-1 is kept in integers over the product D_j of those
     kernels' denominators, for every state z in an admissible pair; a
-    pair's TV distance is the l1 distance of its two rows over 2 D, and
-    one D serves every pair, so the maximum per j is an integer maximum.
+    pair's TV distance is the l1 distance of its two rows over 2 D_j, and
+    one D_j serves every pair, so the maximum per j is an integer maximum.
+    Each maximum is then scaled by the later kernels' denominators, which
+    puts the row over 2 D_n, and reduced by the row's gcd.
     """
     m = chain.alphabet_size
     pairs = _admissible_pairs(chain, i)
     rows = {z: [int(a == z) for a in range(m)] for pair in pairs for z in pair}
-    den = 1
-    out = []
-    for matrix, matrix_den in zip(chain.laws[i:], chain.dens[i:]):
+    best = []
+    for matrix in chain.laws[i:]:
         cols = list(zip(*matrix))
         rows = {z: [sum(map(mul, row, col)) for col in cols] for z, row in rows.items()}
-        den *= matrix_den
-        best = max((sum(map(abs, map(sub, rows[a], rows[b]))) for a, b in pairs), default=0)
-        out.append(rat(best, 2 * den))
-    return out
+        best.append(max((sum(map(abs, map(sub, rows[a], rows[b]))) for a, b in pairs), default=0))
+    scales = list(accumulate(reversed(chain.dens[i + 1 :]), mul, initial=1))[::-1]  # dens[i+k+1]...dens[n-1]
+    return _reduced(list(map(mul, best, scales)), 2 * math.prod(chain.dens[i:]))
 
 
 def eta_bar(P: Measure | MarkovSpec, i: int, j: int) -> Rational:
@@ -381,72 +396,83 @@ def eta_bar(P: Measure | MarkovSpec, i: int, j: int) -> Rational:
     """
     if not 1 <= i < j <= P.arity:
         raise ValueError(f"need 1 <= i < j <= arity, got i={i}, j={j}, n={P.arity}")
-    row = _chain_eta_row(P, i) if isinstance(P, MarkovSpec) else _eta_bar_row(P, i)
-    return row[j - i - 1]
+    nums, den = _chain_eta_row(P, i) if isinstance(P, MarkovSpec) else _eta_bar_row(P, i)
+    return rat(nums[j - i - 1], den)
 
 
 @dataclass(frozen=True)
 class DeltaMatrix:
-    """Upper-triangular mixing matrix: unit diagonal, eta_bar above it."""
+    """Upper-triangular mixing matrix: unit diagonal, eta_bar above it.
 
-    entries: tuple[tuple[Rational, ...], ...]
+    ``rows[i]`` holds row i's integer numerators from the diagonal on
+    (n - i of them, the first equal to ``den``), all over one denominator
+    ``den`` in lowest terms: the table's form (see
+    :class:`~hammix.words.TableFunction`).  The constructor reduces a form
+    that is not, so equal matrices compare equal.  ``entries``, the n x n
+    matrix of Fractions with its zeros below the diagonal, is built on
+    first read and then kept.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        converted = []
-        for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-            row = tuple(rat(v) for v in row)
-            for j, v in enumerate(row):
-                if j < i and v != 0:
-                    raise ValueError(f"entry ({i},{j}) below diagonal must be 0, got {v}")
-                if j == i and v != 1:
-                    raise ValueError(f"diagonal entry ({i},{i}) must be 1, got {v}")
-                if j > i and not 0 <= v <= 1:
-                    raise ValueError(f"entry ({i},{j}) must lie in [0,1], got {v}")
-            converted.append(row)
-        object.__setattr__(self, "entries", tuple(converted))
+        rows, den = tuple(map(tuple, self.rows)), self.den
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+        for i, row in enumerate(rows):
+            if len(row) != len(rows) - i:
+                raise ValueError(f"row {i} has {len(row)} entries from the diagonal on, not {len(rows) - i}")
+            if row[0] != den:
+                raise ValueError(f"diagonal entry ({i},{i}) must be 1, got {rat(row[0], den)}")
+            if min(row) < 0 or max(row) > den:
+                raise ValueError(f"row {i} has an entry that does not lie in [0,1]")
+        g = gcd(den, *chain.from_iterable(rows))
+        if g != 1:
+            rows, den = tuple(tuple(v // g for v in row) for row in rows), den // g
+        self.__dict__.update(rows=rows, den=den)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Rational, ...], ...]:
+        return tuple((rat(0),) * i + tuple(rat(v, self.den) for v in row) for i, row in enumerate(self.rows))
 
     @classmethod
     def identity(cls, n: int) -> "DeltaMatrix":
-        return cls(
-            tuple(
-                tuple(rat(1) if i == j else rat(0) for j in range(n)) for i in range(n)
-            )
-        )
+        return cls(tuple((1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     def apply(self, w: WeightVector) -> tuple[Rational, ...]:
         """Matrix-vector product (Delta w), exact.
 
-        Entry i is one integer dot product of row i's numerators over the
-        row's common denominator with the weights' over theirs; the row's
-        entries below the diagonal are 0 and are left out.
+        Entry i is one integer dot product of row i's numerators with the
+        weights' from i on, over ``den`` times the weights' common
+        denominator.
         """
         if len(w) != self.size:
             raise ValueError(f"weight length {len(w)} != matrix size {self.size}")
         w_nums, w_den = over_common_denominator(w.entries)
-        out = []
-        for i, row in enumerate(self.entries):
-            den = lcm(*[v.denominator for v in row[i:]])
-            dot = sum([v.numerator * (den // v.denominator) * x for v, x in zip(row[i:], w_nums[i:])])
-            out.append(rat(dot, den * w_den))
-        return tuple(out)
+        den = self.den * w_den
+        return tuple(rat(sum(map(mul, row, w_nums[i:])), den) for i, row in enumerate(self.rows))
 
 
 def delta_matrix(P: Measure | MarkovSpec) -> DeltaMatrix:
     """Assemble the mixing matrix, one pass per row.
 
     A chain is read from its kernels (O(n^2 m^3), no table), a measure from
-    its table (O(n m^(n+1))); both give the same rationals.
+    its table (O(n m^(n+1))); both give the same rationals.  Each row comes
+    in lowest terms over its own denominator, so the lcm of those is the
+    matrix's lowest-terms denominator; each row is scaled to it in place,
+    so its unscaled form is dropped as the scaled one is made.
     """
     eta_row = _chain_eta_row if isinstance(P, MarkovSpec) else _eta_bar_row
-    rows = [tuple([rat(0)] * (i - 1) + [rat(1)] + eta_row(P, i)) for i in range(1, P.arity + 1)]
-    return DeltaMatrix(tuple(rows))
+    rows = [eta_row(P, i) for i in range(1, P.arity + 1)]
+    den = lcm(*[d for _, d in rows])
+    for i, (nums, d) in enumerate(rows):
+        rows[i] = (den, *[x * (den // d) for x in nums])
+    return DeltaMatrix(tuple(rows), den)
 
 
 _OPNORM_REL_GAP = 1e-10
@@ -463,12 +489,12 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     _OPNORM_REL_GAP of the Rayleigh quotient |D x|^2 / |x|^2, a lower bound,
     or after _OPNORM_MAX_STEPS steps; each new x gets 2^-64 added, since an
     entry that reached 0.0 would void the bound.  So every stop leaves a
-    valid x, whose quotient is then evaluated once, exactly, in the integer
-    numerators of D's upper triangle over their common denominator (the
-    zeros below the diagonal have denominator 1, so leaving them out
-    changes neither).  The result is the float
-    square root of that quotient, stepped up with math.nextafter until its
-    exact square reaches it; the identity gives 1.0.
+    valid x, whose quotient is then evaluated once, exactly, in integers:
+    D's rows from the diagonal on over ``D.den`` as D holds them, and x's
+    floats over their common power of 2.  The largest quotient is found by
+    :func:`_largest_ratio`.  The result is the float square root of that
+    quotient, stepped up with math.nextafter until its exact square
+    (compared as integers) reaches it; the identity gives 1.0.
 
     A step costs O(n^2) float products: D's rows from their last entry back
     to the diagonal against x reversed, and its columns down to the
@@ -481,9 +507,7 @@ def operator_norm_2(D: DeltaMatrix) -> float:
     n = D.size
     if n == 0:
         return 0.0
-    nums, den = over_common_denominator([v for i, row in enumerate(D.entries) for v in row[i:]])
-    cells = iter(nums)
-    rows = [list(islice(cells, n - i)) for i in range(n)]  # row i from the diagonal on
+    rows, den = D.rows, D.den  # row i from the diagonal on
     cols = [[rows[i][j - i] for i in range(j + 1)] for j in range(n)]  # column j down to it
     row_floats = [[v / den for v in reversed(row)] for row in rows]
     col_floats = [[v / den for v in col] for col in cols]
@@ -497,10 +521,11 @@ def operator_norm_2(D: DeltaMatrix) -> float:
         if cw - rayleigh <= _OPNORM_REL_GAP * cw:
             break
         x = [v / cw + 2.0**-64 for v in y]
-    xs, _ = over_common_denominator(list(map(rat_from_float, x)))
+    x_den = max(v.as_integer_ratio()[1] for v in x)  # a power of 2, so each v * x_den is an integer float
+    xs = [int(v * x_den) for v in x]
     dxs = [sum(map(mul, row, xs[i:])) for i, row in enumerate(rows)]
-    bound = max(map(rat, [sum(map(mul, col, dxs)) for col in cols], xs)) / den**2
-    root = math.sqrt(float_from_rat(bound))
-    while rat_from_float(root) ** 2 < bound:
+    num, bound_den = _largest_ratio([sum(map(mul, col, dxs)) for col in cols], list(map(mul, xs, repeat(den**2))))
+    root = math.sqrt(num / bound_den)
+    while (r := root.as_integer_ratio())[0] ** 2 * bound_den < num * r[1] ** 2:
         root = math.nextafter(root, math.inf)
     return root

@@ -219,7 +219,7 @@ def mixing_ground_truth_criterion(seed: int) -> CriterionResult:
     chain2 = _binary_chain(2)
     if eta_bar(chain2, 1, 2) != rat(4, 5):
         failures.append("eta_bar_12 on n=2 chain")
-    if delta_matrix(chain2) != DeltaMatrix(((rat(1), rat(4, 5)), (rat(0), rat(1)))):
+    if delta_matrix(chain2) != DeltaMatrix(((5, 4), (5,)), 5):
         failures.append("delta matrix on n=2 chain")
 
     chain3 = _binary_chain(3)
@@ -379,7 +379,7 @@ def spot_values_criterion() -> CriterionResult:
     # formula, for D = ((1, 4/5), (0, 1)).  The norm is a certified upper
     # bound, so it may sit above the oracle but not below it by more than
     # the oracle's own rounding, a few ulps.
-    d = DeltaMatrix(((rat(1), rat(4, 5)), (rat(0), rat(1))))
+    d = DeltaMatrix(((5, 4), (5,)), 5)
     a11, a12, a22 = 1.0, 0.8, 0.8 * 0.8 + 1.0
     trace = a11 + a22
     det = a11 * a22 - a12 * a12

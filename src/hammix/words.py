@@ -7,9 +7,11 @@ significant: ``index((x1,...,xn)) = sum_i xi * m**(n-i)``.  A table is its
 integer numerators ``nums`` over one denominator ``den`` in lowest terms;
 its rationals are built only when ``values`` is read.  Tables and
 measures (a :class:`~hammix.mixing.Measure` is a table) get that form
-here.  Two other places put values over a common denominator of their
-own: a chain's laws (``MarkovSpec._set_laws`` through
-``mixing._distribution``) and the polytope LP's right-hand sides
+here, and the mixing matrix (:class:`~hammix.mixing.DeltaMatrix`) holds
+the same form for its upper triangle, with its rationals built only when
+``entries`` is read.  Two other places put values over a common
+denominator of their own: a chain's laws (``MarkovSpec._set_laws``
+through ``mixing._distribution``) and the polytope LP's right-hand sides
 (``lipschitz_lp.build_polytope_lp``).  Every table layer (psi, the Lipschitz
 constant, the measures of :mod:`hammix.mixing`, the martingale and Monte
 Carlo layers) computes on the integers.  The index order makes the two

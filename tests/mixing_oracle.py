@@ -17,7 +17,9 @@ which :func:`hammix.montecarlo.empirical_tail`'s list passes must
 reproduce.  Two integer kernels that the library replaced by whole-list
 passes stay here as oracles for them: the dense eta_bar row with one
 integer pass per past (:func:`eta_bar_row_per_past`) and the sampler with
-one bisection per symbol (:func:`sample_index_by_bisection`).
+one bisection per symbol (:func:`sample_index_by_bisection`).  Tests that
+state a mixing matrix entry by entry build it with
+:func:`delta_from_entries`, from its n x n rationals.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from numbers import Rational
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from hammix.mixing import DeltaMatrix, MarkovSpec, Measure
 from hammix.montecarlo import _GAMMA, _MASK64
-from hammix.rational import rat
+from hammix.rational import RationalLike, over_common_denominator, rat
 from hammix.words import WeightVector, Word, project_numerators, word_index
 
 _TWO64 = 1 << 64
@@ -233,6 +235,25 @@ def eta_bar(P: Measure, i: int, j: int) -> Rational:
     return best
 
 
+def delta_from_entries(entries: Sequence[Sequence[RationalLike]]) -> DeltaMatrix:
+    """The DeltaMatrix of an n x n rational matrix, which must be 0 below the diagonal.
+
+    Its upper triangle is put over the least common denominator of its
+    entries; the constructor checks the diagonal and the range [0, 1].
+    """
+    n = len(entries)
+    triangle = []
+    for i, row in enumerate(entries):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+        if any(rat(v) != 0 for v in row[:i]):
+            raise ValueError(f"row {i} is not 0 below the diagonal")
+        triangle.append([rat(v) for v in row[i:]])
+    nums, den = over_common_denominator([v for row in triangle for v in row])
+    cells = iter(nums)
+    return DeltaMatrix(tuple(tuple(islice(cells, len(row))) for row in triangle), den)
+
+
 def delta_matrix(P: Measure) -> DeltaMatrix:
     """The mixing matrix assembled from one eta_bar call per entry."""
     n = P.arity
@@ -240,8 +261,8 @@ def delta_matrix(P: Measure) -> DeltaMatrix:
     for i in range(1, n + 1):
         row = [rat(0)] * (i - 1) + [rat(1)]
         row += [eta_bar(P, i, j) for j in range(i + 1, n + 1)]
-        rows.append(tuple(row))
-    return DeltaMatrix(tuple(rows))
+        rows.append(row)
+    return delta_from_entries(rows)
 
 
 def sample_word(P: Measure, stream: SampleStream) -> Word:

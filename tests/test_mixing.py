@@ -254,27 +254,73 @@ def test_delta_matrix_examples():
     assert delta_matrix(random_product_measure(rng, 2, 3)) == DeltaMatrix.identity(3)
 
     P2 = _chain(2)
-    assert delta_matrix(P2) == DeltaMatrix(((1, rat(4, 5)), (0, 1)))
+    assert delta_matrix(P2) == DeltaMatrix(((5, 4), (5,)), 5)
+    assert delta_matrix(P2).entries == ((1, rat(4, 5)), (0, 1))
 
     P3 = _chain(3)
-    assert delta_matrix(P3) == DeltaMatrix(
+    assert delta_matrix(P3) == DeltaMatrix(((25, 20, 16), (25, 20), (25,)), 25)
+    assert delta_matrix(P3) == mixing_oracle.delta_from_entries(
         ((1, rat(4, 5), rat(16, 25)), (0, 1, rat(4, 5)), (0, 0, 1))
     )
 
 
 def test_delta_matrix_validation():
-    with pytest.raises(ValueError):
-        DeltaMatrix(((rat(2), rat(0)), (rat(0), rat(1))))
-    with pytest.raises(ValueError):
-        DeltaMatrix(((rat(1), rat(0)), (rat(1, 2), rat(1))))
-    with pytest.raises(ValueError):
-        DeltaMatrix(((rat(1), rat(3, 2)), (rat(0), rat(1))))
-    with pytest.raises(ValueError):
-        DeltaMatrix(((rat(1), rat(0)),))
+    with pytest.raises(ValueError, match="row 0 has 3 entries"):
+        DeltaMatrix(((5, 4, 0), (5,)), 5)
+    with pytest.raises(ValueError, match="row 1 has 0 entries"):
+        DeltaMatrix(((5, 4), ()), 5)
+    with pytest.raises(ValueError, match="diagonal"):
+        DeltaMatrix(((5, 4), (4,)), 5)
+    with pytest.raises(ValueError, match=r"lie in \[0,1\]"):
+        DeltaMatrix(((5, 6), (5,)), 5)
+    with pytest.raises(ValueError, match=r"lie in \[0,1\]"):
+        DeltaMatrix(((5, -1), (5,)), 5)
+    with pytest.raises(ValueError, match="denominator"):
+        DeltaMatrix(((0, 0), (0,)), 0)
+    # The rational builder also refuses a nonzero entry below the diagonal.
+    with pytest.raises(ValueError, match="below the diagonal"):
+        mixing_oracle.delta_from_entries(((1, 0), (rat(1, 2), 1)))
+    # A form not in lowest terms is reduced, so equal matrices compare equal.
+    reduced = DeltaMatrix(((10, 8), (10,)), 10)
+    assert reduced == DeltaMatrix(((5, 4), (5,)), 5)
+    assert (reduced.rows, reduced.den) == (((5, 4), (5,)), 5)
+    assert hash(reduced) == hash(DeltaMatrix(((5, 4), (5,)), 5))
+
+
+def _row_values(row):
+    """The rationals of an eta_bar row given as (numerators, denominator)."""
+    nums, den = row
+    return [rat(x, den) for x in nums]
+
+
+def _lowest_terms_cases():
+    """Seeded dense measures with a null block and chains with zero transitions, m <= 3, n <= 8."""
+    rng = random.Random(26)
+    for _ in range(20):
+        yield _null_block_measure(rng, rng.choice((2, 3)), rng.randint(2, 8))
+        yield _chain_with_zeros(rng, rng.choice((2, 3)), rng.randint(1, 8))
+
+
+def test_delta_matrix_and_its_rows_are_in_lowest_terms():
+    # Each row comes reduced by its own gcd, and the matrix is over the lcm
+    # of those denominators, which is its entries' least common denominator.
+    chain_rows_reduced = 0
+    for P in _lowest_terms_cases():
+        is_chain = isinstance(P, MarkovSpec)
+        for i in range(1, P.arity + 1):
+            nums, den = (mixing._chain_eta_row if is_chain else mixing._eta_bar_row)(P, i)
+            assert math.gcd(den, *nums) == 1
+            assert den == math.lcm(*(v.denominator for v in _row_values((nums, den))))
+            chain_rows_reduced += is_chain and den < 2 * math.prod(P.dens[i:])
+        d = delta_matrix(P)
+        assert math.gcd(d.den, *(v for row in d.rows for v in row)) == 1
+        assert d.den == math.lcm(*(v.denominator for row in d.entries for v in row))
+    # The chains' rows are computed over 2 dens[i]...dens[n-1]; some must reduce.
+    assert chain_rows_reduced
 
 
 def test_delta_apply_and_norm_sq():
-    d = DeltaMatrix(((1, rat(4, 5)), (0, 1)))
+    d = DeltaMatrix(((5, 4), (5,)), 5)
     w = WeightVector((1, 1))
     assert d.apply(w) == (rat(9, 5), rat(1))
     assert weighted_norm_sq(d, w) == rat(106, 25)
@@ -284,6 +330,15 @@ def test_delta_apply_and_norm_sq():
         rat(0),
     )
     assert manual == rat(106, 25)
+
+
+def test_delta_apply_matches_the_entrywise_product():
+    rng = random.Random(27)
+    for P in _lowest_terms_cases():
+        d = delta_matrix(P)
+        w = WeightVector([rat(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(d.size)])
+        expected = tuple(sum(map(mul, row, w), rat(0)) for row in d.entries)
+        assert d.apply(w) == expected
 
 
 def test_operator_norm_identity():
@@ -298,7 +353,7 @@ def test_operator_norm_of_the_empty_matrix_is_zero():
 
 
 def test_operator_norm_2x2_quadratic_oracle():
-    d = DeltaMatrix(((1, rat(4, 5)), (0, 1)))
+    d = DeltaMatrix(((5, 4), (5,)), 5)
     # Largest eigenvalue of D^T D = ((1, 4/5), (4/5, 41/25)) by the
     # quadratic formula; its square root is the singular value.
     trace = 1.0 + 41.0 / 25.0
@@ -360,7 +415,7 @@ def _norm_cases():
         yield delta_matrix(random_markov_spec(rng, rng.choice((2, 3, 4)), rng.randint(2, 8)))
     for n in (1, 2, 5):
         yield DeltaMatrix.identity(n)
-    yield DeltaMatrix(((1, 0, 0), (0, 1, rat(1, 10**7)), (0, 0, 1)))
+    yield DeltaMatrix(((10**7, 0, 0), (10**7, 1), (10**7,)), 10**7)
 
 
 def test_operator_norm_is_certified_in_exact_arithmetic():
@@ -381,7 +436,7 @@ def _two_blocks_and_a_free_coordinate():
             entries[i][i : lo + 5] = [1] * (lo + 5 - i)
     entries[5][9] = 1 - rat(1, 10**9)
     entries[10][10] = 1
-    return DeltaMatrix(tuple(map(tuple, entries)))
+    return mixing_oracle.delta_from_entries(entries)
 
 
 def test_operator_norm_at_the_step_cap_is_certified_and_within_the_schur_bound(monkeypatch):
@@ -394,7 +449,7 @@ def test_operator_norm_at_the_step_cap_is_certified_and_within_the_schur_bound(m
     rows = ((half + e, half - e), (half - e, half + e))
     near_independent = MarkovSpec((half, half), tuple(rows for _ in range(19)))
     cases = (
-        DeltaMatrix(((1, 0, 0), (0, 1, rat(1, 10**7)), (0, 0, 1))),
+        DeltaMatrix(((10**7, 0, 0), (10**7, 1), (10**7,)), 10**7),
         delta_matrix(near_independent),
         _two_blocks_and_a_free_coordinate(),
     )
@@ -523,7 +578,7 @@ def test_dense_eta_bar_rows_match_rational_oracle(P):
     n = P.arity
     for i in range(1, n + 1):
         expected = [mixing_oracle.eta_bar(P, i, j) for j in range(i + 1, n + 1)]
-        assert mixing._eta_bar_row(P, i) == expected
+        assert _row_values(mixing._eta_bar_row(P, i)) == expected
 
 
 NULL_BLOCK_CASES = [
@@ -542,7 +597,7 @@ def test_dense_rows_match_the_per_past_oracle(P):
     if n >= 4:
         assert any(m ** (i - 1) > m ** (n - i) for i in range(1, n))
     for i in range(1, n + 1):
-        assert mixing._eta_bar_row(P, i) == mixing_oracle.eta_bar_row_per_past(P, i)
+        assert _row_values(mixing._eta_bar_row(P, i)) == mixing_oracle.eta_bar_row_per_past(P, i)
 
 
 def test_largest_ratio_breaks_float_ties_exactly():
