@@ -46,7 +46,7 @@ from numbers import Rational
 from operator import sub
 from typing import Iterator, Literal
 
-from .psi import norm_shift, psi, ramp
+from .psi import norm_shift, psi
 from .rational import RationalLike, over_common_denominator, rat
 from .simplex import IntegerLp, SimplexResult, solve
 from .words import Builtin, TableFunction, WeightVector, word_unindex
@@ -148,8 +148,7 @@ def build_polytope_lp(
     pair; it is exponentially larger and exists only as the oracle for
     the adjacent-pair reduction.
     """
-    if len(w) != k.arity:
-        raise ValueError(f"weight length {len(w)} != table arity {k.arity}")
+    w.check_arity(k.arity)
     v = rat(v)
     if v < 0:
         raise ValueError(f"box slack v must be >= 0, got {v}")
@@ -207,7 +206,7 @@ def verify_phi_psi(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> Ph
     """Check phi_sup <= psi + v * ramp(total), exactly; at v = 0 the norms too, via norm_shift."""
     v = rat(v)
     lhs = phi_sup(k, w, v)
-    rhs = psi(w, k) + v * ramp(k.total())
+    rhs = psi(w, k) + v * max(k.total(), 0)
     if v != 0:
         return PhiPsiReport(lhs, rhs)
     shift = norm_shift(w, k)
@@ -242,6 +241,5 @@ def lipschitz_constant(f: TableFunction | Builtin, w: WeightVector) -> Rational:
     is the largest :func:`oscillations` entry c_i over its weight w_i.
     Constant functions give 0.
     """
-    if len(w) != f.arity:
-        raise ValueError(f"weight length {len(w)} != table arity {f.arity}")
+    w.check_arity(f.arity)
     return max((c / wi for c, wi in zip(oscillations(f), w)), default=rat(0))

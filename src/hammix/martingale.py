@@ -245,8 +245,7 @@ class SumViReport:
 def verify_sumvi(f: Function, P: Measure | MarkovSpec, w: WeightVector) -> SumViReport:
     """Check sum_i v_bar_i^2 <= ||f||^2_Lip,w ||Delta_n w||_2^2, exactly."""
     _check_compatible(f, P)
-    if len(w) != f.arity:
-        raise ValueError(f"weight length {len(w)} != arity {f.arity}")
+    w.check_arity(f.arity)
     profile = martingale_profile(f, P)
     lip = lipschitz_constant(f, w)
     dw = delta_matrix(P).apply(w)
@@ -292,7 +291,7 @@ def concentration_bound(
         raise ValueError(f"thresholds must be finite and positive, got {tuple(thresholds)}")
     _check_compatible(f, P)
     lip = lipschitz_constant(f, w)
-    w_norm_sq = sum((x * x for x in w), rat(0))
+    w_norm_sq = rat(sum(x * x for x in w.nums), w.den**2)
     op = operator_norm_2(delta_matrix(P))
     d_squared = float_from_rat(lip * lip * w_norm_sq) * op * op
     bounds = tuple(azuma_bound(t, d_squared) for t in thresholds)

@@ -93,7 +93,7 @@ from numbers import Rational
 from operator import add, eq, mul, sub, truediv
 from typing import Sequence
 
-from .rational import RationalLike, over_common_denominator, rat
+from .rational import RationalLike, lowest_terms, over_lcm, rat
 from .words import TableFunction, WeightVector, project_numerators
 
 # Dense tables beyond this size are refused at the CLI boundary; library
@@ -137,21 +137,14 @@ def _columns(values: Sequence[RationalLike]) -> tuple[list[int], list[int]]:
     return [v.numerator for v in values], [v.denominator for v in values]
 
 
-def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
-    """nums over den divided by their gcd, which puts them in lowest terms."""
-    g = gcd(den, *nums)
-    return [x // g for x in nums], den // g
-
-
-def _distribution(nums: Sequence[int], dens: Sequence[int], what: str) -> tuple[list[int], int]:
-    """A law given as columns (value nums[i] / dens[i]), checked, over its least common denominator."""
-    den = lcm(*dens)
-    nums = [p * (den // q) for p, q in zip(nums, dens)]
+def _distribution(nums: Sequence[int], dens: Sequence[int], what: str) -> tuple[Sequence[int], int]:
+    """A law given as columns (value nums[i] / dens[i]), checked, in lowest terms."""
+    nums, den = over_lcm(nums, dens)
     if any(x < 0 for x in nums):
         raise ValueError(f"{what} has a negative entry")
     if sum(nums) != den:
         raise ValueError(f"{what} must sum to exactly 1")
-    return _reduced(nums, den)
+    return lowest_terms(nums, den)
 
 
 @dataclass(frozen=True, init=False)
@@ -256,7 +249,7 @@ def expand_markov(spec: MarkovSpec) -> Measure:
     return Measure.from_numerators(spec.alphabet_size, spec.arity, nums, math.prod(spec.dens))
 
 
-def _eta_bar_row(P: Measure, i: int) -> tuple[list[int], int]:
+def _eta_bar_row(P: Measure, i: int) -> tuple[Sequence[int], int]:
     """eta_bar(i, j) for j = i+1..n, from whole-list integer passes over row i.
 
     For each past y, the block of y z holds the unnormalized law of
@@ -332,8 +325,8 @@ def _eta_bar_row(P: Measure, i: int) -> tuple[list[int], int]:
                 best_num, best_den = best[k]
                 if num * best_den > best_num * den:
                     best[k] = (num, den)
-    den = lcm(*[d for _, d in best])
-    return _reduced([num * (den // d) for num, d in best], den)
+    nums, dens = zip(*best)
+    return lowest_terms(*over_lcm(nums, dens))
 
 
 def _largest_ratio(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
@@ -366,7 +359,7 @@ def _admissible_pairs(chain: MarkovSpec, i: int) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _chain_eta_row(chain: MarkovSpec, i: int) -> tuple[list[int], int]:
+def _chain_eta_row(chain: MarkovSpec, i: int) -> tuple[Sequence[int], int]:
     """eta_bar(i, j) for j = i+1..n from the kernels T_i, ..., T_n-1 alone.
 
     Row z of T_i...T_j-1 is kept in integers over the product D_j of those
@@ -385,7 +378,7 @@ def _chain_eta_row(chain: MarkovSpec, i: int) -> tuple[list[int], int]:
         rows = {z: [sum(map(mul, row, col)) for col in cols] for z, row in rows.items()}
         best.append(max((sum(map(abs, map(sub, rows[a], rows[b]))) for a, b in pairs), default=0))
     scales = list(accumulate(reversed(chain.dens[i + 1 :]), mul, initial=1))[::-1]  # dens[i+k+1]...dens[n-1]
-    return _reduced(list(map(mul, best, scales)), 2 * math.prod(chain.dens[i:]))
+    return lowest_terms(list(map(mul, best, scales)), 2 * math.prod(chain.dens[i:]))
 
 
 def eta_bar(P: Measure | MarkovSpec, i: int, j: int) -> Rational:
@@ -448,14 +441,11 @@ class DeltaMatrix:
         """Matrix-vector product (Delta w), exact.
 
         Entry i is one integer dot product of row i's numerators with the
-        weights' from i on, over ``den`` times the weights' common
-        denominator.
+        weights' ``nums`` from i on, over ``den`` times ``w.den``.
         """
-        if len(w) != self.size:
-            raise ValueError(f"weight length {len(w)} != matrix size {self.size}")
-        w_nums, w_den = over_common_denominator(w.entries)
-        den = self.den * w_den
-        return tuple(rat(sum(map(mul, row, w_nums[i:])), den) for i, row in enumerate(self.rows))
+        w.check_arity(self.size)
+        den = self.den * w.den
+        return tuple(rat(sum(map(mul, row, w.nums[i:])), den) for i, row in enumerate(self.rows))
 
 
 def delta_matrix(P: Measure | MarkovSpec) -> DeltaMatrix:

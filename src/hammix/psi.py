@@ -17,6 +17,10 @@ psi also decomposes exactly over last-coordinate sections:
 
 :func:`psi_decomposition_rhs` evaluates that right-hand side independently
 so the identity can be checked term by term.
+
+All three are evaluated in integers: the weights' numerators ``w.nums``
+times the table's ``k.nums``, summed over ``w.den * k.den``, so each
+builds one rational, at the end; ramp is a sign test on a numerator.
 """
 
 from __future__ import annotations
@@ -24,30 +28,19 @@ from __future__ import annotations
 from numbers import Rational
 from typing import Sequence
 
-from .rational import RationalLike, rat
+from .rational import rat
 from .words import TableFunction, WeightVector, project_numerators
 
 
-def ramp(z: RationalLike) -> Rational:
-    """max(z, 0), exactly."""
-    z = rat(z)
-    return z if z > 0 else rat(0)
-
-
-def _check_arity(w: WeightVector, k: TableFunction) -> None:
-    if len(w) != k.arity:
-        raise ValueError(f"weight length {len(w)} != table arity {k.arity}")
-
-
-def _psi_scaled(w: Sequence[Rational], nums: Sequence[int], m: int) -> Rational:
-    """psi times the table's denominator, from its numerators.
+def _psi_scaled(w_nums: Sequence[int], nums: Sequence[int], m: int) -> int:
+    """psi times the weights' and the table's denominators, from their numerators.
 
     One loop level per weight (the recursion is linear: each level adds one
     ramped sum and projects once), so arity is not limited by the
-    interpreter stack; ramp is a sign test on the numerators.
+    interpreter stack.
     """
-    total = rat(0)
-    for wi in w:
+    total = 0
+    for wi in w_nums:
         total += wi * sum(x for x in nums if x > 0)
         nums = project_numerators(nums, m)
     return total
@@ -55,8 +48,8 @@ def _psi_scaled(w: Sequence[Rational], nums: Sequence[int], m: int) -> Rational:
 
 def psi(w: WeightVector, k: TableFunction) -> Rational:
     """Evaluate psi(w, k)."""
-    _check_arity(w, k)
-    return _psi_scaled(w.entries, k.nums, k.alphabet_size) / k.den
+    w.check_arity(k.arity)
+    return rat(_psi_scaled(w.nums, k.nums, k.alphabet_size), w.den * k.den)
 
 
 def norm_shift(w: WeightVector, k: TableFunction) -> Rational:
@@ -66,7 +59,7 @@ def norm_shift(w: WeightVector, k: TableFunction) -> Rational:
     psi(w, -k) = psi(w, k) - sum(w) * total(k); phi -> sum(w) - phi maps the
     v = 0 polytope onto itself, so phi_sup(-k, w, 0) obeys the same identity.
     """
-    return w.total() * ramp(-k.total())
+    return rat(sum(w.nums) * max(-sum(k.nums), 0), w.den * k.den)
 
 
 def psi_decomposition_rhs(w: WeightVector, k: TableFunction) -> Rational:
@@ -78,11 +71,11 @@ def psi_decomposition_rhs(w: WeightVector, k: TableFunction) -> Rational:
     """
     if k.arity < 1:
         raise ValueError("decomposition requires arity >= 1")
-    _check_arity(w, k)
+    w.check_arity(k.arity)
     m = k.alphabet_size
-    *head, w_last = w.entries
-    total = rat(0)
+    *head, w_last = w.nums
+    total = 0
     for y in range(m):
         section = k.nums[y::m]
         total += _psi_scaled(head, section, m) + w_last * max(sum(section), 0)
-    return total / k.den
+    return rat(total, w.den * k.den)

@@ -8,6 +8,11 @@ over a common denominator.  Rationals carry only the inputs and the
 reported values.  :func:`rat` accepts int, any ``numbers.Rational`` and
 strings, so callers may hand any of them to the functions in this package.
 
+That integer form has two rules, kept here: :func:`over_lcm` puts integer
+ratios over their least common denominator (and
+:func:`over_common_denominator` does so for rationals), and
+:func:`lowest_terms` divides numerators and denominator by their gcd.
+
 Floats are deliberately rejected by :func:`rat`: a float argument is almost
 always a bug (silent precision loss).  Parse decimal *strings* instead,
 which convert exactly ("0.125" -> 1/8).  Python limits int-to-string
@@ -20,9 +25,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import inf, lcm, ulp
+from math import gcd, inf, lcm, ulp
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 #: Accepted spellings of an exact rational in public signatures.
 RationalLike = Union[int, str, Rational]
@@ -70,13 +75,33 @@ def rat(value: RationalLike, den: RationalLike | None = None) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
 
 
+def over_lcm(nums: Iterable[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """The ratios nums[i] / dens[i] (dens[i] > 0) over their least common denominator.
+
+    Returns the scaled numerators and that denominator.
+    """
+    den = lcm(*dens)
+    return [p * (den // q) for p, q in zip(nums, dens)], den
+
+
 def over_common_denominator(values: Sequence[Rational]) -> tuple[list[int], int]:
     """Integer numerators of ``values`` over their least common denominator.
 
     Returns the numerators and that denominator.
     """
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return over_lcm([v.numerator for v in values], [v.denominator for v in values])
+
+
+def lowest_terms(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """nums over den (den > 0) divided by their gcd, which puts them in lowest terms.
+
+    A reduced pair is returned as a new tuple of numerators; when the gcd
+    is 1 the arguments come back unchanged.
+    """
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple([x // g for x in nums]), den // g
 
 
 def _too_long(value: Rational, limit: int) -> bool:

@@ -7,12 +7,15 @@ significant: ``index((x1,...,xn)) = sum_i xi * m**(n-i)``.  A table is its
 integer numerators ``nums`` over one denominator ``den`` in lowest terms;
 its rationals are built only when ``values`` is read.  Tables and
 measures (a :class:`~hammix.mixing.Measure` is a table) get that form
-here, and the mixing matrix (:class:`~hammix.mixing.DeltaMatrix`) holds
+here, and so do the weights (:class:`WeightVector`'s ``nums`` over
+``den``); the mixing matrix (:class:`~hammix.mixing.DeltaMatrix`) holds
 the same form for its upper triangle, with its rationals built only when
 ``entries`` is read.  Two other places put values over a common
 denominator of their own: a chain's laws (``MarkovSpec._set_laws``
 through ``mixing._distribution``) and the polytope LP's right-hand sides
-(``lipschitz_lp.build_polytope_lp``).  Every table layer (psi, the Lipschitz
+(``lipschitz_lp.build_polytope_lp``), whose denominator also carries the
+slack v's.  The form's rules (the lcm of denominators, the gcd reduction)
+are :mod:`hammix.rational`'s.  Every table layer (psi, the Lipschitz
 constant, the measures of :mod:`hammix.mixing`, the martingale and Monte
 Carlo layers) computes on the integers.  The index order makes the two
 structural operators strided integer sums:
@@ -35,31 +38,40 @@ table the package builds is ``Builtin("hamming_to", m, n, y, w).table()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from numbers import Rational
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .rational import RationalLike, over_common_denominator, rat
+from .rational import RationalLike, lowest_terms, over_common_denominator, over_lcm, rat
 
 Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Strictly positive rational weights, one per word coordinate."""
+    """Strictly positive rational weights, one per word coordinate.
 
-    entries: tuple[Rational, ...]
+    ``entries`` are the weights as Fractions; ``nums`` over ``den`` are the
+    same weights in the table's form (see :class:`TableFunction`), integer
+    numerators over one denominator in lowest terms.  That form is unique,
+    so equality and hashing compare it.
+    """
+
+    entries: tuple[Rational, ...] = field(compare=False)
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, entries: Iterable[RationalLike]) -> None:
         converted = tuple(rat(e) for e in entries)
         for i, e in enumerate(converted):
             if e <= 0:
                 raise ValueError(f"weight entries must be > 0, got {e} at index {i}")
-        object.__setattr__(self, "entries", converted)
+        nums, den = over_common_denominator(converted)
+        self.__dict__.update(entries=converted, nums=tuple(nums), den=den)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -71,7 +83,12 @@ class WeightVector:
         return iter(self.entries)
 
     def total(self) -> Rational:
-        return sum(self.entries, rat(0))
+        return rat(sum(self.nums), self.den)
+
+    def check_arity(self, n: int) -> None:
+        """Raise ValueError unless there is one weight per coordinate of S^n."""
+        if len(self.nums) != n:
+            raise ValueError(f"weight length {len(self.nums)} != arity {n}")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -119,10 +136,7 @@ class TableFunction:
         """The table with values nums[i] / den (den > 0), reduced by their gcd."""
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
-        nums = tuple(nums)
-        g = gcd(den, *nums)
-        if g != 1:
-            nums, den = tuple(x // g for x in nums), den // g
+        nums, den = lowest_terms(tuple(nums), den)
         table = cls.__new__(cls)
         table.__dict__.update(alphabet_size=alphabet_size, arity=arity, nums=nums, den=den)
         table.__post_init__()
@@ -137,8 +151,7 @@ class TableFunction:
         The numerators are scaled to the least common denominator in one
         pass over the two columns.
         """
-        den = lcm(*dens)
-        return cls.from_numerators(alphabet_size, arity, (p * (den // q) for p, q in zip(nums, dens)), den)
+        return cls.from_numerators(alphabet_size, arity, *over_lcm(nums, dens))
 
     @cached_property
     def values(self) -> tuple[Rational, ...]:
@@ -238,8 +251,8 @@ class Builtin:
             return None
         if self.weights is None:
             raise ValueError("hamming_to needs weights")
-        costs, den = over_common_denominator(self.weights.entries)
-        return [tuple(0 if a == t else c for a in range(m)) for c, t in zip(costs, self.target)], den
+        w = self.weights
+        return [tuple(0 if a == t else c for a in range(m)) for c, t in zip(w.nums, self.target)], w.den
 
     def table(self) -> TableFunction:
         """The dense table of f (m^n entries)."""

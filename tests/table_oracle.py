@@ -9,9 +9,11 @@ measure's ``probabilities``), never its integer numerators, so the
 library's numerator paths must return the same rationals on every input.
 
 The table builders that only tests use live here too: :func:`from_callable`
-(one value per word), :func:`constant` and :func:`scale`, and so does
+(one value per word), :func:`constant` and :func:`scale`, and so do
 :func:`hamming_distance`, d_w summed in Fractions for one word pair (the
-library builds d_w only as the ``hamming_to`` builtin's table).
+library builds d_w only as the ``hamming_to`` builtin's table), and
+:func:`ramp`, max(z, 0) on a rational (the library's psi ramps integer
+numerators with a sign test).
 """
 
 from __future__ import annotations
@@ -22,10 +24,15 @@ from typing import Callable, Sequence
 from hammix.martingale import MartingaleProfile
 from hammix.mixing import Measure
 from hammix.montecarlo import SimulationConfig, sample_word
-from hammix.psi import ramp
 from hammix.rational import RationalLike, rat, rat_from_float
 from hammix.words import TableFunction, WeightVector, Word, word_index
 from mixing_oracle import ZeroPrefixProbability, block_mass, prefix_block, stream_draws, words
+
+
+def ramp(z: RationalLike) -> Rational:
+    """max(z, 0), exactly."""
+    z = rat(z)
+    return z if z > 0 else rat(0)
 
 
 def hamming_distance(x: Sequence[int], y: Sequence[int], w: WeightVector) -> Rational:

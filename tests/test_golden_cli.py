@@ -8,7 +8,8 @@ README's ``simulate`` example: 10^5 draws on an m = 2, n = 8 chain, through
 the kernel sampler) plus small documents in
 ``tests/golden/`` that exercise ``simulate``, the constant-function
 (Lipschitz constant 0) path of the tail bounds, a multi-pivot LP
-(m = 3, n = 2, non-integer weights, v = 1/2), and a dense measure with
+(m = 3, n = 2, v = 1/2, weights 3/4 and 5/3, whose different
+denominators psi and its decomposition read), and a dense measure with
 exact-zero cells, null prefix blocks and a prefix after which the second
 symbol is forced (m = 3, n = 3), a v = 0 LP whose table sums below 0,
 so the norms carry a nonzero sign shift (m = 3, n = 2), and a Markov chain
@@ -52,7 +53,7 @@ CASES = [
     (ROOT / "sample_problems" / "chain_simulate.json", ("bound", "simulate")),
     (GOLDEN / "simulate_small.json", ("bound", "simulate")),
     (GOLDEN / "constant_function.json", ("bound", "simulate")),
-    (GOLDEN / "lp_mid.json", ("phi", "verify-lp")),
+    (GOLDEN / "lp_mid.json", ("psi", "phi", "verify-lp", "decompose")),
     (GOLDEN / "dense_zeros.json", ("eta", "martingale", "bound", "simulate")),
     (GOLDEN / "lp_negative.json", ("psi", "phi", "verify-lp")),
     (GOLDEN / "markov_zeros.json", ("eta", "martingale", "bound", "simulate")),

@@ -18,7 +18,7 @@ from hammix.lipschitz_lp import (
     solve_lp,
     verify_phi_psi,
 )
-from hammix.psi import norm_shift, psi, ramp
+from hammix.psi import norm_shift, psi
 from hammix.rational import rat
 from hammix.simplex import integer_lp, verify_certificate
 from hammix.words import (
@@ -28,7 +28,7 @@ from hammix.words import (
     word_unindex,
 )
 from mixing_oracle import words
-from table_oracle import constant, from_callable, hamming_distance, scale
+from table_oracle import constant, from_callable, hamming_distance, ramp, scale
 
 
 def _phi_norm(k, w):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hammix.cli as cli
-from hammix.psi import norm_shift, psi, psi_decomposition_rhs, ramp
+from hammix.psi import norm_shift, psi, psi_decomposition_rhs
 from hammix.rational import rat
 from hammix.words import TableFunction, WeightVector
-from table_oracle import constant, scale
+from table_oracle import constant, ramp, scale
 
 
 def _psi_norm(w, k):
@@ -71,6 +71,10 @@ def test_psi_matches_definition_oracle():
         w = WeightVector([rat(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(n)])
         expected = _psi_oracle(w, vals, m, n)
         assert psi(w, k) == expected
+        # Reduced weights over pairwise different denominators.
+        w = WeightVector([rat(1 + d * rng.randint(0, 2), d) for d in rng.sample((2, 3, 4, 5, 7, 9), n)])
+        assert len({x.denominator for x in w}) == n
+        assert psi(w, k) == _psi_oracle(w, vals, m, n)
 
 
 def test_psi_length_mismatch():

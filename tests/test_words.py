@@ -2,13 +2,18 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hammix.rational import rat
+from hammix.rational import lowest_terms, over_common_denominator, over_lcm, rat
 from hammix.instances import random_lipschitz_function, random_rational, random_weights
+from hammix.lipschitz_lp import build_polytope_lp, lipschitz_constant
+from hammix.martingale import verify_sumvi
+from hammix.mixing import Measure, delta_matrix
+from hammix.psi import psi, psi_decomposition_rhs
 from hammix.words import (
     Builtin,
     TableFunction,
@@ -244,3 +249,60 @@ def test_weight_vector_validation():
         WeightVector(("-1/2",))
     w = WeightVector(("3/2", 1))
     assert w.total() == rat(5, 2)
+
+
+def test_weights_are_integers_over_one_lowest_terms_denominator():
+    rng = random.Random(41)
+    for n in (0, 1, 3, 6):
+        for _ in range(20):
+            w = random_weights(rng, n)
+            assert len(w.nums) == len(w.entries) == n
+            assert w.den >= 1 and gcd(w.den, *w.nums) == 1
+            assert all(w.entries[i] == rat(w.nums[i], w.den) for i in range(n))
+            assert w.total() == sum(w.entries, rat(0))
+    # Pairwise different denominators: the lcm, not their product or maximum.
+    w = WeightVector(("1/2", "2/3", "5/4"))
+    assert (w.nums, w.den) == ((6, 8, 15), 12)
+
+
+def test_weights_spelled_differently_compare_and_hash_equal():
+    a, b = WeightVector(("1/2", "0.5", "3/6")), WeightVector(("1/2",) * 3)
+    assert a == b and hash(a) == hash(b)
+    assert (a.nums, a.den) == (b.nums, b.den) == ((1, 1, 1), 2)
+    assert WeightVector(("3/4", 2)) == WeightVector(("6/8", "2.0"))
+    assert WeightVector(("1/2",)) != WeightVector(("1/3",))
+    assert WeightVector((1, 2)) != WeightVector((1,))
+
+
+def test_over_lcm_puts_ratios_over_their_least_common_denominator():
+    assert over_lcm([-1, 5, 0], [2, 6, 4]) == ([-6, 10, 0], 12)
+    assert over_lcm([3, -7], [1, 1]) == ([3, -7], 1)
+    assert over_lcm([], []) == ([], 1)
+    assert over_common_denominator([rat(-1, 2), rat(5, 6), rat(0)]) == ([-3, 5, 0], 6)
+
+
+def test_lowest_terms_divides_by_the_gcd():
+    assert lowest_terms([-4, 6, 0], 10) == ((-2, 3, 0), 5)
+    assert lowest_terms((-6, 9), 3) == ((-2, 3), 1)
+    assert lowest_terms([0, 0], 4) == ((0, 0), 1)
+    nums = [-3, 4, 0]
+    reduced, den = lowest_terms(nums, 5)
+    assert reduced is nums and den == 5
+
+
+_WEIGHT_READERS = {
+    "psi": lambda k, P, w: psi(w, k),
+    "psi_decomposition_rhs": lambda k, P, w: psi_decomposition_rhs(w, k),
+    "build_polytope_lp": lambda k, P, w: build_polytope_lp(k, w),
+    "lipschitz_constant": lambda k, P, w: lipschitz_constant(k, w),
+    "verify_sumvi": lambda k, P, w: verify_sumvi(k, P, w),
+    "DeltaMatrix.apply": lambda k, P, w: delta_matrix(P).apply(w),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_WEIGHT_READERS))
+def test_every_weight_reader_refuses_a_wrong_length(reader):
+    k, P = TableFunction(2, 2, (1, 0, 0, -1)), Measure.uniform(2, 2)
+    for entries in ((1,), (1, "1/2", 2)):
+        with pytest.raises(ValueError, match=f"weight length {len(entries)} != arity 2"):
+            _WEIGHT_READERS[reader](k, P, WeightVector(entries))
