@@ -120,7 +120,7 @@ def _cmd_phi(problem: ProblemFile, args) -> tuple[dict, int, str]:
     w = _weights(problem)
     cert_pos = solve_lp(build_polytope_lp(f, w, 0))
     cert_neg = solve_lp(build_polytope_lp(-f, w, 0))
-    norm = max(cert_pos.objective_value, cert_neg.objective_value)
+    norm = cert_pos.objective_value + norm_shift(w, f)  # phi_norm, the identity verify_phi_psi uses
     payload = {
         "phi_norm": rat_str(norm),
         "positive": _certificate_payload(cert_pos),

@@ -46,9 +46,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .rational import over_common_denominator, rat
 
-# Values whose numerator and denominator are read without conversion.
-_EXACT = frozenset({int, Fraction})
-
 # Bland's rule terminates; this cap only trips on an implementation bug.
 _MAX_PIVOTS = 200_000
 
@@ -141,15 +138,15 @@ def integer_lp(
             if not 0 <= j < nv:
                 raise ValueError(f"variable index {j} out of range in row {i}")
             if type(a) is not int:
-                a = a if type(a) in _EXACT else rat(a)
+                a = rat(a)
                 if a.denominator != 1:
                     raise ValueError(f"coefficient {a} of variable {j} in row {i} is not an integer")
                 a = int(a)
             if a:
                 row[j] = a
         int_rows.append(row)
-    b_nums, rhs_den = over_common_denominator([b if type(b) in _EXACT else rat(b) for b in rhs])
-    nums, c_den = over_common_denominator([c if type(c) in _EXACT else rat(c) for c in objective])
+    b_nums, rhs_den = over_common_denominator([rat(b) for b in rhs])
+    nums, c_den = over_common_denominator([rat(c) for c in objective])
     c = {j: a for j, a in enumerate(nums) if a}
     return IntegerLp(nv, c, c_den, list(zip(int_rows, b_nums)), rhs_den)
 

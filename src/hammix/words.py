@@ -18,12 +18,13 @@ slack v's.  The form's rules (the lcm of denominators, the gcd reduction)
 are :mod:`hammix.rational`'s.  Every table layer (psi, the Lipschitz
 constant, the measures of :mod:`hammix.mixing`, the martingale and Monte
 Carlo layers) computes on the integers.  The index order makes the two
-structural operators strided integer sums:
+structural operators strided integer operators on ``nums``, run in place
+by :mod:`hammix.psi`:
 
 * marginal projection  k'(y) = sum_{a in S} k(a y)   -- sums the m blocks
-  of the most significant digit;
+  of the most significant digit (:func:`project_numerators`);
 * y-section            k_y(x) = k(x y)               -- fixes the least
-  significant digit.
+  significant digit, the slice ``nums[y::m]``.
 
 Arity-0 tables are length-1 tables (the single value indexed by the empty
 word), so recursions over arity bottom out without a special scalar case.
@@ -41,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import lcm
 from numbers import Rational
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .rational import RationalLike, lowest_terms, over_common_denominator, over_lcm, rat
@@ -188,6 +190,22 @@ class TableFunction:
         """The table itself; a :class:`Builtin` builds its own."""
         return self
 
+    def oscillations(self) -> tuple[Rational, ...]:
+        """Per coordinate i, max |f(x) - f(y)| over words differing only at i.
+
+        Scanned in the integer numerators: each step rotates the first
+        coordinate of the numerator table to the last place, where the
+        words differing only there are the slices nums[a::m] and nums[b::m].
+        """
+        m, nums = self.alphabet_size, self.nums
+        block = len(nums) // m
+        out = []
+        for _ in range(self.arity):
+            nums = list(chain.from_iterable(zip(*(nums[a * block : (a + 1) * block] for a in range(m)))))
+            pairs = ((nums[a::m], nums[b::m]) for a in range(m) for b in range(a))
+            out.append(rat(max((max(map(abs, map(sub, x, y))) for x, y in pairs), default=0), self.den))
+        return tuple(out)
+
 
 def word_index(x: Sequence[int], m: int, n: int | None = None) -> int:
     """Lexicographic index of a word; first symbol most significant."""
@@ -286,24 +304,3 @@ def project_numerators(nums: Sequence[int], m: int) -> list[int]:
         projected = list(map(add, projected, nums[lo : lo + block]))
     return list(projected)
 
-
-def marginal_projection(k: TableFunction) -> TableFunction:
-    """Sum out the first coordinate: k'(y) = sum_{a in S} k(a y).
-
-    Maps arity n to arity n-1; the arity-1 projection is the scalar table
-    holding the total of k.
-    """
-    if k.arity < 1:
-        raise ValueError("cannot project an arity-0 table")
-    m = k.alphabet_size
-    return TableFunction.from_numerators(m, k.arity - 1, project_numerators(k.nums, m), k.den)
-
-
-def y_section(k: TableFunction, y: int) -> TableFunction:
-    """Fix the last coordinate to y: k_y(x) = k(x y)."""
-    if k.arity < 1:
-        raise ValueError("cannot take a section of an arity-0 table")
-    m = k.alphabet_size
-    if not 0 <= y < m:
-        raise ValueError(f"section symbol {y} out of range for alphabet of size {m}")
-    return TableFunction.from_numerators(m, k.arity - 1, k.nums[y::m], k.den)

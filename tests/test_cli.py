@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import hammix.cli as cli
+from hammix.instances import random_table, random_weights
 from hammix.lipschitz_lp import PhiPsiReport
 from hammix.martingale import SumViReport
-from hammix.rational import rat
+from hammix.rational import rat, rat_str
 from hammix.simplex import CertificateError
 from hammix.words import Builtin
 
@@ -99,6 +101,27 @@ def test_phi_subcommand(capsys, psi_file):
     assert payload["positive"]["objective_value"] == "2/1"
     assert len(payload["positive"]["primal"]) == 4
     assert payload["negative"]["objective_value"] == "2/1"
+
+
+def test_phi_norm_is_the_larger_of_the_two_printed_values(capsys, tmp_path):
+    # phi reads phi_norm as the positive value plus norm_shift; on seeded
+    # tables of either total's sign that is the larger signed supremum.
+    rng = random.Random(29)
+    signs = set()
+    for _ in range(40):
+        m, n = rng.choice((2, 3)), rng.choice((1, 2))
+        k = random_table(rng, m, n)
+        doc = {
+            "alphabet": m,
+            "n": n,
+            "weights": [rat_str(x) for x in random_weights(rng, n)],
+            "function": {"table": [rat_str(x) for x in k.values]},
+        }
+        code, payload, _ = _run(capsys, ["phi", _write(tmp_path, doc)])
+        values = [rat(payload[sign]["objective_value"]) for sign in ("positive", "negative")]
+        assert code == 0 and rat(payload["phi_norm"]) == max(values)
+        signs.add(k.total() > 0)
+    assert signs == {False, True}
 
 
 def test_verify_lp_subcommand(capsys, psi_file):

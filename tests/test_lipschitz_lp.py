@@ -13,7 +13,6 @@ from hammix.lipschitz_lp import (
     PhiPsiReport,
     build_polytope_lp,
     lipschitz_constant,
-    oscillations,
     phi_sup,
     solve_lp,
     verify_phi_psi,
@@ -418,9 +417,9 @@ def test_builtin_oscillations_match_the_table_scan():
                 Builtin("hamming_to", m, n, target, w),
             ):
                 table = f.table()
-                assert oscillations(f) == oscillations(table)
+                assert f.oscillations() == table.oscillations()
                 assert lipschitz_constant(f, w) == lipschitz_constant(table, w)
             if m == 1:
-                assert set(oscillations(f)) == {0}
+                assert set(f.oscillations()) == {0}
             else:
-                assert oscillations(f) == w.entries
+                assert f.oscillations() == w.entries

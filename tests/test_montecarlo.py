@@ -79,16 +79,23 @@ def test_zero_probability_cells_never_sampled():
         assert word in ((0, 0), (1, 1))
 
 
+# Cases are built inside the tests that read them, so a fault in building
+# a measure or a chain fails those tests by name instead of failing the
+# collection of this file.
 SAMPLER_CASES = {
-    "dense0-m3n4": random_dense_measure(random.Random(31), 3, 4, allow_zeros=True),
-    "markov-m2n8": random_markov_spec(random.Random(32), 2, 8),
+    "dense0-m3n4": lambda: random_dense_measure(random.Random(31), 3, 4, allow_zeros=True),
+    "markov-m2n8": lambda: random_markov_spec(random.Random(32), 2, 8),
 }
+
+
+def _sampler_cases():
+    return [build() for build in SAMPLER_CASES.values()]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
 def test_sample_word_matches_rational_scan(name):
     # The chain is sampled by its kernels, the oracle scans its table.
-    P = SAMPLER_CASES[name]
+    P = SAMPLER_CASES[name]()
     table = expand_markov(P) if isinstance(P, MarkovSpec) else P
     for k in range(2000):
         stream, oracle_stream = SampleStream(2024, k), SampleStream(2024, k)
@@ -112,7 +119,7 @@ def _batch_indices(P, seed, count):
 def test_window_sampler_matches_rational_scan(name):
     # Sample k reads u[k+2], ..., u[k+n+1] of one draw list, and the words
     # are the oracle's.
-    P = SAMPLER_CASES[name]
+    P = SAMPLER_CASES[name]()
     table = expand_markov(P) if isinstance(P, MarkovSpec) else P
     m, n = P.alphabet_size, P.arity
     for seed in (2024, 2**64 - 1):
@@ -120,24 +127,25 @@ def test_window_sampler_matches_rational_scan(name):
             assert word_unindex(index, m, n) == mixing_oracle.sample_word(table, SampleStream(seed, k))
 
 
-BISECTION_CASES = [
-    *(
-        (f"dense0-m{m}n{n}", mixing_oracle.null_block_measure(random.Random(100 * m + n), m, n))
-        for m, n in ((2, 2), (2, 7), (3, 4), (4, 3), (4, 4))
-    ),
-    ("markov-m3n5", random_markov_spec(random.Random(71), 3, 5)),
-    ("markov-m4n4", random_markov_spec(random.Random(72), 4, 4)),
-    (
-        "markov0-m3n4",
-        MarkovSpec(("1/2", "0", "1/2"), ((("0", "1", "0"), ("1/3", "1/3", "1/3"), ("1/2", "0", "1/2")),) * 3),
-    ),
-]
+def _null_block_case(m, n):
+    return lambda: mixing_oracle.null_block_measure(random.Random(100 * m + n), m, n)
 
 
-@pytest.mark.parametrize("P", [P for _, P in BISECTION_CASES], ids=[name for name, _ in BISECTION_CASES])
-def test_batch_walk_matches_the_bisection_oracle(P):
+BISECTION_CASES = {
+    **{f"dense0-m{m}n{n}": _null_block_case(m, n) for m, n in ((2, 2), (2, 7), (3, 4), (4, 3), (4, 4))},
+    "markov-m3n5": lambda: random_markov_spec(random.Random(71), 3, 5),
+    "markov-m4n4": lambda: random_markov_spec(random.Random(72), 4, 4),
+    "markov0-m3n4": lambda: MarkovSpec(
+        ("1/2", "0", "1/2"), ((("0", "1", "0"), ("1/3", "1/3", "1/3"), ("1/2", "0", "1/2")),) * 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BISECTION_CASES))
+def test_batch_walk_matches_the_bisection_oracle(name):
     # Per-level threshold counts pick the cell (or kernel row entry) that
     # one bisection per symbol picks, also at the exact cut points.
+    P = BISECTION_CASES[name]()
     count, n = 600, P.arity
     if isinstance(P, Measure):
         assert any(P._cum[lo] == P._cum[lo + P.alphabet_size] for lo in range(0, len(P.nums), P.alphabet_size))
@@ -162,8 +170,8 @@ def test_batches_give_the_one_batch_report(monkeypatch):
     # Batches draw consecutive stretches of one sequence, so the counts do
     # not depend on the batch size, on the dense walk or the chain walk.
     cases = [
-        (TableFunction(2, 7, range(128)), BISECTION_CASES[1][1], (5.0, 20.0, 40.0)),
-        (Builtin("sum_of_symbols", 3, 5), BISECTION_CASES[5][1], (0.5, 1.5, 3.0)),
+        (TableFunction(2, 7, range(128)), BISECTION_CASES["dense0-m2n7"](), (5.0, 20.0, 40.0)),
+        (Builtin("sum_of_symbols", 3, 5), BISECTION_CASES["markov-m3n5"](), (0.5, 1.5, 3.0)),
     ]
     for f, P, thresholds in cases:
         cfg = SimulationConfig(1000, 4, thresholds)
@@ -175,7 +183,7 @@ def test_batches_give_the_one_batch_report(monkeypatch):
 
 
 def test_sample_word_consumes_exactly_n_draws():
-    cases = [*SAMPLER_CASES.values(), Measure.uniform(1, 3), mixing_oracle.point_mass(2, 4, (1, 0, 0, 1))]
+    cases = [*_sampler_cases(), Measure.uniform(1, 3), mixing_oracle.point_mass(2, 4, (1, 0, 0, 1))]
     for P in cases:
         n = P.arity
         draws = stream_draws(5, 0, n + 1)
@@ -189,7 +197,7 @@ def _tail_cases():
     """(f, P) with P a measure or a chain; n = 1 and m = 1 included."""
     rng = random.Random(61)
     for P in (
-        *SAMPLER_CASES.values(),
+        *_sampler_cases(),
         random_dense_measure(rng, 3, 1, allow_zeros=True),
         random_markov_spec(rng, 3, 1),
         Measure.uniform(1, 4),
@@ -229,7 +237,7 @@ def test_additive_chain_samples_match_the_table_path():
 
 
 def test_sampler_cases_include_null_cells():
-    assert 0 in SAMPLER_CASES["dense0-m3n4"].probabilities
+    assert 0 in SAMPLER_CASES["dense0-m3n4"]().probabilities
 
 
 class _FixedStream:
@@ -253,7 +261,7 @@ def test_sample_word_at_exact_cut_points():
     assert sample_word(fair, [2**63 - 1]) == (0,)
     assert sample_word(fair, [2**63]) == (1,)
     values = (0, 1, 2**62 - 1, 2**62, 2**63, 3 * 2**62, 2**64 - 1)
-    for P in (skewed, fair, SAMPLER_CASES["dense0-m3n4"]):
+    for P in (skewed, fair, SAMPLER_CASES["dense0-m3n4"]()):
         for r in values:
             assert sample_word(P, [r] * P.arity) == mixing_oracle.sample_word(P, _FixedStream(r))
 

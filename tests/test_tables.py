@@ -28,7 +28,7 @@ from hammix.mixing import Measure, expand_markov
 from hammix.montecarlo import SimulationConfig, empirical_tail
 from hammix.psi import psi, psi_decomposition_rhs
 from hammix.rational import rat
-from hammix.words import TableFunction, marginal_projection, y_section
+from hammix.words import TableFunction, project_numerators
 from mixing_oracle import ZeroPrefixProbability, point_mass, prefix_mass, words
 
 SHAPES = [(1, 0), (1, 3), (2, 0), (2, 1), (2, 4), (3, 0), (3, 3), (4, 2)]
@@ -78,10 +78,12 @@ def test_psi_projection_section_and_lipschitz_match_oracle():
         assert lipschitz_constant(k, w) == oracle.lipschitz_constant(k, w)
         if n == 0:
             continue
-        projected = marginal_projection(k)
+        # The numerator operators psi and its decomposition run: the m-block
+        # sum and the strided slice nums[y::m], over k's denominator.
+        projected = TableFunction.from_numerators(m, n - 1, project_numerators(k.nums, m), k.den)
         assert projected == oracle.marginal_projection(k) and _consistent(projected)
         for y in range(m):
-            section = y_section(k, y)
+            section = TableFunction.from_numerators(m, n - 1, k.nums[y::m], k.den)
             assert section == oracle.y_section(k, y) and _consistent(section)
         assert psi_decomposition_rhs(w, k) == oracle.psi_decomposition_rhs(w, k)
 

@@ -18,10 +18,9 @@ from hammix.words import (
     Builtin,
     TableFunction,
     WeightVector,
-    marginal_projection,
+    project_numerators,
     word_index,
     word_unindex,
-    y_section,
 )
 from mixing_oracle import words
 from table_oracle import constant, from_callable, hamming_distance, prefix_restrict
@@ -160,34 +159,46 @@ def test_builtin_tables_match_per_word_values():
         assert Builtin("indicator", m, n, target).table() == expected_indicator
 
 
+def _projection(k):
+    """k'(y) = sum_a k(a y) as a table, from the numerator operator psi runs."""
+    m = k.alphabet_size
+    return TableFunction.from_numerators(m, k.arity - 1, project_numerators(k.nums, m), k.den)
+
+
+def _section(k, y):
+    """k_y(x) = k(x y) as a table, from the strided slice psi_decomposition_rhs runs."""
+    m = k.alphabet_size
+    return TableFunction.from_numerators(m, k.arity - 1, k.nums[y::m], k.den)
+
+
 def test_marginal_projection_examples():
     k1 = TableFunction(2, 1, (1, -1))
-    assert marginal_projection(k1).values == (rat(0),)
+    assert _projection(k1).values == (rat(0),)
 
     k2 = TableFunction(2, 2, (1, 0, 0, -1))
-    assert marginal_projection(k2).values == (rat(1), rat(-1))
+    assert _projection(k2).values == (rat(1), rat(-1))
 
     const = constant(2, 2, "5/3")
-    assert marginal_projection(const).values == (rat(10, 3), rat(10, 3))
+    assert _projection(const).values == (rat(10, 3), rat(10, 3))
 
 
-def test_marginal_projection_arity_zero_rejected():
-    with pytest.raises(ValueError):
-        marginal_projection(TableFunction(2, 0, (3,)))
+def test_arity_one_projection_is_the_total():
+    # psi's last level projects an arity-1 table to its total; for m = 1
+    # every projection is the identity on numerators.
+    rng = random.Random(5)
+    for m in (1, 2, 3, 4):
+        nums = [rng.randint(-9, 9) for _ in range(m)]
+        assert project_numerators(nums, m) == [sum(nums)]
+    assert project_numerators((3, -1, 4), 1) == [3, -1, 4]
 
 
 def test_y_section_examples():
     k1 = TableFunction(2, 1, (5, 7))
-    assert y_section(k1, 1).values == (rat(7),)
+    assert _section(k1, 1).values == (rat(7),)
 
     k2 = TableFunction(2, 2, (1, 0, 0, -1))
-    assert y_section(k2, 0).values == (rat(1), rat(0))
-    assert y_section(k2, 1).values == (rat(0), rat(-1))
-
-    with pytest.raises(ValueError):
-        y_section(k2, 2)
-    with pytest.raises(ValueError):
-        y_section(TableFunction(2, 0, (1,)), 0)
+    assert _section(k2, 0).values == (rat(1), rat(0))
+    assert _section(k2, 1).values == (rat(0), rat(-1))
 
 
 def test_projection_and_section_commute():
@@ -195,9 +206,9 @@ def test_projection_and_section_commute():
     for _ in range(50):
         m = rng.choice((2, 3))
         k = TableFunction(m, 3, [rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m**3)])
-        projected = marginal_projection(k)
+        projected = project_numerators(k.nums, m)
         for y in range(m):
-            assert marginal_projection(y_section(k, y)) == y_section(projected, y)
+            assert project_numerators(k.nums[y::m], m) == projected[y::m]
 
 
 def test_section_totals_sum_to_table_total():
@@ -206,7 +217,7 @@ def test_section_totals_sum_to_table_total():
         m = rng.choice((2, 3))
         n = rng.choice((1, 2, 3))
         k = TableFunction(m, n, [rat(rng.randint(-9, 9)) for _ in range(m**n)])
-        assert sum((y_section(k, y).total() for y in range(m)), rat(0)) == k.total()
+        assert sum((_section(k, y).total() for y in range(m)), rat(0)) == k.total()
 
 
 def test_prefix_restrict():
