@@ -161,13 +161,14 @@ def _cmd_eta(problem: ProblemFile, args) -> tuple[dict, int, str]:
     P = resolve_measure(problem, args.max_table)
     delta = delta_matrix(P)
     norm = operator_norm_2(delta)
+    rows = [[rat_str(x) for x in row] for row in delta.entries]
     payload = {
         "eta_bar": [
-            {"i": i + 1, "j": j + 1, "value": rat_str(delta.entries[i][j])}
+            {"i": i + 1, "j": j + 1, "value": rows[i][j]}
             for i in range(delta.size)
             for j in range(i + 1, delta.size)
         ],
-        "delta": [[rat_str(x) for x in row] for row in delta.entries],
+        "delta": rows,
         "delta_operator_norm": norm,
     }
     return payload, _EXIT_OK, f"eta: {P.arity}x{P.arity} mixing matrix, ||Delta||_2 ~= {norm:.6g}"

@@ -10,9 +10,10 @@ where d_w is the weighted Hamming metric.  Since d_w is the shortest-path
 metric of the graph whose edges flip a single coordinate (edge weight w_i),
 imposing the difference constraints only on pairs at Hamming distance 1
 already forces them for all pairs; that cuts the constraint count from
-O(m^2n) pairs to O(n * m^(n+1)) and is cross-checked against the all-pairs
-formulation, whose right-hand sides are the ``hamming_to`` builtin's
-tables, by selftest criterion 5 and the test suite.
+O(m^2n) pairs to O(n * m^(n+1)).  Selftest criterion 5 certifies the
+reduction from each solve's own vertex: every row's right-hand side is
+d_w of its pair, and the vertex meets d_w on every ordered pair, with d_w
+read from the ``hamming_to`` builtin's tables.
 
 The central quantities:
 
@@ -43,12 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 from numbers import Rational
-from typing import Iterator, Literal
+from typing import Iterator
 
 from .psi import norm_shift, psi
 from .rational import RationalLike, rat
 from .simplex import IntegerLp, SimplexResult, solve
-from .words import Builtin, TableFunction, WeightVector, word_unindex
+from .words import Builtin, TableFunction, WeightVector
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ class LpProblem:
     ``upper`` (= (v + sum w) * rhs_den, shared by all variables) and, per
     coordinate i, ``costs[i]`` = w_i * rhs_den.  Difference rows read
     phi[x] - phi[y] <= d_w(x, y) for each ordered pair at Hamming distance
-    1 (pairs="adjacent", rhs the cost of the one coordinate where they
-    differ) or for every ordered pair (pairs="all", the cross-check build);
+    1, whose rhs is the cost of the one coordinate where they differ;
     :meth:`difference_rows` generates them, none is stored.
 
     ``num_vars``, ``objective``, ``upper_bound`` and
@@ -77,7 +77,6 @@ class LpProblem:
     upper: int
     costs: tuple[int, ...]
     rhs_den: int
-    pairs: Literal["adjacent", "all"] = "adjacent"
 
     def __post_init__(self) -> None:
         if len(self.nums) != self.num_vars:
@@ -89,8 +88,6 @@ class LpProblem:
         for c in self.costs:
             if c <= 0:
                 raise ValueError(f"difference constraint rhs must be positive, got {rat(c, self.rhs_den)}")
-        if self.pairs not in ("adjacent", "all"):
-            raise ValueError(f"unknown pair mode {self.pairs!r}")
 
     @property
     def num_vars(self) -> int:
@@ -111,19 +108,11 @@ class LpProblem:
     def difference_rows(self) -> Iterator[tuple[int, int, int]]:
         """(x, y, b): the row phi[x] - phi[y] <= b / rhs_den, in build order.
 
-        Adjacent pairs come from index strides: for each word x, each
+        The pairs come from index strides: for each word x, each
         coordinate (the first, most significant, first) and each other
-        symbol there.  All pairs read d_w(x, .) as the ``hamming_to``
-        table of x, its numerators brought over rhs_den.
+        symbol there.
         """
-        m, n, size = self.alphabet_size, self.arity, self.num_vars
-        if self.pairs == "all":
-            w = WeightVector(rat(c, self.rhs_den) for c in self.costs)
-            for x in range(size):
-                dist = Builtin("hamming_to", m, n, word_unindex(x, m, n), w).table()
-                scale = self.rhs_den // dist.den
-                yield from ((x, y, d * scale) for y, d in enumerate(dist.nums) if y != x)
-            return
+        m, size = self.alphabet_size, self.num_vars
         for x in range(size):
             stride = size
             for cost in self.costs:
@@ -134,19 +123,11 @@ class LpProblem:
                         yield x, x + (other - digit) * stride, cost
 
 
-def build_polytope_lp(
-    k: TableFunction,
-    w: WeightVector,
-    v: RationalLike = 0,
-    pairs: Literal["adjacent", "all"] = "adjacent",
-) -> LpProblem:
+def build_polytope_lp(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> LpProblem:
     """Construct the LP for sup <k, phi> over the polytope with slack v.
 
     The right-hand sides go over D, the lcm of v's denominator and the
     weights' (``w.den``); the weights' numerators are scaled to it.
-    pairs="all" has one difference row per ordered word pair; it is
-    exponentially larger and exists only as the oracle for the
-    adjacent-pair reduction.
     """
     w.check_arity(k.arity)
     v = rat(v)
@@ -157,7 +138,7 @@ def build_polytope_lp(
     # timing, which measured 0.4 MB more peak RSS over an lp_verify benchmark run.
     costs = tuple([c * (den // w.den) for c in w.nums])
     upper = v.numerator * (den // v.denominator) + sum(costs)
-    return LpProblem(k.alphabet_size, k.arity, k.nums, k.den, upper, costs, den, pairs)
+    return LpProblem(k.alphabet_size, k.arity, k.nums, k.den, upper, costs, den)
 
 
 def solve_lp(p: LpProblem) -> SimplexResult:

@@ -185,6 +185,117 @@ MUTANTS = (
             "tests/test_golden_cli.py::test_selftest_report_matches_golden",
         ),
     ),
+    # The certified operator norm of Delta.
+    Mutant(
+        "norm-without-step-up",
+        "mixing.py",
+        "        root = math.nextafter(root, math.inf)\n",
+        "        break\n",
+        "the float square root may round below the exact quotient's root",
+        ("tests/test_mixing.py::test_operator_norm_steps_a_low_square_root_up",),
+    ),
+    Mutant(
+        "norm-den-once",
+        "mixing.py",
+        "list(map(mul, xs, repeat(den**2)))",
+        "list(map(mul, xs, repeat(den)))",
+        "D^T D x carries D's denominator twice",
+        ("tests/test_mixing.py::test_operator_norm_2x2_quadratic_oracle",),
+    ),
+    Mutant(
+        "norm-iteration-min-quotient",
+        "mixing.py",
+        "cw = max(map(truediv, y, x))",
+        "cw = min(map(truediv, y, x))",
+        "the iteration stops when the largest quotient nears the Rayleigh quotient; the smallest stops it at once",
+        ("tests/test_mixing.py::test_operator_norm_2x2_quadratic_oracle",),
+    ),
+    Mutant(
+        "norm-min-quotient",
+        "mixing.py",
+        "    top = max(quotients)\n",
+        "    top = min(quotients)\n",
+        "the Collatz-Wielandt bound is the largest quotient; a smaller one bounds nothing",
+        ("tests/test_mixing.py::test_operator_norm_is_certified_in_exact_arithmetic",),
+    ),
+    Mutant(
+        "norm-float-quotient",
+        "mixing.py",
+        "    root = math.sqrt(num / bound_den)\n",
+        "    return math.sqrt(cw)\n",
+        "the float iteration's quotient is not evaluated exactly, so it certifies nothing",
+        ("tests/test_mixing.py::test_operator_norm_at_the_step_cap_is_certified_and_within_the_schur_bound",),
+    ),
+    Mutant(
+        "norm-d-d-x",
+        "mixing.py",
+        "_largest_ratio([sum(map(mul, col, dxs)) for col in cols],",
+        "_largest_ratio([sum(map(mul, row, dxs[i:])) for i, row in enumerate(rows)],",
+        "the quotient is of D^T D x, not of D D x",
+        ("tests/test_mixing.py::test_operator_norm_2x2_quadratic_oracle",),
+    ),
+    Mutant(
+        "norm-without-floor",
+        "mixing.py",
+        "x = [v / cw + 2.0**-64 for v in y]",
+        "x = [v / cw for v in y]",
+        "an entry of x that reaches 0.0 voids the bound",
+        ("tests/test_mixing.py::test_operator_norm_at_the_step_cap_is_certified_and_within_the_schur_bound",),
+    ),
+    # Verdicts derived from the reports' numbers.
+    Mutant(
+        "per-i-holds-strict",
+        "martingale.py",
+        "per_i = tuple(v <= self.lipschitz * dw",
+        "per_i = tuple(v < self.lipschitz * dw",
+        "a coordinate whose v_bar meets its bound holds",
+        ("tests/test_martingale.py::test_sumvi_report_derives_its_verdicts",),
+    ),
+    Mutant(
+        "norm-holds-strict",
+        "lipschitz_lp.py",
+        "else self.norm_lhs <= self.norm_rhs",
+        "else self.norm_lhs < self.norm_rhs",
+        "equal norms hold, as on k = (1, 0, 0, -1) with unit weights",
+        ("tests/test_lipschitz_lp.py::test_verify_phi_psi_example",),
+    ),
+    Mutant(
+        "criterion-passes-one-failure",
+        "selftest.py",
+        'object.__setattr__(self, "passed", self.failures == 0)',
+        'object.__setattr__(self, "passed", self.failures <= 1)',
+        "a single violation fails the criterion",
+        ("tests/test_acceptance.py::test_selftest_reports_derive_their_verdicts",),
+    ),
+    Mutant(
+        "azuma-zero-variance-vacuous",
+        "martingale.py",
+        "    if d_squared == 0:\n        return 0.0\n",
+        "    if d_squared == 0:\n        return 2.0\n",
+        "a constant function's tail is 0",
+        ("tests/test_martingale.py::test_azuma_bound_values",),
+    ),
+    # The adjacent-pair reduction certified from the adjacent LP's vertex.
+    Mutant(
+        "reduction-pair-strict",
+        "selftest.py",
+        "(phi - vertex[y]) * d.den <= dy * den",
+        "(phi - vertex[y]) * d.den < dy * den",
+        "an optimal vertex meets some pair bounds with equality, and every x = y pair",
+        (
+            "tests/test_lipschitz_lp.py::test_reduction_certificate_holds_on_seeded_lps",
+            "tests/test_acceptance.py::test_criterion_05_certificates_and_reduction",
+        ),
+    ),
+    Mutant(
+        "reduction-without-row-check",
+        "selftest.py",
+        "    if any(b * dist[x].den != dist[x].nums[y] * den for x, y, b in problem.difference_rows()):\n"
+        "        return False\n",
+        "",
+        "rows tighter than d_w shrink the polytope while the vertex still meets d_w on every pair",
+        ("tests/test_lipschitz_lp.py::test_reduction_certificate_rejects_tampered_costs",),
+    ),
 )
 
 # Edits that change no output, with the argument; they are not run.

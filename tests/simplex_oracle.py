@@ -12,16 +12,26 @@ certificate check is done here.
 
 :func:`standard_form` gives a polytope LP's objective and rows with
 rational coefficients, the oracle for ``solve_lp``'s integer rows.
+
+The all-pairs LP is the polytope with one difference row per ordered word
+pair, phi[x] - phi[y] <= d_w(x, y), the formulation that the library's
+adjacent-pair rows reduce.  :func:`all_pairs_form` builds it as rational
+rows (for ``simplex_max`` and :func:`dense_simplex_max`) and
+:func:`all_pairs_lp` as the integer problem ``simplex.solve`` takes.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from numbers import Rational
 from typing import Mapping, Sequence
 
 from hammix.lipschitz_lp import LpProblem
-from hammix.rational import rat
-from hammix.simplex import SimplexError, SimplexResult
+from hammix.rational import RationalLike, rat
+from hammix.simplex import IntegerLp, SimplexError, SimplexResult
+from hammix.words import TableFunction, WeightVector
+from mixing_oracle import words
+from table_oracle import hamming_distance
 
 #: A solve's primal vertex, duals, objective value and pivot count.
 RationalResult = tuple[tuple[Rational, ...], tuple[Rational, ...], Rational, int]
@@ -43,6 +53,47 @@ def standard_form(
         rows.append({x: one, y: -one})
         rhs.append(bound)
     return problem.objective, rows, rhs
+
+
+def all_pairs_form(
+    k: TableFunction, w: WeightVector, v: RationalLike = 0
+) -> tuple[tuple[Rational, ...], list[dict[int, Rational]], list[Rational]]:
+    """Rational objective, rows and right-hand sides of the all-pairs LP.
+
+    The box rows phi[j] <= v + sum(w) come first, then one row per ordered
+    pair x != y, x major, both in word order.
+    """
+    all_words = list(words(k.alphabet_size, k.arity))
+    one = rat(1)
+    rows: list[dict[int, Rational]] = [{j: one} for j in range(len(all_words))]
+    rhs = [rat(v) + w.total()] * len(all_words)
+    for x, wx in enumerate(all_words):
+        for y, wy in enumerate(all_words):
+            if y != x:
+                rows.append({x: one, y: -one})
+                rhs.append(hamming_distance(wx, wy, w))
+    return k.values, rows, rhs
+
+
+def all_pairs_lp(k: TableFunction, w: WeightVector, v: RationalLike = 0) -> IntegerLp:
+    """The all-pairs LP in integers, rows in the order of :func:`all_pairs_form`.
+
+    As ``solve_lp`` builds its problem: the objective is the table's
+    numerators over its denominator, and every right-hand side is over
+    D = lcm(v's denominator, w.den).
+    """
+    v = rat(v)
+    den = lcm(v.denominator, w.den)
+    costs = [c * (den // w.den) for c in w.nums]
+    all_words = list(words(k.alphabet_size, k.arity))
+    upper = v.numerator * (den // v.denominator) + sum(costs)
+    rows = [({j: 1}, upper) for j in range(len(all_words))]
+    for x, wx in enumerate(all_words):
+        for y, wy in enumerate(all_words):
+            if y != x:
+                rows.append(({x: 1, y: -1}, sum(c for c, a, b in zip(costs, wx, wy) if a != b)))
+    objective = {j: c for j, c in enumerate(k.nums) if c}
+    return IntegerLp(len(all_words), objective, k.den, rows, den)
 
 
 def dense_simplex_max(

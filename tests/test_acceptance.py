@@ -9,7 +9,7 @@ are exact rational comparisons with zero tolerated violations.
   2  phi_norm <= psi_norm, = at n=1      same family
   3  psi section decomposition           500 instances incl. n=1
   4  projection/section commutation      100 arity-3 tables
-  5  duality certificates + all-pairs    every solve + 50 cross-checks
+  5  duality certificates + reduction    every solve + 50 reduction proofs
   6  chain eta values, product identity  exact ground truth
   7  sum V_i^2 mixing bound              300 instances, per-coordinate too
   8  conditional-mean-zero, translation  same instances
@@ -46,7 +46,7 @@ def _report(result):
 
 @pytest.fixture(scope="module")
 def lp_results():
-    return lp_criteria(LP_INSTANCES, DEFAULT_SEED, reduction_count=50)
+    return lp_criteria(LP_INSTANCES, DEFAULT_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,8 @@ def test_criterion_05_certificates_and_reduction(lp_results):
     _, _, c5 = lp_results
     # One certificate per verify_phi_psi report: one per instance, one more
     # for the v = 0 norm report when the instance's v != 0, plus two per
-    # all-pairs cross-check.  Every one is re-verified exactly.
+    # reduction instance (LP_INSTANCES // 10 of them): its adjacent LP's, and
+    # the all-pairs LP's, certified from that vertex.  Every one is exact.
     rng = random.Random(DEFAULT_SEED)
     nonzero_v = sum(_draw_lp_instance(rng)[4] != 0 for _ in range(LP_INSTANCES))
     assert c5.detail["certificates_verified"] == LP_INSTANCES + nonzero_v + 2 * 50

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from simplex_oracle import standard_form
+from simplex_oracle import all_pairs_form, all_pairs_lp, standard_form
 
 import hammix.lipschitz_lp as lipschitz_lp
 import hammix.selftest as selftest
@@ -19,7 +20,7 @@ from hammix.lipschitz_lp import (
 )
 from hammix.psi import norm_shift, psi
 from hammix.rational import rat
-from hammix.simplex import integer_lp, verify_certificate
+from hammix.simplex import integer_lp, solve, verify_certificate
 from hammix.words import (
     Builtin,
     TableFunction,
@@ -190,12 +191,61 @@ def test_norms_solve_one_lp_and_evaluate_psi_once(monkeypatch):
 def test_lp_criteria_counts_the_solves_it_runs(monkeypatch):
     solves = _count_calls(monkeypatch, lipschitz_lp, "solve_lp")
     solves_reduction = _count_calls(monkeypatch, selftest, "solve_lp")
-    instances, reductions = 20, 3
-    _, _, c5 = selftest.lp_criteria(instances, 5, reduction_count=reductions)
+    # One solve per verify_phi_psi report and one per reduction instance,
+    # whose certificate also stands for the all-pairs LP's: two checks.
+    instances, reductions = 20, 2
+    _, _, c5 = selftest.lp_criteria(instances, 5)
     rng = random.Random(5)
     nonzero_v = sum(selftest._draw_lp_instance(rng)[4] != 0 for _ in range(instances))
-    expected = instances + nonzero_v + 2 * reductions
-    assert len(solves) + len(solves_reduction) == c5.checked == expected
+    assert len(solves) + len(solves_reduction) == instances + nonzero_v + reductions
+    assert c5.checked == instances + nonzero_v + 2 * reductions
+    assert c5.detail["reduction_instances"] == reductions
+
+
+def _reduction_cases(seed):
+    """Seeded polytope LPs with m in {2, 3}, n <= 3 and v in {0, 1/2, 1}, with their weights."""
+    rng = random.Random(seed)
+    for m in (2, 3):
+        for n in (1, 2, 3):
+            for v in ("0", "1/2", "1"):
+                k, w = random_table(rng, m, n), random_weights(rng, n)
+                yield build_polytope_lp(k, w, v), w
+
+
+def test_reduction_certificate_holds_on_seeded_lps():
+    for problem, w in _reduction_cases(83):
+        assert selftest._reduction_certified(problem, w, solve_lp(problem).primal_nums)
+
+
+def test_reduction_certificate_rejects_tampered_costs():
+    # One cost halved, exactly: the other costs and the box are doubled over
+    # twice the denominator.  The smaller polytope's vertex meets d_w on
+    # every pair, so only the rows' right-hand sides show the fault.
+    for problem, w in _reduction_cases(89):
+        doubled = [2 * c for c in problem.costs]
+        doubled[-1] //= 2
+        bad = dataclasses.replace(
+            problem, costs=tuple(doubled), upper=2 * problem.upper, rhs_den=2 * problem.rhs_den
+        )
+        assert not selftest._reduction_certified(bad, w, solve_lp(bad).primal_nums)
+
+
+def test_reduction_certificate_rejects_a_vertex_past_a_pair_bound():
+    # phi[x] raised to one unit of 1/rhs_den above phi[y] + d_w(x, y), for the
+    # pair whose bound is the least slack above phi[x].
+    for problem, w in _reduction_cases(97):
+        m, n, den = problem.alphabet_size, problem.arity, problem.rhs_den
+        vertex = list(solve_lp(problem).primal_nums)
+        x = len(vertex) // 2
+        wx = word_unindex(x, m, n)
+        bounds = [
+            vertex[y] + hamming_distance(wx, word_unindex(y, m, n), w) * den
+            for y in range(len(vertex))
+            if y != x
+        ]
+        assert all(b.denominator == 1 for b in bounds)
+        vertex[x] = int(min(bounds)) + 1
+        assert not selftest._reduction_certified(problem, w, tuple(vertex))
 
 
 def test_verify_phi_psi_example():
@@ -278,17 +328,21 @@ def test_phi_sup_matches_scipy_float_oracle():
 
 
 def test_all_pairs_rows_are_per_pair_distances():
+    # The test oracle's all-pairs LP, in integers and in rationals, has one
+    # row per ordered pair x != y with rhs d_w(x, y), as the package's
+    # hamming_to tables give it.
     rng = random.Random(31)
     for m, n in [(1, 2), (2, 1), (2, 3), (3, 2)]:
         k, w = random_table(rng, m, n), random_weights(rng, n)
-        all_words = list(words(m, n))
-        expected = [
-            (x, y, hamming_distance(all_words[x], all_words[y], w))
-            for x in range(m**n)
-            for y in range(m**n)
-            if x != y
-        ]
-        assert list(build_polytope_lp(k, w, pairs="all").difference_constraints) == expected
+        v = rat(rng.choice(("0", "1/2", "5/7")))
+        size = m**n
+        tables = [Builtin("hamming_to", m, n, word_unindex(x, m, n), w).table().values for x in range(size)]
+        expected = [({x: 1, y: -1}, tables[x][y]) for x in range(size) for y in range(size) if x != y]
+        lp = all_pairs_lp(k, w, v)
+        _, rows, rhs = all_pairs_form(k, w, v)
+        assert [(row, rat(b, lp.rhs_den)) for row, b in lp.rows[size:]] == expected
+        assert list(zip(rows[size:], rhs[size:])) == expected
+        assert [rat(b, lp.rhs_den) for _, b in lp.rows[:size]] == rhs[:size] == [v + w.total()] * size
 
 
 def test_adjacent_pairs_match_all_pairs_formulation():
@@ -298,7 +352,7 @@ def test_adjacent_pairs_match_all_pairs_formulation():
         w = random_weights(rng, 2)
         v = rat(rng.choice(("0", "1/2")))
         edge = solve_lp(build_polytope_lp(k, w, v)).objective_value
-        dense = solve_lp(build_polytope_lp(k, w, v, pairs="all")).objective_value
+        dense = solve(all_pairs_lp(k, w, v)).objective_value
         assert edge == dense
 
 
@@ -317,31 +371,26 @@ def test_certificates_survive_reverification():
 
 
 def test_lp_problem_validation():
-    # LpProblem(m, n, nums, den, upper, costs, rhs_den, pairs): an objective
-    # of the wrong length, an empty box, a pair rule that names no word
-    # pairs and a zero difference rhs.
+    # LpProblem(m, n, nums, den, upper, costs, rhs_den): an objective of the
+    # wrong length, an empty box, a zero difference rhs and a cost count
+    # other than the arity.
     LpProblem(2, 1, (1, 0), 1, 1, (1,), 1)
     with pytest.raises(ValueError, match="objective length"):
         LpProblem(2, 1, (1,), 1, 1, (1,), 1)
     with pytest.raises(ValueError, match="box upper bound"):
         LpProblem(2, 1, (1, 0), 1, 0, (1,), 1)
-    with pytest.raises(ValueError, match="unknown pair mode"):
-        LpProblem(2, 1, (1, 0), 1, 1, (1,), 1, "diagonal")
     with pytest.raises(ValueError, match="difference constraint rhs"):
         LpProblem(2, 1, (1, 0), 1, 1, (0,), 1)
     with pytest.raises(ValueError, match="coordinate costs"):
         LpProblem(2, 1, (1, 0), 1, 1, (1, 1), 1)
 
 
-def _rational_polytope(k, w, v, pairs):
+def _rational_polytope(k, w, v):
     """The LP's objective, box bound and difference triples as Fractions, built pair by pair."""
     m, n = k.alphabet_size, k.arity
     all_words = list(words(m, n))
     triples = []
     for x, wx in enumerate(all_words):
-        if pairs == "all":
-            triples += [(x, y, hamming_distance(wx, wy, w)) for y, wy in enumerate(all_words) if y != x]
-            continue
         for pos in range(n):
             for other in range(m):
                 if other != wx[pos]:
@@ -356,13 +405,12 @@ def test_rational_views_keep_the_rational_build():
     rng = random.Random(71)
     for m, n in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         for v in ("0", "1/2", "5/7"):
-            for pairs in ("adjacent", "all"):
-                k, w = random_table(rng, m, n), random_weights(rng, n)
-                problem = build_polytope_lp(k, w, v, pairs)
-                views = (problem.objective, problem.upper_bound, problem.difference_constraints)
-                assert views == _rational_polytope(k, w, rat(v), pairs)
-                assert problem.num_vars == m**n
-                assert all(type(x) is Fraction for x in problem.objective + (problem.upper_bound,))
+            k, w = random_table(rng, m, n), random_weights(rng, n)
+            problem = build_polytope_lp(k, w, v)
+            views = (problem.objective, problem.upper_bound, problem.difference_constraints)
+            assert views == _rational_polytope(k, w, rat(v))
+            assert problem.num_vars == m**n
+            assert all(type(x) is Fraction for x in problem.objective + (problem.upper_bound,))
 
 
 def _lipschitz_all_pairs_oracle(f, w):

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import time
+from functools import partial
 from operator import mul
 
 import pytest
@@ -102,11 +103,12 @@ def test_expand_markov_uniform():
 
 
 def _oracle_chains(rng):
-    """Chains with zero entries and with rows over unequal denominators.
+    """Builds of chains with zero entries and with rows over unequal denominators.
 
     Entries are written unreduced ("2/4", "6/10"); rows of one matrix use
     different denominators, so its common denominator carries factors that
-    the final gcd must take out again.
+    the final gcd must take out again.  The builds share ``rng``: call each
+    as it is yielded.
     """
     rows = [("1", "0"), ("0", "1"), ("2/4", "2/4"), ("1/3", "2/3"), ("6/10", "4/10"),
             ("1/6", "5/6"), ("3/12", "9/12")]
@@ -114,16 +116,17 @@ def _oracle_chains(rng):
         for _ in range(6):
             init = rng.choice(rows)
             transitions = tuple(tuple(rng.choice(rows) for _ in range(2)) for _ in range(n - 1))
-            yield MarkovSpec(init, transitions)
+            yield partial(MarkovSpec, init, transitions)
     for m, n in ((1, 3), (3, 4), (4, 3)):
         for _ in range(4):
-            yield random_markov_spec(rng, m, n)
+            yield partial(random_markov_spec, rng, m, n)
     three = (("0", "1/2", "1/2"), ("1/3", "0", "2/3"), ("0", "0", "1"))
-    yield MarkovSpec(("1/5", "0", "4/5"), (three, three, three))
+    yield partial(MarkovSpec, ("1/5", "0", "4/5"), (three, three, three))
 
 
 def test_expand_markov_matches_rational_oracle():
-    for spec in _oracle_chains(random.Random(17)):
+    for build in _oracle_chains(random.Random(17)):
+        spec = build()
         P, expected = expand_markov(spec), mixing_oracle.expand_markov(spec)
         assert (P.nums, P.den) == (expected.nums, expected.den)
         assert P.probabilities == expected.probabilities
@@ -428,6 +431,16 @@ def test_operator_norm_is_certified_in_exact_arithmetic():
         assert not _certifies(d, svd * (1 - 1e-6))
 
 
+def test_operator_norm_steps_a_low_square_root_up(monkeypatch):
+    # The result is the least float whose square reaches the exact quotient,
+    # so a square root one ulp low gives the same norm.
+    cases = list(_norm_cases())
+    expected = [operator_norm_2(d) for d in cases]
+    sqrt = math.sqrt
+    monkeypatch.setattr(math, "sqrt", lambda v: math.nextafter(sqrt(v), 0.0))
+    assert [operator_norm_2(d) for d in cases] == expected
+
+
 def _two_blocks_and_a_free_coordinate():
     """Two 5x5 all-ones triangles, one entry of the second lowered by 1e-9, then a 1."""
     entries = [[0] * 11 for _ in range(11)]
@@ -521,25 +534,40 @@ def _forced_second_symbol(rng, m, n):
     return Measure(m, n, tuple(rat(c, sum(weights)) for c in weights))
 
 
+# Cases are built inside the tests that read them, so a fault in building
+# a measure or a chain fails those tests by name instead of failing the
+# collection of this file.  A case generator yields (name, build) pairs whose
+# builds may share its random stream, so _built calls each as it is yielded.
+
+
+@functools.cache
+def _built(cases):
+    """The (name, case) pairs of a case generator."""
+    return [(name, build()) for name, build in cases()]
+
+
+def _each_case(cases):
+    """Parametrize a test by the index of each case, with the cases' names as ids."""
+    names = [name for name, _ in cases()]
+    return pytest.mark.parametrize("index", range(len(names)), ids=names)
+
+
 def _oracle_cases():
     rng = random.Random(20)
     shapes = [(2, n) for n in range(1, 8)] + [(3, n) for n in range(1, 6)] + [(4, n) for n in range(1, 4)]
     for m, n in shapes:
         for _ in range(2):
-            yield f"dense0-m{m}n{n}", random_dense_measure(rng, m, n)
-            yield f"sparse-m{m}n{n}", _sparse_measure(rng, m, n)
+            yield f"dense0-m{m}n{n}", partial(random_dense_measure, rng, m, n)
+            yield f"sparse-m{m}n{n}", partial(_sparse_measure, rng, m, n)
     for m, n in ((2, 6), (3, 4), (4, 3)):
         for _ in range(3):
-            yield f"markov0-m{m}n{n}", _chain_with_zeros(rng, m, n)
-        yield f"markov-m{m}n{n}", random_markov_spec(rng, m, n)
-        yield f"product-m{m}n{n}", random_product_measure(rng, m, n)
+            yield f"markov0-m{m}n{n}", partial(_chain_with_zeros, rng, m, n)
+        yield f"markov-m{m}n{n}", partial(random_markov_spec, rng, m, n)
+        yield f"product-m{m}n{n}", partial(random_product_measure, rng, m, n)
         word = tuple(rng.randrange(m) for _ in range(n))
-        yield f"point-m{m}n{n}", point_mass(m, n, word)
+        yield f"point-m{m}n{n}", partial(point_mass, m, n, word)
     for m, n in ((2, 4), (3, 3)):
-        yield f"forced-m{m}n{n}", _forced_second_symbol(rng, m, n)
-
-
-ORACLE_CASES = list(_oracle_cases())
+        yield f"forced-m{m}n{n}", partial(_forced_second_symbol, rng, m, n)
 
 
 def _table(P):
@@ -547,9 +575,10 @@ def _table(P):
     return expand_markov(P) if isinstance(P, MarkovSpec) else P
 
 
-@pytest.mark.parametrize("P", [P for _, P in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES])
-def test_delta_matrix_matches_rational_oracle(P):
+@_each_case(_oracle_cases)
+def test_delta_matrix_matches_rational_oracle(index):
     # Chains run the kernel path, measures the dense one.
+    _, P = _built(_oracle_cases)[index]
     table = _table(P)
     assert delta_matrix(P) == mixing_oracle.delta_matrix(table)
     for i in range(1, P.arity + 1):
@@ -564,34 +593,37 @@ def _product_with_null_symbols():
     return Measure(3, 4, tuple(math.prod(law[s] for law, s in zip(laws, x)) for x in words(3, 4)))
 
 
-DENSE_ROW_CASES = [
-    *((name, _table(P)) for name, P in ORACLE_CASES if isinstance(P, MarkovSpec)),
-    ("product0-m3n4", _product_with_null_symbols()),
-]
+def _dense_row_cases():
+    """The table of every chain of _oracle_cases, and a product with null symbols."""
+    for index, (name, _) in enumerate(_oracle_cases()):
+        if name.startswith("markov"):
+            yield name, lambda index=index: _table(_built(_oracle_cases)[index][1])
+    yield "product0-m3n4", _product_with_null_symbols
 
 
-@pytest.mark.parametrize("P", [P for _, P in DENSE_ROW_CASES], ids=[name for name, _ in DENSE_ROW_CASES])
-def test_dense_eta_bar_rows_match_rational_oracle(P):
-    # The dense measures of ORACLE_CASES meet the oracle above; here the
+@_each_case(_dense_row_cases)
+def test_dense_eta_bar_rows_match_rational_oracle(index):
+    # The dense measures of _oracle_cases meet the oracle above; here the
     # dense row kernel also runs on every chain's table and on a product
     # whose null symbols leave zero-mass blocks under positive pasts.
+    _, P = _built(_dense_row_cases)[index]
     n = P.arity
     for i in range(1, n + 1):
         expected = [mixing_oracle.eta_bar(P, i, j) for j in range(i + 1, n + 1)]
         assert _row_values(mixing._eta_bar_row(P, i)) == expected
 
 
-NULL_BLOCK_CASES = [
-    (f"dense0-m{m}n{n}", mixing_oracle.null_block_measure(random.Random(10 * m + n), m, n))
-    for m, n in ((2, 2), (2, 7), (2, 9), (3, 4), (3, 5), (4, 3), (4, 4))
-]
+def _null_block_cases():
+    for m, n in ((2, 2), (2, 7), (2, 9), (3, 4), (3, 5), (4, 3), (4, 4)):
+        yield f"dense0-m{m}n{n}", partial(mixing_oracle.null_block_measure, random.Random(10 * m + n), m, n)
 
 
-@pytest.mark.parametrize("P", [P for _, P in NULL_BLOCK_CASES], ids=[name for name, _ in NULL_BLOCK_CASES])
-def test_dense_rows_match_the_per_past_oracle(P):
+@_each_case(_null_block_cases)
+def test_dense_rows_match_the_per_past_oracle(index):
     # Rows with more pasts than block cells are read suffix-major, the
     # others past by past; both give the per-past integer pass's rationals,
     # on measures with null cells and null prefix blocks.
+    _, P = _built(_null_block_cases)[index]
     m, n = P.alphabet_size, P.arity
     assert any(P._cum[lo] == P._cum[lo + m] for lo in range(0, len(P.nums), m))
     if n >= 4:
@@ -620,11 +652,11 @@ def test_oracle_cases_cover_null_prefixes_and_forced_positions():
     # while row 1 is not.
     assert any(
         prefix_mass(_table(P), prefix) == 0
-        for name, P in ORACLE_CASES
+        for name, P in _built(_oracle_cases)
         if name.startswith("markov0")
         for prefix in words(P.alphabet_size, 2)
     )
-    for name, P in ORACLE_CASES:
+    for name, P in _built(_oracle_cases):
         if name.startswith("forced"):
             entries = delta_matrix(P).entries
             assert all(v == 0 for v in entries[1][2:])
@@ -639,32 +671,30 @@ def test_eta_bar_rejects_out_of_range_pairs():
 
 
 def _kernel_chains():
-    """(name, spec) for chains that stress the kernel path's admissibility rules."""
+    """(name, build) for chains that stress the kernel path's admissibility rules."""
     rng = random.Random(41)
     for m, n in ((1, 1), (1, 4), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (2, 5), (3, 4), (4, 3)):
         for k in range(6):
-            yield f"zeros-m{m}n{n}-{k}", _chain_with_zeros(rng, m, n)
-        yield f"full-m{m}n{n}", random_markov_spec(rng, m, n)
-    for k, spec in enumerate(_oracle_chains(random.Random(17))):
-        yield f"unreduced-{k}", spec
+            yield f"zeros-m{m}n{n}-{k}", partial(_chain_with_zeros, rng, m, n)
+        yield f"full-m{m}n{n}", partial(random_markov_spec, rng, m, n)
+    for k, build in enumerate(_oracle_chains(random.Random(17))):
+        yield f"unreduced-{k}", build
     # State 2 is null at position 1 and unreachable at position 2, but its
     # row of T_2 charges 1 and 2, whose rows of T_3 are TV distance 1 apart.
     half = ("1/2", "1/2", "0")
     split = (("1", "0", "0"), ("1", "0", "0"), ("0", "0", "1"))
-    yield "unreachable", MarkovSpec(
-        half, ((half, half, ("0", "0", "1")), (half, half, ("0", "1/2", "1/2")), split)
+    yield "unreachable", partial(
+        MarkovSpec, half, ((half, half, ("0", "0", "1")), (half, half, ("0", "1/2", "1/2")), split)
     )
     # Every state moves to 1 at step 2, so X_3 is forced.
     spread = (("1/4", "1/4", "1/2"), ("2/3", "1/3", "0"), ("1", "0", "0"))
     forced = (("0", "1", "0"),) * 3
-    yield "forced", MarkovSpec(("1/3", "1/3", "1/3"), (spread, forced, spread))
+    yield "forced", partial(MarkovSpec, ("1/3", "1/3", "1/3"), (spread, forced, spread))
 
 
-KERNEL_CHAINS = list(_kernel_chains())
-
-
-@pytest.mark.parametrize("spec", [s for _, s in KERNEL_CHAINS], ids=[name for name, _ in KERNEL_CHAINS])
-def test_kernel_delta_matches_dense_kernel_and_oracle(spec):
+@_each_case(_kernel_chains)
+def test_kernel_delta_matches_dense_kernel_and_oracle(index):
+    _, spec = _built(_kernel_chains)[index]
     dense = expand_markov(spec)
     kernel = delta_matrix(spec)
     assert kernel == delta_matrix(dense)
@@ -675,7 +705,7 @@ def test_kernel_delta_matches_dense_kernel_and_oracle(spec):
 
 
 def test_kernel_chains_cover_the_admissibility_cases():
-    specs = dict(KERNEL_CHAINS)
+    specs = dict(_built(_kernel_chains))
     assert any(0 in spec.initial for spec in specs.values())
     assert any(0 in row for spec in specs.values() for rows in spec.transitions for row in rows)
     assert {1, 2} <= {spec.arity for spec in specs.values()}
@@ -694,7 +724,7 @@ def _dobrushin(matrix):
 
 
 def test_eta_bar_within_dobrushin_product():
-    for name, spec in KERNEL_CHAINS:
+    for name, spec in _built(_kernel_chains):
         entries = delta_matrix(spec).entries
         n = spec.arity
         for i in range(1, n + 1):
@@ -727,7 +757,7 @@ def test_reachable_states_are_the_positive_mass_prefixes():
     # chains with null initial states and zero transition entries.
     rng = random.Random(43)
     cases = [_chain_with_zeros(rng, m, n) for m in (1, 2, 3) for n in (1, 2, 3, 5) for _ in range(8)]
-    cases += [spec for name, spec in KERNEL_CHAINS if name in ("unreachable", "forced")]
+    cases += [spec for name, spec in _built(_kernel_chains) if name in ("unreachable", "forced")]
     pruned = 0
     for spec in cases:
         P = expand_markov(spec)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from scipy.optimize import linprog
-from simplex_oracle import dense_simplex_max, rational_view, standard_form
+from simplex_oracle import all_pairs_form, all_pairs_lp, dense_simplex_max, rational_view, standard_form
 
 import hammix.simplex
 from hammix import instances
@@ -221,17 +221,21 @@ def _distinct_denominator_weights(rng, n):
 def test_matches_dense_oracle_on_polytope_lps(m, n, v):
     # solve_lp's int-coefficient rows must give the result of the rational
     # standard form, pivots included, through simplex_max and the dense
-    # oracle alike; the all-pairs build runs on the smaller tables.  Both
-    # builds are totally unimodular, so no pivot is refused.
+    # oracle alike; the all-pairs LP of the test oracle, solved by
+    # simplex.solve from its integer rows, runs on the smaller tables.  Both
+    # are totally unimodular, so no pivot is refused.
     rng = random.Random(f"oracle:{m}:{n}:{v}")
     for pairs in ("adjacent", "all") if m**n <= 9 else ("adjacent",):
         for weights in (instances.random_weights, _distinct_denominator_weights):
             k = instances.random_table(rng, m, n)
             w = weights(rng, n)
-            problem = build_polytope_lp(k, w, v, pairs=pairs)
-            result = rational_view(solve_lp(problem))
-            assert result == rational_view(simplex_max(*standard_form(problem)))
-            assert result == dense_simplex_max(*standard_form(problem))
+            if pairs == "all":
+                result, form = rational_view(solve(all_pairs_lp(k, w, v))), all_pairs_form(k, w, v)
+            else:
+                problem = build_polytope_lp(k, w, v)
+                result, form = rational_view(solve_lp(problem)), standard_form(problem)
+            assert result == rational_view(simplex_max(*form))
+            assert result == dense_simplex_max(*form)
 
 
 @pytest.mark.parametrize("pairs", ["adjacent", "all"])
@@ -239,13 +243,18 @@ def test_matches_dense_oracle_on_polytope_lps(m, n, v):
 def test_solve_lp_matches_simplex_max_on_the_rational_rows(pairs, v):
     # The integer rows solve_lp builds and the rational rows rebuilt from the
     # problem's public fields give one result: the same integers over the
-    # same denominators, so the same pivots, vertex, duals and value.
+    # same denominators, so the same pivots, vertex, duals and value.  The
+    # all-pairs LP's integer and rational rows are the test oracle's.
     rng = random.Random(f"integer:{pairs}:{v}")
     for m in (2, 3):
         for n in (1, 2, 3):
             for weights in (instances.random_weights, _distinct_denominator_weights):
-                problem = build_polytope_lp(instances.random_table(rng, m, n), weights(rng, n), v, pairs)
-                result, rational = solve_lp(problem), simplex_max(*standard_form(problem))
+                k, w = instances.random_table(rng, m, n), weights(rng, n)
+                if pairs == "all":
+                    result, rational = solve(all_pairs_lp(k, w, v)), simplex_max(*all_pairs_form(k, w, v))
+                else:
+                    problem = build_polytope_lp(k, w, v)
+                    result, rational = solve_lp(problem), simplex_max(*standard_form(problem))
                 assert result == rational
                 assert rational_view(result) == rational_view(rational)
 
